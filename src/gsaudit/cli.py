@@ -14,14 +14,8 @@ import json
 import os
 import sys
 
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ConfigError,
-    NonConvergenceError,
-    run_experiment,
-)
-from .hermite import QuadratureConvergenceError
-from .observability import GramianError
+from .experiments import EXPERIMENT_KINDS, ConfigError, run_experiment
+from .hermite import NumericalError
 
 EXIT_OK = 0
 EXIT_INEQUALITY = 1
@@ -95,7 +89,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergenceError, QuadratureConvergenceError, GramianError, RuntimeError) as err:
+    except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

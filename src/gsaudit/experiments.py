@@ -23,7 +23,14 @@ from .geometry import (
     sensor_decaying_density,
     sensor_periodic,
 )
-from .hermite import Ball, SpectralFunction, evaluate, norm_squared_on_ball, weighted_norm
+from .hermite import (
+    Ball,
+    NumericalError,
+    SpectralFunction,
+    evaluate,
+    norm_squared_on_ball,
+    weighted_norm,
+)
 from .local_estimates import (
     analyticity_check,
     local_estimate_check,
@@ -77,7 +84,7 @@ class ConfigError(ValueError):
         self.field = field
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(NumericalError):
     """A numerical routine failed to stabilize (exit code 3 at the CLI)."""
 
 
@@ -197,7 +204,7 @@ def _resolve_sensor(data: dict, context: str) -> dict:
 
 def _build_sensor(spec: dict, profile: RadiusProfile):
     if spec["type"] == "full":
-        return FullSpaceSensorSet(1, "full line")
+        return FullSpaceSensorSet("full line")
     if spec["type"] == "periodic":
         return sensor_periodic(spec["period"], spec["fill"], extent=spec["extent"])
     if spec["type"] == "intervals":

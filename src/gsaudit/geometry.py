@@ -6,28 +6,25 @@ The default radius profile
 
 satisfies both covering hypotheses by construction: growth controlled by
 R (1+|x|^2)^(delta/2) everywhere, and rho(x) <= eta |x| for |x| >= r0.
-Coverings are built greedily (largest admissible radius first) over the ball
-B(0, max(r0, r/(1-eta))) and carry their measured overlap count; sensor sets
-are exact interval unions in 1D and boolean grids with a stated resolution
-error in 2D.
+Coverings are built greedily (largest admissible radius first) over the
+interval [-max(r0, r/(1-eta)), max(r0, r/(1-eta))] and carry their measured
+overlap count; sensor sets are exact interval unions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import Ball
+from .hermite import Ball, NumericalError
 
 __all__ = [
     "Covering",
     "CoverageReport",
     "DensityReport",
     "FullSpaceSensorSet",
-    "GridSensorSet",
     "IntervalSensorSet",
     "OVERLAP_CAP",
     "RadiusProfile",
@@ -38,8 +35,8 @@ __all__ = [
     "sensor_periodic",
 ]
 
-# Declared overlap caps of the greedy construction, asserted per dimension.
-OVERLAP_CAP = {1: 4, 2: 20}
+# Declared overlap cap of the greedy construction, asserted on every covering.
+OVERLAP_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,9 @@ class RadiusProfile:
             raise ValueError("r0 must satisfy r0 >= 1")
 
     def rho(self, x) -> np.ndarray:
-        """Radius at x (scalar, vector of 1D points, or (..., 2) array)."""
+        """Radius at x (scalar or array of points)."""
         pts = np.asarray(x, dtype=float)
-        dist = np.abs(pts) if pts.ndim <= 1 else np.linalg.norm(pts, axis=-1)
+        dist = np.abs(pts)
         growth = self.R * (1.0 + dist**2) ** (self.delta / 2.0)
         smallness = self.eta * np.maximum(dist, self.r0)
         out = np.minimum(growth, smallness)
@@ -103,11 +100,10 @@ class CoverageReport:
 
 @dataclass(frozen=True)
 class Covering:
-    """Finite ball family covering B(0, target_radius), with measured overlap."""
+    """Finite ball family covering [-target_radius, target_radius], with measured overlap."""
 
     centers: np.ndarray
     radii: np.ndarray
-    dim: int
     target_radius: float
     kappa_measured: int
     profile: RadiusProfile
@@ -117,95 +113,47 @@ class Covering:
         return len(self.radii)
 
     def balls(self) -> list:
-        if self.dim == 1:
-            return [Ball((c,), r) for c, r in zip(self.centers, self.radii)]
-        return [Ball(tuple(c), r) for c, r in zip(self.centers, self.radii)]
-
-    def to_json(self) -> str:
-        payload = {
-            "dim": self.dim,
-            "target_radius": self.target_radius,
-            "kappa_measured": self.kappa_measured,
-            "profile": self.profile.to_dict(),
-            "centers": np.atleast_2d(self.centers.T).T.tolist(),
-            "radii": self.radii.tolist(),
-            "coverage": {
-                "n_samples": self.coverage.n_samples,
-                "n_uncovered": self.coverage.n_uncovered,
-                "undetected_measure_bound": self.coverage.undetected_measure_bound,
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Covering":
-        data = json.loads(text)
-        centers = np.asarray(data["centers"], dtype=float)
-        if data["dim"] == 1:
-            centers = centers.reshape(-1)
-        cov = CoverageReport(
-            data["coverage"]["n_samples"],
-            data["coverage"]["n_uncovered"],
-            data["coverage"]["undetected_measure_bound"],
-        )
-        return Covering(
-            centers=centers,
-            radii=np.asarray(data["radii"], dtype=float),
-            dim=data["dim"],
-            target_radius=data["target_radius"],
-            kappa_measured=data["kappa_measured"],
-            profile=RadiusProfile(**data["profile"]),
-            coverage=cov,
-        )
+        return [Ball((c,), r) for c, r in zip(self.centers, self.radii)]
 
 
-class CoveringConstructionError(RuntimeError):
+class CoveringConstructionError(NumericalError):
     """The greedy construction hit its iteration cap before covering."""
 
 
-def _candidate_grid(extent: float, step: float, dim: int) -> np.ndarray:
-    # Strictly interior candidates; balls centered there still overrun the rim.
+def _candidate_grid(extent: float, step: float) -> np.ndarray:
+    # Strictly interior candidates, the outermost within two steps of the rim.
     n = int(math.floor((extent - step) / step))
-    axis = np.arange(-n, n + 1) * step
-    if dim == 1:
-        return axis
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    return pts[np.linalg.norm(pts, axis=1) < extent]
+    return np.arange(-n, n + 1) * step
 
 
-def _count_membership(points: np.ndarray, centers: np.ndarray, radii: np.ndarray, dim: int):
-    if dim == 1:
-        return np.sum(
-            np.abs(points[:, None] - centers[None, :]) < radii[None, :], axis=1
-        )
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.sum(np.linalg.norm(diff, axis=2) < radii[None, :], axis=1)
+def _count_membership(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    return np.sum(np.abs(points[:, None] - centers[None, :]) < radii[None, :], axis=1)
 
 
 def besicovitch_cover(
     profile: RadiusProfile,
     r: float,
-    dim: int = 1,
     grid_step: float | None = None,
     n_coverage_samples: int = 20000,
     seed: int = 0,
 ) -> Covering:
-    """Greedy covering of B(0, max(r0, r/(1-eta))) by balls B(y, rho(y)).
+    """Greedy covering of [-e, e], e = max(r0, r/(1-eta)), by balls B(y, rho(y)).
 
     Repeatedly picks the uncovered candidate of largest radius and marks
-    covered with a one-grid-step margin, so grid coverage implies true
-    coverage. The overlap count kappa is measured on grid plus random samples
-    and asserted against the declared per-dimension cap.
+    covered with a one-grid-step margin, so the chosen balls cover every
+    point within one grid step of a candidate. The outermost candidates sit
+    up to two steps inside the rim, so a rim point +-e left outside every
+    chosen ball gets the ball B(+-e, rho(+-e)) of its own, which covers the
+    band next to it (rho >= 25 steps at the default step). The overlap count
+    kappa is measured on grid plus random samples and asserted against the
+    declared cap.
     """
     if not r >= 1.0:
         raise ValueError("covering radius must satisfy r >= 1")
-    if dim not in OVERLAP_CAP:
-        raise ValueError("dim must be 1 or 2")
     extent = profile.covering_extent(r)
     if grid_step is None:
-        grid_step = min(profile.min_radius / 25.0, 0.05) if dim == 1 else profile.min_radius / 10.0
-    candidates = _candidate_grid(extent, grid_step, dim)
+        grid_step = min(profile.min_radius / 25.0, 0.05)
+    candidates = _candidate_grid(extent, grid_step)
     rho = np.atleast_1d(profile.rho(candidates))
     order_key = rho.copy()
     covered = np.zeros(len(candidates), dtype=bool)
@@ -219,39 +167,35 @@ def besicovitch_cover(
         c, rad = candidates[pick], rho[pick]
         centers.append(c)
         radii.append(rad)
-        if dim == 1:
-            dist = np.abs(candidates - c)
-        else:
-            dist = np.linalg.norm(candidates - c, axis=1)
-        covered |= dist <= rad - grid_step
+        covered |= np.abs(candidates - c) <= rad - grid_step
     else:
         raise CoveringConstructionError("greedy covering did not terminate under its cap")
+    rims = np.array([-extent, extent])
+    rim_counts = _count_membership(rims, np.asarray(centers), np.asarray(radii))
+    for rim in rims[rim_counts == 0]:
+        centers.append(rim)
+        radii.append(profile.rho(rim))
     centers = np.asarray(centers)
     radii = np.asarray(radii)
 
     rng = np.random.default_rng(seed)
-    if dim == 1:
-        samples = rng.uniform(-extent, extent, size=n_coverage_samples)
-    else:
-        samples = rng.uniform(-extent, extent, size=(4 * n_coverage_samples, 2))
-        samples = samples[np.linalg.norm(samples, axis=1) < extent][:n_coverage_samples]
-    counts = _count_membership(np.atleast_1d(samples), centers, radii, dim)
+    samples = rng.uniform(-extent, extent, size=n_coverage_samples)
+    counts = _count_membership(samples, centers, radii)
     n_uncovered = int(np.sum(counts == 0))
-    grid_counts = _count_membership(np.atleast_1d(candidates), centers, radii, dim)
+    grid_counts = _count_membership(candidates, centers, radii)
     kappa = int(max(counts.max(initial=0), grid_counts.max(initial=0)))
-    if kappa > OVERLAP_CAP[dim]:
+    if kappa > OVERLAP_CAP:
         raise CoveringConstructionError(
-            f"measured overlap {kappa} exceeds the declared cap {OVERLAP_CAP[dim]}"
+            f"measured overlap {kappa} exceeds the declared cap {OVERLAP_CAP}"
         )
     coverage = CoverageReport(
-        n_samples=len(np.atleast_1d(samples)),
+        n_samples=len(samples),
         n_uncovered=n_uncovered,
-        undetected_measure_bound=math.log(20.0) / max(len(np.atleast_1d(samples)), 1),
+        undetected_measure_bound=math.log(20.0) / max(len(samples), 1),
     )
     return Covering(
         centers=centers,
         radii=radii,
-        dim=dim,
         target_radius=extent,
         kappa_measured=kappa,
         profile=profile,
@@ -262,12 +206,8 @@ def besicovitch_cover(
 def coverage_check(covering: Covering, n_samples: int = 100000, seed: int = 1) -> CoverageReport:
     """Independent randomized coverage check with its own sample budget."""
     rng = np.random.default_rng(seed)
-    if covering.dim == 1:
-        samples = rng.uniform(-covering.target_radius, covering.target_radius, size=n_samples)
-    else:
-        raw = rng.uniform(-covering.target_radius, covering.target_radius, size=(4 * n_samples, 2))
-        samples = raw[np.linalg.norm(raw, axis=1) < covering.target_radius][:n_samples]
-    counts = _count_membership(np.atleast_1d(samples), covering.centers, covering.radii, covering.dim)
+    samples = rng.uniform(-covering.target_radius, covering.target_radius, size=n_samples)
+    counts = _count_membership(samples, covering.centers, covering.radii)
     return CoverageReport(
         n_samples=len(samples),
         n_uncovered=int(np.sum(counts == 0)),
@@ -280,30 +220,23 @@ def coverage_check(covering: Covering, n_samples: int = 100000, seed: int = 1) -
 
 
 class FullSpaceSensorSet:
-    """omega = R^d; every window has density one."""
+    """omega = R; every window has density one."""
 
-    def __init__(self, dim: int = 1, description: str = "full space"):
-        if dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
-        self.dim = dim
+    def __init__(self, description: str = "full space"):
         self.description = description
 
     def measure_in_ball(self, ball: Ball) -> float:
         return ball.volume
 
     def intersect_interval(self, a: float, b: float) -> list:
-        if self.dim != 1:
-            raise ValueError("interval intersection requires dim 1")
         return [(a, b)] if b > a else []
 
     def to_dict(self) -> dict:
-        return {"kind": "full", "dim": self.dim, "description": self.description}
+        return {"kind": "full", "dim": 1, "description": self.description}
 
 
 class IntervalSensorSet:
-    """1D sensor set as a disjoint sorted union of half-open intervals."""
-
-    dim = 1
+    """Sensor set as a disjoint sorted union of half-open intervals."""
 
     def __init__(self, intervals, description: str = ""):
         merged = []
@@ -376,59 +309,6 @@ class IntervalSensorSet:
         }
 
 
-class GridSensorSet:
-    """2D sensor set on a boolean cell grid with a stated resolution error.
-
-    Cell (i, j) covers [x0 + i h, x0 + (i+1) h) x [y0 + j h, y0 + (j+1) h).
-    Ball measures count cells by their centers; the reported bound accounts
-    for every cell straddling the ball boundary.
-    """
-
-    dim = 2
-
-    def __init__(self, origin, cell: float, mask: np.ndarray, description: str = ""):
-        self.origin = (float(origin[0]), float(origin[1]))
-        self.cell = float(cell)
-        self.mask = np.asarray(mask, dtype=bool)
-        self.description = description
-        if self.cell <= 0 or self.mask.ndim != 2:
-            raise ValueError("cell must be positive and mask two-dimensional")
-
-    def measure_in_ball(self, ball: Ball) -> tuple:
-        """(measure estimate, resolution error bound)."""
-        h = self.cell
-        i0 = int(math.floor((ball.center[0] - ball.radius - self.origin[0]) / h)) - 1
-        i1 = int(math.ceil((ball.center[0] + ball.radius - self.origin[0]) / h)) + 1
-        j0 = int(math.floor((ball.center[1] - ball.radius - self.origin[1]) / h)) - 1
-        j1 = int(math.ceil((ball.center[1] + ball.radius - self.origin[1]) / h)) + 1
-        i0c, i1c = max(i0, 0), min(i1, self.mask.shape[0])
-        j0c, j1c = max(j0, 0), min(j1, self.mask.shape[1])
-        if i0c >= i1c or j0c >= j1c:
-            return 0.0, 0.0
-        ii = self.origin[0] + (np.arange(i0c, i1c) + 0.5) * h
-        jj = self.origin[1] + (np.arange(j0c, j1c) + 0.5) * h
-        cx, cy = np.meshgrid(ii, jj, indexing="ij")
-        inside = (cx - ball.center[0]) ** 2 + (cy - ball.center[1]) ** 2 < ball.radius**2
-        sel = self.mask[i0c:i1c, j0c:j1c] & inside
-        measure = float(np.sum(sel)) * h * h
-        # cells whose closure meets the circle: within h*sqrt(2)/2 of it
-        dist = np.sqrt((cx - ball.center[0]) ** 2 + (cy - ball.center[1]) ** 2)
-        boundary = np.abs(dist - ball.radius) <= h * math.sqrt(2.0) / 2.0
-        err = float(np.sum(boundary)) * h * h
-        return measure, err
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "grid",
-            "dim": 2,
-            "description": self.description,
-            "origin": list(self.origin),
-            "cell": self.cell,
-            "shape": list(self.mask.shape),
-            "filled_fraction": float(np.mean(self.mask)),
-        }
-
-
 def sensor_periodic(period: float, fill: float, extent: float = 400.0):
     """Periodic 1D sensor set: the union of [j p, j p + fill p) over j.
 
@@ -442,7 +322,7 @@ def sensor_periodic(period: float, fill: float, extent: float = 400.0):
     if not extent > 0:
         raise ValueError("extent must be positive")
     if fill == 1.0:
-        return FullSpaceSensorSet(1, description=f"periodic(period={period}, fill=1)")
+        return FullSpaceSensorSet(description=f"periodic(period={period}, fill=1)")
     j_max = int(math.ceil(extent / period)) + 1
     intervals = [
         (j * period, (j + fill) * period) for j in range(-j_max, j_max + 1)
@@ -459,7 +339,7 @@ def sensor_decaying_density(
     extent: float = 400.0,
     cell: float | None = None,
 ) -> IntervalSensorSet:
-    """1D sensor set with local density at least gamma0 / (1 + |x|^a).
+    """Sensor set with local density at least gamma0 / (1 + |x|^a).
 
     Greedy per-cell filling: each lattice cell carries a sub-interval sized
     for the decay target at its far edge, inflated by (1+eta)^a * 1.5 so that
@@ -529,52 +409,33 @@ def certify_density(
 ) -> DensityReport:
     """Check |B(x, rho(x)) cap omega| >= threshold(|x|) |B(x, rho(x))|.
 
-    Exact interval arithmetic in 1D; in 2D the grid measure is taken minus
-    its resolution error bound, so certification is conservative. Centers
-    default to a dense grid over [-extent, extent] plus any provided ones.
+    Exact interval arithmetic on the sensor intervals. Centers default to a
+    dense grid over [-extent, extent] plus any provided ones.
     """
     threshold, desc = _density_threshold(gamma)
     if step is None:
         step = min(0.1, profile.min_radius / 5.0)
-    if omega.dim == 1:
-        centers = np.arange(-extent, extent + step / 2, step)
-        if sample_centers is not None:
-            centers = np.concatenate([centers, np.asarray(sample_centers, float).ravel()])
-        rho = profile.rho(centers)
-        if isinstance(omega, FullSpaceSensorSet):
-            ratios = np.ones_like(centers)
-        else:
-            ratios = omega.measure_in_many(centers - rho, centers + rho) / (2.0 * rho)
-        dist = np.abs(centers)
+    centers = np.arange(-extent, extent + step / 2, step)
+    if sample_centers is not None:
+        centers = np.concatenate([centers, np.asarray(sample_centers, float).ravel()])
+    rho = profile.rho(centers)
+    if isinstance(omega, FullSpaceSensorSet):
+        ratios = np.ones_like(centers)
     else:
-        axis = np.arange(-extent, extent + step / 2, max(step, profile.min_radius / 2.0))
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        centers = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        if sample_centers is not None:
-            centers = np.concatenate([centers, np.asarray(sample_centers, float).reshape(-1, 2)])
-        rho = np.atleast_1d(profile.rho(centers))
-        ratios = np.empty(len(centers))
-        for i, (c, rad) in enumerate(zip(centers, rho)):
-            ball = Ball(tuple(c), float(rad))
-            if isinstance(omega, FullSpaceSensorSet):
-                ratios[i] = 1.0
-            else:
-                measure, err = omega.measure_in_ball(ball)
-                ratios[i] = max(measure - err, 0.0) / ball.volume
-        dist = np.linalg.norm(centers, axis=-1)
+        ratios = omega.measure_in_many(centers - rho, centers + rho) / (2.0 * rho)
+    dist = np.abs(centers)
     required = threshold(dist)
     bad = ratios < required - 1e-12
     argmin = int(np.argmin(ratios / np.maximum(required, 1e-300)))
     center = centers[argmin]
     violations = [
-        (float(np.atleast_1d(centers[i])[0]) if omega.dim == 1 else tuple(centers[i]),
-         float(ratios[i]), float(required[i]))
+        (float(centers[i]), float(ratios[i]), float(required[i]))
         for i in np.nonzero(bad)[0][:20]
     ]
     return DensityReport(
         passed=not bad.any(),
         min_ratio=float(ratios[argmin]),
-        argmin_center=(float(center),) if omega.dim == 1 else tuple(float(v) for v in center),
+        argmin_center=(float(center),),
         threshold=desc,
         n_centers=len(centers),
         n_violations=int(bad.sum()),

@@ -1,8 +1,7 @@
 """Orthonormal Hermite basis machinery: evaluation, ladder calculus, quadrature.
 
-Expansions in the L2(R)-orthonormal Hermite functions h_n (one or two
-variables via tensor products) support exact differentiation and coordinate
-multiplication through the ladder relations
+Expansions in the L2(R)-orthonormal Hermite functions h_n support exact
+differentiation and coordinate multiplication through the ladder relations
 
     h_n'(x)  = sqrt(n/2) h_{n-1}(x) - sqrt((n+1)/2) h_{n+1}(x),
     x h_n(x) = sqrt(n/2) h_{n-1}(x) + sqrt((n+1)/2) h_{n+1}(x),
@@ -25,8 +24,8 @@ __all__ = [
     "Ball",
     "ComplexOverflowError",
     "DimensionMismatchError",
+    "NumericalError",
     "QuadratureConvergenceError",
-    "QuadratureRule",
     "SpectralFunction",
     "basis_function",
     "basis_matrix",
@@ -35,37 +34,39 @@ __all__ = [
     "evaluate",
     "evaluate_complex",
     "gauss_hermite",
-    "gauss_legendre",
     "interval_nodes",
     "multiply_by_coordinate",
     "norm_squared_on_ball",
     "norm_squared_on_intervals",
     "norm_squared_outside_radius",
-    "tensor_product",
     "weighted_norm",
 ]
 
-MAX_DEGREE = 64  # validated per-axis truncation; ladder images may exceed it
+MAX_DEGREE = 64  # validated truncation; ladder images may exceed it
 
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 _PI_QUARTER = math.pi ** -0.25
 
 
 class DimensionMismatchError(ValueError):
-    """Point dimension does not match the expansion dimension."""
+    """Evaluation points are not scalars or a vector of points on the line."""
 
 
 class ComplexOverflowError(OverflowError):
     """The entire extension exceeds the double range at the requested point."""
 
 
-class QuadratureConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical routine did not converge; the CLI maps it to exit code 3."""
+
+
+class QuadratureConvergenceError(NumericalError):
     """Doubling the quadrature resolution moved the result beyond tolerance."""
 
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """Finite expansion sum_n c_n h_n (1D) or sum_{mn} c_{mn} h_m x h_n (2D).
+    """Finite expansion sum_n c_n h_n on the line.
 
     Coefficients are frozen at construction; all operations return new
     instances, so values are safe to share across worker threads.
@@ -75,72 +76,53 @@ class SpectralFunction:
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float)
-        if arr.ndim not in (1, 2):
-            raise ValueError("coeffs must be a vector (1D) or a matrix (2D)")
+        if arr.ndim != 1:
+            raise ValueError("coeffs must be a vector")
         if arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("coeffs must be nonempty and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     @property
-    def dim(self) -> int:
-        return self.coeffs.ndim
-
-    @property
     def max_degree(self) -> int:
-        return max(s - 1 for s in self.coeffs.shape)
+        return len(self.coeffs) - 1
 
     def norm_squared(self) -> float:
-        """Squared L2(R^d) norm, exact by Parseval."""
+        """Squared L2(R) norm, exact by Parseval."""
         return float(np.sum(self.coeffs**2))
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
 
-def basis_function(degree, dim: int = 1) -> SpectralFunction:
-    """Pure basis element h_n (dim 1) or h_m x h_n (dim 2, degree a pair)."""
-    if dim == 1:
-        c = np.zeros(int(degree) + 1)
-        c[-1] = 1.0
-        return SpectralFunction(c)
-    if dim == 2:
-        m, n = (int(d) for d in degree)
-        c = np.zeros((m + 1, n + 1))
-        c[m, n] = 1.0
-        return SpectralFunction(c)
-    raise ValueError("dim must be 1 or 2")
+def basis_function(degree: int) -> SpectralFunction:
+    """Pure basis element h_n."""
+    c = np.zeros(int(degree) + 1)
+    c[-1] = 1.0
+    return SpectralFunction(c)
 
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball; the 1D case is the interval [c - r, c + r]."""
+    """The interval [c - r, c + r]; center is the 1-tuple (c,)."""
 
     center: tuple
     radius: float
 
     def __post_init__(self):
         center = tuple(float(c) for c in np.atleast_1d(self.center))
-        if len(center) not in (1, 2):
-            raise ValueError("ball center must be 1D or 2D")
+        if len(center) != 1:
+            raise ValueError("ball center must be a single point on the line")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
     def volume(self) -> float:
-        if self.dim == 1:
-            return 2.0 * self.radius
-        return math.pi * self.radius**2
+        return 2.0 * self.radius
 
     def interval(self) -> tuple:
-        if self.dim != 1:
-            raise DimensionMismatchError("interval() requires a 1D ball")
         return (self.center[0] - self.radius, self.center[0] + self.radius)
 
     def center_norm(self) -> float:
@@ -148,9 +130,7 @@ class Ball:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if self.dim == 1:
-            return np.abs(pts - self.center[0]) < self.radius
-        return np.linalg.norm(pts - np.asarray(self.center), axis=-1) < self.radius
+        return np.abs(pts - self.center[0]) < self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +169,16 @@ def basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
 
 
 def _poly_part(f: SpectralFunction, points: np.ndarray) -> np.ndarray:
-    """f(points) * exp(|x|^2/2), vectorized; points (...,) in 1D, (..., 2) in 2D."""
-    if f.dim == 1:
-        return _clenshaw_scaled(f.coeffs, np.asarray(points))
-    pts = np.asarray(points)
-    if pts.shape[-1] != 2:
-        raise DimensionMismatchError("2D expansion requires points with last axis 2")
-    flat = pts.reshape(-1, 2)
-    a = _scaled_basis_matrix(f.coeffs.shape[0] - 1, flat[:, 0])
-    b = _scaled_basis_matrix(f.coeffs.shape[1] - 1, flat[:, 1])
-    vals = np.einsum("mi,mn,ni->i", a, f.coeffs, b)
-    return vals.reshape(pts.shape[:-1])
-
-
-def _squared_radius(points: np.ndarray, dim: int) -> np.ndarray:
-    pts = np.asarray(points)
-    if dim == 1:
-        return pts**2
-    return np.sum(pts**2, axis=-1)
+    """f(points) * exp(x^2/2), vectorized over any array of points."""
+    return _clenshaw_scaled(f.coeffs, np.asarray(points))
 
 
 def evaluate(f: SpectralFunction, x) -> np.ndarray:
-    """Pointwise values of f at real points (scalar, vector, or (..., 2))."""
+    """Pointwise values of f at real points (scalar or vector)."""
     pts = np.asarray(x, dtype=float)
-    if f.dim == 2 and (pts.ndim == 0 or pts.shape[-1] != 2):
-        raise DimensionMismatchError("2D expansion requires points with last axis 2")
-    if f.dim == 1 and pts.ndim > 1:
-        raise DimensionMismatchError("1D expansion requires scalar or vector points")
-    vals = _poly_part(f, pts) * np.exp(-0.5 * _squared_radius(pts, f.dim))
+    if pts.ndim > 1:
+        raise DimensionMismatchError("expansions take scalar or vector points")
+    vals = _poly_part(f, pts) * np.exp(-0.5 * pts**2)
     return vals if vals.ndim else float(vals)
 
 
@@ -227,14 +189,11 @@ def evaluate_complex(f: SpectralFunction, z) -> np.ndarray:
     combined value) leaves the double range raise ComplexOverflowError.
     """
     pts = np.asarray(z, dtype=complex)
-    if f.dim == 2 and (pts.ndim == 0 or pts.shape[-1] != 2):
-        raise DimensionMismatchError("2D expansion requires points with last axis 2")
-    if f.dim == 1 and pts.ndim > 1:
-        raise DimensionMismatchError("1D expansion requires scalar or vector points")
-    im_sq = _squared_radius(pts.imag, f.dim)
-    if np.any(0.5 * im_sq > _LOG_FLOAT_MAX):
+    if pts.ndim > 1:
+        raise DimensionMismatchError("expansions take scalar or vector points")
+    if np.any(0.5 * pts.imag**2 > _LOG_FLOAT_MAX):
         raise ComplexOverflowError("exp((Im z)^2/2) exceeds the floating range")
-    vals = _poly_part(f, pts) * np.exp(-0.5 * _squared_radius(pts, f.dim))
+    vals = _poly_part(f, pts) * np.exp(-0.5 * pts**2)
     if not np.all(np.isfinite(vals)):
         raise ComplexOverflowError("entire extension overflowed at the requested point")
     return vals if vals.ndim else complex(vals)
@@ -244,101 +203,37 @@ def evaluate_complex(f: SpectralFunction, z) -> np.ndarray:
 # ladder calculus
 
 
-def _ladder_1d(c: np.ndarray, sign: float) -> np.ndarray:
+def _ladder(f: SpectralFunction, sign: float) -> SpectralFunction:
+    c = f.coeffs
     n = np.arange(len(c), dtype=float)
     out = np.zeros(len(c) + 1)
     out[: len(c) - 1] += np.sqrt(n[1:] / 2.0) * c[1:]
     out[1:] += sign * np.sqrt((n + 1.0) / 2.0) * c
-    return out
+    return SpectralFunction(out)
 
 
-def _ladder(f: SpectralFunction, axis: int, sign: float) -> SpectralFunction:
-    if not 0 <= axis < f.dim:
-        raise ValueError(f"axis {axis} invalid for a {f.dim}D expansion")
-    if f.dim == 1:
-        return SpectralFunction(_ladder_1d(f.coeffs, sign))
-    c = np.moveaxis(f.coeffs, axis, 0)
-    n = np.arange(c.shape[0], dtype=float)[:, None]
-    out = np.zeros((c.shape[0] + 1, c.shape[1]))
-    out[: c.shape[0] - 1] += np.sqrt(n[1:] / 2.0) * c[1:]
-    out[1:] += sign * np.sqrt((n + 1.0) / 2.0) * c
-    return SpectralFunction(np.moveaxis(out, 0, axis))
+def derivative(f: SpectralFunction) -> SpectralFunction:
+    """Exact derivative (ladder identity)."""
+    return _ladder(f, -1.0)
 
 
-def derivative(f: SpectralFunction, axis: int = 0) -> SpectralFunction:
-    """Exact partial derivative along the given axis (ladder identity)."""
-    return _ladder(f, axis, -1.0)
-
-
-def multiply_by_coordinate(f: SpectralFunction, axis: int = 0) -> SpectralFunction:
-    """Exact multiplication by the coordinate along the given axis."""
-    return _ladder(f, axis, +1.0)
-
-
-def _apply_multi_derivative(f: SpectralFunction, beta) -> SpectralFunction:
-    g = f
-    for axis, b in enumerate(beta):
-        for _ in range(b):
-            g = derivative(g, axis)
-    return g
-
-
-def _normalize_beta(f: SpectralFunction, beta) -> tuple:
-    if np.isscalar(beta):
-        beta = (int(beta),) if f.dim == 1 else None
-    else:
-        beta = tuple(int(b) for b in beta)
-    if beta is None or len(beta) != f.dim or any(b < 0 for b in beta):
-        raise ValueError("beta must be a nonnegative multi-index matching dim")
-    return beta
+def multiply_by_coordinate(f: SpectralFunction) -> SpectralFunction:
+    """Exact multiplication by the coordinate x."""
+    return _ladder(f, +1.0)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights; `kind` states the weight convention.
+def gauss_hermite(order: int) -> tuple:
+    """Gauss-Hermite (nodes, weights) for the weight exp(-x^2) on R.
 
-    gauss-hermite integrates against exp(-|x|^2) on R; gauss-legendre against
-    Lebesgue measure on an interval; tensor-product pairs two 1D rules.
+    The rule integrates polynomials up to degree 2 order - 1 exactly.
     """
-
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    @property
-    def exact_degree(self) -> int:
-        """Largest polynomial degree integrated exactly (per axis)."""
-        return 2 * self.order - 1
-
-
-def gauss_hermite(order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, w = roots_hermite(order)
-    return QuadratureRule("gauss-hermite", x, w, order)
-
-
-def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not b > a:
-        raise ValueError("interval must satisfy b > a")
-    x, w = leggauss(order)
-    half = 0.5 * (b - a)
-    return QuadratureRule("gauss-legendre", 0.5 * (a + b) + half * x, half * w, order)
-
-
-def tensor_product(rx: QuadratureRule, ry: QuadratureRule) -> QuadratureRule:
-    nodes = np.stack(
-        [np.repeat(rx.nodes, len(ry.nodes)), np.tile(ry.nodes, len(rx.nodes))], axis=-1
-    )
-    weights = np.repeat(rx.weights, len(ry.weights)) * np.tile(ry.weights, len(rx.weights))
-    return QuadratureRule(f"tensor-product({rx.kind},{ry.kind})", nodes, weights, min(rx.order, ry.order))
+    return roots_hermite(order)
 
 
 def interval_nodes(a: float, b: float, order: int = 20, max_panel: float = 0.5):
@@ -368,54 +263,18 @@ def _check_refinement(coarse: float, fine: float, rtol: float, what: str, atol: 
 
 
 def _gh_weighted_sq(g: SpectralFunction, n: int, delta: float, order: int) -> float:
-    if g.dim == 1:
-        rule = gauss_hermite(order)
-        p = _clenshaw_scaled(g.coeffs, rule.nodes)
-        return float(np.sum(rule.weights * (1.0 + rule.nodes**2) ** (delta * n) * p**2))
-    rule = gauss_hermite(order)
-    a = _scaled_basis_matrix(g.coeffs.shape[0] - 1, rule.nodes)
-    b = _scaled_basis_matrix(g.coeffs.shape[1] - 1, rule.nodes)
-    vals = a.T @ g.coeffs @ b  # polynomial part on the tensor grid
-    r_sq = rule.nodes[:, None] ** 2 + rule.nodes[None, :] ** 2
-    wts = rule.weights[:, None] * rule.weights[None, :]
-    return float(np.sum(wts * (1.0 + r_sq) ** (delta * n) * vals**2))
+    x, w = gauss_hermite(order)
+    p = _clenshaw_scaled(g.coeffs, x)
+    return float(np.sum(w * (1.0 + x**2) ** (delta * n) * p**2))
 
 
 def _ball_weighted_sq(
     g: SpectralFunction, n: int, delta: float, ball: Ball, order: int, max_panel: float
 ) -> float:
-    if ball.dim != g.dim:
-        raise DimensionMismatchError("ball dimension must match the expansion")
-    if g.dim == 1:
-        a, b = ball.interval()
-        x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
-        vals = _poly_part(g, x) * np.exp(-0.5 * x**2)
-        return float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals**2))
-    # Iterated integral over the disc with x = cx + r sin(theta), so the inner
-    # half-width r cos(theta) is smooth and Gauss-Legendre converges fast.
-    cx, cy = ball.center
-    r = ball.radius
-    # The Gaussian restricted to the disc boundary behaves like exp(r^2 cos(2 theta)/2),
-    # so the angular bandwidth grows with r^2.
-    n_theta = max(8, order, math.ceil(4 * r / max_panel), math.ceil(2 * r * r / max_panel))
-    theta, w_theta = leggauss(n_theta)
-    theta = 0.5 * math.pi * theta
-    w_theta = 0.5 * math.pi * w_theta
-    h = r * np.cos(theta)
-    # Composite inner rule: the widest chord is 2r, so split [-1, 1] into
-    # enough equal panels that every chord panel is at most max_panel wide.
-    n_panels = max(1, math.ceil(2.0 * r / max_panel))
-    base_x, base_w = leggauss(order)
-    centers = -1.0 + (2.0 * np.arange(n_panels) + 1.0) / n_panels
-    xi = (centers[:, None] + base_x[None, :] / n_panels).ravel()
-    wi = np.tile(base_w / n_panels, n_panels)
-    xs = cx + r * np.sin(theta)
-    ys = cy + h[:, None] * xi[None, :]
-    pts = np.stack([np.broadcast_to(xs[:, None], ys.shape), ys], axis=-1)
-    vals = _poly_part(g, pts) * np.exp(-0.5 * _squared_radius(pts, 2))
-    r_sq = _squared_radius(pts, 2)
-    inner = np.sum(wi[None, :] * h[:, None] * (1.0 + r_sq) ** (delta * n) * vals**2, axis=1)
-    return float(np.sum(w_theta * r * np.cos(theta) * inner))
+    a, b = ball.interval()
+    x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
+    vals = _poly_part(g, x) * np.exp(-0.5 * x**2)
+    return float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals**2))
 
 
 def weighted_norm(
@@ -432,7 +291,7 @@ def weighted_norm(
 
     Parameters
     ----------
-    n, beta : weight power and derivative multi-index (beta an int in 1D).
+    n, beta : weight power and derivative order.
     weight_delta : exponent delta in [0, 1] of the weight (1+|x|^2)^(delta/2).
     region : ball to integrate over, or None for the whole space.
     rtol : relative tolerance of the refinement-convergence check; doubling
@@ -445,8 +304,11 @@ def weighted_norm(
         raise ValueError("weight power n must be nonnegative")
     if not 0.0 <= weight_delta <= 1.0:
         raise ValueError("weight_delta must lie in [0, 1]")
-    beta = _normalize_beta(f, beta)
-    g = _apply_multi_derivative(f, beta)
+    if not (np.isscalar(beta) and int(beta) >= 0):
+        raise ValueError("beta must be a nonnegative derivative order")
+    g = f
+    for _ in range(int(beta)):
+        g = derivative(g)
     if region is None:
         order = g.max_degree + n + 9
         if not float(weight_delta * n).is_integer():
@@ -465,13 +327,11 @@ def weighted_norm(
 def norm_squared_on_intervals(
     f: SpectralFunction, intervals, order: int = 20, max_panel: float = 0.5
 ) -> float:
-    """Sum of integrals of f^2 over the given 1D intervals.
+    """Sum of integrals of f^2 over the given intervals.
 
     Intervals fully outside the effective support contribute exact zeros and
     are skipped; partial overlaps are clipped.
     """
-    if f.dim != 1:
-        raise DimensionMismatchError("interval norms require a 1D expansion")
     cutoff = effective_support_radius(f)
     total = 0.0
     for a, b in intervals:
@@ -494,34 +354,11 @@ def norm_squared_on_ball(
     return max(fine, 0.0)
 
 
-def _annulus_mass(f: SpectralFunction, r_in: float, r_out: float, order: int, max_panel: float) -> float:
-    # Centered polar integral of f^2. The polynomial part of f^2 at fixed
-    # radius is a trigonometric polynomial, so a uniform angular grid just
-    # past twice its degree integrates the angle exactly; the radial factor
-    # is handled by composite Gauss-Legendre panels.
-    shape = f.coeffs.shape
-    n_phi = 2 * (shape[0] + shape[1] - 2) + 9
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    rho, w_rho = interval_nodes(r_in, r_out, order=order, max_panel=max_panel)
-    pts = np.stack(
-        [rho[:, None] * np.cos(phi)[None, :], rho[:, None] * np.sin(phi)[None, :]],
-        axis=-1,
-    )
-    vals_sq = _poly_part(f, pts) ** 2 * np.exp(-(rho**2))[:, None]
-    ring = vals_sq.mean(axis=1) * (2.0 * math.pi)
-    return float(np.sum(w_rho * rho * ring))
-
-
 def norm_squared_outside_radius(f: SpectralFunction, r: float) -> float:
-    """Mass of f^2 on the complement of the centered ball of radius r."""
+    """Mass of f^2 outside [-r, r]."""
     if r <= 0:
         raise ValueError("radius must be positive")
     cutoff = effective_support_radius(f)
     if r >= cutoff:
         return 0.0
-    if f.dim == 1:
-        return norm_squared_on_intervals(f, [(-cutoff, -r), (r, cutoff)])
-    coarse = _annulus_mass(f, r, cutoff, 20, 0.5)
-    fine = _annulus_mass(f, r, cutoff, 24, 0.25)
-    _check_refinement(coarse, fine, 1e-8, "norm_squared_outside_radius")
-    return max(fine, 0.0)
+    return norm_squared_on_intervals(f, [(-cutoff, -r), (r, cutoff)])

@@ -3,8 +3,8 @@
 A covering ball Q is good when for every m the combined weighted derivative
 mass on Q stays under a multiple of the plain mass on Q,
 
-    sum_{|beta|=m} (1/beta!) ||w^m d^beta f||^2_{L2(Q)}
-        <= (2 kappa/eps) (2^(m+1) d^m q_m^2 / m!) ||f||^2_{L2(Q)},
+    ||w^m d^m f||^2_{L2(Q)} / m!
+        <= (2 kappa/eps) (2^(m+1) q_m^2 / m!) ||f||^2_{L2(Q)},
 
 with w(x) = (1+|x|^2)^(delta/2) and q_m = tilde_D2^(2m) (m!)^s. The test is
 run for m up to a cap; beyond the cap the condition is implied by the global
@@ -81,7 +81,6 @@ class ClassifierConfig:
     tilde_d2: float
     s: float
     delta: float
-    dim: int = 1
     m_cap: int = 24
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class ClassifierConfig:
             raise ValueError("s must lie in [0, 1)")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
         if not 0 <= self.m_cap <= 24:
             raise ValueError("m_cap must lie in [0, 24]")
 
@@ -104,33 +101,12 @@ class ClassifierConfig:
         return 2.0 * m * math.log(self.tilde_d2) + self.s * gammaln(m + 1)
 
 
-def _multi_indices(dim: int, order: int):
-    if dim == 1:
-        return [order]
-    return [(a, order - a) for a in range(order + 1)]
-
-
 def derivative_family(f: SpectralFunction, max_order: int) -> dict:
-    """All derivatives d^beta f for |beta| <= max_order, keyed by beta."""
-    if f.dim == 1:
-        out = {0: f}
-        for m in range(1, max_order + 1):
-            out[m] = derivative(out[m - 1])
-        return out
-    out = {(0, 0): f}
-    for total in range(1, max_order + 1):
-        for a, b in _multi_indices(2, total):
-            if a > 0:
-                out[(a, b)] = derivative(out[(a - 1, b)], axis=0)
-            else:
-                out[(a, b)] = derivative(out[(a, b - 1)], axis=1)
+    """All derivatives d^m f for m <= max_order, keyed by m."""
+    out = {0: f}
+    for m in range(1, max_order + 1):
+        out[m] = derivative(out[m - 1])
     return out
-
-
-def _log_beta_factorial(beta) -> float:
-    if np.isscalar(beta):
-        return gammaln(beta + 1)
-    return float(sum(gammaln(b + 1) for b in beta))
 
 
 @dataclass(frozen=True)
@@ -154,8 +130,6 @@ def good_ball_test(
     Quadrature noise guard: the derivative masses only matter on the scale of
     the right-hand side, so the refinement check runs with that floor.
     """
-    if f.dim != cfg.dim or ball.dim != cfg.dim:
-        raise ValueError("function, ball and config dimensions must agree")
     if mass_sq is None:
         mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if mass_sq <= DEGENERATE_MASS_REL * f.norm_squared():
@@ -170,22 +144,16 @@ def good_ball_test(
         log_rhs = (
             log_prefactor
             + (m + 1) * _LOG2
-            + m * math.log(cfg.dim)
             + 2.0 * cfg.log_q(m)
             - gammaln(m + 1)
             + log_mass
         )
         floor = math.exp(min(log_rhs - 23.0, 700.0))
-        zero_beta = 0 if cfg.dim == 1 else (0, 0)
-        parts = []
-        for beta in _multi_indices(cfg.dim, m):
-            w = weighted_norm(
-                derivatives[beta], n=m, beta=zero_beta, weight_delta=cfg.delta,
-                region=ball, atol=floor,
-            )
-            log_sq = 2.0 * math.log(w) if w > 0 else -math.inf
-            parts.append(log_sq - _log_beta_factorial(beta))
-        log_lhs = logsumexp(parts)
+        w = weighted_norm(
+            derivatives[m], n=m, beta=0, weight_delta=cfg.delta, region=ball, atol=floor
+        )
+        log_sq = 2.0 * math.log(w) if w > 0 else -math.inf
+        log_lhs = log_sq - gammaln(m + 1)
         margins.append(log_rhs - log_lhs)
         if failing is None and log_lhs > log_rhs:
             failing = m
@@ -282,28 +250,19 @@ def _log_w_inf_neg(ball: Ball, cfg: ClassifierConfig) -> float:
 def _log_abs_derivatives_at(derivatives: dict, cfg: ClassifierConfig, points) -> dict:
     with np.errstate(divide="ignore"):
         return {
-            beta: np.log(np.abs(evaluate(derivatives[beta], points)))
-            for total in range(cfg.m_cap + 1)
-            for beta in _multi_indices(cfg.dim, total)
+            m: np.log(np.abs(evaluate(derivatives[m], points))) for m in range(cfg.m_cap + 1)
         }
 
 
-def _ball_grid(ball: Ball, n: int, dim: int):
-    if dim == 1:
-        return np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, n)
-    side = max(2, int(math.sqrt(n)))
-    ax = np.linspace(-ball.radius, ball.radius, side)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= ball.radius] + np.asarray(ball.center)
-    return np.concatenate([pts, [np.asarray(ball.center, dtype=float)]])
+def _ball_grid(ball: Ball, n: int):
+    return np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, n)
 
 
 @dataclass(frozen=True)
 class WitnessResult:
     x_k: tuple | None
     verified: bool
-    min_margin: float  # best over grid of worst log margin over (m, beta)
+    min_margin: float  # best over grid of worst log margin over m
     refined: bool
     n_points: int
 
@@ -318,8 +277,8 @@ def pointwise_witness(
 ) -> WitnessResult:
     """Search the ball for a point satisfying the pointwise derivative bounds.
 
-    The bound at order m reads |d^beta f(x)| <= (2 kappa/eps)^(1/2) 2^(m+1)
-    d^(m/2) C^(1/2) ||f||_Q / |Q|^(1/2) with C = q_m^2 sup_Q w^(-2m). A good
+    The bound at order m reads |d^m f(x)| <= (2 kappa/eps)^(1/2) 2^(m+1)
+    C^(1/2) ||f||_Q / |Q|^(1/2) with C = q_m^2 sup_Q w^(-2m). A good
     ball must contain such a point; the grid is refined once before reporting
     failure.
     """
@@ -338,19 +297,17 @@ def pointwise_witness(
     log_rhs = {
         m: base
         + (m + 1) * _LOG2
-        + 0.5 * m * math.log(cfg.dim)
         + cfg.log_q(m)
         + 0.5 * m * log_w_neg
         for m in range(cfg.m_cap + 1)
     }
 
     def scan(n: int):
-        grid = _ball_grid(ball, n, cfg.dim)
+        grid = _ball_grid(ball, n)
         logs = _log_abs_derivatives_at(derivatives, cfg, grid)
         worst = np.full(len(grid), np.inf)
-        for total in range(cfg.m_cap + 1):
-            for beta in _multi_indices(cfg.dim, total):
-                worst = np.minimum(worst, log_rhs[total] - logs[beta])
+        for m in range(cfg.m_cap + 1):
+            worst = np.minimum(worst, log_rhs[m] - logs[m])
         best = int(np.argmax(worst))
         return grid[best], float(worst[best]), len(grid)
 
@@ -359,63 +316,40 @@ def pointwise_witness(
     if margin < 0.0:
         refined = True
         point, margin, used = scan(4 * n_grid)
-    x_k = (float(point),) if cfg.dim == 1 else tuple(float(v) for v in point)
-    return WitnessResult(x_k, margin >= 0.0, margin, refined, used)
+    return WitnessResult((float(point),), margin >= 0.0, margin, refined, used)
 
 
 # ---------------------------------------------------------------------------
 # polydisc sup: brute force and closed-form bound
 
 
-def _log_abs_analytic(f, z: np.ndarray, dim: int) -> np.ndarray:
+def _log_abs_analytic(f, z: np.ndarray) -> np.ndarray:
     # log |F(z)| on complex points; the Gaussian factor is applied in logs so
     # large imaginary parts cannot overflow.
     if callable(f):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(f(z)))
     vals = _poly_part(f, z)
-    if dim == 1:
-        gauss = 0.5 * (z.imag**2 - z.real**2)
-    else:
-        gauss = 0.5 * np.sum(z.imag**2 - z.real**2, axis=-1)
+    gauss = 0.5 * (z.imag**2 - z.real**2)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(vals)) + gauss
 
 
-def _max_log_abs(f, pts: np.ndarray, dim: int, chunk: int = 1 << 17) -> float:
-    flat = pts.reshape(-1) if dim == 1 else pts.reshape(-1, 2)
+def _max_log_abs(f, pts: np.ndarray, chunk: int = 1 << 17) -> float:
+    flat = pts.reshape(-1)
     best = -math.inf
     for i in range(0, len(flat), chunk):
-        best = max(best, float(np.max(_log_abs_analytic(f, flat[i : i + chunk], dim))))
+        best = max(best, float(np.max(_log_abs_analytic(f, flat[i : i + chunk]))))
     return best
 
 
-def _polydisc_points(ball: Ball, rho8: float, n_q: int, n_phi: int, dim: int):
+def _polydisc_points(ball: Ball, rho8: float, n_q: int, n_phi: int):
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     circle = np.exp(1j * phis)
-    if dim == 1:
-        q = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, n_q)
-        q = np.append(q, ball.center[0])
-        rings = [q[:, None] + rho8 * v * circle[None, :] for v in (1.0, 0.5)]
-        return np.concatenate([r.ravel() for r in rings] + [q.astype(complex)])
-    n_side = max(2, int(math.sqrt(n_q)))
-    ax = np.linspace(-ball.radius, ball.radius, n_side)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    disc = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    disc = disc[np.linalg.norm(disc, axis=1) <= ball.radius] + np.asarray(ball.center)
-    disc = np.concatenate([disc, [np.asarray(ball.center, dtype=float)]])
-    offs = [
-        np.stack(
-            [
-                np.broadcast_to(v1 * rho8 * circle[:, None], (n_phi, n_phi)),
-                np.broadcast_to(v2 * rho8 * circle[None, :], (n_phi, n_phi)),
-            ],
-            axis=-1,
-        ).reshape(-1, 2)
-        for v1, v2 in ((1.0, 1.0), (1.0, 0.5), (0.5, 1.0))
-    ]
-    offsets = np.concatenate(offs + [np.zeros((1, 2), dtype=complex)])
-    return (disc[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+    q = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, n_q)
+    q = np.append(q, ball.center[0])
+    rings = [q[:, None] + rho8 * v * circle[None, :] for v in (1.0, 0.5)]
+    return np.concatenate([r.ravel() for r in rings] + [q.astype(complex)])
 
 
 @dataclass(frozen=True)
@@ -440,7 +374,7 @@ def mk_bruteforce(
     rel_tol: float = 0.01,
     max_rounds: int = 5,
 ) -> PolydiscSup:
-    """Normalized sup of the analytic extension over Q + D(0, 8 rho_k)^d.
+    """Normalized sup of the analytic extension over Q + D(0, 8 rho_k).
 
     Samples the distinguished boundary (radius 8 rho_k around each real base
     point) plus interior slices, doubling the sampling density until the
@@ -454,12 +388,9 @@ def mk_bruteforce(
     measure of Q, sum(w), so a constant gives M = 1 exactly however the
     weight sum rounds.
     """
-    dim = ball.dim
     volume = ball.volume
     if norm_sq is None:
         if callable(f):
-            if dim != 1:
-                raise ValueError("callable surrogates are supported in dim 1 only")
             a, b = ball.interval()
             x, w = interval_nodes(a, b)
             norm_sq = float(np.sum(w * np.abs(f(x.astype(complex))) ** 2))
@@ -469,26 +400,21 @@ def mk_bruteforce(
     if not norm_sq > 0:
         raise ValueError("polydisc sup needs positive mass on the ball")
     rho8 = 8.0 * rho_k
-    n_q, n_phi = (24, 48) if dim == 1 else (64, 24)
+    n_q, n_phi = 24, 48
     log_sup = -math.inf
     rounds = 0
     converged = False
     n_samples = 0
     for rounds in range(1, max_rounds + 1):
-        pts = _polydisc_points(ball, rho8, n_q, n_phi, dim)
+        pts = _polydisc_points(ball, rho8, n_q, n_phi)
         n_samples = len(pts)
-        new = _max_log_abs(f, pts, dim)
+        new = _max_log_abs(f, pts)
         if rounds > 1 and abs(new - log_sup) <= math.log1p(rel_tol):
             log_sup = max(log_sup, new)
             converged = True
             break
         log_sup = max(log_sup, new)
-        if dim == 1:
-            n_q, n_phi = 2 * n_q, 2 * n_phi
-        else:
-            # the torus sampling cost is n_q * n_phi^2, so the angular count
-            # grows slower to keep refinement rounds affordable
-            n_q, n_phi = 2 * n_q, max(n_phi + 1, int(1.5 * n_phi))
+        n_q, n_phi = 2 * n_q, 2 * n_phi
     log_m = 0.5 * math.log(volume) - 0.5 * math.log(norm_sq) + log_sup
     return PolydiscSup(
         log_m=max(log_m, 0.0),
@@ -593,7 +519,7 @@ def mk_bound(
 ) -> MkBound:
     """Closed-form bound on log M_k, plus the sharper series intermediate.
 
-    D = 40 d^(3/2) tilde_D2^2 R max{r0, (1-eta)^(-1)}; the uniform bound is
+    D = 40 tilde_D2^2 R max{r0, (1-eta)^(-1)}; the uniform bound is
     log 4 + (1/2) log(2 kappa/eps) + 3 (2D)^(2/(1-s)). The intermediate bound
     2 (2 kappa/eps)^(1/2) sum_m D^m/(m!)^(1-s) is reported whenever the
     series is certifiable within the term cap.
@@ -604,7 +530,6 @@ def mk_bound(
         raise ValueError("config s must match the transferred bound")
     d_value = (
         40.0
-        * cfg.dim**1.5
         * cfg.tilde_d2**2
         * profile.R
         * max(profile.r0, 1.0 / (1.0 - profile.eta))
@@ -661,14 +586,12 @@ def local_estimate_check(
     log_m_k: float,
     mass_sq: float | None = None,
 ) -> LocalEstimateReport:
-    """Check (24 d 2^d |Q|/|Q cap omega|)^(1+4 log M/log 2) ||f||^2_{Q cap omega} >= ||f||^2_Q.
+    """Check (48 |Q|/|Q cap omega|)^(1+4 log M/log 2) ||f||^2_{Q cap omega} >= ||f||^2_Q.
 
-    One-dimensional: the intersection is decomposed into intervals and both
-    sides are integrated directly; the comparison runs in log space since the
-    exponent is typically in the thousands.
+    The intersection is decomposed into intervals and both sides are
+    integrated directly; the comparison runs in log space since the exponent
+    is typically in the thousands.
     """
-    if f.dim != 1 or ball.dim != 1:
-        raise ValueError("the local estimate audit is implemented in dimension 1")
     if log_m_k < -1e-12:
         raise ValueError("log M_k must be nonnegative (M_k >= 1)")
     a, b = ball.interval()
@@ -714,7 +637,7 @@ def analyticity_check(
 ) -> AnalyticityReport:
     """Audit the analyticity lemma: derivative-bound premise and Taylor convergence.
 
-    Premise: ||d^beta f|| <= c1 c2^|beta| beta! for |beta| <= premise_order,
+    Premise: ||d^b f|| <= c1 c2^b b! for b <= premise_order,
     with the norms computed exactly from the ladder coefficients. Conclusion:
     partial Taylor sums of f around y converge geometrically on |x - y| < tau
     (the fitted residual ratio estimates the geometric rate).
@@ -723,35 +646,21 @@ def analyticity_check(
         raise ValueError("tau must be positive")
     derivatives = derivative_family(f, max(premise_order, taylor_degree))
     violations = []
-    for total in range(premise_order + 1):
-        for beta in _multi_indices(f.dim, total):
-            exact = derivatives[beta].norm()
-            cap = c1 * c2**total * math.exp(_log_beta_factorial(beta))
-            if exact > cap * (1.0 + 1e-12):
-                violations.append((beta, exact, cap))
+    for b in range(premise_order + 1):
+        exact = derivatives[b].norm()
+        cap = c1 * c2**b * math.exp(gammaln(b + 1))
+        if exact > cap * (1.0 + 1e-12):
+            violations.append((b, exact, cap))
     rng = np.random.default_rng(0)
-    if f.dim == 1:
-        y0 = float(np.asarray(y).reshape(()))
-        sample = y0 + 0.95 * tau * (2.0 * rng.random(16) - 1.0)
-        offsets = sample - y0
-    else:
-        y0 = np.asarray(y, dtype=float)
-        raw = 2.0 * rng.random((64, 2)) - 1.0
-        raw = raw[np.linalg.norm(raw, axis=1) <= 1.0][:16]
-        sample = y0 + 0.95 * tau * raw
-        offsets = sample - y0
+    y0 = float(np.asarray(y).reshape(()))
+    sample = y0 + 0.95 * tau * (2.0 * rng.random(16) - 1.0)
+    offsets = sample - y0
     target = evaluate(f, sample)
     partial = np.zeros_like(target)
     residuals = []
-    for total in range(taylor_degree + 1):
-        for beta in _multi_indices(f.dim, total):
-            coeff = evaluate(derivatives[beta], y0)
-            log_fact = _log_beta_factorial(beta)
-            if f.dim == 1:
-                partial = partial + coeff / math.exp(log_fact) * offsets**total
-            else:
-                mono = offsets[:, 0] ** beta[0] * offsets[:, 1] ** beta[1]
-                partial = partial + coeff / math.exp(log_fact) * mono
+    for b in range(taylor_degree + 1):
+        coeff = evaluate(derivatives[b], y0)
+        partial = partial + coeff / math.exp(gammaln(b + 1)) * offsets**b
         residuals.append(float(np.max(np.abs(partial - target))))
     tail = [r for r in residuals[-8:] if r > 1e-300]
     if len(tail) >= 2:

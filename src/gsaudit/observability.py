@@ -22,6 +22,7 @@ from scipy.linalg import eigvalsh
 
 from .geometry import FullSpaceSensorSet
 from .hermite import (
+    NumericalError,
     QuadratureConvergenceError,
     basis_function,
     basis_matrix,
@@ -48,7 +49,7 @@ MAX_TRUNCATION = 48
 _COND_LIMIT = 1e13
 
 
-class GramianError(RuntimeError):
+class GramianError(NumericalError):
     """The observation Gramian is numerically singular.
 
     Happens when the sensor set is too thin for the requested truncation:
@@ -73,8 +74,6 @@ def mass_matrix(omega, n_trunc: int, rtol: float = 1e-11) -> np.ndarray:
     effective support of the retained modes, with a refinement check.
     """
     _check_trunc(n_trunc)
-    if omega.dim != 1:
-        raise ValueError("observability runs on one-dimensional sensors")
     if isinstance(omega, FullSpaceSensorSet):
         return np.eye(n_trunc)
 
@@ -186,7 +185,7 @@ def bound_shape_fit(t_grid, c_grid, r2: float, s: float, n_cap: int = 10**12) ->
     while not admissible(hi):
         hi *= 2
         if hi > n_cap:
-            raise RuntimeError(f"no admissible N below {n_cap}")
+            raise NumericalError(f"no admissible N below {n_cap}")
     lo = hi // 2  # largest known-inadmissible value
     while hi - lo > 1:
         mid = (lo + hi) // 2

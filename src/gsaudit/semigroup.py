@@ -1,7 +1,7 @@
 """Model smoothing semigroups and Gelfand-Shilov bound certificates.
 
 The harmonic flow acts diagonally on Hermite coefficients with eigenvalues
-|n| + d/2 (the generator is (-Laplace + |x|^2)/2, so k = m = 1 below is the
+n + 1/2 (the generator is (-Laplace + |x|^2)/2, so k = m = 1 below is the
 same operator). The anharmonic family uses the Galerkin matrix of
 
     ((-d^2/dx^2)^m + x^(2k)) / 2
@@ -10,10 +10,9 @@ assembled exactly in the ladder algebra and raised to a fractional power
 theta by symmetric eigendecomposition. Smoothing certificates record the
 quantitative estimate
 
-    ||(1+|x|^2)^(n/2) d^beta T(t) g|| <= C^(1+n+|beta|) t^(-r1-r2(n+|beta|))
-                                          (n!)^nu (|beta|!)^mu ||g||
+    ||(1+|x|^2)^(n/2) d^b T(t) g|| <= C^(1+n+b) t^(-r1-r2(n+b)) (n!)^nu (b!)^mu ||g||
 
-and fixed-function bounds the induced D1 D2^(n+|beta|) (n!)^nu (|beta|!)^mu
+and fixed-function bounds the D1 D2^(n+b) (n!)^nu (b!)^mu
 form, fitted by log-linear minimax on a derivative grid.
 """
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 from scipy.optimize import linprog
@@ -30,6 +28,7 @@ from scipy.special import gammaln
 
 from .hermite import (
     MAX_DEGREE,
+    NumericalError,
     SpectralFunction,
     norm_squared_outside_radius,
     weighted_norm,
@@ -44,7 +43,6 @@ __all__ = [
     "delta_weight_transfer",
     "fit_gs_bound",
     "fit_smoothing_certificate",
-    "gs_bound_from_certificate",
     "harmonic_flow",
     "shubin_exponents",
     "shubin_galerkin_flow",
@@ -102,13 +100,12 @@ class SmoothingCertificate:
 
 @dataclass(frozen=True)
 class GSBound:
-    """Fixed-function derivative bound D1 D2^(n+|b|) (n!)^nu (|b|!)^mu."""
+    """Fixed-function derivative bound D1 D2^(n+b) (n!)^nu (b!)^mu."""
 
     D1: float
     D2: float
     nu: float
     mu: float
-    derived_from: tuple | None = None  # (certificate, t) when induced by a flow
     diagnostics: dict | None = None
 
     def __post_init__(self):
@@ -139,15 +136,11 @@ class GSBound:
 
 
 def harmonic_flow(g: SpectralFunction, t: float) -> SpectralFunction:
-    """Diagonal heat flow of the harmonic oscillator: c_n -> e^(-(|n|+d/2)t) c_n."""
+    """Diagonal heat flow of the harmonic oscillator: c_n -> e^(-(n+1/2)t) c_n."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if g.dim == 1:
-        lam = np.arange(len(g.coeffs)) + 0.5
-        return SpectralFunction(g.coeffs * np.exp(-lam * t))
-    m = np.arange(g.coeffs.shape[0])[:, None]
-    n = np.arange(g.coeffs.shape[1])[None, :]
-    return SpectralFunction(g.coeffs * np.exp(-(m + n + 1.0) * t))
+    lam = np.arange(len(g.coeffs)) + 0.5
+    return SpectralFunction(g.coeffs * np.exp(-lam * t))
 
 
 def _ladder_matrices(size: int) -> tuple:
@@ -195,7 +188,7 @@ def shubin_galerkin_flow(
 ) -> GalerkinFlowResult:
     """Flow e^(-t A^theta) for the Shubin operator A, via eigendecomposition.
 
-    1D only. theta must exceed 1/(2m) for the flow to smooth into the
+    theta must exceed 1/(2m) for the flow to smooth into the
     Gelfand-Shilov scale; smaller values are rejected. The flow is computed
     in the degree-n_trunc Galerkin space; the result carries a truncation
     stability indicator, the relative L2 change when the computation is
@@ -203,8 +196,6 @@ def shubin_galerkin_flow(
     n_trunc // 2 are projected in the halved run, so for such inputs the
     indicator is conservative.
     """
-    if g.dim != 1:
-        raise ValueError("the anharmonic flow is implemented in one dimension")
     if t < 0:
         raise ValueError("time must be nonnegative")
     if not 1 <= n_trunc <= MAX_DEGREE:
@@ -256,15 +247,8 @@ def shubin_exponents(k: int, m: int, theta) -> tuple:
 # bound fitting and validation
 
 
-def _derivative_grid(dim: int, n_max: int, beta_max: int):
-    betas = range(beta_max + 1) if dim == 1 else [
-        b for b in product(range(beta_max + 1), repeat=2) if sum(b) <= beta_max
-    ]
-    return [(n, b) for n in range(n_max + 1) for b in betas]
-
-
-def _beta_order(b) -> int:
-    return b if np.isscalar(b) else sum(b)
+def _derivative_grid(n_max: int, beta_max: int):
+    return [(n, b) for n in range(n_max + 1) for b in range(beta_max + 1)]
 
 
 def fit_gs_bound(
@@ -274,7 +258,7 @@ def fit_gs_bound(
     n_max: int = 8,
     beta_max: int = 8,
 ) -> GSBound:
-    """Least (D1, D2) with W(n,b) <= D1 D2^(n+|b|) (n!)^nu (|b|!)^mu on the grid.
+    """Least (D1, D2) with W(n,b) <= D1 D2^(n+b) (n!)^nu (b!)^mu on the grid.
 
     W(n,b) = ||(1+|x|^2)^(n/2) d^b f||. The fit is anchored at the (0,0)
     constraint (D1 = ||f||) and then takes the least admissible D2 >= 1; all
@@ -282,7 +266,7 @@ def fit_gs_bound(
     """
     if not (0 <= n_max <= 12 and 0 <= beta_max <= 12):
         raise ValueError("fit grids are limited to n_max, beta_max <= 12")
-    grid = _derivative_grid(f.dim, n_max, beta_max)
+    grid = _derivative_grid(n_max, beta_max)
     w_vals, log_w = {}, {}
     for n, b in grid:
         w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
@@ -293,18 +277,16 @@ def fit_gs_bound(
         raise ValueError("cannot fit a derivative bound for the zero function")
     log_d2 = 0.0
     for n, b in grid:
-        q = n + _beta_order(b)
+        q = n + b
         if q == 0:
             continue
-        y = log_w[(n, b)] - nu * gammaln(n + 1) - mu * gammaln(_beta_order(b) + 1)
+        y = log_w[(n, b)] - nu * gammaln(n + 1) - mu * gammaln(b + 1)
         log_d2 = max(log_d2, (y - math.log(d1)) / q)
     d2 = max(1.0, math.exp(log_d2))
     slack = {}
     for n, b in grid:
-        q = n + _beta_order(b)
-        bound_log = (
-            math.log(d1) + q * math.log(d2) + nu * gammaln(n + 1) + mu * gammaln(_beta_order(b) + 1)
-        )
+        q = n + b
+        bound_log = math.log(d1) + q * math.log(d2) + nu * gammaln(n + 1) + mu * gammaln(b + 1)
         slack[(n, b)] = bound_log - log_w[(n, b)]
     min_slack = min(slack.values())
     return GSBound(
@@ -318,23 +300,6 @@ def fit_gs_bound(
             "log_slack": slack,
             "min_log_slack": min_slack,
         },
-    )
-
-
-def gs_bound_from_certificate(
-    cert: SmoothingCertificate, t: float, g_norm: float
-) -> GSBound:
-    """Induced fixed-function bound for f = T(t) g: D1 = C t^-r1 ||g||, D2 = C t^-r2."""
-    if not 0 < t < cert.t0:
-        raise ValueError("time must lie in (0, t0)")
-    if not g_norm > 0:
-        raise ValueError("||g|| must be positive")
-    return GSBound(
-        D1=cert.C * t ** (-cert.r1) * g_norm,
-        D2=max(1.0, cert.C * t ** (-cert.r2)),
-        nu=cert.nu,
-        mu=cert.mu,
-        derived_from=(cert, t),
     )
 
 
@@ -355,10 +320,10 @@ def fit_smoothing_certificate(
     Linear program in (log C, r1, r2): every sampled weighted norm must sit
     under the certificate surface; the objective minimizes the total slack,
     so the fit is tight at several grid points. grid_cap restricts the grid
-    to n + |beta| <= grid_cap. The fitted C is then inflated by the safety
+    to n + b <= grid_cap. The fitted C is then inflated by the safety
     factor: the minimal envelope touches the data at the grid times, and the
     measured norms are concave in log t between them, so an exact fit can dip
-    below off-grid data. The inflation scales as safety^(1+n+|beta|), which
+    below off-grid data. The inflation scales as safety^(1+n+b), which
     matches how the dip grows with the derivative order.
     """
     if not safety >= 1.0:
@@ -370,23 +335,18 @@ def fit_smoothing_certificate(
             if not 0 < t < 1:
                 raise ValueError("fitting times must lie in (0, 1)")
             f = flow(g, t)
-            for n, b in _derivative_grid(f.dim, n_max, beta_max):
-                q = n + _beta_order(b)
+            for n, b in _derivative_grid(n_max, beta_max):
+                q = n + b
                 if grid_cap is not None and q > grid_cap:
                     continue
                 w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
                 if w <= 0:
                     continue
-                y = (
-                    math.log(w)
-                    - nu * gammaln(n + 1)
-                    - mu * gammaln(_beta_order(b) + 1)
-                    - log_g
-                )
+                y = math.log(w) - nu * gammaln(n + 1) - mu * gammaln(b + 1) - log_g
                 coef = (1.0 + n + q, -math.log(t), -q * math.log(t))
                 rows.append(coef)
                 rhs.append(y)
-                data.append((n, _beta_order(b), t))
+                data.append((n, b, t))
     if not rows:
         raise ValueError("no data points to fit")
     a_ub = -np.asarray(rows)
@@ -400,7 +360,7 @@ def fit_smoothing_certificate(
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"certificate fit LP failed: {res.message}")
+        raise NumericalError(f"certificate fit LP failed: {res.message}")
     log_c, r1, r2 = res.x
     log_c += math.log(safety)
     fitted = np.array([log_c, r1, r2])
@@ -423,7 +383,7 @@ def fit_smoothing_certificate(
 @dataclass(frozen=True)
 class SmoothingValidationReport:
     worst_ratio: float
-    worst_case: tuple  # (g index, t, n, |beta|)
+    worst_case: tuple  # (g index, t, n, b)
     n_checked: int
     skipped_times: tuple
     ratios: dict = field(repr=False, default_factory=dict)
@@ -455,19 +415,18 @@ def validate_smoothing(
         log_g = math.log(g.norm())
         for t in used:
             f = flow(g, t)
-            for n, b in _derivative_grid(f.dim, n_max, beta_max):
-                q = n + _beta_order(b)
-                if grid_cap is not None and q > grid_cap:
+            for n, b in _derivative_grid(n_max, beta_max):
+                if grid_cap is not None and n + b > grid_cap:
                     continue
                 w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
                 count += 1
                 if w <= 0:
                     continue
-                log_ratio = math.log(w) - log_g - cert.log_bound(n, _beta_order(b), t)
+                log_ratio = math.log(w) - log_g - cert.log_bound(n, b, t)
                 ratio = math.exp(log_ratio)
-                ratios[(gi, t, n, _beta_order(b))] = ratio
+                ratios[(gi, t, n, b)] = ratio
                 if ratio > worst:
-                    worst, worst_case = ratio, (gi, t, n, _beta_order(b))
+                    worst, worst_case = ratio, (gi, t, n, b)
     if worst_case is None:
         raise ValueError("validation grid is empty")
     return SmoothingValidationReport(
@@ -530,6 +489,5 @@ def delta_weight_transfer(bound: GSBound, delta: float) -> GSBound:
         D2=factor * bound.D2,
         nu=delta * bound.nu,
         mu=bound.mu,
-        derived_from=bound.derived_from,
         diagnostics={"transfer_delta": delta, "base_D2": bound.D2, "base_nu": bound.nu},
     )

@@ -248,8 +248,6 @@ def _run_pipeline(
             raise PipelineError(name, f"audit failed with detail {detail}")
 
     # admissibility of the instance
-    if f.dim != 1:
-        raise PipelineError("admissibility", "the pipeline audit runs in dimension 1")
     if not 0.0 < eps <= 1.0:
         raise PipelineError("admissibility", "eps must lie in (0, 1]")
     tilde = delta_weight_transfer(bound, profile.delta)
@@ -291,7 +289,7 @@ def _run_pipeline(
     kappa = covering.kappa_measured
     record(
         "covering",
-        covering.coverage.passed and kappa <= OVERLAP_CAP[1],
+        covering.coverage.passed and kappa <= OVERLAP_CAP,
         n_balls=len(balls),
         kappa=kappa,
         target_radius=covering.target_radius,
@@ -325,7 +323,7 @@ def _run_pipeline(
 
     # classification
     cfg = ClassifierConfig(
-        eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, dim=1, m_cap=m_cap
+        eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
     derivs = derivative_family(f, m_cap)
     results = _map(lambda ball: good_ball_test(f, ball, cfg, derivatives=derivs), balls, threads)

@@ -14,11 +14,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def random_expansion(seed: int, degree: int, dim: int = 1) -> SpectralFunction:
+def random_expansion(seed: int, degree: int) -> SpectralFunction:
     """Seeded random expansion with unit L2 norm."""
     rng = np.random.default_rng(seed)
-    shape = (degree + 1,) if dim == 1 else (degree + 1, degree + 1)
-    c = rng.standard_normal(shape)
+    c = rng.standard_normal(degree + 1)
     return SpectralFunction(c / np.linalg.norm(c))
 
 

@@ -78,7 +78,7 @@ def sweep(instance):
     sensors = [
         (sensor_periodic(1.0, 0.5), 0.1),
         (sensor_periodic(1.0, 0.75), 0.5),
-        (FullSpaceSensorSet(1, "full line"), 1.0),
+        (FullSpaceSensorSet("full line"), 1.0),
     ]
     cases = [
         {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": gamma, "eps": eps}
@@ -252,7 +252,7 @@ def test_uncertainty_decay_instances(instance):
 
 @criterion(11, "observability constants match 1/(e^T - 1) and decay in T")
 def test_observability_diagonal():
-    full = FullSpaceSensorSet(1, "full line")
+    full = FullSpaceSensorSet("full line")
     report = observability_scan(full, T_GRID, 40, 0.5, 0.5)
     for t, c_obs in zip(report.t_grid, report.c_obs):
         assert c_obs == pytest.approx(1.0 / math.expm1(t), rel=1e-10)

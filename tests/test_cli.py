@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gsaudit import experiments
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -372,6 +373,17 @@ class TestMain:
         rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        # a certified sum above its proved bound is a bug, so it must surface
+        # with a traceback rather than exit 3
+        def broken_series_bound(*args, **kwargs):
+            raise RuntimeError("certified series sum exceeds its proved bound")
+
+        monkeypatch.setattr(experiments, "series_bound", broken_series_bound)
+        path = write_config(tmp_path, config(LEMMA_BASE, analyticity={"n_cases": 0}))
+        with pytest.raises(RuntimeError, match="exceeds its proved bound"):
+            main(["run", path, "--out", str(tmp_path / "o")])
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path, config(UNC_BASE))

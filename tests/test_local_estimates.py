@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsaudit.geometry import IntervalSensorSet, RadiusProfile, besicovitch_cover, sensor_periodic
-from gsaudit.hermite import Ball, basis_function, evaluate, norm_squared_on_ball
+from gsaudit.hermite import Ball, SpectralFunction, basis_function, evaluate, norm_squared_on_ball
 from gsaudit.local_estimates import (
     BallAudit,
     ClassifierConfig,
@@ -32,7 +32,7 @@ ERF1 = math.erf(1.0)  # mass of h_0^2 on [-1, 1]
 
 
 def _cfg(**kwargs):
-    base = dict(eps=1.0, kappa=1, tilde_d2=2.0, s=0.5, delta=1.0, dim=1, m_cap=8)
+    base = dict(eps=1.0, kappa=1, tilde_d2=2.0, s=0.5, delta=1.0, m_cap=8)
     base.update(kwargs)
     return ClassifierConfig(**base)
 
@@ -55,7 +55,7 @@ class TestClassifierConfig:
             dict(s=1.0),
             dict(s=-0.1),
             dict(delta=1.1),
-            dict(dim=3),
+            dict(m_cap=-1),
             dict(m_cap=25),
         ],
     )
@@ -92,13 +92,9 @@ class TestGoodBallTest:
         assert res.is_good and res.degenerate and res.log_margins == ()
 
     def test_dimension_mismatch(self):
+        # a 2D ball cannot be built, so it never reaches the classifier
         with pytest.raises(ValueError):
             good_ball_test(basis_function(2), Ball((0.0, 0.0), 1.0), _cfg())
-
-    def test_two_dimensional_smoke(self):
-        f = basis_function((1, 2), dim=2)
-        res = good_ball_test(f, Ball((0.0, 0.0), 1.5), _cfg(dim=2, tilde_d2=8.0, m_cap=3))
-        assert res.is_good
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -201,12 +197,6 @@ class TestPointwiseWitness:
         with pytest.raises(ValueError):
             pointwise_witness(basis_function(0), Ball((0.0,), 1.0), _cfg(), mass_sq=0.0)
 
-    def test_two_dimensional_smoke(self):
-        cfg = _cfg(dim=2, tilde_d2=6.0, m_cap=3)
-        res = pointwise_witness(basis_function((0, 0), dim=2), Ball((0.0, 0.0), 1.0), cfg)
-        assert res.verified
-        assert math.hypot(*res.x_k) <= 1.0 + 1e-12
-
 
 class TestMkBruteforce:
     def test_constant_surrogate_is_one(self):
@@ -226,14 +216,6 @@ class TestMkBruteforce:
         # sits at u=0, v=4, and the ball mass is erf(1)
         res = mk_bruteforce(basis_function(0), Ball((0.0,), 1.0), None, 0.5)
         expected = 0.5 * math.log(2.0) - 0.5 * math.log(ERF1) + 8.0 - 0.25 * math.log(math.pi)
-        assert res.converged
-        assert math.isclose(res.log_m, expected, abs_tol=1e-6)
-
-    def test_two_dimensional_closed_form(self):
-        # product Gaussian on the unit disc: sup over the bidisc of radius 2
-        # is pi^(-1/2) e^4, mass is 1 - e^(-1)
-        res = mk_bruteforce(basis_function((0, 0), dim=2), Ball((0.0, 0.0), 1.0), None, 0.25)
-        expected = 4.0 - 0.5 * math.log(1.0 - math.exp(-1.0))
         assert res.converged
         assert math.isclose(res.log_m, expected, abs_tol=1e-6)
 
@@ -377,9 +359,12 @@ class TestLocalEstimateCheck:
             )
 
     def test_two_dimensional_rejected(self):
+        # 2D inputs are refused where they are built
+        with pytest.raises(ValueError):
+            SpectralFunction(np.ones((1, 1)))
         with pytest.raises(ValueError):
             local_estimate_check(
-                basis_function((0, 0), dim=2),
+                basis_function(0),
                 Ball((0.0, 0.0), 1.0),
                 IntervalSensorSet([(-1.0, 1.0)]),
                 0.0,
@@ -403,13 +388,6 @@ class TestAnalyticityCheck:
         rep = analyticity_check(random_expansion(5, 8), c1=50.0, c2=2.0, y=-0.4, tau=0.6)
         assert rep.residuals[-1] <= rep.residuals[0]
         assert rep.converged
-
-    def test_two_dimensional_smoke(self):
-        rep = analyticity_check(
-            basis_function((1, 1), dim=2), c1=5.0, c2=2.0, y=(0.1, -0.2), tau=0.4,
-            taylor_degree=14,
-        )
-        assert rep.premise_passed and rep.final_error < 1e-8
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
@@ -466,11 +444,3 @@ class TestDerivativeFamily:
             basis_function(4), x
         )
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
-
-    def test_two_dimensional_mixed_partials_commute(self):
-        fam = derivative_family(random_expansion(9, 4, dim=2), 3)
-        assert len(fam) == 1 + 2 + 3 + 4
-        from gsaudit.hermite import derivative
-
-        direct = derivative(derivative(fam[(0, 0)], 1), 0)
-        assert np.allclose(direct.coeffs, fam[(1, 1)].coeffs)

@@ -33,7 +33,7 @@ def half_line():
 
 class TestMassMatrix:
     def test_full_space_is_identity(self):
-        A = mass_matrix(FullSpaceSensorSet(1), 8)
+        A = mass_matrix(FullSpaceSensorSet(), 8)
         assert np.array_equal(A, np.eye(8))
 
     def test_half_line_closed_forms(self, half_line):
@@ -58,19 +58,21 @@ class TestMassMatrix:
         assert np.array_equal(mass_matrix(far, 4), np.zeros((4, 4)))
 
     def test_two_dimensional_sensor_rejected(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            mass_matrix(FullSpaceSensorSet(2), 4)
+        # sensor sets take no dimension: every one lives on the line
+        with pytest.raises(TypeError):
+            FullSpaceSensorSet(dim=2)
+        assert FullSpaceSensorSet().to_dict()["dim"] == 1
 
     @pytest.mark.parametrize("n", [0, MAX_TRUNCATION + 1])
     def test_truncation_range(self, n):
         with pytest.raises(ValueError, match="truncation"):
-            mass_matrix(FullSpaceSensorSet(1), n)
+            mass_matrix(FullSpaceSensorSet(), n)
 
 
 class TestGramian:
     def test_full_space_diagonal_entries(self):
         T = 0.7
-        G = observability_gramian(FullSpaceSensorSet(1), T, 6)
+        G = observability_gramian(FullSpaceSensorSet(), T, 6)
         lam = np.arange(6) + 0.5
         expected = np.diag(-np.expm1(-2.0 * lam * T) / (2.0 * lam))
         assert np.allclose(G, expected, rtol=1e-14, atol=0.0)
@@ -87,7 +89,7 @@ class TestGramian:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            observability_gramian(FullSpaceSensorSet(1), -0.1, 4)
+            observability_gramian(FullSpaceSensorSet(), -0.1, 4)
 
 
 class TestEmpiricalConstant:
@@ -100,7 +102,7 @@ class TestEmpiricalConstant:
 
     @pytest.mark.parametrize("T", T_GRID)
     def test_full_space_pencil_matches_closed_form(self, T):
-        c = empirical_constant(FullSpaceSensorSet(1), T, 40)
+        c = empirical_constant(FullSpaceSensorSet(), T, 40)
         assert c == pytest.approx(1.0 / math.expm1(T), rel=1e-10)
 
     def test_monotone_in_time(self):
@@ -130,7 +132,7 @@ class TestEmpiricalConstant:
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            empirical_constant(FullSpaceSensorSet(1), 0.0, 8)
+            empirical_constant(FullSpaceSensorSet(), 0.0, 8)
 
 
 class TestBoundShapeFit:
@@ -184,14 +186,14 @@ class TestScan:
         assert data["monotone"] is True
 
     def test_full_space_scan_matches_oracle(self):
-        report = observability_scan(FullSpaceSensorSet(1), T_GRID, 40, r2=0.5, s=0.5)
+        report = observability_scan(FullSpaceSensorSet(), T_GRID, 40, r2=0.5, s=0.5)
         for t, c in zip(report.t_grid, report.c_obs):
             assert c == pytest.approx(1.0 / math.expm1(t), rel=1e-10)
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            observability_scan(FullSpaceSensorSet(1), (1.0, 0.5), 8, r2=0.5, s=0.5)
+            observability_scan(FullSpaceSensorSet(), (1.0, 0.5), 8, r2=0.5, s=0.5)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            observability_scan(FullSpaceSensorSet(1), (), 8, r2=0.5, s=0.5)
+            observability_scan(FullSpaceSensorSet(), (), 8, r2=0.5, s=0.5)

@@ -23,7 +23,6 @@ from gsaudit.semigroup import (
     delta_weight_transfer,
     fit_gs_bound,
     fit_smoothing_certificate,
-    gs_bound_from_certificate,
     harmonic_flow,
     shubin_exponents,
     shubin_galerkin_flow,
@@ -50,12 +49,6 @@ class TestHarmonicFlow:
         flowed = harmonic_flow(g, 0.7)
         lam = np.arange(4) + 0.5
         np.testing.assert_allclose(flowed.coeffs, g.coeffs * np.exp(-lam * 0.7), rtol=1e-15)
-
-    def test_two_dimensional_eigenvalues(self):
-        g = SpectralFunction(np.eye(3))
-        flowed = harmonic_flow(g, 0.2)
-        for i in range(3):
-            assert flowed.coeffs[i, i] == pytest.approx(math.exp(-(2 * i + 1) * 0.2), rel=1e-14)
 
     @given(seed=st.integers(0, 1000), s=st.floats(0.01, 2.0), t=st.floats(0.01, 2.0))
     @settings(max_examples=25, deadline=None)
@@ -246,15 +239,6 @@ class TestCertificates:
         report = validate_smoothing(cert, harmonic_flow, ensemble, [0.2, 0.7], grid_cap=2)
         assert report.skipped_times == (0.7,)
 
-    def test_induced_bound_constants(self):
-        cert = SmoothingCertificate(C=2.0, t0=0.5, nu=0.5, mu=0.5, r1=0.25, r2=0.5)
-        bound = gs_bound_from_certificate(cert, 0.25, g_norm=3.0)
-        assert bound.D1 == pytest.approx(6.0 * math.sqrt(2.0), rel=1e-14)
-        assert bound.D2 == pytest.approx(4.0, rel=1e-14)
-        assert bound.nu == 0.5 and bound.mu == 0.5
-        with pytest.raises(ValueError):
-            gs_bound_from_certificate(cert, 0.5, g_norm=1.0)
-
     def test_log_bound_formula(self):
         cert = SmoothingCertificate(C=3.0, t0=0.9, nu=1.0, mu=0.5, r1=0.1, r2=0.7)
         direct = (
@@ -292,11 +276,6 @@ class TestTail:
             for eps in (0.1, 0.5, 1.0):
                 report = tail_mass_check(f, bound, eps)
                 assert report.passed, (seed, eps, report)
-
-    def test_two_dimensional_tail(self):
-        f = random_expansion(7, degree=6, dim=2)
-        bound = fit_gs_bound(f, 0.5, 0.5, n_max=2, beta_max=2)
-        assert tail_mass_check(f, bound, 0.5).passed
 
 
 class TestDeltaTransfer:

@@ -11,6 +11,7 @@ from gsaudit.geometry import (
     sensor_decaying_density,
     sensor_periodic,
 )
+from gsaudit.hermite import SpectralFunction
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
     PipelineError,
@@ -52,7 +53,7 @@ def instance():
 @pytest.fixture(scope="module")
 def report_full(instance):
     f, bound, profile = instance
-    omega = FullSpaceSensorSet(1, "full line")
+    omega = FullSpaceSensorSet("full line")
     return verify_uncertainty(f, bound, profile, omega, gamma=1.0, eps=0.1, f_id="flow")
 
 
@@ -170,7 +171,7 @@ class TestPipelineFailures:
         f, bound, profile = instance
         lie = GSBound(D1=bound.D1 * 1e-3, D2=bound.D2, nu=bound.nu, mu=bound.mu)
         with pytest.raises(PipelineError) as err:
-            verify_uncertainty(f, lie, profile, FullSpaceSensorSet(1), gamma=1.0, eps=0.1)
+            verify_uncertainty(f, lie, profile, FullSpaceSensorSet(), gamma=1.0, eps=0.1)
         assert err.value.step == "premise"
 
     def test_overstated_density_fails(self, instance):
@@ -188,30 +189,26 @@ class TestPipelineFailures:
         steep = RadiusProfile(R=1.0, delta=1.0, eta=0.5, r0=1.0)
         # nu = mu = 1/2 and delta = 1 give s = 1, outside the theorem range
         with pytest.raises(PipelineError) as err:
-            verify_uncertainty(f, bound, steep, FullSpaceSensorSet(1), gamma=1.0, eps=0.1)
+            verify_uncertainty(f, bound, steep, FullSpaceSensorSet(), gamma=1.0, eps=0.1)
         assert err.value.step == "admissibility"
 
     @pytest.mark.parametrize("eps", [0.0, 1.5])
     def test_eps_out_of_range(self, instance, eps):
         f, bound, profile = instance
         with pytest.raises(PipelineError) as err:
-            verify_uncertainty(f, bound, profile, FullSpaceSensorSet(1), gamma=1.0, eps=eps)
+            verify_uncertainty(f, bound, profile, FullSpaceSensorSet(), gamma=1.0, eps=eps)
         assert err.value.step == "admissibility"
 
     def test_gamma_out_of_range(self, instance):
         f, bound, profile = instance
         with pytest.raises(PipelineError) as err:
-            verify_uncertainty(f, bound, profile, FullSpaceSensorSet(1), gamma=0.0, eps=0.1)
+            verify_uncertainty(f, bound, profile, FullSpaceSensorSet(), gamma=0.0, eps=0.1)
         assert err.value.step == "admissibility"
 
     def test_two_dimensional_input_rejected(self):
-        f = random_expansion(3, 4, dim=2)
-        bound = GSBound(D1=10.0, D2=2.0, nu=0.25, mu=0.25)
-        with pytest.raises(PipelineError) as err:
-            verify_uncertainty(
-                f, bound, RadiusProfile(), FullSpaceSensorSet(2), gamma=1.0, eps=0.1
-            )
-        assert err.value.step == "admissibility"
+        # a 2D coefficient matrix is refused before any pipeline can see it
+        with pytest.raises(ValueError, match="vector"):
+            SpectralFunction([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestOmegaMonotonicity:
@@ -265,7 +262,7 @@ class TestDecayVariant:
         f, bound, profile = instance
         with pytest.raises(PipelineError) as err:
             verify_uncertainty_decay(
-                f, bound, profile, FullSpaceSensorSet(1), gamma0=0.5, a=-1.0, eps=0.1
+                f, bound, profile, FullSpaceSensorSet(), gamma0=0.5, a=-1.0, eps=0.1
             )
         assert err.value.step == "admissibility"
 
@@ -274,7 +271,7 @@ class TestSweep:
     def test_rows_and_spread(self, instance):
         f, bound, profile = instance
         periodic = sensor_periodic(1.0, 0.5)
-        full = FullSpaceSensorSet(1, "full line")
+        full = FullSpaceSensorSet("full line")
         cases = [
             {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": g, "eps": eps}
             for (omega, g) in ((periodic, 0.3), (full, 1.0))
