@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         "--out", default=".", help="directory for report.json and summary.csv"
     )
     run_parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="worker thread count"
+        "--threads", type=int, default=1, help="worker thread count (default 1)"
     )
     run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("list-experiments", help="list experiment kinds")

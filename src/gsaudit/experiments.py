@@ -1,10 +1,12 @@
 """Declarative experiments behind the CLI: config in, audited tables out.
 
-Each experiment kind resolves a JSON config against a versioned schema
-(unknown or ill-typed fields abort with the offending field named), runs the
-corresponding audit, and returns a full report plus flat summary rows. All
-randomness flows from the single config seed, so a fixed seed reproduces the
-report byte for byte regardless of the thread count.
+Each experiment kind resolves a JSON config against a versioned schema: one
+table declares the type, default and range of every field, per kind, per
+nested section and per sensor type, and one resolver reads it. A field that
+is unknown, missing, ill-typed, non-finite or out of range aborts with its
+path named. The kind then runs its audit and returns a full report plus flat
+summary rows. All randomness flows from the single config seed, so a fixed
+seed reproduces the report byte for byte regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -90,116 +92,210 @@ class NonConvergenceError(NumericalError):
 
 # ---------------------------------------------------------------------------
 # config resolution
+#
+# Every config field is declared once in the tables below as (rule, default).
+# A rule takes a raw value and its field path, and returns the resolved value
+# or raises ConfigError naming that path. REQUIRED marks a field without a
+# default; a None default marks an optional field that resolve_config fills.
+
+REQUIRED = ...
 
 
-def _typed(data: dict, field: str, kinds, default=..., context: str = ""):
-    name = f"{context}{field}"
-    if field not in data:
-        if default is ...:
-            raise ConfigError(name, "missing required field")
-        return default
-    value = data[field]
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ConfigError(name, f"expected {kinds}, got a boolean")
-    if not isinstance(value, kinds):
-        raise ConfigError(name, f"expected {kinds}, got {type(value).__name__}")
-    return value
+def _expect(value, kinds, noun: str, name: str):
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(name, f"expected {noun}, got {type(value).__name__}")
 
 
-def _number(data, field, default=..., context="", lo=None, hi=None, strict_lo=False):
-    value = _typed(data, field, (int, float), default, context)
-    value = float(value)
-    name = f"{context}{field}"
-    if lo is not None and (value <= lo if strict_lo else value < lo):
-        raise ConfigError(name, f"must be {'>' if strict_lo else '>='} {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(name, f"must be <= {hi}, got {value}")
-    return value
+def _bound(name: str, value, lo=None, hi=None, open_lo=False, open_hi=False):
+    if lo is not None and (value <= lo if open_lo else value < lo):
+        raise ConfigError(name, f"must be {'>' if open_lo else '>='} {lo}, got {value}")
+    if hi is not None and (value >= hi if open_hi else value > hi):
+        raise ConfigError(name, f"must be {'<' if open_hi else '<='} {hi}, got {value}")
 
 
-def _integer(data, field, default=..., context="", lo=None, hi=None):
-    value = _typed(data, field, int, default, context)
-    name = f"{context}{field}"
-    if lo is not None and value < lo:
-        raise ConfigError(name, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(name, f"must be <= {hi}, got {value}")
-    return int(value)
+def _integer(lo=None, hi=None):
+    def rule(value, name):
+        _expect(value, int, "an integer", name)
+        _bound(name, value, lo, hi)
+        return value
+    return rule
 
 
-def _number_list(data, field, default=..., context="", lo=None, strict_lo=False):
-    raw = _typed(data, field, list, default, context)
-    name = f"{context}{field}"
-    if not raw:
-        raise ConfigError(name, "grid must be nonempty")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{name}[{i}]", f"expected a number, got {type(v).__name__}")
-        v = float(v)
-        if lo is not None and (v <= lo if strict_lo else v < lo):
-            raise ConfigError(f"{name}[{i}]", f"must be {'>' if strict_lo else '>='} {lo}")
-        out.append(v)
-    return out
+def _number(lo=None, hi=None, open_lo=False, open_hi=False):
+    def rule(value, name):
+        _expect(value, (int, float), "a number", name)
+        value = float(value)
+        # json.load accepts NaN and Infinity, and NaN passes every range check
+        if not math.isfinite(value):
+            raise ConfigError(name, f"must be finite, got {value}")
+        _bound(name, value, lo, hi, open_lo, open_hi)
+        return value
+    return rule
 
 
-def _no_unknown(data: dict, allowed, context: str = ""):
+def _choice(options):
+    def rule(value, name):
+        _expect(value, str, "a string", name)
+        if value not in options:
+            raise ConfigError(name, f"unknown {value!r}; expected one of {', '.join(options)}")
+        return value
+    return rule
+
+
+def _list_of(entry):
+    """A nonempty list whose i-th entry follows `entry` at path name[i]."""
+    def rule(value, name):
+        _expect(value, list, "a list", name)
+        if not value:
+            raise ConfigError(name, "must be nonempty")
+        return [entry(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return rule
+
+
+def _numbers(lo=None, hi=None, open_lo=False, open_hi=False):
+    """A nonempty list of numbers: `lo` is checked at each entry, `hi` at the list."""
+    entries = _list_of(_number(lo, open_lo=open_lo))
+
+    def rule(value, name):
+        values = entries(value, name)
+        for v in values:
+            _bound(name, v, hi=hi, open_hi=open_hi)
+        return values
+    return rule
+
+
+def _interval(value, name):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(name, "expected [start, end]")
+    a, b = (_number()(v, name) for v in value)
+    if not b > a:
+        raise ConfigError(name, "end must exceed start")
+    return [a, b]
+
+
+def _resolve(table: dict, data: dict, name: str) -> dict:
+    prefix = f"{name}." if name else ""
     for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{context}{key}", "unknown field")
-
-
-def _resolve_profile(data: dict, context: str = "profile.") -> dict:
-    _no_unknown(data, {"R", "delta", "eta", "r0"}, context)
-    out = {
-        "R": _number(data, "R", 1.0, context, lo=1.0),
-        "delta": _number(data, "delta", 0.0, context, lo=0.0, hi=1.0),
-        "eta": _number(data, "eta", 0.5, context, lo=0.0, strict_lo=True),
-        "r0": _number(data, "r0", 1.0, context, lo=1.0),
-    }
-    if out["eta"] >= 1.0:
-        raise ConfigError(f"{context}eta", "must lie in (0, 1)")
+        if key not in table:
+            raise ConfigError(prefix + key, "unknown field")
+    out = {}
+    for field, (rule, default) in table.items():
+        value = data.get(field, default)
+        if value is REQUIRED:
+            raise ConfigError(prefix + field, "missing required field")
+        out[field] = None if value is None and default is None else rule(value, prefix + field)
     return out
 
 
-def _resolve_sensor(data: dict, context: str) -> dict:
-    kind = _typed(data, "type", str, context=context)
-    if kind == "full":
-        _no_unknown(data, {"type"}, context)
-        return {"type": "full"}
-    if kind == "periodic":
-        _no_unknown(data, {"type", "period", "fill", "extent"}, context)
-        return {
-            "type": "periodic",
-            "period": _number(data, "period", context=context, lo=0.0, strict_lo=True),
-            "fill": _number(data, "fill", context=context, lo=0.0, strict_lo=True, hi=1.0),
-            "extent": _number(data, "extent", 400.0, context, lo=1.0),
-        }
-    if kind == "intervals":
-        _no_unknown(data, {"type", "intervals"}, context)
-        raw = _typed(data, "intervals", list, context=context)
-        if not raw:
-            raise ConfigError(f"{context}intervals", "must be nonempty")
-        pairs = []
-        for i, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{context}intervals[{i}]", "expected [start, end]")
-            a, b = pair
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
-                raise ConfigError(f"{context}intervals[{i}]", "endpoints must be numbers")
-            if not float(b) > float(a):
-                raise ConfigError(f"{context}intervals[{i}]", "end must exceed start")
-            pairs.append([float(a), float(b)])
-        return {"type": "intervals", "intervals": pairs}
-    if kind == "decaying":
-        _no_unknown(data, {"type", "gamma0", "a", "extent"}, context)
-        return {
-            "type": "decaying",
-            "gamma0": _number(data, "gamma0", context=context, lo=0.0, strict_lo=True, hi=1.0),
-            "a": _number(data, "a", context=context, lo=0.0),
-            "extent": _number(data, "extent", 400.0, context, lo=1.0),
-        }
-    raise ConfigError(f"{context}type", f"unknown sensor type {kind!r}")
+def _fields(table: dict):
+    def rule(value, name):
+        _expect(value, dict, "an object", name)
+        return _resolve(table, value, name)
+    return rule
+
+
+def _union(head: dict, tag: str, tables: dict):
+    """An object whose `tag`, one of the `head` fields, picks the table of
+    its other fields; the head fields are checked first."""
+    def rule(value, name):
+        _expect(value, dict, "an object", name)
+        picked = _resolve(head, {k: v for k, v in value.items() if k in head}, name)[tag]
+        return _resolve({**head, **tables[picked]}, value, name)
+    return rule
+
+
+def _sensor(types: dict):
+    return _union({"type": (_choice(types), REQUIRED)}, "type", types)
+
+
+_GAMMA0 = (_number(0.0, 1.0, open_lo=True), REQUIRED)
+_DECAY_A = (_number(lo=0.0), REQUIRED)
+_EXTENT = (_number(lo=1.0), 400.0)
+_SENSORS = {
+    "full": {},
+    "periodic": {
+        "period": (_number(lo=0.0, open_lo=True), REQUIRED),
+        "fill": (_number(0.0, 1.0, open_lo=True), REQUIRED),
+        "extent": _EXTENT,
+    },
+    "intervals": {"intervals": (_list_of(_interval), REQUIRED)},
+    "decaying": {"gamma0": _GAMMA0, "a": _DECAY_A, "extent": _EXTENT},
+}
+_SENSOR = _sensor(_SENSORS)
+# only the lemma ensemble draws random interval sensors
+_LOCAL_SENSOR = _sensor({**_SENSORS, "random-intervals": {}})
+
+_PROFILE = {
+    "R": (_number(lo=1.0), 1.0),
+    "delta": (_number(0.0, 1.0), 0.0),
+    "eta": (_number(0.0, 1.0, open_lo=True, open_hi=True), 0.5),
+    "r0": (_number(lo=1.0), 1.0),
+}
+_FUNCTION = {
+    "degree": (_integer(0, 40), 12),
+    "t": (_number(lo=0.0), 0.3),
+    "nu": (_number(lo=0.0), 0.5),
+    "mu": (_number(lo=0.0), 0.5),
+}
+_SWEEP = {
+    "function": (_fields(_FUNCTION), {}),
+    "profile": (_fields(_PROFILE), {}),
+    "eps_grid": (_numbers(0.0, 1.0, open_lo=True), [0.1]),
+    "m_cap": (_integer(0, 24), 24),
+    "witness_grid": (_integer(64, 8192), 1024),
+}
+_CASE = {"sensor": (_SENSOR, REQUIRED), "gamma": (_number(0.0, 1.0, open_lo=True), REQUIRED)}
+_DECAY_CASE = {"gamma0": _GAMMA0, "a": _DECAY_A, "sensor": (_SENSOR, None)}
+_SERIES = {
+    "d_grid": (_numbers(lo=0.5), [0.5, 1.0, 2.0, 5.0]),
+    "s_grid": (_numbers(0.0, 1.0, open_hi=True), [0.0, 0.25, 0.5, 0.9]),
+}
+_LOCAL = {
+    "n_triples": (_integer(1, 500), 30),
+    "max_degree": (_integer(2, 40), 40),
+    "min_density": (_number(0.0, 1.0, open_lo=True), 0.1),
+    "sensors": (_list_of(_LOCAL_SENSOR), [{"type": "periodic", "period": 1.0, "fill": 0.5}]),
+}
+_ANALYTICITY = {
+    "n_cases": (_integer(0, 50), 3),
+    "degree": (_integer(1, 40), 10),
+    # fraction of the lemma radius 1/(2 C2) used for the Taylor audit
+    "tau_scale": (_number(0.0, 1.0, open_lo=True), 1.0),
+}
+_KINDS = {
+    "smoothing-validate": {
+        "k": (_integer(1, 3), 1),
+        "m": (_integer(1, 3), 1),
+        "theta": (_number(lo=0.0, open_lo=True), 1.0),
+        "degree": (_integer(0, 32), 8),
+        "n_seeds": (_integer(1, 16), 3),
+        "fit_times": (_numbers(0.0, 1.0, open_lo=True, open_hi=True), [0.1, 0.2]),
+        "validate_times": (_numbers(lo=0.0, open_lo=True), [0.15, 0.3]),
+        "n_trunc": (_integer(8, 64), 64),
+        "grid_cap": (_integer(1, 16), 8),
+    },
+    "uncertainty": {**_SWEEP, "cases": (_list_of(_fields(_CASE)), REQUIRED)},
+    "uncertainty-decay": {**_SWEEP, "cases": (_list_of(_fields(_DECAY_CASE)), REQUIRED)},
+    "observability": {
+        "sensors": (_list_of(_SENSOR), [{"type": "full"}]),
+        "t_grid": (_numbers(lo=0.0, open_lo=True), [0.05, 0.1, 0.25, 0.5, 1.0, 2.0]),
+        "n_trunc": (_integer(1, 48), 40),
+        "r2": (_number(lo=0.0, open_lo=True), 0.5),
+        "s": (_number(0.0, 1.0, open_hi=True), 0.5),
+    },
+    "lemma-suite": {
+        "series": (_fields(_SERIES), {}),
+        "local": (_fields(_LOCAL), {}),
+        "analyticity": (_fields(_ANALYTICITY), {}),
+        "profile": (_fields(_PROFILE), {}),
+    },
+}
+_HEADER = {
+    "schema_version": (_integer(SCHEMA_VERSION, SCHEMA_VERSION), REQUIRED),
+    "kind": (_choice(_KINDS), REQUIRED),
+    "seed": (_integer(lo=0), 0),
+}
+_CONFIG = _union(_HEADER, "kind", _KINDS)
 
 
 def _build_sensor(spec: dict, profile: RadiusProfile):
@@ -212,167 +308,29 @@ def _build_sensor(spec: dict, profile: RadiusProfile):
     return sensor_decaying_density(spec["gamma0"], spec["a"], profile, extent=spec["extent"])
 
 
-def _resolve_function(data: dict, context: str = "function.") -> dict:
-    _no_unknown(data, {"degree", "t", "nu", "mu"}, context)
-    return {
-        "degree": _integer(data, "degree", 12, context, lo=0, hi=40),
-        "t": _number(data, "t", 0.3, context, lo=0.0),
-        "nu": _number(data, "nu", 0.5, context, lo=0.0),
-        "mu": _number(data, "mu", 0.5, context, lo=0.0),
-    }
-
-
-_COMMON_FIELDS = {"schema_version", "kind", "seed"}
-
-
 def resolve_config(data) -> dict:
-    """Validate a raw config dict and fill defaults; ConfigError on failure."""
+    """Check a raw config dict against the field tables and fill defaults.
+
+    Raises ConfigError naming the first field that is unknown, missing,
+    ill-typed, non-finite or out of range.
+    """
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    version = _typed(data, "schema_version", int)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    kind = _typed(data, "kind", str)
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError("kind", f"unknown experiment {kind!r}; see list-experiments")
-    seed = _integer(data, "seed", 0, lo=0)
-    resolved = {"schema_version": version, "kind": kind, "seed": seed}
-
-    if kind == "smoothing-validate":
-        _no_unknown(
-            data,
-            _COMMON_FIELDS
-            | {"k", "m", "theta", "degree", "n_seeds", "fit_times", "validate_times", "n_trunc", "grid_cap"},
-        )
-        resolved.update(
-            k=_integer(data, "k", 1, lo=1, hi=3),
-            m=_integer(data, "m", 1, lo=1, hi=3),
-            theta=_number(data, "theta", 1.0, lo=0.0, strict_lo=True),
-            degree=_integer(data, "degree", 8, lo=0, hi=32),
-            n_seeds=_integer(data, "n_seeds", 3, lo=1, hi=16),
-            fit_times=_number_list(data, "fit_times", [0.1, 0.2], lo=0.0, strict_lo=True),
-            validate_times=_number_list(data, "validate_times", [0.15, 0.3], lo=0.0, strict_lo=True),
-            n_trunc=_integer(data, "n_trunc", 64, lo=8, hi=64),
-            grid_cap=_integer(data, "grid_cap", 8, lo=1, hi=16),
-        )
-        if not resolved["theta"] > 1.0 / (2 * resolved["m"]):
-            raise ConfigError("theta", "must exceed 1/(2m)")
-        if any(not t < 1.0 for t in resolved["fit_times"]):
-            raise ConfigError("fit_times", "fitting times must lie in (0, 1)")
-        return resolved
-
-    if kind in ("uncertainty", "uncertainty-decay"):
-        case_field = "cases"
-        _no_unknown(
-            data,
-            _COMMON_FIELDS | {"function", "profile", case_field, "eps_grid", "m_cap", "witness_grid"},
-        )
-        resolved["function"] = _resolve_function(_typed(data, "function", dict, {}))
-        resolved["profile"] = _resolve_profile(_typed(data, "profile", dict, {}))
-        resolved["eps_grid"] = _number_list(data, "eps_grid", [0.1], lo=0.0, strict_lo=True)
-        if any(e > 1.0 for e in resolved["eps_grid"]):
-            raise ConfigError("eps_grid", "entries must lie in (0, 1]")
-        resolved["m_cap"] = _integer(data, "m_cap", 24, lo=0, hi=24)
-        resolved["witness_grid"] = _integer(data, "witness_grid", 1024, lo=64, hi=8192)
-        raw_cases = _typed(data, case_field, list)
-        if not raw_cases:
-            raise ConfigError(case_field, "must be nonempty")
-        cases = []
-        for i, case in enumerate(raw_cases):
-            context = f"{case_field}[{i}]."
-            if not isinstance(case, dict):
-                raise ConfigError(f"{case_field}[{i}]", "expected an object")
-            if kind == "uncertainty":
-                _no_unknown(case, {"sensor", "gamma"}, context)
-                cases.append(
-                    {
-                        "sensor": _resolve_sensor(
-                            _typed(case, "sensor", dict, context=context), context + "sensor."
-                        ),
-                        "gamma": _number(
-                            case, "gamma", context=context, lo=0.0, strict_lo=True, hi=1.0
-                        ),
-                    }
-                )
-            else:
-                _no_unknown(case, {"sensor", "gamma0", "a"}, context)
-                gamma0 = _number(case, "gamma0", context=context, lo=0.0, strict_lo=True, hi=1.0)
-                a = _number(case, "a", context=context, lo=0.0)
-                sensor = case.get("sensor")
-                if sensor is None:
-                    spec = {"type": "decaying", "gamma0": gamma0, "a": a, "extent": 400.0}
-                else:
-                    spec = _resolve_sensor(
-                        _typed(case, "sensor", dict, context=context), context + "sensor."
-                    )
-                cases.append({"sensor": spec, "gamma0": gamma0, "a": a})
-        resolved[case_field] = cases
-        return resolved
-
-    if kind == "observability":
-        _no_unknown(data, _COMMON_FIELDS | {"sensors", "t_grid", "n_trunc", "r2", "s"})
-        raw_sensors = _typed(data, "sensors", list, [{"type": "full"}])
-        if not raw_sensors:
-            raise ConfigError("sensors", "must be nonempty")
-        specs = []
-        for i, s in enumerate(raw_sensors):
-            if not isinstance(s, dict):
-                raise ConfigError(f"sensors[{i}]", "expected an object")
-            specs.append(_resolve_sensor(s, f"sensors[{i}]."))
-        resolved["sensors"] = specs
-        t_grid = _number_list(data, "t_grid", [0.05, 0.1, 0.25, 0.5, 1.0, 2.0], lo=0.0, strict_lo=True)
-        if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+    cfg = _CONFIG(data, "")
+    # the rules that compare fields with each other
+    if cfg["kind"] == "smoothing-validate" and not cfg["theta"] > 1.0 / (2 * cfg["m"]):
+        raise ConfigError("theta", "must exceed 1/(2m)")
+    if cfg["kind"] == "observability":
+        t = cfg["t_grid"]
+        if any(b <= a for a, b in zip(t, t[1:])):
             raise ConfigError("t_grid", "must be strictly increasing")
-        resolved["t_grid"] = t_grid
-        resolved["n_trunc"] = _integer(data, "n_trunc", 40, lo=1, hi=48)
-        resolved["r2"] = _number(data, "r2", 0.5, lo=0.0, strict_lo=True)
-        resolved["s"] = _number(data, "s", 0.5, lo=0.0)
-        if not resolved["s"] < 1.0:
-            raise ConfigError("s", "must lie in [0, 1)")
-        return resolved
-
-    # lemma-suite
-    _no_unknown(data, _COMMON_FIELDS | {"series", "local", "analyticity", "profile"})
-    series = _typed(data, "series", dict, {})
-    _no_unknown(series, {"d_grid", "s_grid"}, "series.")
-    resolved["series"] = {
-        "d_grid": _number_list(series, "d_grid", [0.5, 1.0, 2.0, 5.0], "series.", lo=0.5),
-        "s_grid": _number_list(series, "s_grid", [0.0, 0.25, 0.5, 0.9], "series.", lo=0.0),
-    }
-    if any(not s < 1.0 for s in resolved["series"]["s_grid"]):
-        raise ConfigError("series.s_grid", "entries must lie in [0, 1)")
-    local = _typed(data, "local", dict, {})
-    _no_unknown(local, {"n_triples", "max_degree", "min_density", "sensors"}, "local.")
-    raw_sensors = _typed(local, "sensors", list, [{"type": "periodic", "period": 1.0, "fill": 0.5}], "local.")
-    if not raw_sensors:
-        raise ConfigError("local.sensors", "must be nonempty")
-    local_specs = []
-    for i, s in enumerate(raw_sensors):
-        if not isinstance(s, dict):
-            raise ConfigError(f"local.sensors[{i}]", "expected an object")
-        if s.get("type") == "random-intervals":
-            _no_unknown(s, {"type"}, f"local.sensors[{i}].")
-            local_specs.append({"type": "random-intervals"})
-        else:
-            local_specs.append(_resolve_sensor(s, f"local.sensors[{i}]."))
-    resolved["local"] = {
-        "n_triples": _integer(local, "n_triples", 30, "local.", lo=1, hi=500),
-        "max_degree": _integer(local, "max_degree", 40, "local.", lo=2, hi=40),
-        "min_density": _number(local, "min_density", 0.1, "local.", lo=0.0, strict_lo=True, hi=1.0),
-        "sensors": local_specs,
-    }
-    analyticity = _typed(data, "analyticity", dict, {})
-    _no_unknown(analyticity, {"n_cases", "degree", "tau_scale"}, "analyticity.")
-    resolved["analyticity"] = {
-        "n_cases": _integer(analyticity, "n_cases", 3, "analyticity.", lo=0, hi=50),
-        "degree": _integer(analyticity, "degree", 10, "analyticity.", lo=1, hi=40),
-        # fraction of the lemma radius 1/(2 C2) used for the Taylor audit
-        "tau_scale": _number(
-            analyticity, "tau_scale", 1.0, "analyticity.", lo=0.0, strict_lo=True, hi=1.0
-        ),
-    }
-    resolved["profile"] = _resolve_profile(_typed(data, "profile", dict, {}))
-    return resolved
+    if cfg["kind"] == "uncertainty-decay":
+        # a case without a sensor gets the decaying density it names
+        for i, case in enumerate(cfg["cases"]):
+            if case["sensor"] is None:
+                spec = {"type": "decaying", "gamma0": case["gamma0"], "a": case["a"]}
+                case["sensor"] = _SENSOR(spec, f"cases[{i}].sensor")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +534,9 @@ def _lemma_series_rows(cfg: dict):
     return rows
 
 
-def _argmax_on_ball(f: SpectralFunction, ball: Ball, n_grid: int = 512) -> float:
+def _argmax_on_ball(f: SpectralFunction, ball: Ball) -> float:
     a, b = ball.interval()
-    grid = np.linspace(a, b, n_grid)
+    grid = np.linspace(a, b, 512)
     values = np.abs(evaluate(f, grid))
     return float(grid[int(np.argmax(values))])
 

@@ -130,29 +130,22 @@ def _count_membership(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     return np.sum(np.abs(points[:, None] - centers[None, :]) < radii[None, :], axis=1)
 
 
-def besicovitch_cover(
-    profile: RadiusProfile,
-    r: float,
-    grid_step: float | None = None,
-    n_coverage_samples: int = 20000,
-    seed: int = 0,
-) -> Covering:
+def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
     """Greedy covering of [-e, e], e = max(r0, r/(1-eta)), by balls B(y, rho(y)).
 
-    Repeatedly picks the uncovered candidate of largest radius and marks
-    covered with a one-grid-step margin, so the chosen balls cover every
-    point within one grid step of a candidate. The outermost candidates sit
-    up to two steps inside the rim, so a rim point +-e left outside every
-    chosen ball gets the ball B(+-e, rho(+-e)) of its own, which covers the
-    band next to it (rho >= 25 steps at the default step). The overlap count
-    kappa is measured on grid plus random samples and asserted against the
-    declared cap.
+    Candidates sit on a grid of step min(min_radius / 25, 0.05). Repeatedly
+    picks the uncovered candidate of largest radius and marks covered with a
+    one-grid-step margin, so the chosen balls cover every point within one
+    grid step of a candidate. The outermost candidates sit up to two steps
+    inside the rim, so a rim point +-e left outside every chosen ball gets
+    the ball B(+-e, rho(+-e)) of its own, which covers the band next to it
+    (rho >= 25 steps). The overlap count kappa is measured on the grid plus
+    20,000 seeded random samples and asserted against the declared cap.
     """
     if not r >= 1.0:
         raise ValueError("covering radius must satisfy r >= 1")
     extent = profile.covering_extent(r)
-    if grid_step is None:
-        grid_step = min(profile.min_radius / 25.0, 0.05)
+    grid_step = min(profile.min_radius / 25.0, 0.05)
     candidates = _candidate_grid(extent, grid_step)
     rho = np.atleast_1d(profile.rho(candidates))
     order_key = rho.copy()
@@ -178,8 +171,8 @@ def besicovitch_cover(
     centers = np.asarray(centers)
     radii = np.asarray(radii)
 
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(-extent, extent, size=n_coverage_samples)
+    rng = np.random.default_rng(0)
+    samples = rng.uniform(-extent, extent, size=20000)
     counts = _count_membership(samples, centers, radii)
     n_uncovered = int(np.sum(counts == 0))
     grid_counts = _count_membership(candidates, centers, radii)
@@ -337,21 +330,20 @@ def sensor_decaying_density(
     a: float,
     profile: RadiusProfile,
     extent: float = 400.0,
-    cell: float | None = None,
 ) -> IntervalSensorSet:
     """Sensor set with local density at least gamma0 / (1 + |x|^a).
 
-    Greedy per-cell filling: each lattice cell carries a sub-interval sized
-    for the decay target at its far edge, inflated by (1+eta)^a * 1.5 so that
-    windows B(x, rho(x)) reaching outward (rho(x) <= eta |x|) still meet the
-    target at their own center.
+    Greedy per-cell filling: each lattice cell, of width
+    min(0.25, min_radius / 4), carries a sub-interval sized for the decay
+    target at its far edge, inflated by (1+eta)^a * 1.5 so that windows
+    B(x, rho(x)) reaching outward (rho(x) <= eta |x|) still meet the target
+    at their own center.
     """
     if not 0.0 < gamma0 <= 1.0:
         raise ValueError("gamma0 must lie in (0, 1]")
     if a < 0:
         raise ValueError("decay exponent a must be nonnegative")
-    if cell is None:
-        cell = min(0.25, profile.min_radius / 4.0)
+    cell = min(0.25, profile.min_radius / 4.0)
     safety = (1.0 + profile.eta) ** a * 1.5
     j_max = int(math.ceil(extent / cell)) + 1
     intervals = []
@@ -405,16 +397,15 @@ def certify_density(
     gamma,
     extent: float,
     sample_centers=None,
-    step: float | None = None,
 ) -> DensityReport:
     """Check |B(x, rho(x)) cap omega| >= threshold(|x|) |B(x, rho(x))|.
 
-    Exact interval arithmetic on the sensor intervals. Centers default to a
-    dense grid over [-extent, extent] plus any provided ones.
+    Exact interval arithmetic on the sensor intervals. Centers are a grid
+    over [-extent, extent] with step min(0.1, min_radius / 5), plus any
+    provided ones.
     """
     threshold, desc = _density_threshold(gamma)
-    if step is None:
-        step = min(0.1, profile.min_radius / 5.0)
+    step = min(0.1, profile.min_radius / 5.0)
     centers = np.arange(-extent, extent + step / 2, step)
     if sample_centers is not None:
         centers = np.concatenate([centers, np.asarray(sample_centers, float).ravel()])

@@ -45,6 +45,9 @@ __all__ = [
 MAX_DEGREE = 64  # validated truncation; ladder images may exceed it
 
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+# doubling the quadrature resolution must move a squared norm by less than
+# this relative amount
+_REFINEMENT_RTOL = 1e-8
 _PI_QUARTER = math.pi ** -0.25
 
 
@@ -253,9 +256,9 @@ def effective_support_radius(f: SpectralFunction) -> float:
     return math.sqrt(2.0 * f.max_degree + 1.0) + 15.0
 
 
-def _check_refinement(coarse: float, fine: float, rtol: float, what: str, atol: float = 0.0):
+def _check_refinement(coarse: float, fine: float, what: str, atol: float = 0.0):
     # Near-zero results compare in absolute terms; the norms at stake are O(1).
-    tol = rtol * max(abs(fine), abs(coarse)) + atol + 1e-280
+    tol = _REFINEMENT_RTOL * max(abs(fine), abs(coarse)) + atol + 1e-280
     if abs(fine - coarse) > tol:
         raise QuadratureConvergenceError(
             f"{what}: refinement moved the value from {coarse!r} to {fine!r}"
@@ -283,19 +286,18 @@ def weighted_norm(
     beta=0,
     weight_delta: float = 1.0,
     region: Ball | None = None,
-    rtol: float = 1e-8,
-    check: bool = True,
     atol: float = 0.0,
 ) -> float:
     """Weighted derivative norm ||(1+|x|^2)^(delta*n/2) d^beta f||_{L2(region)}.
+
+    A refinement-convergence check always runs: doubling the quadrature
+    resolution must move the squared value by less than a relative 1e-8.
 
     Parameters
     ----------
     n, beta : weight power and derivative order.
     weight_delta : exponent delta in [0, 1] of the weight (1+|x|^2)^(delta/2).
     region : ball to integrate over, or None for the whole space.
-    rtol : relative tolerance of the refinement-convergence check; doubling
-        the quadrature resolution must move the squared value by less.
     atol : absolute floor added to the refinement tolerance; callers that only
         compare the result against a much larger scale (degenerate far-out
         regions) pass the scale here so tail noise does not fail the check.
@@ -319,15 +321,15 @@ def weighted_norm(
     else:
         coarse = _ball_weighted_sq(g, n, weight_delta, region, 24, 0.5)
         fine = _ball_weighted_sq(g, n, weight_delta, region, 48, 0.25)
-    if check:
-        _check_refinement(coarse, fine, rtol, "weighted_norm", atol=atol)
+    _check_refinement(coarse, fine, "weighted_norm", atol=atol)
     return math.sqrt(max(fine, 0.0))
 
 
-def norm_squared_on_intervals(
-    f: SpectralFunction, intervals, order: int = 20, max_panel: float = 0.5
-) -> float:
+def norm_squared_on_intervals(f: SpectralFunction, intervals) -> float:
     """Sum of integrals of f^2 over the given intervals.
+
+    Each interval takes interval_nodes' 20-point rule on panels of width at
+    most 0.5.
 
     Intervals fully outside the effective support contribute exact zeros and
     are skipped; partial overlaps are clipped.
@@ -338,19 +340,17 @@ def norm_squared_on_intervals(
         a, b = max(float(a), -cutoff), min(float(b), cutoff)
         if b <= a:
             continue
-        x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
+        x, w = interval_nodes(a, b)
         vals = _poly_part(f, x) * np.exp(-0.5 * x**2)
         total += float(np.sum(w * vals**2))
     return total
 
 
-def norm_squared_on_ball(
-    f: SpectralFunction, ball: Ball, rtol: float = 1e-8, atol: float = 0.0
-) -> float:
+def norm_squared_on_ball(f: SpectralFunction, ball: Ball, atol: float = 0.0) -> float:
     """Integral of f^2 over a ball, with refinement-convergence check."""
     coarse = _ball_weighted_sq(f, 0, 0.0, ball, 24, 0.5)
     fine = _ball_weighted_sq(f, 0, 0.0, ball, 48, 0.25)
-    _check_refinement(coarse, fine, rtol, "norm_squared_on_ball", atol=atol)
+    _check_refinement(coarse, fine, "norm_squared_on_ball", atol=atol)
     return max(fine, 0.0)
 
 

@@ -64,6 +64,10 @@ __all__ = [
 # good and skipped: every inequality at stake degenerates to 0 <= 0.
 DEGENERATE_MASS_REL = 1e-40
 
+# Terms summed before series_bound gives up certifying the remainder; mk_bound
+# skips the series when its peak term lies past 0.9 of this.
+SERIES_TERM_CAP = 30_000_000
+
 _LOG2 = math.log(2.0)
 
 
@@ -123,15 +127,13 @@ def good_ball_test(
     ball: Ball,
     cfg: ClassifierConfig,
     derivatives: dict | None = None,
-    mass_sq: float | None = None,
 ) -> GoodBallResult:
     """Classify a covering ball, checking the inequality for m <= m_cap.
 
     Quadrature noise guard: the derivative masses only matter on the scale of
     the right-hand side, so the refinement check runs with that floor.
     """
-    if mass_sq is None:
-        mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
+    mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if mass_sq <= DEGENERATE_MASS_REL * f.norm_squared():
         return GoodBallResult(True, None, True, mass_sq, ())
     if derivatives is None:
@@ -335,8 +337,9 @@ def _log_abs_analytic(f, z: np.ndarray) -> np.ndarray:
         return np.log(np.abs(vals)) + gauss
 
 
-def _max_log_abs(f, pts: np.ndarray, chunk: int = 1 << 17) -> float:
+def _max_log_abs(f, pts: np.ndarray) -> float:
     flat = pts.reshape(-1)
+    chunk = 1 << 17
     best = -math.inf
     for i in range(0, len(flat), chunk):
         best = max(best, float(np.max(_log_abs_analytic(f, flat[i : i + chunk]))))
@@ -371,16 +374,14 @@ def mk_bruteforce(
     x_k,
     rho_k: float,
     norm_sq: float | None = None,
-    rel_tol: float = 0.01,
-    max_rounds: int = 5,
 ) -> PolydiscSup:
     """Normalized sup of the analytic extension over Q + D(0, 8 rho_k).
 
     Samples the distinguished boundary (radius 8 rho_k around each real base
     point) plus interior slices, doubling the sampling density until the
-    result moves by less than rel_tol. f may be a SpectralFunction or a
-    callable on complex points (surrogate tests). The result is clamped to
-    M >= 1 as in the defining lemma.
+    result moves by less than a relative 0.01, for at most five rounds. f
+    may be a SpectralFunction or a callable on complex points (surrogate
+    tests). The result is clamped to M >= 1 as in the defining lemma.
 
     The mass is normalized by |Q| = ball.volume when norm_sq is passed in
     or computed for a SpectralFunction. For a callable surrogate the mass
@@ -405,11 +406,11 @@ def mk_bruteforce(
     rounds = 0
     converged = False
     n_samples = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, 6):
         pts = _polydisc_points(ball, rho8, n_q, n_phi)
         n_samples = len(pts)
         new = _max_log_abs(f, pts)
-        if rounds > 1 and abs(new - log_sup) <= math.log1p(rel_tol):
+        if rounds > 1 and abs(new - log_sup) <= math.log1p(0.01):
             log_sup = max(log_sup, new)
             converged = True
             break
@@ -446,17 +447,15 @@ class SeriesBound:
 def series_bound(
     D: float,
     s: float,
-    rel_remainder: float = 1e-12,
-    term_cap: int = 30_000_000,
-    chunk: int = 1_000_000,
+    term_cap: int = SERIES_TERM_CAP,
 ) -> SeriesBound:
     """Partial sum of sum_m D^m/(m!)^(1-s) against 2 (2D)^(3 (2D)^(1/(1-s))).
 
     The sum accumulates in log space in vectorized chunks; once the term
     ratio drops below one, the geometric tail certifies the remainder below
-    rel_remainder of the sum. Past term_cap the partial sum is returned
-    uncertified (the peak term sits near D^(1/(1-s)), which can exceed any
-    reasonable cap). A certified sum above the bound raises: the bound is a
+    1e-12 of the sum. Past term_cap the partial sum is returned uncertified
+    (the peak term sits near D^(1/(1-s)), which can exceed any reasonable
+    cap). A certified sum above the bound raises: the bound is a
     proved lemma, so that would be a bug.
     """
     if not D >= 0.5:
@@ -469,6 +468,7 @@ def series_bound(
     log_rem = math.inf
     certified = False
     m_next = 0
+    chunk = 1_000_000
     while m_next <= term_cap:
         m = np.arange(m_next, min(m_next + chunk, term_cap + 1))
         log_sum = np.logaddexp(log_sum, logsumexp(m * log_d - one_ms * gammaln(m + 1)))
@@ -480,7 +480,7 @@ def series_bound(
                 - one_ms * gammaln(m_last + 2)
                 - math.log1p(-ratio)
             )
-            if log_rem <= log_sum + math.log(rel_remainder):
+            if log_rem <= log_sum + math.log(1e-12):
                 certified = True
                 m_next = m_last + 1
                 break
@@ -510,19 +510,13 @@ class MkBound:
     exponent_overflow: bool
 
 
-def mk_bound(
-    cfg: ClassifierConfig,
-    profile,
-    bound,
-    compute_intermediate: bool = True,
-    series_term_cap: int = 30_000_000,
-) -> MkBound:
+def mk_bound(cfg: ClassifierConfig, profile, bound) -> MkBound:
     """Closed-form bound on log M_k, plus the sharper series intermediate.
 
     D = 40 tilde_D2^2 R max{r0, (1-eta)^(-1)}; the uniform bound is
     log 4 + (1/2) log(2 kappa/eps) + 3 (2D)^(2/(1-s)). The intermediate bound
     2 (2 kappa/eps)^(1/2) sum_m D^m/(m!)^(1-s) is reported whenever the
-    series is certifiable within the term cap.
+    series is certifiable within SERIES_TERM_CAP terms.
     """
     if abs(bound.D2 - cfg.tilde_d2) > 1e-9 * cfg.tilde_d2:
         raise ValueError("config tilde_d2 must match the transferred bound")
@@ -540,11 +534,11 @@ def mk_bound(
     log_bound = math.log(4.0) + half_log + 3.0 * power
     series = None
     log_intermediate = None
-    if compute_intermediate and d_value >= 0.5:
+    if d_value >= 0.5:
         peak_arg = math.log(d_value) / (1.0 - cfg.s)
         peak = math.exp(peak_arg) if peak_arg < 709.0 else math.inf
-        if peak <= 0.9 * series_term_cap:
-            series = series_bound(d_value, cfg.s, term_cap=series_term_cap)
+        if peak <= 0.9 * SERIES_TERM_CAP:
+            series = series_bound(d_value, cfg.s)
             if series.remainder_certified:
                 log_intermediate = _LOG2 + half_log + series.log_sum
     return MkBound(
@@ -632,19 +626,18 @@ def analyticity_check(
     c2: float,
     y,
     tau: float,
-    premise_order: int = 12,
-    taylor_degree: int = 20,
 ) -> AnalyticityReport:
     """Audit the analyticity lemma: derivative-bound premise and Taylor convergence.
 
-    Premise: ||d^b f|| <= c1 c2^b b! for b <= premise_order,
+    Premise: ||d^b f|| <= c1 c2^b b! for b <= 12,
     with the norms computed exactly from the ladder coefficients. Conclusion:
-    partial Taylor sums of f around y converge geometrically on |x - y| < tau
-    (the fitted residual ratio estimates the geometric rate).
+    partial Taylor sums of f around y, up to degree 20, converge geometrically
+    on |x - y| < tau (the fitted residual ratio estimates the geometric rate).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    derivatives = derivative_family(f, max(premise_order, taylor_degree))
+    premise_order, taylor_degree = 12, 20
+    derivatives = derivative_family(f, taylor_degree)
     violations = []
     for b in range(premise_order + 1):
         exact = derivatives[b].norm()

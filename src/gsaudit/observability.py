@@ -67,11 +67,13 @@ def _rates(n_trunc: int) -> np.ndarray:
     return np.arange(n_trunc) + 0.5
 
 
-def mass_matrix(omega, n_trunc: int, rtol: float = 1e-11) -> np.ndarray:
+def mass_matrix(omega, n_trunc: int) -> np.ndarray:
     """Matrix of sensor-set inner products A[m, n] = int_omega h_m h_n.
 
     Composite Gauss-Legendre on the sensor intervals clipped to the
-    effective support of the retained modes, with a refinement check.
+    effective support of the retained modes, with a refinement check:
+    doubling the resolution must move every entry by at most 1e-11 of the
+    largest entry (or of 1, if that is larger).
     """
     _check_trunc(n_trunc)
     if isinstance(omega, FullSpaceSensorSet):
@@ -101,7 +103,7 @@ def mass_matrix(omega, n_trunc: int, rtol: float = 1e-11) -> np.ndarray:
     fine = assemble(48, 0.25)
     scale = max(1.0, float(np.abs(fine).max()))
     drift = float(np.abs(fine - coarse).max())
-    if drift > rtol * scale:
+    if drift > 1e-11 * scale:
         raise QuadratureConvergenceError(
             f"mass matrix: refinement moved an entry by {drift:.3e}"
         )

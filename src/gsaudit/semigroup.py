@@ -184,7 +184,6 @@ def shubin_galerkin_flow(
     m: int,
     theta: float = 1.0,
     n_trunc: int = MAX_DEGREE,
-    stability_tol: float = 1e-4,
 ) -> GalerkinFlowResult:
     """Flow e^(-t A^theta) for the Shubin operator A, via eigendecomposition.
 
@@ -192,9 +191,9 @@ def shubin_galerkin_flow(
     Gelfand-Shilov scale; smaller values are rejected. The flow is computed
     in the degree-n_trunc Galerkin space; the result carries a truncation
     stability indicator, the relative L2 change when the computation is
-    repeated at half the working truncation. Inputs with mass above degree
-    n_trunc // 2 are projected in the halved run, so for such inputs the
-    indicator is conservative.
+    repeated at half the working truncation, flagged unstable above 1e-4.
+    Inputs with mass above degree n_trunc // 2 are projected in the halved
+    run, so for such inputs the indicator is conservative.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -222,7 +221,7 @@ def shubin_galerkin_flow(
     return GalerkinFlowResult(
         function=SpectralFunction(out_full),
         truncation_change=change,
-        unstable=change > stability_tol,
+        unstable=change > 1e-4,
         eigenvalue_range=(float(lam[0]), float(lam[-1])),
     )
 
@@ -249,6 +248,10 @@ def shubin_exponents(k: int, m: int, theta) -> tuple:
 
 def _derivative_grid(n_max: int, beta_max: int):
     return [(n, b) for n in range(n_max + 1) for b in range(beta_max + 1)]
+
+
+# the (n, b) grid, n and b up to 8, that certificates are fitted and validated on
+_SMOOTHING_GRID = _derivative_grid(8, 8)
 
 
 def fit_gs_bound(
@@ -309,25 +312,20 @@ def fit_smoothing_certificate(
     t_grid,
     nu: float,
     mu: float,
-    n_max: int = 8,
-    beta_max: int = 8,
     grid_cap: int | None = 8,
-    t0: float = 0.5,
-    safety: float = 1.05,
 ) -> SmoothingCertificate:
     """Fit (C, r1, r2) so the smoothing estimate holds on the sampled data.
 
     Linear program in (log C, r1, r2): every sampled weighted norm must sit
     under the certificate surface; the objective minimizes the total slack,
-    so the fit is tight at several grid points. grid_cap restricts the grid
-    to n + b <= grid_cap. The fitted C is then inflated by the safety
-    factor: the minimal envelope touches the data at the grid times, and the
-    measured norms are concave in log t between them, so an exact fit can dip
-    below off-grid data. The inflation scales as safety^(1+n+b), which
-    matches how the dip grows with the derivative order.
+    so the fit is tight at several grid points. The grid takes n, b <= 8,
+    and grid_cap restricts it to n + b <= grid_cap. The fitted C is then
+    inflated by a safety factor of 1.05: the minimal envelope touches the
+    data at the grid times, and the measured norms are concave in log t
+    between them, so an exact fit can dip below off-grid data. The inflation
+    scales as 1.05^(1+n+b), which matches how the dip grows with the
+    derivative order. The certificate holds for t < t0 = 0.5.
     """
-    if not safety >= 1.0:
-        raise ValueError("safety factor must be at least 1")
     rows, rhs, data = [], [], []
     for g in g_ensemble:
         log_g = math.log(g.norm())
@@ -335,7 +333,7 @@ def fit_smoothing_certificate(
             if not 0 < t < 1:
                 raise ValueError("fitting times must lie in (0, 1)")
             f = flow(g, t)
-            for n, b in _derivative_grid(n_max, beta_max):
+            for n, b in _SMOOTHING_GRID:
                 q = n + b
                 if grid_cap is not None and q > grid_cap:
                     continue
@@ -362,14 +360,14 @@ def fit_smoothing_certificate(
     if not res.success:
         raise NumericalError(f"certificate fit LP failed: {res.message}")
     log_c, r1, r2 = res.x
-    log_c += math.log(safety)
+    log_c += math.log(1.05)
     fitted = np.array([log_c, r1, r2])
     residuals = tuple(float(v) for v in (np.asarray(rows) @ fitted - np.asarray(rhs)))
     if min(residuals) < -1e-9:
         raise RuntimeError("certificate fit produced a negative slack")
     return SmoothingCertificate(
         C=max(1.0, math.exp(log_c)),
-        t0=t0,
+        t0=0.5,
         nu=nu,
         mu=mu,
         r1=float(r1),
@@ -398,13 +396,12 @@ def validate_smoothing(
     flow,
     g_ensemble,
     t_grid,
-    n_max: int = 8,
-    beta_max: int = 8,
     grid_cap: int | None = 8,
 ) -> SmoothingValidationReport:
     """Worst ratio of measured weighted norms to the certificate bound.
 
-    Times at or beyond t0 are excluded and reported as skipped.
+    The (n, b) grid is the one fit_smoothing_certificate fits on. Times at
+    or beyond t0 are excluded and reported as skipped.
     """
     worst, worst_case = -math.inf, None
     ratios = {}
@@ -415,7 +412,7 @@ def validate_smoothing(
         log_g = math.log(g.norm())
         for t in used:
             f = flow(g, t)
-            for n, b in _derivative_grid(n_max, beta_max):
+            for n, b in _SMOOTHING_GRID:
                 if grid_cap is not None and n + b > grid_cap:
                     continue
                 w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)

@@ -202,8 +202,9 @@ def _sensor_id(omega) -> str:
     return getattr(omega, "description", "") or omega.to_dict().get("kind", "sensor")
 
 
-def _premise_check(f, bound, tilde, delta, tol=1e-7):
-    """Spot-check the declared derivative bounds on a small (n, beta) grid."""
+def _premise_check(f, bound, tilde, delta):
+    """Spot-check the declared derivative bounds on a small (n, beta) grid,
+    allowing a log-margin of -1e-7 for quadrature noise."""
     routes = [(1.0, bound)]
     if delta != 1.0:
         routes.append((delta, tilde))
@@ -217,7 +218,7 @@ def _premise_check(f, bound, tilde, delta, tol=1e-7):
                 margin = gs.log_value(n, b) - log_meas
                 if margin < worst:
                     worst, worst_at = margin, (n, b, weight)
-    return worst, worst_at, worst >= -tol
+    return worst, worst_at, worst >= -1e-7
 
 
 def _gamma_floor(gamma_spec, center_norm: float) -> float:

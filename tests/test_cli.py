@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import experiments
+from gsaudit import cli, experiments
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -384,6 +384,17 @@ class TestMain:
         path = write_config(tmp_path, config(LEMMA_BASE, analyticity={"n_cases": 0}))
         with pytest.raises(RuntimeError, match="exceeds its proved bound"):
             main(["run", path, "--out", str(tmp_path / "o")])
+
+    def test_threads_default_to_one(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run_experiment(config, threads):
+            seen.append(threads)
+            raise ConfigError("kind", "stop before running")
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+        assert main(["run", write_config(tmp_path, config(OBS_BASE))]) == EXIT_CONFIG
+        assert seen == [1]
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path, config(UNC_BASE))

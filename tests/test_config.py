@@ -3,9 +3,11 @@ minimal config, and the field each single-fault config is reported at."""
 
 import copy
 import json
+import math
 
 import pytest
 
+from gsaudit.cli import EXIT_CONFIG, main
 from gsaudit.experiments import ConfigError, resolve_config
 
 PROFILE = {"R": 1.0, "delta": 0.0, "eta": 0.5, "r0": 1.0}
@@ -173,3 +175,26 @@ def test_single_fault_names_its_field(cfg, field):
 def test_random_intervals_allowed_under_local_sensors():
     cfg = minimal("lemma-suite", local={"sensors": [{"type": "random-intervals"}]})
     assert resolve_config(cfg)["local"]["sensors"] == [{"type": "random-intervals"}]
+
+
+NAN, INF = math.nan, math.inf
+
+NON_FINITE = [
+    (minimal("uncertainty", eps_grid=[NAN]), "eps_grid[0]"),
+    (minimal("uncertainty", cases=[{"sensor": {"type": "full"}, "gamma": NAN}]), "cases[0].gamma"),
+    (minimal("uncertainty", profile={"R": INF}), "profile.R"),
+    (minimal("observability", r2=NAN), "r2"),
+    (minimal("lemma-suite", series={"d_grid": [INF]}), "series.d_grid[0]"),
+    (with_sensor({"type": "intervals", "intervals": [[-INF, 0.0]]}), "cases[0].sensor.intervals[0]"),
+]
+
+
+@pytest.mark.parametrize("cfg, field", NON_FINITE, ids=[field for _, field in NON_FINITE])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, cfg, field):
+    # json.load reads the NaN and Infinity literals json.dumps writes here;
+    # NaN slips past every range check, so each must be refused as non-finite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--threads", "1"]) == EXIT_CONFIG
+    assert f"config field '{field}': must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

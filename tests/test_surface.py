@@ -1,7 +1,9 @@
-"""The public surface: every exported name exists, and every function that
+"""The public surface: every exported name exists, every function that
 perfbench/tracer.py wraps still resolves, so a deletion cannot silently break
-`perfbench/run.py --trace 1`."""
+`perfbench/run.py --trace 1`, and every defaulted parameter is one that some
+call sets."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -30,3 +32,71 @@ def test_tracer_layers_resolve():
     for module_name, fn_name, _, _ in tracer.LAYERS:
         module = importlib.import_module(f"gsaudit.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"gsaudit.{module_name}.{fn_name}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _defaulted_parameters():
+    """(module, called name, parameter, positional index or None) for every
+    parameter with a default in src/gsaudit. A constructor is called by its
+    class name, and a method's positional index skips self."""
+    out = []
+    for path in sorted((ROOT / "src" / "gsaudit").glob("*.py")):
+        tree = _parse(path)
+        owners = {
+            id(fn): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = owners[id(fn)] if fn.name == "__init__" else fn.name
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            skip = 1 if id(fn) in owners else 0
+            for arg in positional[len(positional) - len(fn.args.defaults):]:
+                out.append((path.stem, name, arg, positional.index(arg) - skip))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    out.append((path.stem, name, arg.arg, None))
+    return out
+
+
+def _calls_by_name():
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, parameter, index):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_option_is_set_by_some_call():
+    # a parameter whose default no call overrides is a setting nobody sets or
+    # tests: it belongs in a module constant, not in the signature
+    calls = _calls_by_name()
+    unset = [
+        f"{module}.{function}({parameter})"
+        for module, function, parameter, index in _defaulted_parameters()
+        if not any(_passes(call, parameter, index) for call in calls.get(function, ()))
+    ]
+    assert not unset, f"parameters no call sets: {unset}"
