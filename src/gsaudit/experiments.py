@@ -124,7 +124,10 @@ def _integer(lo=None, hi=None):
 def _number(lo=None, hi=None, open_lo=False, open_hi=False):
     def rule(value, name):
         _expect(value, (int, float), "a number", name)
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise ConfigError(name, "must be finite, got an integer beyond the float range") from None
         # json.load accepts NaN and Infinity, and NaN passes every range check
         if not math.isfinite(value):
             raise ConfigError(name, f"must be finite, got {value}")

@@ -7,13 +7,18 @@ differentiation and coordinate multiplication through the ladder relations
     x h_n(x) = sqrt(n/2) h_{n-1}(x) + sqrt((n+1)/2) h_{n+1}(x),
 
 and weighted L2 norms are computed by quadrature with an explicit
-refinement-convergence check.
+refinement-convergence check: weighted_norm on the whole line by
+Gauss-Hermite, ball_norms_squared on a ball by two composite Gauss-Legendre
+rules. The Legendre rule of each order is computed once per process, and
+one Clenshaw recurrence evaluates a whole stack of coefficient vectors on
+shared nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,6 +32,7 @@ __all__ = [
     "NumericalError",
     "QuadratureConvergenceError",
     "SpectralFunction",
+    "ball_norms_squared",
     "basis_function",
     "basis_matrix",
     "derivative",
@@ -140,14 +146,18 @@ class Ball:
 # evaluation
 
 
-def _clenshaw_scaled(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Returns f(x) * exp(x^2/2) (the polynomial part): stable at large |x|
-    # where the Hermite functions themselves underflow.
-    b1 = np.zeros_like(x, dtype=np.result_type(x, 1.0))
+def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Row j is g_j(x) * exp(x^2/2) (the polynomial part) for the coefficient
+    # rows g_j of stack: stable at large |x|, where h_n underflows. High-end
+    # zero padding keeps the recurrence at exact zeros, so each row is
+    # bit-identical to its evaluation as a one-row stack.
+    x = np.asarray(x)
+    coeffs = stack.reshape(stack.shape + (1,) * x.ndim)
+    b1 = np.zeros((len(stack),) + x.shape, dtype=np.result_type(x, 1.0))
     b2 = np.zeros_like(b1)
-    for k in range(len(coeffs) - 1, -1, -1):
+    for k in range(stack.shape[1] - 1, -1, -1):
         b1, b2 = (
-            coeffs[k] + math.sqrt(2.0 / (k + 1)) * x * b1 - math.sqrt((k + 1.0) / (k + 2.0)) * b2,
+            coeffs[:, k] + math.sqrt(2.0 / (k + 1)) * x * b1 - math.sqrt((k + 1.0) / (k + 2.0)) * b2,
             b1,
         )
     return _PI_QUARTER * b1
@@ -173,7 +183,7 @@ def basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
 
 def _poly_part(f: SpectralFunction, points: np.ndarray) -> np.ndarray:
     """f(points) * exp(x^2/2), vectorized over any array of points."""
-    return _clenshaw_scaled(f.coeffs, np.asarray(points))
+    return _clenshaw_scaled(f.coeffs[None], points)[0]
 
 
 def evaluate(f: SpectralFunction, x) -> np.ndarray:
@@ -239,11 +249,24 @@ def gauss_hermite(order: int) -> tuple:
     return roots_hermite(order)
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple:
+    # Gauss-Legendre (nodes, weights) on [-1, 1], computed once per order;
+    # read-only, because every caller shares the cached arrays
+    x0, w0 = leggauss(order)
+    x0.setflags(write=False)
+    w0.setflags(write=False)
+    return x0, w0
+
+
 def interval_nodes(a: float, b: float, order: int = 20, max_panel: float = 0.5):
-    """Composite Gauss-Legendre nodes/weights on [a, b] with bounded panels."""
+    """Composite Gauss-Legendre nodes/weights on [a, b] with bounded panels.
+
+    The returned arrays are new on every call; the cached unit rule is not.
+    """
     panels = max(1, math.ceil((b - a) / max_panel))
     edges = np.linspace(a, b, panels + 1)
-    x0, w0 = leggauss(order)
+    x0, w0 = _legendre_rule(order)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
@@ -267,17 +290,8 @@ def _check_refinement(coarse: float, fine: float, what: str, atol: float = 0.0):
 
 def _gh_weighted_sq(g: SpectralFunction, n: int, delta: float, order: int) -> float:
     x, w = gauss_hermite(order)
-    p = _clenshaw_scaled(g.coeffs, x)
+    p = _poly_part(g, x)
     return float(np.sum(w * (1.0 + x**2) ** (delta * n) * p**2))
-
-
-def _ball_weighted_sq(
-    g: SpectralFunction, n: int, delta: float, ball: Ball, order: int, max_panel: float
-) -> float:
-    a, b = ball.interval()
-    x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
-    vals = _poly_part(g, x) * np.exp(-0.5 * x**2)
-    return float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals**2))
 
 
 def weighted_norm(
@@ -285,22 +299,17 @@ def weighted_norm(
     n: int = 0,
     beta=0,
     weight_delta: float = 1.0,
-    region: Ball | None = None,
-    atol: float = 0.0,
 ) -> float:
-    """Weighted derivative norm ||(1+|x|^2)^(delta*n/2) d^beta f||_{L2(region)}.
+    """Weighted derivative norm ||(1+|x|^2)^(delta*n/2) d^beta f||_{L2(R)}.
 
-    A refinement-convergence check always runs: doubling the quadrature
-    resolution must move the squared value by less than a relative 1e-8.
+    Gauss-Hermite on the whole line, with a refinement-convergence check that
+    always runs: doubling the rule's order must move the squared value by
+    less than a relative 1e-8. Norms on a ball are ball_norms_squared's.
 
     Parameters
     ----------
     n, beta : weight power and derivative order.
     weight_delta : exponent delta in [0, 1] of the weight (1+|x|^2)^(delta/2).
-    region : ball to integrate over, or None for the whole space.
-    atol : absolute floor added to the refinement tolerance; callers that only
-        compare the result against a much larger scale (degenerate far-out
-        regions) pass the scale here so tail noise does not fail the check.
     """
     if n < 0:
         raise ValueError("weight power n must be nonnegative")
@@ -311,18 +320,37 @@ def weighted_norm(
     g = f
     for _ in range(int(beta)):
         g = derivative(g)
-    if region is None:
-        order = g.max_degree + n + 9
-        if not float(weight_delta * n).is_integer():
-            # non-polynomial weight: branch points at +-i slow the rule down
-            order = max(order, 100)
-        coarse = _gh_weighted_sq(g, n, weight_delta, order)
-        fine = _gh_weighted_sq(g, n, weight_delta, 2 * order)
-    else:
-        coarse = _ball_weighted_sq(g, n, weight_delta, region, 24, 0.5)
-        fine = _ball_weighted_sq(g, n, weight_delta, region, 48, 0.25)
-    _check_refinement(coarse, fine, "weighted_norm", atol=atol)
+    order = g.max_degree + n + 9
+    if not float(weight_delta * n).is_integer():
+        # non-polynomial weight: branch points at +-i slow the rule down
+        order = max(order, 100)
+    coarse = _gh_weighted_sq(g, n, weight_delta, order)
+    fine = _gh_weighted_sq(g, n, weight_delta, 2 * order)
+    _check_refinement(coarse, fine, "weighted_norm")
     return math.sqrt(max(fine, 0.0))
+
+
+def _ball_rule_sq(stack: np.ndarray, ball: Ball, delta: float, order: int, max_panel: float) -> list:
+    a, b = ball.interval()
+    x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
+    vals = _clenshaw_scaled(stack, x) * np.exp(-0.5 * x**2)
+    return [float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals[n] ** 2)) for n in range(len(stack))]
+
+
+def ball_norms_squared(stack: np.ndarray, ball: Ball, delta: float, atol, what: str) -> list:
+    """Squared norms ||(1+x^2)^(delta*n/2) g_n||^2_{L2(ball)} of the rows g_n.
+
+    Each row of the zero-padded coefficient stack is integrated by 24 points
+    on panels of at most 0.5 and by 48 points on panels of at most 0.25, and
+    the fine values are returned. The rows are checked in order: the first
+    that refinement moves by more than a relative 1e-8 plus atol[n] raises
+    QuadratureConvergenceError, with `what` naming the quantity.
+    """
+    coarse = _ball_rule_sq(stack, ball, delta, 24, 0.5)
+    fine = _ball_rule_sq(stack, ball, delta, 48, 0.25)
+    for c, v, floor in zip(coarse, fine, atol, strict=True):
+        _check_refinement(c, v, what, atol=floor)
+    return fine
 
 
 def norm_squared_on_intervals(f: SpectralFunction, intervals) -> float:
@@ -348,9 +376,7 @@ def norm_squared_on_intervals(f: SpectralFunction, intervals) -> float:
 
 def norm_squared_on_ball(f: SpectralFunction, ball: Ball, atol: float = 0.0) -> float:
     """Integral of f^2 over a ball, with refinement-convergence check."""
-    coarse = _ball_weighted_sq(f, 0, 0.0, ball, 24, 0.5)
-    fine = _ball_weighted_sq(f, 0, 0.0, ball, 48, 0.25)
-    _check_refinement(coarse, fine, "norm_squared_on_ball", atol=atol)
+    (fine,) = ball_norms_squared(f.coeffs[None], ball, 0.0, [atol], "norm_squared_on_ball")
     return max(fine, 0.0)
 
 

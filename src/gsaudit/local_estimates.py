@@ -27,14 +27,15 @@ from scipy.special import gammaln, logsumexp
 from .hermite import (
     Ball,
     SpectralFunction,
+    _clenshaw_scaled,
     _poly_part,
+    ball_norms_squared,
     derivative,
     evaluate,
     interval_nodes,
     norm_squared_on_ball,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
-    weighted_norm,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "analyticity_check",
     "bad_mass_bound",
     "derivative_family",
+    "derivative_stack",
     "good_ball_test",
     "local_estimate_check",
     "mk_bound",
@@ -113,6 +115,17 @@ def derivative_family(f: SpectralFunction, max_order: int) -> dict:
     return out
 
 
+def derivative_stack(f: SpectralFunction, max_order: int) -> np.ndarray:
+    """Read-only rows m = 0..max_order of d^m f's coefficients, zero-padded at
+    the high end; built once per expansion and shared by every ball."""
+    family = derivative_family(f, max_order)
+    out = np.zeros((max_order + 1, len(family[max_order].coeffs)))
+    for m, g in family.items():
+        out[m, : len(g.coeffs)] = g.coeffs
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class GoodBallResult:
     is_good: bool
@@ -126,38 +139,40 @@ def good_ball_test(
     f: SpectralFunction,
     ball: Ball,
     cfg: ClassifierConfig,
-    derivatives: dict | None = None,
+    derivatives: np.ndarray | None = None,
 ) -> GoodBallResult:
     """Classify a covering ball, checking the inequality for m <= m_cap.
 
-    Quadrature noise guard: the derivative masses only matter on the scale of
-    the right-hand side, so the refinement check runs with that floor.
+    derivatives is derivative_stack(f, m_cap); all orders share one
+    quadrature of it on the ball. Quadrature noise guard: the derivative
+    masses only matter on the scale of the right-hand side, so the
+    refinement check of order m runs with that floor.
     """
     mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if mass_sq <= DEGENERATE_MASS_REL * f.norm_squared():
         return GoodBallResult(True, None, True, mass_sq, ())
     if derivatives is None:
-        derivatives = derivative_family(f, cfg.m_cap)
+        derivatives = derivative_stack(f, cfg.m_cap)
     log_mass = math.log(mass_sq)
     log_prefactor = math.log(2.0 * cfg.kappa / cfg.eps)
+    log_rhs = [
+        log_prefactor
+        + (m + 1) * _LOG2
+        + 2.0 * cfg.log_q(m)
+        - gammaln(m + 1)
+        + log_mass
+        for m in range(cfg.m_cap + 1)
+    ]
+    floors = [math.exp(min(rhs - 23.0, 700.0)) for rhs in log_rhs]
+    norms_sq = ball_norms_squared(derivatives, ball, cfg.delta, floors, "weighted_norm")
     margins = []
     failing = None
-    for m in range(cfg.m_cap + 1):
-        log_rhs = (
-            log_prefactor
-            + (m + 1) * _LOG2
-            + 2.0 * cfg.log_q(m)
-            - gammaln(m + 1)
-            + log_mass
-        )
-        floor = math.exp(min(log_rhs - 23.0, 700.0))
-        w = weighted_norm(
-            derivatives[m], n=m, beta=0, weight_delta=cfg.delta, region=ball, atol=floor
-        )
+    for m, (rhs, sq) in enumerate(zip(log_rhs, norms_sq)):
+        w = math.sqrt(max(sq, 0.0))
         log_sq = 2.0 * math.log(w) if w > 0 else -math.inf
         log_lhs = log_sq - gammaln(m + 1)
-        margins.append(log_rhs - log_lhs)
-        if failing is None and log_lhs > log_rhs:
+        margins.append(rhs - log_lhs)
+        if failing is None and log_lhs > rhs:
             failing = m
     return GoodBallResult(failing is None, failing, False, mass_sq, tuple(margins))
 
@@ -207,7 +222,7 @@ def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results=None) -> B
     """
     balls = covering.balls()
     if results is None:
-        derivatives = derivative_family(f, cfg.m_cap)
+        derivatives = derivative_stack(f, cfg.m_cap)
         results = [good_ball_test(f, b, cfg, derivatives=derivatives) for b in balls]
     if len(results) != len(balls):
         raise ValueError("one classification result per covering ball required")
@@ -249,11 +264,11 @@ def _log_w_inf_neg(ball: Ball, cfg: ClassifierConfig) -> float:
     return -cfg.delta * math.log1p(nearest * nearest)
 
 
-def _log_abs_derivatives_at(derivatives: dict, cfg: ClassifierConfig, points) -> dict:
+def _log_abs_derivatives_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # row m: log |d^m f| at the points, from one Clenshaw pass over the stack
+    vals = _clenshaw_scaled(stack, points) * np.exp(-0.5 * points**2)
     with np.errstate(divide="ignore"):
-        return {
-            m: np.log(np.abs(evaluate(derivatives[m], points))) for m in range(cfg.m_cap + 1)
-        }
+        return np.log(np.abs(vals))
 
 
 def _ball_grid(ball: Ball, n: int):
@@ -274,7 +289,7 @@ def pointwise_witness(
     ball: Ball,
     cfg: ClassifierConfig,
     mass_sq: float | None = None,
-    derivatives: dict | None = None,
+    derivatives: np.ndarray | None = None,
     n_grid: int = 1024,
 ) -> WitnessResult:
     """Search the ball for a point satisfying the pointwise derivative bounds.
@@ -282,14 +297,14 @@ def pointwise_witness(
     The bound at order m reads |d^m f(x)| <= (2 kappa/eps)^(1/2) 2^(m+1)
     C^(1/2) ||f||_Q / |Q|^(1/2) with C = q_m^2 sup_Q w^(-2m). A good
     ball must contain such a point; the grid is refined once before reporting
-    failure.
+    failure. derivatives is derivative_stack(f, m_cap).
     """
     if mass_sq is None:
         mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if not mass_sq > 0:
         raise ValueError("pointwise witness needs positive ball mass")
     if derivatives is None:
-        derivatives = derivative_family(f, cfg.m_cap)
+        derivatives = derivative_stack(f, cfg.m_cap)
     log_w_neg = _log_w_inf_neg(ball, cfg)
     base = (
         0.5 * math.log(2.0 * cfg.kappa / cfg.eps)
@@ -306,7 +321,7 @@ def pointwise_witness(
 
     def scan(n: int):
         grid = _ball_grid(ball, n)
-        logs = _log_abs_derivatives_at(derivatives, cfg, grid)
+        logs = _log_abs_derivatives_at(derivatives, grid)
         worst = np.full(len(grid), np.inf)
         for m in range(cfg.m_cap + 1):
             worst = np.minimum(worst, log_rhs[m] - logs[m])

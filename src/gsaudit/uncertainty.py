@@ -40,7 +40,7 @@ from .local_estimates import (
     BallAudit,
     ClassifierConfig,
     bad_mass_bound,
-    derivative_family,
+    derivative_stack,
     good_ball_test,
     local_estimate_check,
     mk_bound,
@@ -326,7 +326,7 @@ def _run_pipeline(
     cfg = ClassifierConfig(
         eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
-    derivs = derivative_family(f, m_cap)
+    derivs = derivative_stack(f, m_cap)
     results = _map(lambda ball: good_ball_test(f, ball, cfg, derivatives=derivs), balls, threads)
     audits = []
     for k, (ball, res) in enumerate(zip(balls, results)):

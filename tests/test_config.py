@@ -184,6 +184,8 @@ NON_FINITE = [
     (minimal("uncertainty", cases=[{"sensor": {"type": "full"}, "gamma": NAN}]), "cases[0].gamma"),
     (minimal("uncertainty", profile={"R": INF}), "profile.R"),
     (minimal("observability", r2=NAN), "r2"),
+    # an integer literal past the float range: float() would overflow
+    (minimal("smoothing-validate", theta=10**400), "theta"),
     (minimal("lemma-suite", series={"d_grid": [INF]}), "series.d_grid[0]"),
     (with_sensor({"type": "intervals", "intervals": [[-INF, 0.0]]}), "cases[0].sensor.intervals[0]"),
 ]

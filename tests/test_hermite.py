@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from gsaudit.hermite import (
+    _clenshaw_scaled,
     Ball,
     ComplexOverflowError,
     DimensionMismatchError,
     SpectralFunction,
+    ball_norms_squared,
     basis_function,
     basis_matrix,
     derivative,
@@ -26,6 +29,7 @@ from gsaudit.hermite import (
     norm_squared_outside_radius,
     weighted_norm,
 )
+from gsaudit.local_estimates import derivative_family
 from conftest import random_expansion
 
 
@@ -144,9 +148,61 @@ class TestQuadratureRules:
             want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_cached_rule_cannot_be_poisoned(self):
+        # one panel on [-1, 1] is the unit rule itself; writing into what a
+        # caller got back must not reach the rule the next caller gets
+        x, w = interval_nodes(-1.0, 1.0, order=7, max_panel=2.0)
+        x[:] = 0.0
+        w[:] = 0.0
+        x, w = interval_nodes(-1.0, 1.0, order=7, max_panel=2.0)
+        x0, w0 = leggauss(7)
+        assert np.array_equal(x, x0) and np.array_equal(w, w0)
+
     def test_composite_interval_rule(self):
         x, w = interval_nodes(-2.0, 5.0, order=12, max_panel=0.5)
         assert float(np.sum(w * x**3)) == pytest.approx((5.0**4 - 2.0**4) / 4.0, rel=1e-12)
+
+
+class TestStackedClenshaw:
+    """One Clenshaw pass over a zero-padded stack must give every row the bits
+    of that row evaluated alone, as a one-row stack."""
+
+    @staticmethod
+    def _vectors(seed):
+        rng = np.random.default_rng(seed)
+        loose = [rng.standard_normal(n) for n in (1, 2, 7, 40)]
+        ladder = [g.coeffs for g in derivative_family(random_expansion(seed, 20), 24).values()]
+        return loose + ladder
+
+    @staticmethod
+    def _stack(vectors):
+        out = np.zeros((len(vectors), max(len(v) for v in vectors)))
+        for j, v in enumerate(vectors):
+            out[j, : len(v)] = v
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.linspace(-12.0, 12.0, 97),
+            np.linspace(-4.0, 4.0, 33) + 1j * np.linspace(3.0, -3.0, 33),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_each_row_matches_its_one_row_stack(self, seed, points):
+        vectors = self._vectors(seed)
+        stacked = _clenshaw_scaled(self._stack(vectors), points)
+        assert stacked.shape == (len(vectors), len(points))
+        for j, v in enumerate(vectors):
+            alone = _clenshaw_scaled(v[None], points)[0]
+            assert np.array_equal(stacked[j], alone), j
+
+    def test_scalar_point(self):
+        vectors = self._vectors(3)
+        stacked = _clenshaw_scaled(self._stack(vectors), np.float64(0.7))
+        for j, v in enumerate(vectors):
+            assert stacked[j] == _clenshaw_scaled(v[None], np.float64(0.7))[0]
 
 
 class TestParseval:
@@ -189,9 +245,11 @@ class TestWeightedNorms:
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_ball_restriction(self):
-        # int_{-1}^{1} h_0^2 = erf(1)
-        got = weighted_norm(basis_function(0), region=Ball((0.0,), 1.0))
-        assert got**2 == pytest.approx(math.erf(1.0), rel=1e-12)
+        # int_{-1}^{1} h_0^2 = erf(1), by the ball kernel on a one-row stack
+        (got,) = ball_norms_squared(
+            basis_function(0).coeffs[None], Ball((0.0,), 1.0), 1.0, [0.0], "h_0 on [-1, 1]"
+        )
+        assert got == pytest.approx(math.erf(1.0), rel=1e-12)
 
 
 class TestRegionNorms:

@@ -7,15 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from gsaudit.geometry import IntervalSensorSet, RadiusProfile, besicovitch_cover, sensor_periodic
-from gsaudit.hermite import Ball, SpectralFunction, basis_function, evaluate, norm_squared_on_ball
+from gsaudit.hermite import (
+    Ball,
+    SpectralFunction,
+    basis_function,
+    evaluate,
+    interval_nodes,
+    norm_squared_on_ball,
+)
 from gsaudit.local_estimates import (
     BallAudit,
     ClassifierConfig,
     analyticity_check,
     bad_mass_bound,
     derivative_family,
+    derivative_stack,
     good_ball_test,
     local_estimate_check,
     mk_bound,
@@ -109,12 +118,38 @@ class TestGoodBallTest:
         # at the larger eps stays good at the smaller one
         f = random_expansion(seed, degree)
         ball = Ball((center,), 1.0)
-        derivs = derivative_family(f, 4)
+        derivs = derivative_stack(f, 4)
         kwargs = dict(tilde_d2=1.0, s=0.0, m_cap=4)
         res_large = good_ball_test(f, ball, _cfg(eps=eps_large, **kwargs), derivatives=derivs)
         res_small = good_ball_test(f, ball, _cfg(eps=eps_small, **kwargs), derivatives=derivs)
         if res_large.is_good:
             assert res_small.is_good
+
+
+    @pytest.mark.parametrize("seed, center, delta", [(0, 0.3, 1.0), (4, -1.7, 0.5), (9, 2.2, 0.25)])
+    def test_margins_match_row_by_row_quadrature(self, seed, center, delta):
+        # reference: each order integrated on its own by the fine rule (48
+        # points on panels of at most 0.25) with the unpadded d^m f, as the
+        # classifier did before its orders shared one stacked quadrature
+        f = random_expansion(seed, 16)
+        ball = Ball((center,), 0.9)
+        cfg = _cfg(tilde_d2=3.0, s=0.5, delta=delta, m_cap=24)
+        res = good_ball_test(f, ball, cfg, derivatives=derivative_stack(f, cfg.m_cap))
+        assert not res.degenerate and len(res.log_margins) == cfg.m_cap + 1
+        a, b = ball.interval()
+        x, w = interval_nodes(a, b, order=48, max_panel=0.25)
+        log_mass = math.log(res.mass_sq)
+        for m, g in derivative_family(f, cfg.m_cap).items():
+            sq = float(np.sum(w * (1.0 + x**2) ** (delta * m) * evaluate(g, x) ** 2))
+            log_rhs = (
+                math.log(2.0 * cfg.kappa / cfg.eps)
+                + (m + 1) * math.log(2.0)
+                + 2.0 * cfg.log_q(m)
+                - gammaln(m + 1)
+                + log_mass
+            )
+            log_lhs = 2.0 * math.log(math.sqrt(sq)) - gammaln(m + 1)
+            assert res.log_margins[m] == log_rhs - log_lhs, m
 
 
 class TestTailConditionOrder:
@@ -186,7 +221,7 @@ class TestPointwiseWitness:
         for seed in range(6):
             f = random_expansion(seed, 10)
             ball = Ball((0.5 * seed - 1.0,), 1.0)
-            derivs = derivative_family(f, cfg.m_cap)
+            derivs = derivative_stack(f, cfg.m_cap)
             cls = good_ball_test(f, ball, cfg, derivatives=derivs)
             if not cls.is_good or cls.degenerate:
                 continue
