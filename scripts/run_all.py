@@ -19,7 +19,12 @@ CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out", help="root directory for per-config outputs")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread count")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes over the (sensor, eps) cases of the uncertainty sweeps",
+    )
     parser.add_argument(
         "--only", default=None, help="substring filter on config file names"
     )

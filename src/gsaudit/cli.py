@@ -61,7 +61,11 @@ def main(argv=None) -> int:
         "--out", default=".", help="directory for report.json and summary.csv"
     )
     run_parser.add_argument(
-        "--threads", type=int, default=1, help="worker thread count (default 1)"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes over the (sensor, eps) cases of an uncertainty sweep;"
+        " 1 runs them in this process (default 1)",
     )
     run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("list-experiments", help="list experiment kinds")
@@ -78,7 +82,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"config error: cannot read {args.config}: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, too many digits, or not UTF-8
         print(f"config error: {args.config} is not valid JSON: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None and isinstance(raw, dict):

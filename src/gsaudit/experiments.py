@@ -6,7 +6,7 @@ nested section and per sensor type, and one resolver reads it. A field that
 is unknown, missing, ill-typed, non-finite or out of range aborts with its
 path named. The kind then runs its audit and returns a full report plus flat
 summary rows. All randomness flows from the single config seed, so a fixed
-seed reproduces the report byte for byte regardless of the thread count.
+seed reproduces the report byte for byte whatever the worker count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .uncertainty import (
     _jsonable,
     k_effective_spread,
     k_effective_sweep,
-    verify_uncertainty_decay,
 )
 
 __all__ = [
@@ -355,22 +354,32 @@ def _prepare_function(cfg: dict):
     return f, bound, f_id
 
 
+_SWEEP_COLUMNS = {
+    "uncertainty": [
+        "f_id", "omega_id", "eps", "gamma", "k_effective", "k_effective_normalized",
+        "k_formal", "error_term_dominated", "n_good", "n_bad", "passed", "x", "y",
+    ],
+    "uncertainty-decay": [
+        "f_id", "omega_id", "eps", "gamma0", "a", "k_effective", "k_formal",
+        "error_term_dominated", "n_good", "n_bad", "passed", "x", "y",
+    ],
+}
+
+
 def _run_uncertainty(cfg: dict, threads: int):
+    """Both uncertainty kinds: every sensor case at every eps, in one sweep.
+    A case's fields other than its sensor are the density the sweep reads."""
     profile = RadiusProfile(**cfg["profile"])
     f, bound, f_id = _prepare_function(cfg)
-    cases = [
-        {
-            "f": f,
-            "bound": bound,
-            "profile": profile,
-            "omega": _build_sensor(case["sensor"], profile),
-            "gamma": case["gamma"],
-            "eps": eps,
-            "f_id": f_id,
-        }
-        for case in cfg["cases"]
-        for eps in cfg["eps_grid"]
-    ]
+    cases = []
+    for case in cfg["cases"]:
+        omega = _build_sensor(case["sensor"], profile)
+        density = {k: v for k, v in case.items() if k != "sensor"}
+        for eps in cfg["eps_grid"]:
+            cases.append(
+                {"f": f, "bound": bound, "profile": profile, "omega": omega,
+                 "eps": eps, "f_id": f_id, **density}
+            )
     reports = []
     rows = k_effective_sweep(
         cases,
@@ -379,60 +388,11 @@ def _run_uncertainty(cfg: dict, threads: int):
         reports_out=reports,
         witness_grid=cfg["witness_grid"],
     )
-    for row in rows:
-        row["x"] = row["eps"]
-        row["y"] = row["k_effective"]
-    payload = {
-        "bound": reports[0].bound_summary,
-        "spread": k_effective_spread(rows),
-        "reports": [r.to_dict() for r in reports],
-    }
-    columns = [
-        "f_id", "omega_id", "eps", "gamma", "k_effective", "k_effective_normalized",
-        "k_formal", "error_term_dominated", "n_good", "n_bad", "passed", "x", "y",
-    ]
-    return payload, rows, columns, all(r["passed"] for r in rows)
-
-
-def _run_uncertainty_decay(cfg: dict, threads: int):
-    profile = RadiusProfile(**cfg["profile"])
-    f, bound, f_id = _prepare_function(cfg)
-    rows, reports = [], []
-    for case in cfg["cases"]:
-        omega = _build_sensor(case["sensor"], profile)
-        for eps in cfg["eps_grid"]:
-            report = verify_uncertainty_decay(
-                f, bound, profile, omega, case["gamma0"], case["a"], eps,
-                m_cap=cfg["m_cap"], threads=threads, f_id=f_id,
-                witness_grid=cfg["witness_grid"],
-            )
-            reports.append(report)
-            rows.append(
-                {
-                    "f_id": f_id,
-                    "omega_id": report.omega_id,
-                    "eps": eps,
-                    "gamma0": case["gamma0"],
-                    "a": case["a"],
-                    "k_effective": report.k_effective,
-                    "k_formal": report.k_formal,
-                    "error_term_dominated": report.error_term_dominated,
-                    "n_good": report.n_good,
-                    "n_bad": report.n_bad,
-                    "passed": report.passed,
-                    "x": eps,
-                    "y": report.k_effective,
-                }
-            )
-    payload = {
-        "bound": reports[0].bound_summary,
-        "reports": [r.to_dict() for r in reports],
-    }
-    columns = [
-        "f_id", "omega_id", "eps", "gamma0", "a", "k_effective", "k_formal",
-        "error_term_dominated", "n_good", "n_bad", "passed", "x", "y",
-    ]
-    return payload, rows, columns, all(r["passed"] for r in rows)
+    payload = {"bound": reports[0].bound_summary}
+    if cfg["kind"] == "uncertainty":
+        payload["spread"] = k_effective_spread(rows)
+    payload["reports"] = [r.to_dict() for r in reports]
+    return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], all(r["passed"] for r in rows)
 
 
 def _run_observability(cfg: dict, threads: int):
@@ -638,7 +598,7 @@ def _run_lemma_suite(cfg: dict, threads: int):
 _RUNNERS = {
     "smoothing-validate": _run_smoothing_validate,
     "uncertainty": _run_uncertainty,
-    "uncertainty-decay": _run_uncertainty_decay,
+    "uncertainty-decay": _run_uncertainty,
     "observability": _run_observability,
     "lemma-suite": _run_lemma_suite,
 }

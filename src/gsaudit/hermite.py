@@ -77,8 +77,8 @@ class QuadratureConvergenceError(NumericalError):
 class SpectralFunction:
     """Finite expansion sum_n c_n h_n on the line.
 
-    Coefficients are frozen at construction; all operations return new
-    instances, so values are safe to share across worker threads.
+    Coefficients are frozen at construction and all operations return new
+    instances, so a value never changes once built.
     """
 
     coeffs: np.ndarray

@@ -14,13 +14,21 @@ polynomially, with per-ball density floors and the squared-log constant.
 Every failure aborts with the violated step identified: the underlying
 statements are theorems, so a red inequality means an invalid certificate
 or a bug, never a counterexample.
+
+k_effective_sweep runs a list of such instances of either kind. Instances
+are independent audits, so the sweep is the one place that runs in
+parallel: with more than one worker it hands whole instances to a pool of
+forked processes and reads the reports back in case order. Inside an
+instance every loop is sequential.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -69,6 +77,11 @@ class PipelineError(RuntimeError):
     def __init__(self, step: str, message: str):
         super().__init__(f"step '{step}': {message}")
         self.step = step
+        self.message = message
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, the formatted text alone
+        return type(self), (self.step, self.message)
 
 
 def _safe_exp_arg(arg: float) -> float:
@@ -185,13 +198,6 @@ class UncertaintyReport:
         )
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _mass_on_sensor(f: SpectralFunction, omega) -> float:
     if isinstance(omega, FullSpaceSensorSet):
         return f.norm_squared()
@@ -237,7 +243,6 @@ def _run_pipeline(
     eps: float,
     kind: str,
     m_cap: int,
-    threads: int,
     f_id: str,
     witness_grid: int,
 ) -> UncertaintyReport:
@@ -327,7 +332,7 @@ def _run_pipeline(
         eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
     derivs = derivative_stack(f, m_cap)
-    results = _map(lambda ball: good_ball_test(f, ball, cfg, derivatives=derivs), balls, threads)
+    results = [good_ball_test(f, ball, cfg, derivatives=derivs) for ball in balls]
     audits = []
     for k, (ball, res) in enumerate(zip(balls, results)):
         certified = None
@@ -428,10 +433,9 @@ def _run_pipeline(
         )
         return updated, local
 
-    worked = _map(ball_work, active, threads)
     locals_by_k = {}
     unwitnessed = []
-    for audit, local in worked:
+    for audit, local in map(ball_work, active):
         locals_by_k[audit.k] = local
         audits[audit.k] = audit
         if not audit.witness_verified:
@@ -604,7 +608,6 @@ def verify_uncertainty(
     gamma: float,
     eps: float,
     m_cap: int = 24,
-    threads: int = 1,
     f_id: str = "f",
     witness_grid: int = 1024,
 ) -> UncertaintyReport:
@@ -618,7 +621,7 @@ def verify_uncertainty(
     """
     return _run_pipeline(
         f, bound, profile, omega, ("constant", float(gamma)), eps,
-        kind="uncertainty", m_cap=m_cap, threads=threads, f_id=f_id,
+        kind="uncertainty", m_cap=m_cap, f_id=f_id,
         witness_grid=witness_grid,
     )
 
@@ -632,7 +635,6 @@ def verify_uncertainty_decay(
     a: float,
     eps: float,
     m_cap: int = 24,
-    threads: int = 1,
     f_id: str = "f",
     witness_grid: int = 1024,
 ) -> UncertaintyReport:
@@ -645,9 +647,46 @@ def verify_uncertainty_decay(
     """
     return _run_pipeline(
         f, bound, profile, omega, ("decaying", float(gamma0), float(a)), eps,
-        kind="uncertainty-decay", m_cap=m_cap, threads=threads, f_id=f_id,
+        kind="uncertainty-decay", m_cap=m_cap, f_id=f_id,
         witness_grid=witness_grid,
     )
+
+
+def _audit_case(case: dict, m_cap: int, witness_grid: int) -> UncertaintyReport:
+    """One sweep case, in whichever process runs it; top-level so it pickles."""
+    instance = (case["f"], case["bound"], case["profile"], case["omega"])
+    options = {"m_cap": m_cap, "f_id": case.get("f_id", "f"), "witness_grid": witness_grid}
+    if "gamma" in case:
+        return verify_uncertainty(*instance, case["gamma"], case["eps"], **options)
+    return verify_uncertainty_decay(
+        *instance, case["gamma0"], case["a"], case["eps"], **options
+    )
+
+
+def _sweep_row(report: UncertaintyReport) -> dict:
+    k_eff = report.k_effective
+    if report.kind == "uncertainty":
+        norm = 1.0 + math.log(1.0 / report.eps)
+        density = {
+            "gamma": report.gamma[1],
+            "k_effective_normalized": None if k_eff is None else k_eff / norm,
+        }
+    else:
+        density = {"gamma0": report.gamma[1], "a": report.gamma[2]}
+    return {
+        "f_id": report.f_id,
+        "omega_id": report.omega_id,
+        "eps": report.eps,
+        **density,
+        "k_effective": k_eff,
+        "k_formal": report.k_formal,
+        "error_term_dominated": report.error_term_dominated,
+        "n_good": report.n_good,
+        "n_bad": report.n_bad,
+        "passed": report.passed,
+        "x": report.eps,
+        "y": k_eff,
+    }
 
 
 def k_effective_sweep(
@@ -657,47 +696,30 @@ def k_effective_sweep(
     reports_out: list | None = None,
     witness_grid: int = 1024,
 ) -> list:
-    """Tabulate the empirical constant across a family of instances.
+    """Audit a family of instances and tabulate the empirical constant.
 
-    cases: iterable of dicts with keys f, bound, profile, omega, gamma, eps
-    and optionally f_id. Returns one row per case with the report's headline
-    numbers and K_effective normalized by (1 + log(1/eps)). Pass a list as
+    cases: iterable of dicts with keys f, bound, profile, omega, eps, the
+    density (gamma for a constant one, gamma0 and a for a decaying one) and
+    optionally f_id. Returns one row per case with the report's headline
+    numbers, plotted as x = eps, y = K_effective; a constant-density row
+    also carries K_effective normalized by (1 + log(1/eps)). Pass a list as
     reports_out to also collect the full reports.
+
+    With threads > 1 the cases run in min(threads, len(cases)) forked worker
+    processes. Reports are read back in case order, so the rows, and the
+    first failing case's exception, are those of the sequential loop.
     """
-    rows = []
-    for case in cases:
-        report = verify_uncertainty(
-            case["f"],
-            case["bound"],
-            case["profile"],
-            case["omega"],
-            case["gamma"],
-            case["eps"],
-            m_cap=m_cap,
-            threads=threads,
-            f_id=case.get("f_id", "f"),
-            witness_grid=witness_grid,
-        )
-        if reports_out is not None:
-            reports_out.append(report)
-        k_eff = report.k_effective
-        norm = 1.0 + math.log(1.0 / report.eps)
-        rows.append(
-            {
-                "f_id": report.f_id,
-                "omega_id": report.omega_id,
-                "eps": report.eps,
-                "gamma": report.gamma[1],
-                "k_effective": k_eff,
-                "k_effective_normalized": None if k_eff is None else k_eff / norm,
-                "k_formal": report.k_formal,
-                "error_term_dominated": report.error_term_dominated,
-                "n_good": report.n_good,
-                "n_bad": report.n_bad,
-                "passed": report.passed,
-            }
-        )
-    return rows
+    cases = list(cases)
+    audit = partial(_audit_case, m_cap=m_cap, witness_grid=witness_grid)
+    workers = min(threads, len(cases))
+    if workers <= 1:
+        reports = [audit(case) for case in cases]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            reports = list(pool.map(audit, cases))
+    if reports_out is not None:
+        reports_out.extend(reports)
+    return [_sweep_row(report) for report in reports]
 
 
 def k_effective_spread(rows) -> dict:

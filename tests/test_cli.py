@@ -364,6 +364,17 @@ class TestMain:
         assert rc == EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"seed": 1' + b"0" * 5000 + b"}", b'{"kind": "\xff"}'],
+        ids=["int-beyond-digit-limit", "not-utf8"],
+    )
+    def test_unreadable_json_is_a_config_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = config(
             LEMMA_BASE,
@@ -397,12 +408,31 @@ class TestMain:
         assert seen == [1]
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
-        path = write_config(tmp_path, config(UNC_BASE))
+        # the decay config has two cases, so --threads 2 runs the case pool
+        decay = config(
+            UNC_BASE,
+            kind="uncertainty-decay",
+            cases=[{"gamma0": 0.5, "a": 1.0}, {"gamma0": 0.25, "a": 2.0}],
+        )
+        for cfg in (UNC_BASE, decay):
+            path = write_config(tmp_path, config(cfg), name=f"{cfg['kind']}.json")
+            dirs = [tmp_path / cfg["kind"] / "a", tmp_path / cfg["kind"] / "b"]
+            for out, threads in zip(dirs, ("1", "2")):
+                assert main(["run", path, "--out", str(out), "--threads", threads]) == EXIT_OK
+            for name in ("report.json", "summary.csv"):
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_failing_case_in_pool_reports_like_the_loop(self, tmp_path, capsys):
+        # the second of two cases fails at density; the worker's PipelineError
+        # must reach the report as the in-process one does
+        cases = [{"sensor": PERIODIC_HALF, "gamma": 0.3}, {"sensor": PERIODIC_HALF, "gamma": 0.45}]
+        path = write_config(tmp_path, config(UNC_BASE, cases=cases))
         dirs = [tmp_path / "a", tmp_path / "b"]
         for out, threads in zip(dirs, ("1", "2")):
-            assert main(["run", path, "--out", str(out), "--threads", threads]) == EXIT_OK
-        for name in ("report.json", "summary.csv"):
-            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+            assert main(["run", path, "--out", str(out), "--threads", threads]) == 1
+        report = (dirs[0] / "report.json").read_bytes()
+        assert json.loads(report)["failed_step"] == "density"
+        assert report == (dirs[1] / "report.json").read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         # observability is seed-independent; the lemma ensemble is not

@@ -2,9 +2,11 @@
 
 import json
 import math
+import pickle
 
 import pytest
 
+from gsaudit import uncertainty
 from gsaudit.geometry import (
     FullSpaceSensorSet,
     RadiusProfile,
@@ -291,3 +293,71 @@ class TestSweep:
 
     def test_spread_of_empty_sweep(self):
         assert k_effective_spread([])["ratio"] is None
+
+    def test_rows_carry_each_kinds_density(self, instance):
+        f, bound, profile = instance
+        common = {"f": f, "bound": bound, "profile": profile, "eps": 1.0}
+        cases = [
+            {**common, "omega": FullSpaceSensorSet("full line"), "gamma": 1.0},
+            {**common, "omega": sensor_decaying_density(0.5, 1.0, profile), "gamma0": 0.5, "a": 1.0},
+        ]
+        reports = []
+        constant, decaying = k_effective_sweep(cases, reports_out=reports)
+        assert [r.kind for r in reports] == ["uncertainty", "uncertainty-decay"]
+        assert constant["gamma"] == 1.0 and "gamma0" not in constant
+        assert "k_effective_normalized" in constant
+        assert (decaying["gamma0"], decaying["a"]) == (0.5, 1.0)
+        assert "gamma" not in decaying and "k_effective_normalized" not in decaying
+        assert all(row["x"] == 1.0 for row in (constant, decaying))
+
+
+class RecordingPool:
+    """Stands in for the process pool: notes its size, runs tasks in-process."""
+
+    def __init__(self, built, max_workers, mp_context=None):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestSweepWorkers:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            uncertainty,
+            "ProcessPoolExecutor",
+            lambda *args, **kwargs: RecordingPool(built, *args, **kwargs),
+        )
+        return built
+
+    @pytest.fixture(scope="class")
+    def cases(self, instance):
+        f, bound, profile = instance
+        return [
+            {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": g, "eps": 1.0}
+            for omega, g in ((FullSpaceSensorSet("full line"), 1.0), (sensor_periodic(1.0, 0.5), 0.3))
+        ]
+
+    def test_workers_capped_at_case_count(self, built, cases):
+        pooled = k_effective_sweep(cases, threads=64)
+        assert built == [2]
+        assert pooled == k_effective_sweep(cases, threads=1)
+        assert built == [2]
+
+    def test_no_pool_for_one_case(self, built, cases):
+        k_effective_sweep(cases[:1], threads=64)
+        assert built == []
+
+    def test_pipeline_error_pickles(self):
+        err = pickle.loads(pickle.dumps(PipelineError("tail", "x")))
+        assert isinstance(err, PipelineError)
+        assert err.step == "tail"
+        assert str(err) == str(PipelineError("tail", "x"))
