@@ -127,7 +127,11 @@ def _candidate_grid(extent: float, step: float) -> np.ndarray:
 
 
 def _count_membership(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    return np.sum(np.abs(points[:, None] - centers[None, :]) < radii[None, :], axis=1)
+    # ball by ball, so no points x balls matrix is built
+    counts = np.zeros(len(points), dtype=np.intp)
+    for c, r in zip(centers, radii):
+        counts += np.abs(points - c) < r
+    return counts
 
 
 def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:

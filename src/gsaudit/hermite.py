@@ -243,17 +243,18 @@ def gauss_hermite(order: int) -> tuple:
     """Gauss-Hermite (nodes, weights) for the weight exp(-x^2) on R.
 
     The rule integrates polynomials up to degree 2 order - 1 exactly.
+    The arrays are computed once per order and shared, so they are read-only.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return roots_hermite(order)
+    return _read_only_rule(roots_hermite, order)
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(order: int) -> tuple:
-    # Gauss-Legendre (nodes, weights) on [-1, 1], computed once per order;
+def _read_only_rule(rule, order: int) -> tuple:
+    # a quadrature rule's (nodes, weights), computed once per order;
     # read-only, because every caller shares the cached arrays
-    x0, w0 = leggauss(order)
+    x0, w0 = rule(order)
     x0.setflags(write=False)
     w0.setflags(write=False)
     return x0, w0
@@ -266,7 +267,7 @@ def interval_nodes(a: float, b: float, order: int = 20, max_panel: float = 0.5):
     """
     panels = max(1, math.ceil((b - a) / max_panel))
     edges = np.linspace(a, b, panels + 1)
-    x0, w0 = _legendre_rule(order)
+    x0, w0 = _read_only_rule(leggauss, order)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()

@@ -15,11 +15,16 @@ Every failure aborts with the violated step identified: the underlying
 statements are theorems, so a red inequality means an invalid certificate
 or a bug, never a counterexample.
 
-k_effective_sweep runs a list of such instances of either kind. Instances
-are independent audits, so the sweep is the one place that runs in
-parallel: with more than one worker it hands whole instances to a pool of
-forked processes and reads the reports back in case order. Inside an
-instance every loop is sequential.
+k_effective_sweep runs a list of such instances of either kind. The sensor
+enters the proof only at the density premise and the local estimates, so
+the sweep groups the instances that share f, its bound, the radius profile
+and eps: the first instance of a group to reach a sensor-free stage (premise,
+tail, covering, classification, bad mass, the polydisc bound, and each
+ball's witness and polydisc sup) computes it, and the others reuse it.
+Groups are independent, so the sweep is the one place that runs in
+parallel: with more than one worker it hands whole groups to a pool of
+forked processes and reads the reports back in case order. Inside a group
+every loop is sequential.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .geometry import (
     certify_density,
 )
 from .hermite import (
+    NumericalError,
     SpectralFunction,
     norm_squared_on_intervals,
     weighted_norm,
@@ -245,8 +251,17 @@ def _run_pipeline(
     m_cap: int,
     f_id: str,
     witness_grid: int,
+    shared: dict | None,
 ) -> UncertaintyReport:
     steps = []
+    shared = {} if shared is None else shared
+
+    def once(key, compute):
+        # a sensor-free value: computed by the first case of the sweep group
+        # that gets this far, reused by the group's later cases
+        if key not in shared:
+            shared[key] = compute()
+        return shared[key]
 
     def record(name, passed, log_lhs=None, log_rhs=None, **detail):
         steps.append(StepRecord(name, passed, log_lhs, log_rhs, detail))
@@ -268,7 +283,9 @@ def _run_pipeline(
     record("admissibility", True, s=s, tilde_d2=tilde.D2, eps=eps)
 
     # the declared derivative bounds must actually majorize f
-    worst_margin, worst_at, ok = _premise_check(f, bound, tilde, profile.delta)
+    worst_margin, worst_at, ok = once(
+        "premise", lambda: _premise_check(f, bound, tilde, profile.delta)
+    )
     record(
         "premise",
         ok,
@@ -279,7 +296,7 @@ def _run_pipeline(
     )
 
     # localization: mass outside B(0, r) fits in half the error budget
-    tail = tail_mass_check(f, bound, eps)
+    tail = once("tail", lambda: tail_mass_check(f, bound, eps))
     record(
         "tail",
         tail.passed,
@@ -290,7 +307,7 @@ def _run_pipeline(
         budget=tail.budget,
     )
 
-    covering = besicovitch_cover(profile, tail.r)
+    covering = once("covering", lambda: besicovitch_cover(profile, tail.r))
     balls = covering.balls()
     kappa = covering.kappa_measured
     record(
@@ -331,8 +348,11 @@ def _run_pipeline(
     cfg = ClassifierConfig(
         eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
-    derivs = derivative_stack(f, m_cap)
-    results = [good_ball_test(f, ball, cfg, derivatives=derivs) for ball in balls]
+    derivs = once("derivatives", lambda: derivative_stack(f, m_cap))
+    results = once(
+        "classification",
+        lambda: [good_ball_test(f, ball, cfg, derivatives=derivs) for ball in balls],
+    )
     audits = []
     for k, (ball, res) in enumerate(zip(balls, results)):
         certified = None
@@ -369,7 +389,9 @@ def _run_pipeline(
     )
 
     # bad balls and the uncovered remainder fit in the error budget
-    bad_report = bad_mass_bound(f, covering, cfg, tilde, results=results)
+    bad_report = once(
+        "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
+    )
     record(
         "bad-mass",
         bad_report.passed,
@@ -403,14 +425,18 @@ def _run_pipeline(
     # Only certified balls participate: an uncertified ball's tail condition
     # is unknown beyond m_cap, and its mass already sits in the eps budget.
     active = [a for a in audits if a.is_good and not a.degenerate and a.tail_certified]
-    ub = mk_bound(cfg, profile, tilde)
+    ub = once("mk-bound", lambda: mk_bound(cfg, profile, tilde))
     log_mk_reference = (
         ub.log_intermediate if ub.log_intermediate is not None else ub.log_bound
     )
 
     def ball_work(audit: BallAudit):
-        wit = pointwise_witness(
-            f, audit.ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs, n_grid=witness_grid
+        wit = once(
+            ("witness", audit.k),
+            lambda: pointwise_witness(
+                f, audit.ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs,
+                n_grid=witness_grid,
+            ),
         )
         updated = audit.with_fields(
             x_k=wit.x_k,
@@ -422,7 +448,10 @@ def _run_pipeline(
         if not wit.verified:
             return updated, None
         rho_k = float(profile.rho(wit.x_k[0]))
-        brute = mk_bruteforce(f, audit.ball, wit.x_k, rho_k, norm_sq=audit.mass_sq)
+        brute = once(
+            ("mk-bruteforce", audit.k),
+            lambda: mk_bruteforce(f, audit.ball, wit.x_k, rho_k, norm_sq=audit.mass_sq),
+        )
         local = local_estimate_check(f, audit.ball, omega, brute.log_m, mass_sq=audit.mass_sq)
         updated = updated.with_fields(
             log_mk_bruteforce=brute.log_m,
@@ -610,6 +639,7 @@ def verify_uncertainty(
     m_cap: int = 24,
     f_id: str = "f",
     witness_grid: int = 1024,
+    shared: dict | None = None,
 ) -> UncertaintyReport:
     """Audit the constant-density uncertainty principle on one instance.
 
@@ -618,11 +648,15 @@ def verify_uncertainty(
     inequality becomes a step record. Raises PipelineError naming the failed
     step if any inequality breaks; with valid certificates that indicates a
     bug, since every step is a proved statement.
+
+    shared: a dict holding the sensor-free stages of earlier calls with the
+    same f, bound, profile, eps, m_cap and witness_grid; the stages this call
+    computes first are added to it. None computes every stage.
     """
     return _run_pipeline(
         f, bound, profile, omega, ("constant", float(gamma)), eps,
         kind="uncertainty", m_cap=m_cap, f_id=f_id,
-        witness_grid=witness_grid,
+        witness_grid=witness_grid, shared=shared,
     )
 
 
@@ -637,30 +671,50 @@ def verify_uncertainty_decay(
     m_cap: int = 24,
     f_id: str = "f",
     witness_grid: int = 1024,
+    shared: dict | None = None,
 ) -> UncertaintyReport:
     """Audit the variant with polynomially decaying density gamma0/(1+|x|^a).
 
     Adds the per-center norm bound check and applies the per-ball density
     floor in the local-estimate base; the reported constant divides by the
     squared bracket (1 + log(1/eps) + D2^(4/(1-s)))^2. a = 0 degenerates to
-    the constant-density audit at level gamma0/2.
+    the constant-density audit at level gamma0/2. shared is as in
+    verify_uncertainty.
     """
     return _run_pipeline(
         f, bound, profile, omega, ("decaying", float(gamma0), float(a)), eps,
         kind="uncertainty-decay", m_cap=m_cap, f_id=f_id,
-        witness_grid=witness_grid,
+        witness_grid=witness_grid, shared=shared,
     )
 
 
-def _audit_case(case: dict, m_cap: int, witness_grid: int) -> UncertaintyReport:
-    """One sweep case, in whichever process runs it; top-level so it pickles."""
+def _audit_case(case: dict, m_cap: int, witness_grid: int, shared: dict) -> UncertaintyReport:
     instance = (case["f"], case["bound"], case["profile"], case["omega"])
-    options = {"m_cap": m_cap, "f_id": case.get("f_id", "f"), "witness_grid": witness_grid}
+    options = {
+        "m_cap": m_cap,
+        "f_id": case.get("f_id", "f"),
+        "witness_grid": witness_grid,
+        "shared": shared,
+    }
     if "gamma" in case:
         return verify_uncertainty(*instance, case["gamma"], case["eps"], **options)
     return verify_uncertainty_decay(
         *instance, case["gamma0"], case["a"], case["eps"], **options
     )
+
+
+def _audit_group(cases: list, m_cap: int, witness_grid: int) -> tuple:
+    """One group's cases in order, in whichever process runs them; top-level
+    so it pickles. Returns the reports up to the first case that fails its
+    audit or does not converge, and that case's error (None if none fails)."""
+    shared = {}
+    reports = []
+    for case in cases:
+        try:
+            reports.append(_audit_case(case, m_cap, witness_grid, shared))
+        except (PipelineError, NumericalError) as err:
+            return reports, err
+    return reports, None
 
 
 def _sweep_row(report: UncertaintyReport) -> dict:
@@ -705,18 +759,38 @@ def k_effective_sweep(
     also carries K_effective normalized by (1 + log(1/eps)). Pass a list as
     reports_out to also collect the full reports.
 
-    With threads > 1 the cases run in min(threads, len(cases)) forked worker
-    processes. Reports are read back in case order, so the rows, and the
-    first failing case's exception, are those of the sequential loop.
+    Cases with the same f, bound and profile objects and an equal eps form a
+    group, which audits its sensor-free stages once (see the module
+    docstring) and runs its cases in case order up to the first that raises
+    PipelineError or NumericalError. With threads > 1 the groups run in
+    min(threads, number of groups) forked worker processes. The reports are
+    put back in case order and the error raised is that of the first case
+    without a report, so the rows, and the exception, are those of a loop
+    over the cases; any other exception is a bug and propagates at once.
     """
     cases = list(cases)
-    audit = partial(_audit_case, m_cap=m_cap, witness_grid=witness_grid)
-    workers = min(threads, len(cases))
+    groups = {}
+    for i, case in enumerate(cases):
+        key = (id(case["f"]), id(case["bound"]), id(case["profile"]), case["eps"])
+        groups.setdefault(key, []).append(i)
+    groups = list(groups.values())
+    audit = partial(_audit_group, m_cap=m_cap, witness_grid=witness_grid)
+    work = [[cases[i] for i in group] for group in groups]
+    workers = min(threads, len(groups))
     if workers <= 1:
-        reports = [audit(case) for case in cases]
+        outcomes = list(map(audit, work))
     else:
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            reports = list(pool.map(audit, cases))
+            outcomes = list(pool.map(audit, work))
+    reports = [None] * len(cases)
+    errors = {}
+    for group, (done, err) in zip(groups, outcomes):
+        for i, report in zip(group, done):
+            reports[i] = report
+        if err is not None:
+            errors[group[len(done)]] = err
+    if errors:
+        raise errors[min(errors)]
     if reports_out is not None:
         reports_out.extend(reports)
     return [_sweep_row(report) for report in reports]

@@ -408,10 +408,12 @@ class TestMain:
         assert seen == [1]
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
-        # the decay config has two cases, so --threads 2 runs the case pool
+        # the decay config has two eps, so --threads 2 runs the pool over
+        # its two groups of two cases
         decay = config(
             UNC_BASE,
             kind="uncertainty-decay",
+            eps_grid=[0.1, 1.0],
             cases=[{"gamma0": 0.5, "a": 1.0}, {"gamma0": 0.25, "a": 2.0}],
         )
         for cfg in (UNC_BASE, decay):
@@ -423,10 +425,10 @@ class TestMain:
                 assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_failing_case_in_pool_reports_like_the_loop(self, tmp_path, capsys):
-        # the second of two cases fails at density; the worker's PipelineError
-        # must reach the report as the in-process one does
+        # the second of two sensor cases fails at density at both eps; the
+        # worker's PipelineError must reach the report as the in-process one does
         cases = [{"sensor": PERIODIC_HALF, "gamma": 0.3}, {"sensor": PERIODIC_HALF, "gamma": 0.45}]
-        path = write_config(tmp_path, config(UNC_BASE, cases=cases))
+        path = write_config(tmp_path, config(UNC_BASE, cases=cases, eps_grid=[0.1, 1.0]))
         dirs = [tmp_path / "a", tmp_path / "b"]
         for out, threads in zip(dirs, ("1", "2")):
             assert main(["run", path, "--out", str(out), "--threads", threads]) == 1

@@ -13,6 +13,7 @@ from gsaudit.geometry import (
     FullSpaceSensorSet,
     IntervalSensorSet,
     RadiusProfile,
+    _count_membership,
     besicovitch_cover,
     certify_density,
     coverage_check,
@@ -86,6 +87,19 @@ class TestBesicovitchCover:
         )
         assert counts.min() >= 1
         assert counts.max() == cov.kappa_measured == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_membership_counts_match_broadcast(self, seed):
+        # oracle: the points x balls comparison matrix, summed per point;
+        # points on a ball's rim exercise the strict inequality
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-5.0, 5.0, size=40)
+        radii = rng.uniform(0.05, 2.0, size=40)
+        pts = np.concatenate([rng.uniform(-7.0, 7.0, size=2000), centers + radii, centers - radii])
+        oracle = np.sum(np.abs(pts[:, None] - centers[None, :]) < radii[None, :], axis=1)
+        counts = _count_membership(pts, centers, radii)
+        assert counts.dtype == oracle.dtype
+        assert np.array_equal(counts, oracle)
 
     def test_coverage_and_overlap_default_profile(self):
         p = RadiusProfile()

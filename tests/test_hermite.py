@@ -139,6 +139,14 @@ class TestQuadratureRules:
             got = float(np.sum(w * x ** (2 * k)))
             assert got == pytest.approx(math.gamma(k + 0.5), rel=1e-12), (order, k)
 
+    def test_gauss_hermite_rule_cached_read_only(self):
+        x, w = gauss_hermite(17)
+        again = gauss_hermite(17)
+        assert again[0] is x and again[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.25, 3.75)])
     def test_gauss_legendre_moments(self, a, b):
         # one panel: the order-12 Gauss-Legendre rule, exact to degree 23

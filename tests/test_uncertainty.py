@@ -340,13 +340,16 @@ class TestSweepWorkers:
 
     @pytest.fixture(scope="class")
     def cases(self, instance):
+        # two sensors at two eps: four cases in two groups
         f, bound, profile = instance
         return [
-            {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": g, "eps": 1.0}
+            {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": g, "eps": eps}
             for omega, g in ((FullSpaceSensorSet("full line"), 1.0), (sensor_periodic(1.0, 0.5), 0.3))
+            for eps in (1.0, 0.5)
         ]
 
     def test_workers_capped_at_case_count(self, built, cases):
+        # the pool runs over groups, so the cap is the number of groups
         pooled = k_effective_sweep(cases, threads=64)
         assert built == [2]
         assert pooled == k_effective_sweep(cases, threads=1)
@@ -361,3 +364,98 @@ class TestSweepWorkers:
         assert isinstance(err, PipelineError)
         assert err.step == "tail"
         assert str(err) == str(PipelineError("tail", "x"))
+
+
+class TestSweepSharing:
+    """Cases that share f, bound, profile and eps audit the sensor-free
+    stages once; every report and error stays that of its own audit."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, instance):
+        f, bound, profile = instance
+        common = {"f": f, "bound": bound, "profile": profile, "f_id": "flow"}
+        cases = [
+            {**common, "omega": omega, "gamma": g, "eps": eps}
+            for omega, g in ((FullSpaceSensorSet("full line"), 1.0), (sensor_periodic(1.0, 0.5), 0.3))
+            for eps in (1.0, 0.5)
+        ]
+        decay = sensor_decaying_density(0.5, 1.0, profile)
+        cases.append({**common, "omega": decay, "gamma0": 0.5, "a": 1.0, "eps": 1.0})
+        return cases
+
+    @pytest.fixture(scope="class")
+    def independent(self, cases):
+        reports = []
+        for c in cases:
+            args = (c["f"], c["bound"], c["profile"], c["omega"])
+            if "gamma" in c:
+                reports.append(verify_uncertainty(*args, c["gamma"], c["eps"], f_id="flow"))
+            else:
+                reports.append(
+                    verify_uncertainty_decay(*args, c["gamma0"], c["a"], c["eps"], f_id="flow")
+                )
+        return [r.to_dict() for r in reports]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reports_equal_independent_audits(self, monkeypatch, cases, independent, threads):
+        built = []
+        monkeypatch.setattr(
+            uncertainty,
+            "ProcessPoolExecutor",
+            lambda *args, **kwargs: RecordingPool(built, *args, **kwargs),
+        )
+        reports = []
+        k_effective_sweep(cases, threads=threads, reports_out=reports)
+        assert built == ([] if threads == 1 else [2])
+        assert [r.to_dict() for r in reports] == independent
+
+    def test_sensor_free_stages_run_once_per_group(self, monkeypatch, cases):
+        calls = {"cover": [], "ball": [], "witness": [], "polydisc": []}
+
+        def counting(name, fn, key):
+            def wrapped(*args, **kwargs):
+                calls[name].append(key(*args))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(uncertainty, fn.__name__, wrapped)
+
+        counting("cover", uncertainty.besicovitch_cover, lambda profile, r: r)
+        ball_key = lambda f, ball, cfg, **kw: (cfg.eps, ball.center, ball.radius)  # noqa: E731
+        counting("ball", uncertainty.good_ball_test, ball_key)
+        counting("witness", uncertainty.pointwise_witness, ball_key)
+        counting("polydisc", uncertainty.mk_bruteforce, lambda *args: None)
+        reports = []
+        k_effective_sweep(cases, reports_out=reports)
+
+        def per_eps(count):
+            # a group's reports agree, so one entry per eps counts each once
+            return sum({r.eps: count(r) for r in reports}.values())
+
+        # one covering per eps, and each (eps, ball) classified once
+        assert len(calls["cover"]) == 2
+        assert len(calls["ball"]) == per_eps(lambda r: r.covering_summary["n_balls"])
+        assert len(set(calls["ball"])) == len(calls["ball"])
+        # each active ball's witness and polydisc sup, once per eps
+        checked = per_eps(lambda r: sum(a.witness_verified is not None for a in r.ball_audits))
+        assert len(calls["witness"]) == checked > 0
+        assert len(set(calls["witness"])) == len(calls["witness"])
+        assert len(calls["polydisc"]) == per_eps(lambda r: sum(a.mk_converged is not None for a in r.ball_audits))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_case_in_case_order_raises(self, instance, threads):
+        # the failing eps = 1.0 case comes second, in the group after the
+        # failing eps = 0.1 case's: the loop raises the eps = 1.0 error
+        f, bound, profile = instance
+        common = {"f": f, "bound": bound, "profile": profile}
+        periodic = sensor_periodic(1.0, 0.5)
+        cases = [
+            {**common, "omega": periodic, "gamma": 0.3, "eps": 0.1},
+            {**common, "omega": periodic, "gamma": 0.45, "eps": 1.0},
+            {**common, "omega": periodic, "gamma": 0.45, "eps": 0.1},
+        ]
+        with pytest.raises(PipelineError) as loop:
+            verify_uncertainty(f, bound, profile, periodic, 0.45, 1.0)
+        with pytest.raises(PipelineError) as swept:
+            k_effective_sweep(cases, threads=threads)
+        assert swept.value.step == loop.value.step == "density"
+        assert str(swept.value) == str(loop.value)
