@@ -23,7 +23,7 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="worker processes over the (sensor, eps) cases of the uncertainty sweeps",
+        help="worker processes over the eps groups of the uncertainty sweeps",
     )
     parser.add_argument(
         "--only", default=None, help="substring filter on config file names"

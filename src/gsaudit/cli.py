@@ -64,8 +64,9 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=1,
-        help="worker processes over the (sensor, eps) cases of an uncertainty sweep;"
-        " 1 runs them in this process (default 1)",
+        help="worker processes over the eps groups of an uncertainty sweep, each"
+        " group holding every sensor case at one eps; 1 runs them in this process"
+        " (default 1)",
     )
     run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("list-experiments", help="list experiment kinds")

@@ -690,16 +690,11 @@ def verify_uncertainty_decay(
 
 def _audit_case(case: dict, m_cap: int, witness_grid: int, shared: dict) -> UncertaintyReport:
     instance = (case["f"], case["bound"], case["profile"], case["omega"])
-    options = {
-        "m_cap": m_cap,
-        "f_id": case.get("f_id", "f"),
-        "witness_grid": witness_grid,
-        "shared": shared,
-    }
+    options = {"m_cap": m_cap, "f_id": case.get("f_id", "f"), "witness_grid": witness_grid}
     if "gamma" in case:
-        return verify_uncertainty(*instance, case["gamma"], case["eps"], **options)
+        return verify_uncertainty(*instance, case["gamma"], case["eps"], shared=shared, **options)
     return verify_uncertainty_decay(
-        *instance, case["gamma0"], case["a"], case["eps"], **options
+        *instance, case["gamma0"], case["a"], case["eps"], shared=shared, **options
     )
 
 

@@ -419,8 +419,10 @@ class TestSweepSharing:
 
             monkeypatch.setattr(uncertainty, fn.__name__, wrapped)
 
+        def ball_key(f, ball, cfg):
+            return cfg.eps, ball.center, ball.radius
+
         counting("cover", uncertainty.besicovitch_cover, lambda profile, r: r)
-        ball_key = lambda f, ball, cfg, **kw: (cfg.eps, ball.center, ball.radius)  # noqa: E731
         counting("ball", uncertainty.good_ball_test, ball_key)
         counting("witness", uncertainty.pointwise_witness, ball_key)
         counting("polydisc", uncertainty.mk_bruteforce, lambda *args: None)
@@ -439,7 +441,8 @@ class TestSweepSharing:
         checked = per_eps(lambda r: sum(a.witness_verified is not None for a in r.ball_audits))
         assert len(calls["witness"]) == checked > 0
         assert len(set(calls["witness"])) == len(calls["witness"])
-        assert len(calls["polydisc"]) == per_eps(lambda r: sum(a.mk_converged is not None for a in r.ball_audits))
+        sampled = per_eps(lambda r: sum(a.mk_converged is not None for a in r.ball_audits))
+        assert len(calls["polydisc"]) == sampled
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_first_failing_case_in_case_order_raises(self, instance, threads):
