@@ -66,9 +66,16 @@ __all__ = [
 # good and skipped: every inequality at stake degenerates to 0 <= 0.
 DEGENERATE_MASS_REL = 1e-40
 
-# Terms summed before series_bound gives up certifying the remainder; mk_bound
-# skips the series when its peak term lies past 0.9 of this.
+# series_bound certifies only within the terms m <= SERIES_TERM_CAP; past it
+# the sum is left uncertified. mk_bound skips the series when its peak term
+# lies past 0.9 of this.
 SERIES_TERM_CAP = 30_000_000
+# series_bound sums windows of +-40 sigma (and wider) around the peak in
+# chunks of at most _SERIES_CHUNK terms, and certifies once the omitted tails
+# stay within exp(_LOG_SERIES_REL_TAIL) of the sum
+_SERIES_WINDOW_SIGMAS = 40.0
+_SERIES_CHUNK = 1_000_000
+_LOG_SERIES_REL_TAIL = math.log(1e-12)
 
 _LOG2 = math.log(2.0)
 
@@ -459,19 +466,58 @@ class SeriesBound:
         return math.exp(self.log_bound) if self.log_bound < 700.0 else math.inf
 
 
+def _series_windows(m_star: float, sigma: float, term_cap: int):
+    """Windows [lo, hi] of m* +- 40, 80, 160, ... sigma clipped to [0, term_cap],
+    ending with [0, term_cap] itself, the only window when m* lies past the cap."""
+    half = _SERIES_WINDOW_SIGMAS * sigma
+    while m_star <= term_cap and (m_star - half > 0.0 or m_star + half < term_cap):
+        yield math.floor(max(m_star - half, 0.0)), math.ceil(min(m_star + half, term_cap))
+        half *= 2.0
+    yield 0, term_cap
+
+
+def _log_series_term(m, log_d: float, one_ms: float):
+    """log D^m/(m!)^(1-s), for an integer or an array of them."""
+    return m * log_d - one_ms * gammaln(m + 1)
+
+
+def _log_series_sum(lo: int, hi: int, log_d: float, one_ms: float) -> float:
+    """log sum_{m=lo}^{hi} D^m/(m!)^(1-s), in chunks of at most _SERIES_CHUNK
+    terms so that memory stays bounded."""
+    log_sum = -math.inf
+    while lo <= hi:
+        end = min(lo + _SERIES_CHUNK, hi + 1)
+        terms = _log_series_term(np.arange(lo, end), log_d, one_ms)
+        log_sum = np.logaddexp(log_sum, logsumexp(terms))
+        lo = end
+    return float(log_sum)
+
+
+def _log_geometric(log_first: float, ratio: float) -> float:
+    """log of first/(1 - ratio), the sum of a geometric series; inf unless ratio < 1."""
+    return float(log_first - math.log1p(-ratio)) if ratio < 1.0 else math.inf
+
+
 def series_bound(
     D: float,
     s: float,
     term_cap: int = SERIES_TERM_CAP,
 ) -> SeriesBound:
-    """Partial sum of sum_m D^m/(m!)^(1-s) against 2 (2D)^(3 (2D)^(1/(1-s))).
+    """Sum of sum_m D^m/(m!)^(1-s) against 2 (2D)^(3 (2D)^(1/(1-s))).
 
-    The sum accumulates in log space in vectorized chunks; once the term
-    ratio drops below one, the geometric tail certifies the remainder below
-    1e-12 of the sum. Past term_cap the partial sum is returned uncertified
-    (the peak term sits near D^(1/(1-s)), which can exceed any reasonable
-    cap). A certified sum above the bound raises: the bound is a
-    proved lemma, so that would be a bug.
+    The term ratio t(m+1)/t(m) = D/(m+1)^(1-s) falls with m, so the terms
+    peak near m* = D^(1/(1-s)) and only a window m* +- 40 sigma,
+    sigma = sqrt(max(m*, 1)/(1-s)), is summed, in log space and in chunks
+    of at most 1M terms. Right of the window [lo, hi] the terms shrink at
+    least geometrically by D/(hi+2)^(1-s), left of it by lo^(1-s)/D; the
+    sum is certified once these two geometric tails together stay within
+    1e-12 of the window's sum, and the window doubles until they do. When
+    no window within [0, term_cap] certifies (the peak can lie past any
+    reasonable cap), the result is the uncertified partial sum over
+    [0, term_cap] with the right-tail bound at term_cap as log_remainder
+    (inf while the terms still grow there). terms_used counts every term
+    summed. A certified sum above the proved bound is returned as it is;
+    the callers audit it.
     """
     if not D >= 0.5:
         raise ValueError("series bound requires D >= 1/2")
@@ -479,40 +525,32 @@ def series_bound(
         raise ValueError("s must lie in [0, 1)")
     log_d = math.log(D)
     one_ms = 1.0 - s
-    log_sum = -math.inf
-    log_rem = math.inf
-    certified = False
-    m_next = 0
-    chunk = 1_000_000
-    while m_next <= term_cap:
-        m = np.arange(m_next, min(m_next + chunk, term_cap + 1))
-        log_sum = np.logaddexp(log_sum, logsumexp(m * log_d - one_ms * gammaln(m + 1)))
-        m_last = int(m[-1])
-        ratio = D / (m_last + 2) ** one_ms
-        if ratio < 1.0:
-            log_rem = (
-                (m_last + 1) * log_d
-                - one_ms * gammaln(m_last + 2)
-                - math.log1p(-ratio)
-            )
-            if log_rem <= log_sum + math.log(1e-12):
-                certified = True
-                m_next = m_last + 1
-                break
-        m_next = m_last + 1
+    peak_arg = log_d / one_ms
+    m_star = math.exp(peak_arg) if peak_arg < 709.0 else math.inf
+    sigma = math.sqrt(max(m_star, 1.0) / one_ms)
+    terms = 0
+    for lo, hi in _series_windows(m_star, sigma, term_cap):
+        log_sum = _log_series_sum(lo, hi, log_d, one_ms)
+        terms += hi - lo + 1
+        log_right = _log_series_term(hi + 1, log_d, one_ms)
+        log_rem = _log_geometric(log_right, D / (hi + 2) ** one_ms)
+        if lo > 0:
+            log_left = _log_series_term(lo - 1, log_d, one_ms)
+            log_left = _log_geometric(log_left, lo**one_ms / D)
+            log_rem = float(np.logaddexp(log_rem, log_left))
+        certified = log_rem <= log_sum + _LOG_SERIES_REL_TAIL
+        if certified:
+            break
     arg = math.log(2.0 * D) / one_ms
     power = math.exp(arg) if arg < 709.0 else math.inf
     log_bound = _LOG2 + 3.0 * power * math.log(2.0 * D)
-    overflow = math.isinf(log_bound)
-    if certified and log_sum > log_bound + 1e-9:
-        raise RuntimeError("certified series sum exceeds its proved bound")
     return SeriesBound(
-        log_sum=float(log_sum),
+        log_sum=log_sum,
         log_bound=log_bound,
-        terms_used=m_next,
+        terms_used=terms,
         remainder_certified=certified,
         log_remainder=log_rem,
-        bound_overflow=overflow,
+        bound_overflow=math.isinf(log_bound),
     )
 
 

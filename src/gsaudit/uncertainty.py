@@ -481,6 +481,9 @@ def _run_pipeline(
         if not a.mk_converged:
             raise PipelineError("mk-bound", f"polydisc sampling did not stabilize on ball {a.k}")
         worst_mk = max(worst_mk, a.log_mk_bruteforce - log_mk_reference)
+    series = ub.series
+    if series and series.remainder_certified and series.log_sum > series.log_bound + 1e-9:
+        raise PipelineError("mk-bound", "certified series sum exceeds its proved bound")
     record(
         "mk-bound",
         worst_mk <= 1e-9,
@@ -757,8 +760,10 @@ def k_effective_sweep(
     Cases with the same f, bound and profile objects and an equal eps form a
     group, which audits its sensor-free stages once (see the module
     docstring) and runs its cases in case order up to the first that raises
-    PipelineError or NumericalError. With threads > 1 the groups run in
-    min(threads, number of groups) forked worker processes. The reports are
+    PipelineError or NumericalError. One worker runs the groups in a loop
+    and stops before a group whose first case comes after a failed case.
+    With threads > 1 the groups run in min(threads, number of groups)
+    forked worker processes. The reports are
     put back in case order and the error raised is that of the first case
     without a report, so the rows, and the exception, are those of a loop
     over the cases; any other exception is a bug and propagates at once.
@@ -771,19 +776,26 @@ def k_effective_sweep(
     groups = list(groups.values())
     audit = partial(_audit_group, m_cap=m_cap, witness_grid=witness_grid)
     work = [[cases[i] for i in group] for group in groups]
-    workers = min(threads, len(groups))
-    if workers <= 1:
-        outcomes = list(map(audit, work))
-    else:
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            outcomes = list(pool.map(audit, work))
     reports = [None] * len(cases)
     errors = {}
-    for group, (done, err) in zip(groups, outcomes):
+
+    def collect(group, outcome):
+        done, err = outcome
         for i, report in zip(group, done):
             reports[i] = report
         if err is not None:
             errors[group[len(done)]] = err
+
+    workers = min(threads, len(groups))
+    if workers <= 1:
+        for group, group_cases in zip(groups, work):
+            if errors and group[0] > min(errors):
+                break  # the loop over the cases stops before this group
+            collect(group, audit(group_cases))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            for group, outcome in zip(groups, pool.map(audit, work)):
+                collect(group, outcome)
     if errors:
         raise errors[min(errors)]
     if reports_out is not None:

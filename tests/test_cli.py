@@ -3,11 +3,12 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gsaudit import cli, experiments
+from gsaudit import cli, experiments, uncertainty
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -16,6 +17,7 @@ from gsaudit.experiments import (
     resolve_config,
     run_experiment,
 )
+from gsaudit.local_estimates import SeriesBound
 
 PERIODIC_HALF = {"type": "periodic", "period": 1.0, "fill": 0.5}
 
@@ -386,15 +388,59 @@ class TestMain:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
-        # a certified sum above its proved bound is a bug, so it must surface
-        # with a traceback rather than exit 3
+        # a RuntimeError that is no NumericalError is a bug, so it must
+        # surface with a traceback rather than exit 3
         def broken_series_bound(*args, **kwargs):
-            raise RuntimeError("certified series sum exceeds its proved bound")
+            raise RuntimeError("a bug in the series lemma")
 
         monkeypatch.setattr(experiments, "series_bound", broken_series_bound)
         path = write_config(tmp_path, config(LEMMA_BASE, analyticity={"n_cases": 0}))
-        with pytest.raises(RuntimeError, match="exceeds its proved bound"):
+        with pytest.raises(RuntimeError, match="a bug in the series lemma"):
             main(["run", path, "--out", str(tmp_path / "o")])
+
+    def test_violated_series_lemma_fails_its_row(self, tmp_path, monkeypatch, capsys):
+        # a certified sum above its proved bound fails the lemma suite's
+        # series rows: exit 1 with a report, no traceback
+        real = experiments.series_bound
+
+        def violated(d, s):
+            result = real(d, s)
+            return replace(result, log_bound=result.log_sum - 1.0)
+
+        monkeypatch.setattr(experiments, "series_bound", violated)
+        out = tmp_path / "o"
+        path = write_config(tmp_path, config(LEMMA_BASE, analyticity={"n_cases": 0}))
+        assert main(["run", path, "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        series = [row for row in report["summary_rows"] if row["section"] == "series"]
+        assert len(series) == 4
+        assert not any(row["passed"] for row in series)
+        assert report["results"]["sections"]["local"]["n_passed"] > 0
+
+    def test_violated_series_lemma_fails_mk_bound(self, tmp_path, monkeypatch, capsys):
+        # the pipeline's mk-bound step fails when its certified series sum
+        # lies above the proved bound
+        real = uncertainty.mk_bound
+
+        def violated(cfg, profile, bound):
+            ub = real(cfg, profile, bound)
+            series = SeriesBound(
+                log_sum=1.0,
+                log_bound=0.0,
+                terms_used=1,
+                remainder_certified=True,
+                log_remainder=-math.inf,
+                bound_overflow=False,
+            )
+            return replace(ub, series=series)
+
+        monkeypatch.setattr(uncertainty, "mk_bound", violated)
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, config(UNC_BASE)), "--out", str(out)]) == 1
+        assert "failing step: mk-bound" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_step"] == "mk-bound"
+        assert "exceeds its proved bound" in report["results"]["error"]
 
     def test_threads_default_to_one(self, tmp_path, monkeypatch):
         seen = []

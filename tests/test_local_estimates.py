@@ -2,13 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
+from gsaudit import local_estimates
 from gsaudit.geometry import IntervalSensorSet, RadiusProfile, besicovitch_cover, sensor_periodic
 from gsaudit.hermite import (
     Ball,
@@ -19,6 +21,7 @@ from gsaudit.hermite import (
     norm_squared_on_ball,
 )
 from gsaudit.local_estimates import (
+    SERIES_TERM_CAP,
     BallAudit,
     ClassifierConfig,
     analyticity_check,
@@ -266,6 +269,29 @@ class TestMkBruteforce:
             mk_bruteforce(f, Ball((0.0,), 1.0), None, 0.5, norm_sq=0.0)
 
 
+def _log_terms(m, d_value, s):
+    return m * math.log(d_value) - (1.0 - s) * gammaln(m + 1)
+
+
+def _chunked_series_reference(d_value, s, term_cap=SERIES_TERM_CAP):
+    """The series summed from m = 0 in 1M-term chunks, stopping at the first
+    chunk end whose geometric right tail is within 1e-12 of the partial sum;
+    returns (log_sum, certified, log of the last right-tail bound)."""
+    one_ms = 1.0 - s
+    log_sum, log_rem, start = -math.inf, math.inf, 0
+    while start <= term_cap:
+        m = np.arange(start, min(start + 1_000_000, term_cap + 1))
+        log_sum = np.logaddexp(log_sum, logsumexp(_log_terms(m, d_value, s)))
+        last = int(m[-1])
+        ratio = d_value / (last + 2) ** one_ms
+        if ratio < 1.0:
+            log_rem = _log_terms(last + 1, d_value, s) - math.log1p(-ratio)
+            if log_rem <= log_sum + math.log(1e-12):
+                return float(log_sum), True, log_rem
+        start = last + 1
+    return float(log_sum), False, log_rem
+
+
 class TestSeriesBound:
     def test_exponential_closed_form(self):
         # D = 1/2, s = 0: the series is e^(1/2) and the bound collapses to 2
@@ -305,6 +331,97 @@ class TestSeriesBound:
             series_bound(0.4, 0.0)
         with pytest.raises(ValueError):
             series_bound(1.0, 1.0)
+
+    def test_violated_bound_is_returned(self, monkeypatch):
+        # a sum above the proved bound is reported, not raised: the lemma
+        # suite and the mk-bound step audit it
+        monkeypatch.setattr(local_estimates, "_LOG2", -1000.0)
+        res = series_bound(2.0, 0.5)
+        assert res.remainder_certified
+        assert res.log_sum > res.log_bound + 1e-9
+
+    def test_exponential_with_window_past_zero(self):
+        # s = 0 sums to e^D; at D = 2000 the +-40 sigma window starts at 211
+        res = series_bound(2000.0, 0.0)
+        lo = math.floor(2000.0 - 40.0 * math.sqrt(2000.0))
+        assert lo > 0
+        assert res.remainder_certified
+        assert math.isclose(res.log_sum, 2000.0, rel_tol=1e-12)
+        # the window [lo, hi] certified at once
+        hi = math.ceil(2000.0 + 40.0 * math.sqrt(2000.0))
+        assert res.terms_used == hi - lo + 1
+        # t(lo-1)/(1 - lo/D) bounds the left tail, summed term by term here
+        log_left = _log_terms(lo - 1, 2000.0, 0.0) - math.log1p(-lo / 2000.0)
+        direct_left = logsumexp(_log_terms(np.arange(lo), 2000.0, 0.0))
+        assert direct_left <= log_left
+        # log_remainder adds it to the geometric right tail, and covers the
+        # terms left out on both sides
+        log_right = _log_terms(hi + 1, 2000.0, 0.0) - math.log1p(-2000.0 / (hi + 2))
+        assert res.log_remainder == np.logaddexp(log_right, log_left)
+        right = np.arange(hi + 1, hi + 100_000)
+        omitted = np.logaddexp(direct_left, logsumexp(_log_terms(right, 2000.0, 0.0)))
+        assert omitted <= res.log_remainder <= res.log_sum + math.log(1e-12)
+
+    def test_slow_decay_certified_by_widening(self):
+        # near s = 1 the terms fall slower than a Gaussian: the first window,
+        # [0, 401], leaves too much out and the doubled one certifies
+        res = series_bound(1.0, 0.99)
+        assert res.remainder_certified
+        assert 402 < res.terms_used < 10_000
+        assert res.log_remainder <= res.log_sum + math.log(1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        s=st.floats(0.0, 0.99),
+        x=st.floats(0.0, 1.0),
+    )
+    def test_window_agrees_with_the_sum_from_zero(self, s, x):
+        # D from 1/2 up to a peak D^(1/(1-s)) of 1e5
+        log_d = math.log(0.5) + x * ((1.0 - s) * math.log(1e5) - math.log(0.5))
+        d_value = max(math.exp(log_d), 0.5)
+        res = series_bound(d_value, s)
+        log_sum, certified, _ = _chunked_series_reference(d_value, s)
+        assert res.remainder_certified == certified
+        assert math.isclose(res.log_sum, log_sum, rel_tol=1e-14)
+
+    def test_lemma_grid_point_matches_the_sum_from_zero(self):
+        # the lemma suite reports log_sum: its (5, 0.9) window [9.4M, 10.2M]
+        # must give the float the sum over [0, 10M) gave
+        assert series_bound(5.0, 0.9).log_sum == _chunked_series_reference(5.0, 0.9)[0]
+
+    @pytest.mark.parametrize(
+        "d_value, s, min_terms",
+        [
+            (5.5, 0.9, 1_200_000),  # peak 5.5^10 = 2.5e7
+            (1.4, 0.98, 2_500_000),  # peak 1.4^50 = 2.0e7
+        ],
+    )
+    def test_wide_window_in_bounded_chunks(self, d_value, s, min_terms):
+        series_bound(2.0, 0.5)
+        tracemalloc.start()
+        try:
+            res = series_bound(d_value, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.remainder_certified
+        assert min_terms < res.terms_used < 2 * min_terms
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize(
+        "d_value, s, term_cap",
+        [
+            (5.0, 0.9, 2000),  # peak past the cap
+            (2.0, 0.9, 1100),  # peak inside, the right tail still too heavy
+            (1.0, 0.99, 500),  # a window first, then the cap
+        ],
+    )
+    def test_cap_reached_returns_the_sum_from_zero(self, d_value, s, term_cap):
+        res = series_bound(d_value, s, term_cap=term_cap)
+        log_sum, certified, log_rem = _chunked_series_reference(d_value, s, term_cap)
+        assert not res.remainder_certified and not certified
+        assert res.log_sum == log_sum
+        assert res.log_remainder == log_rem
 
 
 class TestMkBound:

@@ -462,3 +462,23 @@ class TestSweepSharing:
             k_effective_sweep(cases, threads=threads)
         assert swept.value.step == loop.value.step == "density"
         assert str(swept.value) == str(loop.value)
+
+    def test_one_worker_stops_at_the_first_failing_case(self, monkeypatch, instance):
+        # the first case fails at density, so the later groups never run
+        f, bound, profile = instance
+        common = {"f": f, "bound": bound, "profile": profile, "omega": sensor_periodic(1.0, 0.5)}
+        cases = [{**common, "gamma": 0.45, "eps": eps} for eps in (0.1, 1.0, 0.5)]
+        with pytest.raises(PipelineError) as loop:
+            verify_uncertainty(f, bound, profile, common["omega"], 0.45, 0.1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return verify_uncertainty(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "verify_uncertainty", counting)
+        with pytest.raises(PipelineError) as swept:
+            k_effective_sweep(cases, threads=1)
+        assert len(calls) == 1
+        assert swept.value.step == loop.value.step == "density"
+        assert str(swept.value) == str(loop.value)
