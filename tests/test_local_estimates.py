@@ -397,7 +397,7 @@ class TestSeriesBound:
         ],
     )
     def test_wide_window_in_bounded_chunks(self, d_value, s, min_terms):
-        series_bound(2.0, 0.5)
+        series_bound(2.0, 0.5)  # first-call allocations stay out of the trace
         tracemalloc.start()
         try:
             res = series_bound(d_value, s)
