@@ -2,11 +2,14 @@
 """Run every example config in scripts/configs and summarize the outcomes.
 
 Each config gets its own output directory under --out (default: out/),
-holding report.json and summary.csv. The script exits with the worst
-exit code seen, so it can gate CI.
+holding report.json and summary.csv. The summary table gives each config's
+outcome, wall time and the first 8 hex digits of its report.json's sha256
+("-" when the run wrote no report: exit 2 and 3 write none). The script
+exits with the worst exit code seen, so it can gate CI.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -14,6 +17,11 @@ from pathlib import Path
 from gsaudit.cli import main as cli_main
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
+
+
+def report_digest(out_dir: Path) -> str:
+    """First 8 hex digits of the sha256 of out_dir/report.json."""
+    return hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest()[:8]
 
 
 def main(argv=None) -> int:
@@ -47,14 +55,15 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         code = cli_main(cli_args)
         elapsed = time.perf_counter() - started
-        outcomes.append((path.stem, code, elapsed))
+        digest = report_digest(out_dir) if code <= 1 else "-"
+        outcomes.append((path.stem, code, elapsed, digest))
         worst = max(worst, code)
 
-    width = max(len(name) for name, _, _ in outcomes)
+    width = max(len(name) for name, _, _, _ in outcomes)
     print()
-    for name, code, elapsed in outcomes:
+    for name, code, elapsed, digest in outcomes:
         status = "ok" if code == 0 else f"exit {code}"
-        print(f"{name:<{width}}  {status:<7} {elapsed:7.1f}s")
+        print(f"{name:<{width}}  {status:<7} {elapsed:7.1f}s  {digest}")
     return worst
 
 

@@ -41,6 +41,7 @@ from .local_estimates import (
 )
 from .observability import observability_scan
 from .semigroup import (
+    SMOOTHING_T0,
     fit_gs_bound,
     fit_smoothing_certificate,
     harmonic_flow,
@@ -252,9 +253,11 @@ _SERIES = {
     "d_grid": (_numbers(lo=0.5), [0.5, 1.0, 2.0, 5.0]),
     "s_grid": (_numbers(0.0, 1.0, open_hi=True), [0.0, 0.25, 0.5, 0.9]),
 }
+# the local ensemble draws degrees from [_LOCAL_MIN_DEGREE, max_degree]
+_LOCAL_MIN_DEGREE = 4
 _LOCAL = {
     "n_triples": (_integer(1, 500), 30),
-    "max_degree": (_integer(2, 40), 40),
+    "max_degree": (_integer(_LOCAL_MIN_DEGREE, 40), 40),
     "min_density": (_number(0.0, 1.0, open_lo=True), 0.1),
     "sensors": (_list_of(_LOCAL_SENSOR), [{"type": "periodic", "period": 1.0, "fill": 0.5}]),
 }
@@ -320,8 +323,17 @@ def resolve_config(data) -> dict:
         raise ConfigError("<root>", "config must be a JSON object")
     cfg = _CONFIG(data, "")
     # the rules that compare fields with each other
-    if cfg["kind"] == "smoothing-validate" and not cfg["theta"] > 1.0 / (2 * cfg["m"]):
-        raise ConfigError("theta", "must exceed 1/(2m)")
+    if cfg["kind"] == "smoothing-validate":
+        if not cfg["theta"] > 1.0 / (2 * cfg["m"]):
+            raise ConfigError("theta", "must exceed 1/(2m)")
+        if cfg["n_trunc"] < cfg["degree"]:
+            raise ConfigError(
+                "n_trunc", f"must be >= degree = {cfg['degree']}, got {cfg['n_trunc']}"
+            )
+        if not min(cfg["validate_times"]) < SMOOTHING_T0:
+            raise ConfigError(
+                "validate_times", f"needs an entry below the certificate's t0 = {SMOOTHING_T0}"
+            )
     if cfg["kind"] == "observability":
         t = cfg["t_grid"]
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -523,7 +535,7 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
     produced, attempts = 0, 0
     while produced < cfg["n_triples"] and attempts < 60 * cfg["n_triples"]:
         attempts += 1
-        degree = int(rng.integers(4, cfg["max_degree"] + 1))
+        degree = int(rng.integers(_LOCAL_MIN_DEGREE, cfg["max_degree"] + 1))
         f = _random_expansion(rng, degree)
         center = float(rng.uniform(-3.0, 3.0))
         ball = Ball((center,), float(profile.rho(center)))
@@ -534,7 +546,7 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
         if mass <= 1e-16 * f.norm_squared():
             continue
         x_k = _argmax_on_ball(f, ball)
-        brute = mk_bruteforce(f, ball, (x_k,), float(profile.rho(x_k)), norm_sq=mass)
+        brute = mk_bruteforce(f, ball, float(profile.rho(x_k)), norm_sq=mass)
         check = local_estimate_check(f, ball, omega, brute.log_m, mass_sq=mass)
         produced += 1
         rows.append(

@@ -32,6 +32,7 @@ __all__ = [
     "certify_density",
     "coverage_check",
     "sensor_decaying_density",
+    "sensor_id",
     "sensor_periodic",
 ]
 
@@ -253,12 +254,6 @@ class IntervalSensorSet:
     def total_measure(self) -> float:
         return float(self._cum[-1])
 
-    @property
-    def extent(self) -> float:
-        if len(self.starts) == 0:
-            return 0.0
-        return float(max(-self.starts[0], self.ends[-1]))
-
     def measure_in(self, a: float, b: float) -> float:
         """Exact measure of the set inside [a, b] (interval arithmetic)."""
         if b <= a:
@@ -304,6 +299,11 @@ class IntervalSensorSet:
             "description": self.description,
             "intervals": [[float(a), float(b)] for a, b in zip(self.starts, self.ends)],
         }
+
+
+def sensor_id(omega) -> str:
+    """The name a report gives a sensor set: its description, else its kind."""
+    return omega.description or omega.to_dict()["kind"]
 
 
 def sensor_periodic(period: float, fill: float, extent: float = 400.0):
@@ -376,9 +376,7 @@ def sensor_decaying_density(
 class DensityReport:
     passed: bool
     min_ratio: float
-    argmin_center: tuple
     threshold: str
-    n_centers: int
     n_violations: int
     violations: list = field(default_factory=list)
 
@@ -422,7 +420,6 @@ def certify_density(
     required = threshold(dist)
     bad = ratios < required - 1e-12
     argmin = int(np.argmin(ratios / np.maximum(required, 1e-300)))
-    center = centers[argmin]
     violations = [
         (float(centers[i]), float(ratios[i]), float(required[i]))
         for i in np.nonzero(bad)[0][:20]
@@ -430,9 +427,7 @@ def certify_density(
     return DensityReport(
         passed=not bad.any(),
         min_ratio=float(ratios[argmin]),
-        argmin_center=(float(center),),
         threshold=desc,
-        n_centers=len(centers),
         n_violations=int(bad.sum()),
         violations=violations,
     )

@@ -27,7 +27,6 @@ from scipy.special import roots_hermite
 __all__ = [
     "MAX_DEGREE",
     "Ball",
-    "ComplexOverflowError",
     "DimensionMismatchError",
     "NumericalError",
     "QuadratureConvergenceError",
@@ -38,7 +37,6 @@ __all__ = [
     "derivative",
     "effective_support_radius",
     "evaluate",
-    "evaluate_complex",
     "gauss_hermite",
     "interval_nodes",
     "multiply_by_coordinate",
@@ -50,7 +48,6 @@ __all__ = [
 
 MAX_DEGREE = 64  # validated truncation; ladder images may exceed it
 
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 # doubling the quadrature resolution must move a squared norm by less than
 # this relative amount
 _REFINEMENT_RTOL = 1e-8
@@ -59,10 +56,6 @@ _PI_QUARTER = math.pi ** -0.25
 
 class DimensionMismatchError(ValueError):
     """Evaluation points are not scalars or a vector of points on the line."""
-
-
-class ComplexOverflowError(OverflowError):
-    """The entire extension exceeds the double range at the requested point."""
 
 
 class NumericalError(RuntimeError):
@@ -137,10 +130,6 @@ class Ball:
     def center_norm(self) -> float:
         return float(np.linalg.norm(self.center))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.abs(pts - self.center[0]) < self.radius
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -182,7 +171,8 @@ def basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
 
 
 def _poly_part(f: SpectralFunction, points: np.ndarray) -> np.ndarray:
-    """f(points) * exp(x^2/2), vectorized over any array of points."""
+    """f(points) * exp(x^2/2), vectorized over any array of real or complex
+    points; at complex z this is the entire extension times exp(z^2/2)."""
     return _clenshaw_scaled(f.coeffs[None], points)[0]
 
 
@@ -193,23 +183,6 @@ def evaluate(f: SpectralFunction, x) -> np.ndarray:
         raise DimensionMismatchError("expansions take scalar or vector points")
     vals = _poly_part(f, pts) * np.exp(-0.5 * pts**2)
     return vals if vals.ndim else float(vals)
-
-
-def evaluate_complex(f: SpectralFunction, z) -> np.ndarray:
-    """Entire extension of f at complex points.
-
-    The Gaussian factor grows like exp((Im z)^2/2); points where it (or the
-    combined value) leaves the double range raise ComplexOverflowError.
-    """
-    pts = np.asarray(z, dtype=complex)
-    if pts.ndim > 1:
-        raise DimensionMismatchError("expansions take scalar or vector points")
-    if np.any(0.5 * pts.imag**2 > _LOG_FLOAT_MAX):
-        raise ComplexOverflowError("exp((Im z)^2/2) exceeds the floating range")
-    vals = _poly_part(f, pts) * np.exp(-0.5 * pts**2)
-    if not np.all(np.isfinite(vals)):
-        raise ComplexOverflowError("entire extension overflowed at the requested point")
-    return vals if vals.ndim else complex(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .hermite import (
     ball_norms_squared,
     derivative,
     evaluate,
-    interval_nodes,
     norm_squared_on_ball,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
@@ -146,7 +145,7 @@ def good_ball_test(
     f: SpectralFunction,
     ball: Ball,
     cfg: ClassifierConfig,
-    derivatives: np.ndarray | None = None,
+    derivatives: np.ndarray,
 ) -> GoodBallResult:
     """Classify a covering ball, checking the inequality for m <= m_cap.
 
@@ -158,8 +157,6 @@ def good_ball_test(
     mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if mass_sq <= DEGENERATE_MASS_REL * f.norm_squared():
         return GoodBallResult(True, None, True, mass_sq, ())
-    if derivatives is None:
-        derivatives = derivative_stack(f, cfg.m_cap)
     log_mass = math.log(mass_sq)
     log_prefactor = math.log(2.0 * cfg.kappa / cfg.eps)
     log_rhs = [
@@ -219,19 +216,16 @@ class BadMassReport:
         return self.total <= self.budget * (1.0 + 1e-12)
 
 
-def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results=None) -> BadMassReport:
+def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results) -> BadMassReport:
     """Audit the bad-ball mass estimate: bad + uncovered mass <= eps D1^2.
 
     Good balls without a certified tail are counted on the bad side, which
     only strengthens the audited inequality. The complement term uses that
     the covering provably contains the ball of its target radius, so the
-    uncovered mass is at most the mass outside that radius.
+    uncovered mass is at most the mass outside that radius. results holds
+    good_ball_test's result for each ball of the covering, in order.
     """
-    balls = covering.balls()
-    if results is None:
-        derivatives = derivative_stack(f, cfg.m_cap)
-        results = [good_ball_test(f, b, cfg, derivatives=derivatives) for b in balls]
-    if len(results) != len(balls):
+    if len(results) != len(covering):
         raise ValueError("one classification result per covering ball required")
     bad = unc = 0.0
     n_good = n_bad = n_deg = n_unc = 0
@@ -288,15 +282,14 @@ class WitnessResult:
     verified: bool
     min_margin: float  # best over grid of worst log margin over m
     refined: bool
-    n_points: int
 
 
 def pointwise_witness(
     f: SpectralFunction,
     ball: Ball,
     cfg: ClassifierConfig,
-    mass_sq: float | None = None,
-    derivatives: np.ndarray | None = None,
+    mass_sq: float,
+    derivatives: np.ndarray,
     n_grid: int = 1024,
 ) -> WitnessResult:
     """Search the ball for a point satisfying the pointwise derivative bounds.
@@ -304,14 +297,11 @@ def pointwise_witness(
     The bound at order m reads |d^m f(x)| <= (2 kappa/eps)^(1/2) 2^(m+1)
     C^(1/2) ||f||_Q / |Q|^(1/2) with C = q_m^2 sup_Q w^(-2m). A good
     ball must contain such a point; the grid is refined once before reporting
-    failure. derivatives is derivative_stack(f, m_cap).
+    failure. mass_sq is the ball's mass ||f||^2_Q and derivatives is
+    derivative_stack(f, m_cap).
     """
-    if mass_sq is None:
-        mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if not mass_sq > 0:
         raise ValueError("pointwise witness needs positive ball mass")
-    if derivatives is None:
-        derivatives = derivative_stack(f, cfg.m_cap)
     log_w_neg = _log_w_inf_neg(ball, cfg)
     base = (
         0.5 * math.log(2.0 * cfg.kappa / cfg.eps)
@@ -333,33 +323,30 @@ def pointwise_witness(
         for m in range(cfg.m_cap + 1):
             worst = np.minimum(worst, log_rhs[m] - logs[m])
         best = int(np.argmax(worst))
-        return grid[best], float(worst[best]), len(grid)
+        return grid[best], float(worst[best])
 
-    point, margin, used = scan(n_grid)
+    point, margin = scan(n_grid)
     refined = False
     if margin < 0.0:
         refined = True
-        point, margin, used = scan(4 * n_grid)
-    return WitnessResult((float(point),), margin >= 0.0, margin, refined, used)
+        point, margin = scan(4 * n_grid)
+    return WitnessResult((float(point),), margin >= 0.0, margin, refined)
 
 
 # ---------------------------------------------------------------------------
 # polydisc sup: brute force and closed-form bound
 
 
-def _log_abs_analytic(f, z: np.ndarray) -> np.ndarray:
+def _log_abs_analytic(f: SpectralFunction, z: np.ndarray) -> np.ndarray:
     # log |F(z)| on complex points; the Gaussian factor is applied in logs so
     # large imaginary parts cannot overflow.
-    if callable(f):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(f(z)))
     vals = _poly_part(f, z)
     gauss = 0.5 * (z.imag**2 - z.real**2)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(vals)) + gauss
 
 
-def _max_log_abs(f, pts: np.ndarray) -> float:
+def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
     flat = pts.reshape(-1)
     chunk = 1 << 17
     best = -math.inf
@@ -385,41 +372,21 @@ class PolydiscSup:
     rounds: int
     converged: bool
 
-    @property
-    def m(self) -> float:
-        return math.exp(self.log_m) if self.log_m < 700.0 else math.inf
-
 
 def mk_bruteforce(
-    f,
+    f: SpectralFunction,
     ball: Ball,
-    x_k,
     rho_k: float,
-    norm_sq: float | None = None,
+    norm_sq: float,
 ) -> PolydiscSup:
     """Normalized sup of the analytic extension over Q + D(0, 8 rho_k).
 
     Samples the distinguished boundary (radius 8 rho_k around each real base
     point) plus interior slices, doubling the sampling density until the
-    result moves by less than a relative 0.01, for at most five rounds. f
-    may be a SpectralFunction or a callable on complex points (surrogate
-    tests). The result is clamped to M >= 1 as in the defining lemma.
-
-    The mass is normalized by |Q| = ball.volume when norm_sq is passed in
-    or computed for a SpectralFunction. For a callable surrogate the mass
-    comes from the interval_nodes rule and is normalized by that rule's own
-    measure of Q, sum(w), so a constant gives M = 1 exactly however the
-    weight sum rounds.
+    result moves by less than a relative 0.01, for at most five rounds. The
+    sup is normalized by the ball's mass norm_sq = ||f||^2_Q and by
+    |Q| = ball.volume, and clamped to M >= 1 as in the defining lemma.
     """
-    volume = ball.volume
-    if norm_sq is None:
-        if callable(f):
-            a, b = ball.interval()
-            x, w = interval_nodes(a, b)
-            norm_sq = float(np.sum(w * np.abs(f(x.astype(complex))) ** 2))
-            volume = float(np.sum(w))
-        else:
-            norm_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     if not norm_sq > 0:
         raise ValueError("polydisc sup needs positive mass on the ball")
     rho8 = 8.0 * rho_k
@@ -438,7 +405,7 @@ def mk_bruteforce(
             break
         log_sup = max(log_sup, new)
         n_q, n_phi = 2 * n_q, 2 * n_phi
-    log_m = 0.5 * math.log(volume) - 0.5 * math.log(norm_sq) + log_sup
+    log_m = 0.5 * math.log(ball.volume) - 0.5 * math.log(norm_sq) + log_sup
     return PolydiscSup(
         log_m=max(log_m, 0.0),
         log_sup=log_sup,
@@ -631,13 +598,13 @@ def local_estimate_check(
     ball: Ball,
     omega,
     log_m_k: float,
-    mass_sq: float | None = None,
+    mass_sq: float,
 ) -> LocalEstimateReport:
     """Check (48 |Q|/|Q cap omega|)^(1+4 log M/log 2) ||f||^2_{Q cap omega} >= ||f||^2_Q.
 
     The intersection is decomposed into intervals and both sides are
     integrated directly; the comparison runs in log space since the exponent
-    is typically in the thousands.
+    is typically in the thousands. mass_sq is the ball's mass ||f||^2_Q.
     """
     if log_m_k < -1e-12:
         raise ValueError("log M_k must be nonnegative (M_k >= 1)")
@@ -646,8 +613,6 @@ def local_estimate_check(
     measure = sum(hi - lo for lo, hi in pieces)
     if measure <= 0.0:
         return LocalEstimateReport(False, -math.inf, -math.inf, 0.0, 0.0, math.inf, math.inf)
-    if mass_sq is None:
-        mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
     inter_sq = norm_squared_on_intervals(f, pieces)
     base = 48.0 * ball.volume / measure  # 24 d 2^d = 48 in dimension 1
     exponent = 1.0 + 4.0 * max(log_m_k, 0.0) / _LOG2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .geometry import FullSpaceSensorSet
+from .geometry import FullSpaceSensorSet, sensor_id
 from .hermite import (
     NumericalError,
     QuadratureConvergenceError,
@@ -36,7 +36,6 @@ __all__ = [
     "ObservabilityReport",
     "bound_shape_fit",
     "diagonal_constant",
-    "empirical_constant",
     "mass_matrix",
     "observability_gramian",
     "observability_scan",
@@ -110,14 +109,14 @@ def mass_matrix(omega, n_trunc: int) -> np.ndarray:
     return 0.5 * (fine + fine.T)
 
 
-def observability_gramian(omega, T: float, n_trunc: int, mass: np.ndarray | None = None) -> np.ndarray:
-    """G[m, n] = A[m, n] (1 - e^{-(lam_m+lam_n) T}) / (lam_m + lam_n)."""
+def observability_gramian(mass: np.ndarray, T: float) -> np.ndarray:
+    """G[m, n] = A[m, n] (1 - e^{-(lam_m+lam_n) T}) / (lam_m + lam_n) for the
+    sensor mass matrix A = mass_matrix(omega, N)."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    A = mass_matrix(omega, n_trunc) if mass is None else mass
-    lam = _rates(n_trunc)
+    lam = _rates(len(mass))
     rate_sum = lam[:, None] + lam[None, :]
-    return A * (-np.expm1(-rate_sum * T)) / rate_sum
+    return mass * (-np.expm1(-rate_sum * T)) / rate_sum
 
 
 def diagonal_constant(T: float, n_trunc: int) -> float:
@@ -140,23 +139,6 @@ def _pencil_top(energy_diag: np.ndarray, gramian: np.ndarray) -> tuple:
         )
     top = float(eigvalsh(np.diag(energy_diag), gramian)[-1])
     return top, norm / floor, floor / norm
-
-
-def empirical_constant(omega, T: float, n_trunc: int, details: dict | None = None) -> float:
-    """Smallest C valid on the truncated span, via the (E_T, G_T) pencil.
-
-    Pass a dict as details to receive the Gramian conditioning and the
-    relative smallest eigenvalue alongside the returned constant.
-    """
-    if not T > 0:
-        raise ValueError("T must be positive")
-    _check_trunc(n_trunc)
-    gramian = observability_gramian(omega, T, n_trunc)
-    energy = np.exp(-2.0 * _rates(n_trunc) * T)
-    c_obs, conditioning, psd_ratio = _pencil_top(energy, gramian)
-    if details is not None:
-        details.update(conditioning=conditioning, psd_ratio=psd_ratio)
-    return c_obs
 
 
 def bound_shape_fit(t_grid, c_grid, r2: float, s: float, n_cap: int = 10**12) -> int:
@@ -236,7 +218,12 @@ class ObservabilityReport:
 
 
 def observability_scan(omega, t_grid, n_trunc: int, r2: float, s: float) -> ObservabilityReport:
-    """Pencil solves over an ascending T-grid plus the bound-shape fit."""
+    """Pencil solves over an ascending T-grid plus the bound-shape fit.
+
+    At each T the constant is the smallest C valid on the truncated span,
+    the top eigenvalue of the (E_T, G_T) pencil; the Gramian's condition
+    number and relative smallest eigenvalue are reported next to it.
+    """
     _check_trunc(n_trunc)
     times = [float(t) for t in t_grid]
     if not times or any(t <= 0 for t in times):
@@ -247,15 +234,14 @@ def observability_scan(omega, t_grid, n_trunc: int, r2: float, s: float) -> Obse
     lam = _rates(n_trunc)
     constants, conds, ratios = [], [], []
     for t in times:
-        gramian = observability_gramian(omega, t, n_trunc, mass=mass)
+        gramian = observability_gramian(mass, t)
         c_obs, conditioning, psd_ratio = _pencil_top(np.exp(-2.0 * lam * t), gramian)
         constants.append(c_obs)
         conds.append(conditioning)
         ratios.append(psd_ratio)
     fitted = bound_shape_fit(times, constants, r2, s)
-    omega_id = getattr(omega, "description", "") or omega.to_dict().get("kind", "sensor")
     return ObservabilityReport(
-        omega_id=omega_id,
+        omega_id=sensor_id(omega),
         n_trunc=n_trunc,
         t_grid=tuple(times),
         c_obs=tuple(constants),

@@ -35,6 +35,7 @@ from .hermite import (
 )
 
 __all__ = [
+    "SMOOTHING_T0",
     "GSBound",
     "GalerkinFlowResult",
     "SmoothingCertificate",
@@ -52,15 +53,15 @@ __all__ = [
     "validate_smoothing",
 ]
 
+# fitted smoothing certificates hold for t < SMOOTHING_T0
+SMOOTHING_T0 = 0.5
+
 
 @dataclass(frozen=True)
 class SmoothingCertificate:
-    """Constants of a Gelfand-Shilov smoothing estimate for a semigroup.
-
-    provenance is "declared" for constants asserted a priori (these must
-    satisfy nu + mu >= 1) or "fitted" for constants obtained from data, in
-    which case the t-grid actually validated is recorded.
-    """
+    """Constants of a Gelfand-Shilov smoothing estimate for a semigroup,
+    valid for t < t0. A fitted certificate records the t-grid it was fitted
+    on and the slack of each fitted data point."""
 
     C: float
     t0: float
@@ -68,7 +69,6 @@ class SmoothingCertificate:
     mu: float
     r1: float
     r2: float
-    provenance: str = "declared"
     fitted_t_grid: tuple = ()
     fit_residuals: tuple = ()
 
@@ -83,10 +83,6 @@ class SmoothingCertificate:
             raise ValueError("mu must lie in [0, 1)")
         if self.r1 < 0 or not self.r2 > 0:
             raise ValueError("require r1 >= 0 and r2 > 0")
-        if self.provenance not in ("declared", "fitted"):
-            raise ValueError("provenance must be 'declared' or 'fitted'")
-        if self.provenance == "declared" and self.nu + self.mu < 1.0:
-            raise ValueError("declared certificates must satisfy nu + mu >= 1")
 
     def log_bound(self, n: int, b: int, t: float) -> float:
         q = n + b
@@ -246,30 +242,19 @@ def shubin_exponents(k: int, m: int, theta) -> tuple:
 # bound fitting and validation
 
 
-def _derivative_grid(n_max: int, beta_max: int):
-    return [(n, b) for n in range(n_max + 1) for b in range(beta_max + 1)]
+# the (n, b) grid, n and b up to 8, that bounds and certificates are fitted
+# and validated on
+_SMOOTHING_GRID = tuple((n, b) for n in range(9) for b in range(9))
 
 
-# the (n, b) grid, n and b up to 8, that certificates are fitted and validated on
-_SMOOTHING_GRID = _derivative_grid(8, 8)
-
-
-def fit_gs_bound(
-    f: SpectralFunction,
-    nu: float,
-    mu: float,
-    n_max: int = 8,
-    beta_max: int = 8,
-) -> GSBound:
-    """Least (D1, D2) with W(n,b) <= D1 D2^(n+b) (n!)^nu (b!)^mu on the grid.
+def fit_gs_bound(f: SpectralFunction, nu: float, mu: float) -> GSBound:
+    """Least (D1, D2) with W(n,b) <= D1 D2^(n+b) (n!)^nu (b!)^mu for n, b <= 8.
 
     W(n,b) = ||(1+|x|^2)^(n/2) d^b f||. The fit is anchored at the (0,0)
     constraint (D1 = ||f||) and then takes the least admissible D2 >= 1; all
     residual slacks are nonnegative by construction and recorded.
     """
-    if not (0 <= n_max <= 12 and 0 <= beta_max <= 12):
-        raise ValueError("fit grids are limited to n_max, beta_max <= 12")
-    grid = _derivative_grid(n_max, beta_max)
+    grid = _SMOOTHING_GRID
     w_vals, log_w = {}, {}
     for n, b in grid:
         w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
@@ -324,7 +309,7 @@ def fit_smoothing_certificate(
     data at the grid times, and the measured norms are concave in log t
     between them, so an exact fit can dip below off-grid data. The inflation
     scales as 1.05^(1+n+b), which matches how the dip grows with the
-    derivative order. The certificate holds for t < t0 = 0.5.
+    derivative order. The certificate holds for t < t0 = SMOOTHING_T0.
     """
     rows, rhs, data = [], [], []
     for g in g_ensemble:
@@ -367,12 +352,11 @@ def fit_smoothing_certificate(
         raise RuntimeError("certificate fit produced a negative slack")
     return SmoothingCertificate(
         C=max(1.0, math.exp(log_c)),
-        t0=0.5,
+        t0=SMOOTHING_T0,
         nu=nu,
         mu=mu,
         r1=float(r1),
         r2=float(max(r2, 1e-9)),
-        provenance="fitted",
         fitted_t_grid=tuple(sorted(set(float(t) for t in t_grid))),
         fit_residuals=residuals,
     )

@@ -43,6 +43,7 @@ from .geometry import (
     RadiusProfile,
     besicovitch_cover,
     certify_density,
+    sensor_id,
 )
 from .hermite import (
     NumericalError,
@@ -208,10 +209,6 @@ def _mass_on_sensor(f: SpectralFunction, omega) -> float:
     if isinstance(omega, FullSpaceSensorSet):
         return f.norm_squared()
     return norm_squared_on_intervals(f, zip(omega.starts, omega.ends))
-
-
-def _sensor_id(omega) -> str:
-    return getattr(omega, "description", "") or omega.to_dict().get("kind", "sensor")
 
 
 def _premise_check(f, bound, tilde, delta):
@@ -450,7 +447,7 @@ def _run_pipeline(
         rho_k = float(profile.rho(wit.x_k[0]))
         brute = once(
             ("mk-bruteforce", audit.k),
-            lambda: mk_bruteforce(f, audit.ball, wit.x_k, rho_k, norm_sq=audit.mass_sq),
+            lambda: mk_bruteforce(f, audit.ball, rho_k, norm_sq=audit.mass_sq),
         )
         local = local_estimate_check(f, audit.ball, omega, brute.log_m, mass_sq=audit.mass_sq)
         updated = updated.with_fields(
@@ -591,7 +588,7 @@ def _run_pipeline(
     return UncertaintyReport(
         kind=kind,
         f_id=f_id,
-        omega_id=_sensor_id(omega),
+        omega_id=sensor_id(omega),
         eps=eps,
         gamma=gamma_spec,
         profile=profile,

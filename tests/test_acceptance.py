@@ -24,7 +24,13 @@ from gsaudit.geometry import (
     sensor_decaying_density,
     sensor_periodic,
 )
-from gsaudit.local_estimates import ClassifierConfig, bad_mass_bound, series_bound
+from gsaudit.local_estimates import (
+    ClassifierConfig,
+    bad_mass_bound,
+    derivative_stack,
+    good_ball_test,
+    series_bound,
+)
 from gsaudit.observability import observability_scan
 from gsaudit.semigroup import (
     delta_weight_transfer,
@@ -167,7 +173,9 @@ def test_good_bad_budget(instance):
                 s=tilde.s,
                 delta=profile.delta,
             )
-            report = bad_mass_bound(func, covering, cfg, tilde)
+            derivs = derivative_stack(func, cfg.m_cap)
+            results = [good_ball_test(func, ball, cfg, derivs) for ball in covering.balls()]
+            report = bad_mass_bound(func, covering, cfg, tilde, results)
             assert report.passed
             assert report.total <= eps * gs.D1**2 * (1.0 + 1e-12)
 

@@ -1,6 +1,8 @@
 """Config validation, experiment execution, and the command-line front end."""
 
 import copy
+import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -492,3 +494,17 @@ class TestMain:
         report_b = json.loads((out_b / "report.json").read_text())
         assert report_b["config"]["seed"] == 9
         assert (out_a / "report.json").read_bytes() != (out_b / "report.json").read_bytes()
+
+
+RUN_ALL_PATH = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+
+
+def test_run_all_prints_report_digests(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_all", RUN_ALL_PATH)
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    assert run_all.main(["--only", "observability", "--out", str(tmp_path)]) == EXIT_OK
+    report = tmp_path / "observability" / "report.json"
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()[:8]
+    row = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert row[0] == "observability" and row[1] == "ok" and row[-1] == digest

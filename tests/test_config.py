@@ -148,7 +148,8 @@ SINGLE_FAULTS = [
     (minimal("lemma-suite", series={"s_grid": [-0.1]}), "series.s_grid[0]"),
     (minimal("lemma-suite", local={"min_density": 0}), "local.min_density"),
     (minimal("lemma-suite", local={"n_triples": 0}), "local.n_triples"),
-    (minimal("lemma-suite", local={"max_degree": 1}), "local.max_degree"),
+    # the ensemble draws degrees from [4, max_degree]
+    (minimal("lemma-suite", local={"max_degree": 3}), "local.max_degree"),
     (minimal("lemma-suite", local={"sensors": []}), "local.sensors"),
     (minimal("lemma-suite", local={"sensors": ["full"]}), "local.sensors[0]"),
     (
@@ -160,6 +161,9 @@ SINGLE_FAULTS = [
     (minimal("lemma-suite", analyticity={"degree": 0}), "analyticity.degree"),
     (minimal("lemma-suite", profile={"delta": -0.1}), "profile.delta"),
     (minimal("lemma-suite", local=[]), "local"),
+    # the rules that compare fields with each other
+    (minimal("smoothing-validate", degree=20, n_trunc=10), "n_trunc"),
+    (minimal("smoothing-validate", validate_times=[0.5, 0.7]), "validate_times"),
 ]
 
 

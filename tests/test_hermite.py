@@ -12,8 +12,8 @@ from numpy.polynomial.legendre import leggauss
 
 from gsaudit.hermite import (
     _clenshaw_scaled,
+    _poly_part,
     Ball,
-    ComplexOverflowError,
     DimensionMismatchError,
     SpectralFunction,
     ball_norms_squared,
@@ -21,7 +21,6 @@ from gsaudit.hermite import (
     basis_matrix,
     derivative,
     evaluate,
-    evaluate_complex,
     gauss_hermite,
     interval_nodes,
     multiply_by_coordinate,
@@ -64,14 +63,19 @@ class TestEvaluation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             evaluate(basis_function(3), np.array([[0.5, 1.0]]))
-        with pytest.raises(DimensionMismatchError):
-            evaluate_complex(basis_function(3), np.array([[0.5j, 1.0]]))
+
+
+def extension(f, z):
+    """The entire extension of f at complex points, as mk_bruteforce forms it
+    from the polynomial part."""
+    z = np.asarray(z, dtype=complex)
+    return _poly_part(f, z) * np.exp(-0.5 * z**2)
 
 
 class TestComplexEvaluation:
     def test_ground_state_at_i(self):
         # h_0(i) = pi^(-1/4) e^(1/2), purely real
-        got = evaluate_complex(basis_function(0), 1j)
+        got = extension(basis_function(0), 1j)
         assert got.real == pytest.approx(math.pi ** -0.25 * math.exp(0.5), abs=1e-12)
         assert got.real == pytest.approx(1.2383966621255658, abs=1e-12)
         assert got.imag == pytest.approx(0.0, abs=1e-15)
@@ -79,21 +83,16 @@ class TestComplexEvaluation:
     def test_agrees_with_real_evaluation(self, rng):
         f = random_expansion(11, 33)
         xs = rng.uniform(-4, 4, size=20)
-        got = evaluate_complex(f, xs.astype(complex))
+        got = extension(f, xs)
         assert np.max(np.abs(got - evaluate(f, xs))) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 6, 23])
     def test_matches_high_precision_oracle(self, n):
         f = basis_function(n)
         zs = [0.5 + 0.5j, -2.0 + 3.0j, 1.0 - 4.0j]
-        got = evaluate_complex(f, np.array(zs))
+        got = extension(f, zs)
         want = [complex(hermite_fn_mp(n, mpmath.mpc(z))) for z in zs]
         assert got == pytest.approx(want, rel=1e-10)
-
-    def test_overflow_guard(self):
-        f = basis_function(0)
-        with pytest.raises(ComplexOverflowError):
-            evaluate_complex(f, 50j)  # exp(1250) overflows
 
 
 class TestLadder:

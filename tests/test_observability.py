@@ -13,7 +13,6 @@ from gsaudit.observability import (
     ObservabilityReport,
     bound_shape_fit,
     diagonal_constant,
-    empirical_constant,
     mass_matrix,
     observability_gramian,
     observability_scan,
@@ -72,24 +71,29 @@ class TestMassMatrix:
 class TestGramian:
     def test_full_space_diagonal_entries(self):
         T = 0.7
-        G = observability_gramian(FullSpaceSensorSet(), T, 6)
+        G = observability_gramian(mass_matrix(FullSpaceSensorSet(), 6), T)
         lam = np.arange(6) + 0.5
         expected = np.diag(-np.expm1(-2.0 * lam * T) / (2.0 * lam))
         assert np.allclose(G, expected, rtol=1e-14, atol=0.0)
 
     def test_zero_time_vanishes(self):
-        G = observability_gramian(sensor_periodic(1.0, 0.5), 0.0, 8)
+        G = observability_gramian(mass_matrix(sensor_periodic(1.0, 0.5), 8), 0.0)
         assert np.array_equal(G, np.zeros((8, 8)))
 
     @pytest.mark.parametrize("T", [0.05, 1.0])
     def test_positive_semidefinite(self, T):
-        G = observability_gramian(sensor_periodic(1.0, 0.5), T, 24)
+        G = observability_gramian(mass_matrix(sensor_periodic(1.0, 0.5), 24), T)
         eigs = np.linalg.eigvalsh(G)
         assert eigs[0] >= -1e-10 * eigs[-1]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            observability_gramian(FullSpaceSensorSet(), -0.1, 4)
+            observability_gramian(mass_matrix(FullSpaceSensorSet(), 4), -0.1)
+
+
+def c_obs_at(omega, T, n_trunc):
+    """The observability constant at one time, from a one-point scan."""
+    return observability_scan(omega, [T], n_trunc, r2=0.5, s=0.5).c_obs[0]
 
 
 class TestEmpiricalConstant:
@@ -102,37 +106,37 @@ class TestEmpiricalConstant:
 
     @pytest.mark.parametrize("T", T_GRID)
     def test_full_space_pencil_matches_closed_form(self, T):
-        c = empirical_constant(FullSpaceSensorSet(), T, 40)
+        c = c_obs_at(FullSpaceSensorSet(), T, 40)
         assert c == pytest.approx(1.0 / math.expm1(T), rel=1e-10)
 
     def test_monotone_in_time(self):
         omega = sensor_periodic(1.0, 0.5)
-        assert empirical_constant(omega, 1.0, 24) <= empirical_constant(omega, 0.5, 24)
+        assert c_obs_at(omega, 1.0, 24) <= c_obs_at(omega, 0.5, 24)
 
     def test_monotone_in_sensor(self):
         # fill 3/4 contains fill 1/2, so observing more can only help
-        c_small = empirical_constant(sensor_periodic(1.0, 0.5), 0.5, 24)
-        c_large = empirical_constant(sensor_periodic(1.0, 0.75), 0.5, 24)
+        c_small = c_obs_at(sensor_periodic(1.0, 0.5), 0.5, 24)
+        c_large = c_obs_at(sensor_periodic(1.0, 0.75), 0.5, 24)
         assert c_large <= c_small * (1.0 + 1e-12)
 
     def test_sensor_dominates_full_space(self):
-        c_sub = empirical_constant(sensor_periodic(1.0, 0.5), 0.5, 24)
+        c_sub = c_obs_at(sensor_periodic(1.0, 0.5), 0.5, 24)
         assert c_sub >= diagonal_constant(0.5, 24)
 
     def test_thin_sensor_raises(self):
         thin = IntervalSensorSet([(0.0, 1e-8)], "sliver")
         with pytest.raises(GramianError, match="too thin"):
-            empirical_constant(thin, 1.0, 40)
+            c_obs_at(thin, 1.0, 40)
 
     def test_details_report_conditioning(self):
-        details = {}
-        empirical_constant(sensor_periodic(1.0, 0.5), 0.5, 24, details=details)
-        assert details["conditioning"] >= 1.0
-        assert 0.0 < details["psd_ratio"] <= 1.0
+        report = observability_scan(sensor_periodic(1.0, 0.5), [0.5], 24, r2=0.5, s=0.5)
+        assert report.conditioning[0] >= 1.0
+        assert 0.0 < report.psd_ratios[0] <= 1.0
+        assert report.psd_ratios[0] == pytest.approx(1.0 / report.conditioning[0], rel=1e-12)
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            empirical_constant(FullSpaceSensorSet(), 0.0, 8)
+            c_obs_at(FullSpaceSensorSet(), 0.0, 8)
 
 
 class TestBoundShapeFit:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gsaudit.hermite import SpectralFunction, basis_function, weighted_norm
 from gsaudit.semigroup import (
+    SMOOTHING_T0,
     GSBound,
     SmoothingCertificate,
     delta_weight_transfer,
@@ -176,7 +177,7 @@ class TestShubinExponents:
 
 class TestGSBoundFit:
     def test_ground_state_anchor(self):
-        bound = fit_gs_bound(basis_function(0), 0.5, 0.5, n_max=6, beta_max=6)
+        bound = fit_gs_bound(basis_function(0), 0.5, 0.5)
         assert bound.D1 == pytest.approx(1.0, abs=1e-12)
         # binding constraint is the first moment: ||(1+x^2)^(1/2) h_0|| = sqrt(3/2)
         assert bound.D2 == pytest.approx(math.sqrt(1.5), rel=1e-10)
@@ -184,7 +185,7 @@ class TestGSBoundFit:
 
     def test_bound_majorizes_grid(self):
         f = random_expansion(3, degree=12)
-        bound = fit_gs_bound(f, 0.5, 0.5, n_max=5, beta_max=5)
+        bound = fit_gs_bound(f, 0.5, 0.5)
         for (n, b), slack in bound.diagnostics["log_slack"].items():
             assert slack >= -1e-12, (n, b)
         w10 = weighted_norm(f, n=1, beta=0, weight_delta=1.0)
@@ -192,17 +193,13 @@ class TestGSBoundFit:
 
     def test_larger_exponents_give_smaller_d2(self):
         f = random_expansion(9, degree=10)
-        loose = fit_gs_bound(f, 1.0, 1.0, n_max=5, beta_max=5)
-        tight = fit_gs_bound(f, 0.5, 0.5, n_max=5, beta_max=5)
+        loose = fit_gs_bound(f, 1.0, 1.0)
+        tight = fit_gs_bound(f, 0.5, 0.5)
         assert loose.D2 <= tight.D2 + 1e-12
 
     def test_zero_function_rejected(self):
         with pytest.raises(ValueError):
-            fit_gs_bound(SpectralFunction([0.0, 0.0]), 0.5, 0.5, n_max=1, beta_max=1)
-
-    def test_grid_cap(self):
-        with pytest.raises(ValueError):
-            fit_gs_bound(basis_function(0), 0.5, 0.5, n_max=13, beta_max=0)
+            fit_gs_bound(SpectralFunction([0.0, 0.0]), 0.5, 0.5)
 
 
 class TestCertificates:
@@ -215,8 +212,6 @@ class TestCertificates:
             dict(good, nu=-0.1),
             dict(good, mu=1.0),
             dict(good, r2=0.0),
-            dict(good, nu=0.3, mu=0.3),  # declared certificates need nu + mu >= 1
-            dict(good, provenance="guessed"),
         ):
             with pytest.raises(ValueError):
                 SmoothingCertificate(**bad)
@@ -226,7 +221,7 @@ class TestCertificates:
         cert = fit_smoothing_certificate(
             harmonic_flow, ensemble, [0.1, 0.2], 0.5, 0.5, grid_cap=8
         )
-        assert cert.provenance == "fitted"
+        assert cert.t0 == SMOOTHING_T0 and cert.fitted_t_grid == (0.1, 0.2)
         assert min(cert.fit_residuals) >= -1e-9
         held_out = validate_smoothing(cert, harmonic_flow, ensemble, [0.15, 0.3], grid_cap=8)
         assert held_out.worst_ratio <= 1.05
@@ -272,7 +267,7 @@ class TestTail:
     def test_fitted_bounds_pass_tail_check(self):
         for seed in (0, 1, 2):
             f = random_expansion(seed, degree=20)
-            bound = fit_gs_bound(f, 0.5, 0.5, n_max=2, beta_max=2)
+            bound = fit_gs_bound(f, 0.5, 0.5)
             for eps in (0.1, 0.5, 1.0):
                 report = tail_mass_check(f, bound, eps)
                 assert report.passed, (seed, eps, report)

@@ -1,7 +1,7 @@
-"""The public surface: every exported name exists, every function that
-perfbench/tracer.py wraps still resolves, so a deletion cannot silently break
-`perfbench/run.py --trace 1`, and every defaulted parameter is one that some
-call sets."""
+"""The public surface: every exported name exists and is used outside its
+own definition and tests, every function that perfbench/tracer.py wraps still
+resolves, so a deletion cannot silently break `perfbench/run.py --trace 1`,
+and every defaulted parameter is one that some call sets."""
 
 import ast
 import importlib
@@ -100,3 +100,29 @@ def test_every_option_is_set_by_some_call():
         if not any(_passes(call, parameter, index) for call in calls.get(function, ()))
     ]
     assert not unset, f"parameters no call sets: {unset}"
+
+
+# exports that only tests use today, each kept for a ROADMAP item that gives
+# it a caller (item 1: multiply_by_coordinate, item 5: diagonal_constant) or
+# deletes it (item 3: coverage_check)
+UNUSED_EXPORTS_KEPT = {"multiply_by_coordinate", "diagonal_constant", "coverage_check"}
+
+
+def test_every_export_is_used_outside_tests():
+    # a use is a name or attribute read anywhere in the program; a def, a
+    # class statement, an import and the __all__ string itself are not
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = [
+        f"gsaudit.{name}.{export}"
+        for name in MODULES
+        for export in getattr(importlib.import_module(f"gsaudit.{name}"), "__all__", ())
+        if export not in used and export not in UNUSED_EXPORTS_KEPT
+    ]
+    assert not unused, f"exports used by no program code: {unused}"
