@@ -400,10 +400,9 @@ def _run_uncertainty(cfg: dict, threads: int):
         reports_out=reports,
         witness_grid=cfg["witness_grid"],
     )
-    payload = {"bound": reports[0].bound_summary}
+    payload = {"bound": reports[0].bound, "reports": reports}
     if cfg["kind"] == "uncertainty":
         payload["spread"] = k_effective_spread(rows)
-    payload["reports"] = [r.to_dict() for r in reports]
     return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], all(r["passed"] for r in rows)
 
 
@@ -430,7 +429,7 @@ def _run_observability(cfg: dict, threads: int):
                     "y": c_obs,
                 }
             )
-    payload = {"reports": [r.to_dict() for r in reports]}
+    payload = {"reports": reports}
     columns = ["omega_id", "n_trunc", "T", "c_obs", "conditioning", "fitted_n", "passed", "x", "y"]
     return payload, rows, columns, all(r.monotone for r in reports)
 

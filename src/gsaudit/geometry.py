@@ -82,17 +82,11 @@ class RadiusProfile:
         """Radius max(r0, r/(1-eta)) of the region a covering must fill."""
         return max(self.r0, r / (1.0 - self.eta))
 
-    def to_dict(self) -> dict:
-        return {"R": self.R, "delta": self.delta, "eta": self.eta, "r0": self.r0}
-
 
 @dataclass(frozen=True)
 class CoverageReport:
     n_samples: int
     n_uncovered: int
-    # With zero misses among n uniform samples, any uncovered set of relative
-    # measure above this bound would have been hit with probability >= 95%.
-    undetected_measure_bound: float
 
     @property
     def passed(self) -> bool:
@@ -186,18 +180,13 @@ def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
         raise CoveringConstructionError(
             f"measured overlap {kappa} exceeds the declared cap {OVERLAP_CAP}"
         )
-    coverage = CoverageReport(
-        n_samples=len(samples),
-        n_uncovered=n_uncovered,
-        undetected_measure_bound=math.log(20.0) / max(len(samples), 1),
-    )
     return Covering(
         centers=centers,
         radii=radii,
         target_radius=extent,
         kappa_measured=kappa,
         profile=profile,
-        coverage=coverage,
+        coverage=CoverageReport(n_samples=len(samples), n_uncovered=n_uncovered),
     )
 
 
@@ -206,11 +195,7 @@ def coverage_check(covering: Covering, n_samples: int = 100000, seed: int = 1) -
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-covering.target_radius, covering.target_radius, size=n_samples)
     counts = _count_membership(samples, covering.centers, covering.radii)
-    return CoverageReport(
-        n_samples=len(samples),
-        n_uncovered=int(np.sum(counts == 0)),
-        undetected_measure_bound=math.log(20.0) / max(len(samples), 1),
-    )
+    return CoverageReport(n_samples=len(samples), n_uncovered=int(np.sum(counts == 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +234,6 @@ class IntervalSensorSet:
         self.ends = np.array([b for _, b in merged])
         self.description = description
         self._cum = np.concatenate([[0.0], np.cumsum(self.ends - self.starts)])
-
-    @property
-    def total_measure(self) -> float:
-        return float(self._cum[-1])
 
     def measure_in(self, a: float, b: float) -> float:
         """Exact measure of the set inside [a, b] (interval arithmetic)."""

@@ -19,7 +19,7 @@ large lives in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -71,10 +71,11 @@ DEGENERATE_MASS_REL = 1e-40
 SERIES_TERM_CAP = 30_000_000
 # series_bound sums windows of +-40 sigma (and wider) around the peak in
 # chunks of at most _SERIES_CHUNK terms, and certifies once the omitted tails
-# stay within exp(_LOG_SERIES_REL_TAIL) of the sum
+# stay within exp(_LOG_SERIES_REL_TAIL) of the sum: at 2^-53, the unit
+# roundoff of a double, they stay below the rounding error of the sum itself
 _SERIES_WINDOW_SIGMAS = 40.0
 _SERIES_CHUNK = 1_000_000
-_LOG_SERIES_REL_TAIL = math.log(1e-12)
+_LOG_SERIES_REL_TAIL = math.log(2.0**-53)
 
 _LOG2 = math.log(2.0)
 
@@ -422,15 +423,6 @@ class SeriesBound:
     terms_used: int
     remainder_certified: bool
     log_remainder: float
-    bound_overflow: bool
-
-    @property
-    def sum(self) -> float:
-        return math.exp(self.log_sum) if self.log_sum < 700.0 else math.inf
-
-    @property
-    def bound(self) -> float:
-        return math.exp(self.log_bound) if self.log_bound < 700.0 else math.inf
 
 
 def _series_windows(m_star: float, sigma: float, term_cap: int):
@@ -478,12 +470,12 @@ def series_bound(
     of at most 1M terms. Right of the window [lo, hi] the terms shrink at
     least geometrically by D/(hi+2)^(1-s), left of it by lo^(1-s)/D; the
     sum is certified once these two geometric tails together stay within
-    1e-12 of the window's sum, and the window doubles until they do. When
-    no window within [0, term_cap] certifies (the peak can lie past any
-    reasonable cap), the result is the uncertified partial sum over
-    [0, term_cap] with the right-tail bound at term_cap as log_remainder
-    (inf while the terms still grow there). terms_used counts every term
-    summed. A certified sum above the proved bound is returned as it is;
+    2^-53 of the window's sum, below the rounding error of the sum itself,
+    and the window doubles until they do. When no window within
+    [0, term_cap] certifies (the peak can lie past any reasonable cap), the
+    result is the uncertified partial sum over [0, term_cap] with the
+    right-tail bound at term_cap as log_remainder (inf while the terms still
+    grow there). terms_used counts every term summed. A certified sum above the proved bound is returned as it is;
     the callers audit it.
     """
     if not D >= 0.5:
@@ -517,7 +509,6 @@ def series_bound(
         terms_used=terms,
         remainder_certified=certified,
         log_remainder=log_rem,
-        bound_overflow=math.isinf(log_bound),
     )
 
 
@@ -727,9 +718,6 @@ class BallAudit:
         if self.log_local_lhs is None or not self.local_applicable:
             return None
         return self.log_local_lhs >= self.log_local_rhs - 1e-9
-
-    def with_fields(self, **kwargs) -> "BallAudit":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return {

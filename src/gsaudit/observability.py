@@ -193,28 +193,7 @@ class ObservabilityReport:
     fitted_n: int
     r2: float
     s: float
-
-    @property
-    def monotone(self) -> bool:
-        """C_obs nonincreasing along the (ascending) T-grid."""
-        return all(
-            later <= earlier * (1.0 + 1e-12)
-            for earlier, later in zip(self.c_obs, self.c_obs[1:])
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "omega_id": self.omega_id,
-            "n_trunc": self.n_trunc,
-            "t_grid": list(self.t_grid),
-            "c_obs": list(self.c_obs),
-            "conditioning": list(self.conditioning),
-            "psd_ratios": list(self.psd_ratios),
-            "fitted_n": self.fitted_n,
-            "r2": self.r2,
-            "s": self.s,
-            "monotone": self.monotone,
-        }
+    monotone: bool  # C_obs nonincreasing along the (ascending) T-grid
 
 
 def observability_scan(omega, t_grid, n_trunc: int, r2: float, s: float) -> ObservabilityReport:
@@ -250,4 +229,8 @@ def observability_scan(omega, t_grid, n_trunc: int, r2: float, s: float) -> Obse
         fitted_n=fitted,
         r2=r2,
         s=s,
+        monotone=all(
+            later <= earlier * (1.0 + 1e-12)
+            for earlier, later in zip(constants, constants[1:])
+        ),
     )

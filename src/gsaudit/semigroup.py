@@ -102,7 +102,6 @@ class GSBound:
     D2: float
     nu: float
     mu: float
-    diagnostics: dict | None = None
 
     def __post_init__(self):
         if not self.D1 > 0:
@@ -251,44 +250,19 @@ def fit_gs_bound(f: SpectralFunction, nu: float, mu: float) -> GSBound:
     """Least (D1, D2) with W(n,b) <= D1 D2^(n+b) (n!)^nu (b!)^mu for n, b <= 8.
 
     W(n,b) = ||(1+|x|^2)^(n/2) d^b f||. The fit is anchored at the (0,0)
-    constraint (D1 = ||f||) and then takes the least admissible D2 >= 1; all
-    residual slacks are nonnegative by construction and recorded.
+    constraint (D1 = ||f||) and then takes the least admissible D2 >= 1, so
+    every slack on the grid is nonnegative by construction.
     """
-    grid = _SMOOTHING_GRID
-    w_vals, log_w = {}, {}
-    for n, b in grid:
-        w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
-        w_vals[(n, b)] = w
-        log_w[(n, b)] = math.log(w) if w > 0 else -math.inf
-    d1 = w_vals[grid[0]]
+    d1 = weighted_norm(f, n=0, beta=0, weight_delta=1.0)
     if d1 <= 0:
         raise ValueError("cannot fit a derivative bound for the zero function")
     log_d2 = 0.0
-    for n, b in grid:
-        q = n + b
-        if q == 0:
-            continue
-        y = log_w[(n, b)] - nu * gammaln(n + 1) - mu * gammaln(b + 1)
-        log_d2 = max(log_d2, (y - math.log(d1)) / q)
-    d2 = max(1.0, math.exp(log_d2))
-    slack = {}
-    for n, b in grid:
-        q = n + b
-        bound_log = math.log(d1) + q * math.log(d2) + nu * gammaln(n + 1) + mu * gammaln(b + 1)
-        slack[(n, b)] = bound_log - log_w[(n, b)]
-    min_slack = min(slack.values())
-    return GSBound(
-        D1=d1,
-        D2=d2,
-        nu=nu,
-        mu=mu,
-        diagnostics={
-            "grid": grid,
-            "W": w_vals,
-            "log_slack": slack,
-            "min_log_slack": min_slack,
-        },
-    )
+    for n, b in _SMOOTHING_GRID[1:]:  # every (n, b) but (0, 0)
+        w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
+        log_w = math.log(w) if w > 0 else -math.inf
+        y = log_w - nu * gammaln(n + 1) - mu * gammaln(b + 1)
+        log_d2 = max(log_d2, (y - math.log(d1)) / (n + b))
+    return GSBound(D1=d1, D2=max(1.0, math.exp(log_d2)), nu=nu, mu=mu)
 
 
 def fit_smoothing_certificate(
@@ -465,10 +439,4 @@ def delta_weight_transfer(bound: GSBound, delta: float) -> GSBound:
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     factor = 1.0 if delta == 1.0 else (8.0 * math.e) ** bound.nu
-    return GSBound(
-        D1=bound.D1,
-        D2=factor * bound.D2,
-        nu=delta * bound.nu,
-        mu=bound.mu,
-        diagnostics={"transfer_delta": delta, "base_D2": bound.D2, "base_nu": bound.nu},
-    )
+    return GSBound(D1=bound.D1, D2=factor * bound.D2, nu=delta * bound.nu, mu=bound.mu)

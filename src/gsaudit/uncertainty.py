@@ -2,12 +2,13 @@
 
 verify_uncertainty runs the full proof pipeline on a concrete instance
 (f, omega, eps): localize the mass of f to a ball, cover it, classify the
-covering into good and bad balls, find pointwise witnesses, bound the
-analytic-extension sups, apply the local estimate on every good ball, and
-sum with the covering overlap. Every inequality along the way is audited
-with both its measured sides and the closed-form constants; the report
-records each step and the smallest constant that actually works for the
-instance next to the pipeline's provable one.
+covering into good and bad balls, then, in one pass over the certified good
+balls, find a pointwise witness, bound the analytic-extension sup and apply
+the local estimate on each, and sum with the covering overlap. Every
+inequality along the way is audited with both its measured sides and the
+closed-form constants; the report records each step and the smallest
+constant that actually works for the instance next to the pipeline's
+provable one. A report's JSON form is derived from its fields by _jsonable.
 
 verify_uncertainty_decay does the same for sensor sets whose density decays
 polynomially, with per-ball density floors and the squared-log constant.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from multiprocessing import get_context
 
@@ -95,21 +96,33 @@ def _safe_exp_arg(arg: float) -> float:
     return math.exp(arg) if arg < 709.0 else math.inf
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
+
+
 def _jsonable(x):
+    """x as JSON data: a non-finite float becomes a string, a numpy scalar a
+    Python one, a tuple a list, and a dataclass the dict of its fields, or its
+    to_dict() where it derives more. The common scalar and container cases are
+    tested first, as they make up most of a report."""
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         if math.isnan(x):
             return "nan"
         return x
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.floating, np.integer)):
-        return _jsonable(float(x)) if isinstance(x, np.floating) else int(x)
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, (np.floating, np.integer)):
+        return _jsonable(float(x)) if isinstance(x, np.floating) else int(x)
+    if is_dataclass(x):
+        if hasattr(x, "to_dict"):
+            return _jsonable(x.to_dict())
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     return x
 
 
@@ -123,29 +136,20 @@ class StepRecord:
     log_rhs: float | None = None
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "name": self.name,
-                "passed": self.passed,
-                "log_lhs": self.log_lhs,
-                "log_rhs": self.log_rhs,
-                "detail": self.detail,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class UncertaintyReport:
+    """One audited instance; its fields are the keys of its JSON form."""
+
     kind: str  # "uncertainty" or "uncertainty-decay"
     f_id: str
     omega_id: str
     eps: float
     gamma: tuple  # ("constant", g) or ("decaying", gamma0, a)
     profile: RadiusProfile
-    bound_summary: dict
-    r: float
-    covering_summary: dict
+    bound: dict
+    tail_radius: float
+    covering: dict
     n_good: int
     n_uncertified: int
     n_bad: int
@@ -171,39 +175,6 @@ class UncertaintyReport:
                 return s
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "kind": self.kind,
-                "f_id": self.f_id,
-                "omega_id": self.omega_id,
-                "eps": self.eps,
-                "gamma": list(self.gamma),
-                "profile": self.profile.to_dict(),
-                "bound": self.bound_summary,
-                "tail_radius": self.r,
-                "covering": self.covering_summary,
-                "n_good": self.n_good,
-                "n_uncertified": self.n_uncertified,
-                "n_bad": self.n_bad,
-                "n_degenerate": self.n_degenerate,
-                "total_mass": self.total_mass,
-                "omega_mass": self.omega_mass,
-                "error_term": self.error_term,
-                "good_mass": self.good_mass,
-                "bad_mass": self.bad_mass,
-                "q0_mass_upper": self.q0_mass_upper,
-                "log_lhs": self.log_lhs,
-                "log_rhs_formal": self.log_rhs_formal,
-                "k_formal": self.k_formal,
-                "k_effective": self.k_effective,
-                "error_term_dominated": self.error_term_dominated,
-                "passed": self.passed,
-                "steps": [s.to_dict() for s in self.steps],
-                "ball_audits": [a.to_dict() for a in self.ball_audits],
-            }
-        )
-
 
 def _mass_on_sensor(f: SpectralFunction, omega) -> float:
     if isinstance(omega, FullSpaceSensorSet):
@@ -223,8 +194,7 @@ def _premise_check(f, bound, tilde, delta):
         for b in range(3):
             for weight, gs in routes:
                 measured = weighted_norm(f, n=n, beta=b, weight_delta=weight)
-                log_meas = math.log(measured) if measured > 0 else -math.inf
-                margin = gs.log_value(n, b) - log_meas
+                margin = gs.log_value(n, b) - _log(measured)
                 if margin < worst:
                     worst, worst_at = margin, (n, b, weight)
     return worst, worst_at, worst >= -1e-7
@@ -244,7 +214,6 @@ def _run_pipeline(
     omega,
     gamma_spec: tuple,
     eps: float,
-    kind: str,
     m_cap: int,
     f_id: str,
     witness_grid: int,
@@ -252,6 +221,7 @@ def _run_pipeline(
 ) -> UncertaintyReport:
     steps = []
     shared = {} if shared is None else shared
+    decaying = gamma_spec[0] == "decaying"
 
     def once(key, compute):
         # a sensor-free value: computed by the first case of the sweep group
@@ -272,11 +242,10 @@ def _run_pipeline(
     s = tilde.s
     if not s < 1.0:
         raise PipelineError("admissibility", f"s = delta nu + mu = {s} must be below 1")
-    if gamma_spec[0] == "constant" and not 0.0 < gamma_spec[1] <= 1.0:
+    if not decaying and not 0.0 < gamma_spec[1] <= 1.0:
         raise PipelineError("admissibility", "gamma must lie in (0, 1]")
-    if gamma_spec[0] == "decaying":
-        if not 0.0 < gamma_spec[1] <= 1.0 or gamma_spec[2] < 0.0:
-            raise PipelineError("admissibility", "need gamma0 in (0, 1] and a >= 0")
+    if decaying and (not 0.0 < gamma_spec[1] <= 1.0 or gamma_spec[2] < 0.0):
+        raise PipelineError("admissibility", "need gamma0 in (0, 1] and a >= 0")
     record("admissibility", True, s=s, tilde_d2=tilde.D2, eps=eps)
 
     # the declared derivative bounds must actually majorize f
@@ -297,7 +266,7 @@ def _run_pipeline(
     record(
         "tail",
         tail.passed,
-        log_lhs=math.log(tail.tail_mass) if tail.tail_mass > 0 else -math.inf,
+        log_lhs=_log(tail.tail_mass),
         log_rhs=math.log(tail.budget),
         r=tail.r,
         tail_mass=tail.tail_mass,
@@ -307,16 +276,15 @@ def _run_pipeline(
     covering = once("covering", lambda: besicovitch_cover(profile, tail.r))
     balls = covering.balls()
     kappa = covering.kappa_measured
+    summary = {"n_balls": len(balls), "kappa": kappa, "target_radius": covering.target_radius}
     record(
         "covering",
         covering.coverage.passed and kappa <= OVERLAP_CAP,
-        n_balls=len(balls),
-        kappa=kappa,
-        target_radius=covering.target_radius,
+        **summary,
         n_uncovered=covering.coverage.n_uncovered,
     )
 
-    if kind == "uncertainty-decay":
+    if decaying:
         # per-center norm bound from the proof: 1 + |y_k|^a is controlled by
         # the localization radius uniformly over the covering
         _, _, a = gamma_spec
@@ -329,7 +297,7 @@ def _run_pipeline(
         )
         record("center-norm-bound", lhs <= rhs * (1.0 + 1e-12), math.log(lhs), math.log(rhs))
 
-    gamma_arg = gamma_spec[1] if gamma_spec[0] == "constant" else gamma_spec[1:]
+    gamma_arg = gamma_spec[1:] if decaying else gamma_spec[1]
     density = certify_density(
         omega, profile, gamma_arg, covering.target_radius, sample_centers=covering.centers
     )
@@ -341,7 +309,8 @@ def _run_pipeline(
         n_violations=density.n_violations,
     )
 
-    # classification
+    # classification; bad balls and the uncovered remainder fit in the
+    # error budget
     cfg = ClassifierConfig(
         eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
@@ -350,13 +319,14 @@ def _run_pipeline(
         "classification",
         lambda: [good_ball_test(f, ball, cfg, derivatives=derivs) for ball in balls],
     )
+    bad_report = once(
+        "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
+    )
     audits = []
     for k, (ball, res) in enumerate(zip(balls, results)):
-        certified = None
         order = None
         if res.is_good and not res.degenerate:
             order = tail_condition_order(cfg, tilde.D1, res.mass_sq)
-            certified = order <= m_cap + 1
         audits.append(
             BallAudit(
                 k=k,
@@ -366,33 +336,24 @@ def _run_pipeline(
                 failing_m=res.failing_m,
                 degenerate=res.degenerate,
                 mass_sq=res.mass_sq,
-                tail_certified=certified,
+                tail_certified=None if order is None else order <= m_cap + 1,
                 tail_order=order,
             )
         )
-    n_good = sum(1 for a in audits if a.is_good and not a.degenerate and a.tail_certified)
-    n_uncertified = sum(
-        1 for a in audits if a.is_good and not a.degenerate and not a.tail_certified
-    )
-    n_bad = sum(1 for a in audits if not a.is_good)
-    n_deg = sum(1 for a in audits if a.degenerate)
-    record(
-        "classification",
-        True,
-        n_good=n_good,
-        n_uncertified=n_uncertified,
-        n_bad=n_bad,
-        n_degenerate=n_deg,
-    )
-
-    # bad balls and the uncovered remainder fit in the error budget
-    bad_report = once(
-        "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
-    )
+    # the certified good balls; an uncertified ball's tail condition is
+    # unknown beyond m_cap, and its mass already sits in the eps budget
+    active = [a for a in audits if a.tail_certified]
+    counts = {
+        "n_good": len(active),
+        "n_uncertified": bad_report.n_uncertified,
+        "n_bad": bad_report.n_bad,
+        "n_degenerate": bad_report.n_degenerate,
+    }
+    record("classification", True, **counts)
     record(
         "bad-mass",
         bad_report.passed,
-        log_lhs=math.log(bad_report.total) if bad_report.total > 0 else -math.inf,
+        log_lhs=_log(bad_report.total),
         log_rhs=math.log(bad_report.budget),
         bad_mass=bad_report.bad_mass,
         uncertified_good_mass=bad_report.uncertified_good_mass,
@@ -401,33 +362,31 @@ def _run_pipeline(
     )
 
     total_mass = f.norm_squared()
-    good_mass = sum(
-        a.mass_sq for a in audits if a.is_good and not a.degenerate and a.tail_certified
-    )
+    good_mass = sum(a.mass_sq for a in active)
     deg_mass = sum(a.mass_sq for a in audits if a.degenerate)
-    bad_mass = bad_report.bad_mass
     # bad_report.total = bad + uncertified-good + outside-mass, all inside the
     # eps budget; certified good balls and degenerate slop carry the rest
     covered = good_mass + deg_mass + bad_report.total
     record(
         "decomposition",
         covered >= total_mass * (1.0 - 1e-8) - 1e-12,
-        log_lhs=math.log(total_mass) if total_mass > 0 else -math.inf,
-        log_rhs=math.log(covered) if covered > 0 else -math.inf,
+        log_lhs=_log(total_mass),
+        log_rhs=_log(covered),
         covered_mass=covered,
         total_mass=total_mass,
     )
 
-    # per-good-ball work: witness, analytic-extension sup, local estimate.
-    # Only certified balls participate: an uncertified ball's tail condition
-    # is unknown beyond m_cap, and its mass already sits in the eps budget.
-    active = [a for a in audits if a.is_good and not a.degenerate and a.tail_certified]
+    # one pass over the certified good balls: witness, analytic-extension
+    # sup and local estimate; the failures are raised after the pass, step by
+    # step, each naming its first ball
     ub = once("mk-bound", lambda: mk_bound(cfg, profile, tilde))
-    log_mk_reference = (
-        ub.log_intermediate if ub.log_intermediate is not None else ub.log_bound
-    )
-
-    def ball_work(audit: BallAudit):
+    log_mk_reference = ub.log_bound if ub.log_intermediate is None else ub.log_intermediate
+    unwitnessed, unconverged, missed = [], [], []
+    worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
+    sum_inter = 0.0
+    gamma_floors, log_measured_factors = [], []
+    for audit in active:
+        gamma_floors.append(_gamma_floor(gamma_spec, audit.ball.center_norm()))
         wit = once(
             ("witness", audit.k),
             lambda: pointwise_witness(
@@ -435,7 +394,8 @@ def _run_pipeline(
                 n_grid=witness_grid,
             ),
         )
-        updated = audit.with_fields(
+        audits[audit.k] = replace(
+            audit,
             x_k=wit.x_k,
             witness_verified=wit.verified,
             witness_refined=wit.refined,
@@ -443,29 +403,34 @@ def _run_pipeline(
             log_mk_intermediate=ub.log_intermediate,
         )
         if not wit.verified:
-            return updated, None
+            unwitnessed.append(audit.k)
+            continue
         rho_k = float(profile.rho(wit.x_k[0]))
         brute = once(
             ("mk-bruteforce", audit.k),
             lambda: mk_bruteforce(f, audit.ball, rho_k, norm_sq=audit.mass_sq),
         )
         local = local_estimate_check(f, audit.ball, omega, brute.log_m, mass_sq=audit.mass_sq)
-        updated = updated.with_fields(
+        audits[audit.k] = replace(
+            audits[audit.k],
             log_mk_bruteforce=brute.log_m,
             mk_converged=brute.converged,
             log_local_lhs=local.log_lhs,
             log_local_rhs=local.log_rhs,
             local_applicable=local.applicable,
         )
-        return updated, local
-
-    locals_by_k = {}
-    unwitnessed = []
-    for audit, local in map(ball_work, active):
-        locals_by_k[audit.k] = local
-        audits[audit.k] = audit
-        if not audit.witness_verified:
-            unwitnessed.append(audit.k)
+        if not brute.converged:
+            unconverged.append(audit.k)
+        worst_mk = max(worst_mk, brute.log_m - log_mk_reference)
+        if not local.applicable:
+            missed.append(audit.k)
+            continue
+        worst_local = min(worst_local, local.log_lhs - local.log_rhs)
+        sum_inter += local.intersection_mass_sq
+        worst_ball_density = min(
+            worst_ball_density, local.intersection_measure / audit.ball.volume - gamma_floors[-1]
+        )
+        log_measured_factors.append(local.exponent * math.log(local.base))
     record(
         "witness",
         not unwitnessed,
@@ -473,11 +438,10 @@ def _run_pipeline(
         unwitnessed_balls=unwitnessed,
     )
 
-    worst_mk = -math.inf
-    for a in (audits[x.k] for x in active):
-        if not a.mk_converged:
-            raise PipelineError("mk-bound", f"polydisc sampling did not stabilize on ball {a.k}")
-        worst_mk = max(worst_mk, a.log_mk_bruteforce - log_mk_reference)
+    if unconverged:
+        raise PipelineError(
+            "mk-bound", f"polydisc sampling did not stabilize on ball {unconverged[0]}"
+        )
     series = ub.series
     if series and series.remainder_certified and series.log_sum > series.log_bound + 1e-9:
         raise PipelineError("mk-bound", "certified series sum exceeds its proved bound")
@@ -492,23 +456,10 @@ def _run_pipeline(
         exponent_overflow=ub.exponent_overflow,
     )
 
-    worst_local = math.inf
-    sum_inter = 0.0
-    worst_ball_density = math.inf
-    log_measured_factors = []
-    for a in (audits[x.k] for x in active):
-        local = locals_by_k[a.k]
-        if not local.applicable:
-            raise PipelineError(
-                "local-estimate", f"ball {a.k} does not meet omega (density violation)"
-            )
-        worst_local = min(worst_local, local.log_lhs - local.log_rhs)
-        sum_inter += local.intersection_mass_sq
-        gamma_k = _gamma_floor(gamma_spec, a.ball.center_norm())
-        worst_ball_density = min(
-            worst_ball_density, local.intersection_measure / a.ball.volume - gamma_k
+    if missed:
+        raise PipelineError(
+            "local-estimate", f"ball {missed[0]} does not meet omega (density violation)"
         )
-        log_measured_factors.append(local.exponent * math.log(local.base))
     record(
         "local-estimate",
         worst_local >= -1e-9 and worst_ball_density >= -1e-12,
@@ -523,8 +474,8 @@ def _run_pipeline(
     record(
         "overlap-sum",
         sum_inter <= kappa * omega_mass * (1.0 + 1e-9) + 1e-300,
-        log_lhs=math.log(sum_inter) if sum_inter > 0 else -math.inf,
-        log_rhs=math.log(kappa * omega_mass) if omega_mass > 0 else -math.inf,
+        log_lhs=_log(sum_inter),
+        log_rhs=_log(kappa * omega_mass),
         sum_good_intersections=sum_inter,
         omega_mass=omega_mass,
         kappa=kappa,
@@ -532,22 +483,17 @@ def _run_pipeline(
 
     error_term = eps * bound.D1**2
     dominated = total_mass <= error_term * (1.0 + 1e-12)
-    log_main = (
-        math.log(total_mass - error_term) if not dominated else -math.inf
-    )
+    log_main = -math.inf if dominated else math.log(total_mass - error_term)
 
     # measured chain: ||f||^2 - eps D1^2 <= max_k(base^exp) kappa ||f||^2_omega
-    if log_measured_factors:
-        log_chain = max(log_measured_factors) + math.log(kappa)
-        log_chain_rhs = log_chain + (math.log(omega_mass) if omega_mass > 0 else -math.inf)
-        log_chain_rhs = np.logaddexp(log_chain_rhs, math.log(deg_mass) if deg_mass > 0 else -math.inf)
-    else:
-        log_chain_rhs = math.log(deg_mass) if deg_mass > 0 else -math.inf
+    # plus the degenerate slop
+    log_chain = max(log_measured_factors, default=-math.inf) + math.log(kappa)
+    log_chain_rhs = float(np.logaddexp(log_chain + _log(omega_mass), _log(deg_mass)))
     record(
         "measured-chain",
         dominated or log_main <= log_chain_rhs + 1e-9,
         log_lhs=log_main,
-        log_rhs=float(log_chain_rhs),
+        log_rhs=log_chain_rhs,
         error_term_dominated=dominated,
     )
 
@@ -555,26 +501,20 @@ def _run_pipeline(
     arg = (2.0 / (1.0 - s)) * math.log(2.0 * ub.d_value)
     power = _safe_exp_arg(arg)
     exponent_formal = 9.0 + (2.0 / _LOG2) * math.log(2.0 * kappa / eps) + (12.0 / _LOG2) * power
-    gamma_min = min(
-        (_gamma_floor(gamma_spec, a.ball.center_norm()) for a in active),
-        default=_gamma_floor(gamma_spec, covering.target_radius),
-    )
+    gamma_min = min(gamma_floors, default=_gamma_floor(gamma_spec, covering.target_radius))
     log_formal_factor = exponent_formal * math.log(48.0 / gamma_min) + math.log(kappa)
-    log_rhs_formal = np.logaddexp(
-        log_formal_factor + (math.log(omega_mass) if omega_mass > 0 else -math.inf),
-        math.log(error_term) if error_term > 0 else -math.inf,
-    )
-    log_lhs = math.log(total_mass) if total_mass > 0 else -math.inf
-    formal_ok = log_lhs <= float(log_rhs_formal) + 1e-9
+    log_rhs_formal = float(np.logaddexp(log_formal_factor + _log(omega_mass), _log(error_term)))
+    log_lhs = _log(total_mass)
+    formal_ok = log_lhs <= log_rhs_formal + 1e-9
     d2_power = _safe_exp_arg((4.0 / (1.0 - s)) * math.log(bound.D2))
     bracket = 1.0 + math.log(1.0 / eps) + d2_power
-    denom = bracket if kind == "uncertainty" else bracket**2
+    denom = bracket**2 if decaying else bracket
     k_formal = log_formal_factor / denom
     record(
         "formal-chain",
         formal_ok,
         log_lhs=log_lhs,
-        log_rhs=float(log_rhs_formal),
+        log_rhs=log_rhs_formal,
         k_formal=k_formal,
         exponent_formal=exponent_formal,
         bracket=bracket,
@@ -586,42 +526,30 @@ def _run_pipeline(
         k_effective = (log_main - math.log(omega_mass)) / denom
 
     return UncertaintyReport(
-        kind=kind,
+        kind="uncertainty-decay" if decaying else "uncertainty",
         f_id=f_id,
         omega_id=sensor_id(omega),
         eps=eps,
         gamma=gamma_spec,
         profile=profile,
-        bound_summary={
-            "D1": bound.D1,
-            "D2": bound.D2,
-            "nu": bound.nu,
-            "mu": bound.mu,
-            "tilde_D2": tilde.D2,
-            "s": s,
-        },
-        r=tail.r,
-        covering_summary={
-            "n_balls": len(balls),
-            "kappa": kappa,
-            "target_radius": covering.target_radius,
+        bound={**asdict(bound), "tilde_D2": tilde.D2, "s": s},
+        tail_radius=tail.r,
+        covering={
+            **summary,
             "coverage_samples": covering.coverage.n_samples,
             "coverage_misses": covering.coverage.n_uncovered,
         },
-        n_good=n_good,
-        n_uncertified=n_uncertified,
-        n_bad=n_bad,
-        n_degenerate=n_deg,
+        **counts,
         ball_audits=tuple(audits),
         steps=tuple(steps),
         total_mass=total_mass,
         omega_mass=omega_mass,
         error_term=error_term,
         good_mass=good_mass,
-        bad_mass=bad_mass,
+        bad_mass=bad_report.bad_mass,
         q0_mass_upper=bad_report.q0_mass_upper,
         log_lhs=log_lhs,
-        log_rhs_formal=float(log_rhs_formal),
+        log_rhs_formal=log_rhs_formal,
         k_formal=k_formal,
         k_effective=k_effective,
         error_term_dominated=dominated,
@@ -655,8 +583,7 @@ def verify_uncertainty(
     """
     return _run_pipeline(
         f, bound, profile, omega, ("constant", float(gamma)), eps,
-        kind="uncertainty", m_cap=m_cap, f_id=f_id,
-        witness_grid=witness_grid, shared=shared,
+        m_cap=m_cap, f_id=f_id, witness_grid=witness_grid, shared=shared,
     )
 
 
@@ -683,8 +610,7 @@ def verify_uncertainty_decay(
     """
     return _run_pipeline(
         f, bound, profile, omega, ("decaying", float(gamma0), float(a)), eps,
-        kind="uncertainty-decay", m_cap=m_cap, f_id=f_id,
-        witness_grid=witness_grid, shared=shared,
+        m_cap=m_cap, f_id=f_id, witness_grid=witness_grid, shared=shared,
     )
 
 

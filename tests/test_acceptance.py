@@ -227,9 +227,9 @@ def test_series_bound_grid():
             assert result.log_sum <= result.log_bound + 1e-12, (d, s)
     closed = series_bound(0.5, 0.0)
     # sum_m (1/2)^m / m! = e^(1/2), bound 2 (2D)^(3 (2D)) = 2
-    assert closed.sum == pytest.approx(math.exp(0.5), rel=1e-9)
-    assert closed.bound == pytest.approx(2.0, rel=1e-12)
-    assert closed.sum <= closed.bound
+    assert math.exp(closed.log_sum) == pytest.approx(math.exp(0.5), rel=1e-9)
+    assert math.exp(closed.log_bound) == pytest.approx(2.0, rel=1e-12)
+    assert closed.log_sum <= closed.log_bound
 
 
 @criterion(9, "uncertainty chains close across the sweep with bounded spread")

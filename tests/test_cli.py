@@ -432,7 +432,6 @@ class TestMain:
                 terms_used=1,
                 remainder_certified=True,
                 log_remainder=-math.inf,
-                bound_overflow=False,
             )
             return replace(ub, series=series)
 

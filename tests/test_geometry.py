@@ -141,7 +141,7 @@ class TestSensorSets:
     def test_periodic_full_and_empty(self):
         assert isinstance(sensor_periodic(1.0, 1.0), FullSpaceSensorSet)
         empty = sensor_periodic(1.0, 0.0, extent=10.0)
-        assert empty.total_measure == 0.0
+        assert empty.measure_in(-10.0, 10.0) == 0.0
 
     def test_intersect_interval(self):
         omega = sensor_periodic(1.0, 0.5, extent=20.0)

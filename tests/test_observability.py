@@ -17,6 +17,7 @@ from gsaudit.observability import (
     observability_gramian,
     observability_scan,
 )
+from gsaudit.uncertainty import _jsonable
 
 # closed-form half-line inner products: int_0^inf h_m h_n
 HALF_A01 = 1.0 / math.sqrt(2.0 * math.pi)  # 0.3989422804014327
@@ -185,7 +186,7 @@ class TestScan:
         assert len(report.c_obs) == len(T_GRID)
         assert all(c > 0 for c in report.c_obs)
         assert all(k >= 1.0 for k in report.conditioning)
-        data = json.loads(json.dumps(report.to_dict()))
+        data = json.loads(json.dumps(_jsonable(report)))
         assert data["n_trunc"] == 40
         assert data["monotone"] is True
 

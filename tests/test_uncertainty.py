@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from gsaudit.hermite import SpectralFunction
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
     PipelineError,
+    _jsonable,
     k_effective_spread,
     k_effective_sweep,
     verify_uncertainty,
@@ -94,7 +96,7 @@ class TestFullSpaceSensor:
         assert report_full.omega_mass == pytest.approx(f.norm_squared(), rel=1e-12)
 
     def test_report_roundtrips_through_json(self, report_full):
-        data = json.loads(json.dumps(report_full.to_dict()))
+        data = json.loads(json.dumps(_jsonable(report_full)))
         assert data["kind"] == "uncertainty"
         assert data["passed"] is True
         assert data["gamma"] == ["constant", 1.0]
@@ -206,6 +208,62 @@ class TestPipelineFailures:
         with pytest.raises(PipelineError) as err:
             verify_uncertainty(f, bound, profile, FullSpaceSensorSet(), gamma=0.0, eps=0.1)
         assert err.value.step == "admissibility"
+
+    # each per-ball audit: the name the pipeline calls it by, and the field
+    # of its result that marks a failure
+    BALL_AUDITS = {
+        "witness": ("pointwise_witness", "verified"),
+        "mk-bound": ("mk_bruteforce", "converged"),
+        "local-estimate": ("local_estimate_check", "applicable"),
+    }
+    # which audits fail, on which of the certified good balls (positions in
+    # their list), and the step that must report it
+    BALL_FAILURES = [
+        ({"witness": [1]}, "witness"),
+        ({"witness": [-1, 0]}, "witness"),
+        ({"mk-bound": [-1, 1]}, "mk-bound"),
+        ({"local-estimate": [-1, 1]}, "local-estimate"),
+        # the witness step comes first, then mk-bound, whatever the balls
+        ({"witness": [-1], "mk-bound": [0], "local-estimate": [0]}, "witness"),
+        ({"mk-bound": [-1], "local-estimate": [0]}, "mk-bound"),
+    ]
+
+    @pytest.mark.parametrize(
+        "failing, step",
+        BALL_FAILURES,
+        ids=[
+            "+".join(f"{name}@{','.join(map(str, where))}" for name, where in failing.items())
+            for failing, _ in BALL_FAILURES
+        ],
+    )
+    def test_failing_ball_audit_names_step_and_ball(
+        self, monkeypatch, instance, report_periodic, failing, step
+    ):
+        f, bound, profile = instance
+        active = [a for a in report_periodic.ball_audits if a.tail_certified]
+        chosen = {name: sorted(active[i].k for i in where) for name, where in failing.items()}
+        k_of = {a.ball: a.k for a in report_periodic.ball_audits}
+
+        def fail_on(real, ks, flag):
+            def audit(f, ball, *args, **kwargs):
+                result = real(f, ball, *args, **kwargs)
+                return replace(result, **{flag: False}) if k_of[ball] in ks else result
+
+            return audit
+
+        for name, ks in chosen.items():
+            attr, flag = self.BALL_AUDITS[name]
+            monkeypatch.setattr(uncertainty, attr, fail_on(getattr(uncertainty, attr), ks, flag))
+        with pytest.raises(PipelineError) as err:
+            verify_uncertainty(f, bound, profile, sensor_periodic(1.0, 0.5), gamma=0.3, eps=0.1)
+        assert err.value.step == step
+        ks = chosen[step]
+        expected = {
+            "witness": f"'unwitnessed_balls': {ks}",
+            "mk-bound": f"polydisc sampling did not stabilize on ball {ks[0]}",
+            "local-estimate": f"ball {ks[0]} does not meet omega",
+        }
+        assert expected[step] in err.value.message
 
     def test_two_dimensional_input_rejected(self):
         # a 2D coefficient matrix is refused before any pipeline can see it
@@ -394,7 +452,7 @@ class TestSweepSharing:
                 reports.append(
                     verify_uncertainty_decay(*args, c["gamma0"], c["a"], c["eps"], f_id="flow")
                 )
-        return [r.to_dict() for r in reports]
+        return _jsonable(reports)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_reports_equal_independent_audits(self, monkeypatch, cases, independent, threads):
@@ -407,7 +465,7 @@ class TestSweepSharing:
         reports = []
         k_effective_sweep(cases, threads=threads, reports_out=reports)
         assert built == ([] if threads == 1 else [2])
-        assert [r.to_dict() for r in reports] == independent
+        assert _jsonable(reports) == independent
 
     def test_sensor_free_stages_run_once_per_group(self, monkeypatch, cases):
         calls = {"cover": [], "ball": [], "witness": [], "polydisc": []}
@@ -435,7 +493,7 @@ class TestSweepSharing:
 
         # one covering per eps, and each (eps, ball) classified once
         assert len(calls["cover"]) == 2
-        assert len(calls["ball"]) == per_eps(lambda r: r.covering_summary["n_balls"])
+        assert len(calls["ball"]) == per_eps(lambda r: r.covering["n_balls"])
         assert len(set(calls["ball"])) == len(calls["ball"])
         # each active ball's witness and polydisc sup, once per eps
         checked = per_eps(lambda r: sum(a.witness_verified is not None for a in r.ball_audits))
