@@ -7,8 +7,9 @@ The default radius profile
 satisfies both covering hypotheses by construction: growth controlled by
 R (1+|x|^2)^(delta/2) everywhere, and rho(x) <= eta |x| for |x| >= r0.
 Coverings are built greedily (largest admissible radius first) over the
-interval [-max(r0, r/(1-eta)), max(r0, r/(1-eta))] and carry their measured
-overlap count; sensor sets are exact interval unions.
+interval [-max(r0, r/(1-eta)), max(r0, r/(1-eta))] and carry their exact
+overlap count and uncovered measure, both from one sweep over the interval
+ends; sensor sets are exact interval unions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .hermite import Ball, NumericalError
 
 __all__ = [
     "Covering",
-    "CoverageReport",
     "DensityReport",
     "FullSpaceSensorSet",
     "IntervalSensorSet",
@@ -30,13 +30,12 @@ __all__ = [
     "RadiusProfile",
     "besicovitch_cover",
     "certify_density",
-    "coverage_check",
     "sensor_decaying_density",
     "sensor_id",
     "sensor_periodic",
 ]
 
-# Declared overlap cap of the greedy construction, asserted on every covering.
+# Declared overlap cap of the greedy construction, audited on every covering.
 OVERLAP_CAP = 4
 
 
@@ -84,25 +83,15 @@ class RadiusProfile:
 
 
 @dataclass(frozen=True)
-class CoverageReport:
-    n_samples: int
-    n_uncovered: int
-
-    @property
-    def passed(self) -> bool:
-        return self.n_uncovered == 0
-
-
-@dataclass(frozen=True)
 class Covering:
-    """Finite ball family covering [-target_radius, target_radius], with measured overlap."""
+    """Ball family over [-target_radius, target_radius]; a cover if uncovered_measure is 0."""
 
     centers: np.ndarray
     radii: np.ndarray
     target_radius: float
     kappa_measured: int
     profile: RadiusProfile
-    coverage: CoverageReport
+    uncovered_measure: float
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -121,12 +110,22 @@ def _candidate_grid(extent: float, step: float) -> np.ndarray:
     return np.arange(-n, n + 1) * step
 
 
-def _count_membership(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    # ball by ball, so no points x balls matrix is built
-    counts = np.zeros(len(points), dtype=np.intp)
-    for c, r in zip(centers, radii):
-        counts += np.abs(points - c) < r
-    return counts
+def _sweep(lo: np.ndarray, hi: np.ndarray, extent: float) -> tuple:
+    """(kappa, uncovered measure) of the open intervals (lo, hi) on [-extent, extent].
+
+    The running sum over the ends, sorted once with closing before opening
+    ends at a tie, is the depth between neighbouring ends. Touching intervals
+    neither overlap nor leave a gap: the proof needs the cover and the
+    overlap bound only almost everywhere.
+    """
+    ends = np.concatenate([lo, hi])
+    steps = np.concatenate([np.ones(len(lo), np.intp), np.full(len(hi), -1, np.intp)])
+    order = np.lexsort((steps, ends))
+    depth = np.concatenate([[0], np.cumsum(steps[order])])
+    # depth[j] holds between edges[j] and edges[j + 1]
+    edges = np.clip(np.concatenate([[-extent], ends[order], [extent]]), -extent, extent)
+    uncovered = float(np.sum(np.diff(edges)[depth == 0]))
+    return int(depth.max()), uncovered
 
 
 def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
@@ -138,8 +137,8 @@ def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
     grid step of a candidate. The outermost candidates sit up to two steps
     inside the rim, so a rim point +-e left outside every chosen ball gets
     the ball B(+-e, rho(+-e)) of its own, which covers the band next to it
-    (rho >= 25 steps). The overlap count kappa is measured on the grid plus
-    20,000 seeded random samples and asserted against the declared cap.
+    (rho >= 25 steps). The overlap count kappa and the uncovered measure of
+    [-e, e] are exact for the float intervals (c - r, c + r) of Ball.interval().
     """
     if not r >= 1.0:
         raise ValueError("covering radius must satisfy r >= 1")
@@ -147,14 +146,13 @@ def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
     grid_step = min(profile.min_radius / 25.0, 0.05)
     candidates = _candidate_grid(extent, grid_step)
     rho = np.atleast_1d(profile.rho(candidates))
-    order_key = rho.copy()
     covered = np.zeros(len(candidates), dtype=bool)
     centers, radii = [], []
     cap = len(candidates)
     for _ in range(cap):
         if covered.all():
             break
-        masked = np.where(covered, -np.inf, order_key)
+        masked = np.where(covered, -np.inf, rho)
         pick = int(np.argmax(masked))
         c, rad = candidates[pick], rho[pick]
         centers.append(c)
@@ -162,40 +160,21 @@ def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
         covered |= np.abs(candidates - c) <= rad - grid_step
     else:
         raise CoveringConstructionError("greedy covering did not terminate under its cap")
-    rims = np.array([-extent, extent])
-    rim_counts = _count_membership(rims, np.asarray(centers), np.asarray(radii))
-    for rim in rims[rim_counts == 0]:
-        centers.append(rim)
-        radii.append(profile.rho(rim))
+    for rim in (-extent, extent):
+        if not any(abs(rim - c) < rad for c, rad in zip(centers, radii)):
+            centers.append(rim)
+            radii.append(profile.rho(rim))
     centers = np.asarray(centers)
     radii = np.asarray(radii)
-
-    rng = np.random.default_rng(0)
-    samples = rng.uniform(-extent, extent, size=20000)
-    counts = _count_membership(samples, centers, radii)
-    n_uncovered = int(np.sum(counts == 0))
-    grid_counts = _count_membership(candidates, centers, radii)
-    kappa = int(max(counts.max(initial=0), grid_counts.max(initial=0)))
-    if kappa > OVERLAP_CAP:
-        raise CoveringConstructionError(
-            f"measured overlap {kappa} exceeds the declared cap {OVERLAP_CAP}"
-        )
+    kappa, uncovered = _sweep(centers - radii, centers + radii, extent)
     return Covering(
         centers=centers,
         radii=radii,
         target_radius=extent,
         kappa_measured=kappa,
         profile=profile,
-        coverage=CoverageReport(n_samples=len(samples), n_uncovered=n_uncovered),
+        uncovered_measure=uncovered,
     )
-
-
-def coverage_check(covering: Covering, n_samples: int = 100000, seed: int = 1) -> CoverageReport:
-    """Independent randomized coverage check with its own sample budget."""
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(-covering.target_radius, covering.target_radius, size=n_samples)
-    counts = _count_membership(samples, covering.centers, covering.radii)
-    return CoverageReport(n_samples=len(samples), n_uncovered=int(np.sum(counts == 0)))
 
 
 # ---------------------------------------------------------------------------

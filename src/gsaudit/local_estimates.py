@@ -203,10 +203,12 @@ class BadMassReport:
     uncertified_good_mass: float  # good balls whose tail is not certified
     q0_mass_upper: float
     budget: float  # eps * D1^2
-    n_good: int
     n_bad: int
     n_degenerate: int
     n_uncertified: int
+    # per ball tail_condition_order, and whether it is <= m_cap + 1; None if bad or degenerate
+    tail_orders: tuple
+    tail_certified: tuple
 
     @property
     def total(self) -> float:
@@ -229,29 +231,34 @@ def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results) -> BadMas
     if len(results) != len(covering):
         raise ValueError("one classification result per covering ball required")
     bad = unc = 0.0
-    n_good = n_bad = n_deg = n_unc = 0
+    n_bad = n_deg = n_unc = 0
+    orders, certified = [], []
     for res in results:
+        order = cert = None
         if res.degenerate:
             n_deg += 1
-            continue
-        if not res.is_good:
+        elif not res.is_good:
             n_bad += 1
             bad += res.mass_sq
-            continue
-        n_good += 1
-        if tail_condition_order(cfg, bound.D1, res.mass_sq) > cfg.m_cap + 1:
-            n_unc += 1
-            unc += res.mass_sq
+        else:
+            order = tail_condition_order(cfg, bound.D1, res.mass_sq)
+            cert = order <= cfg.m_cap + 1
+            if not cert:
+                n_unc += 1
+                unc += res.mass_sq
+        orders.append(order)
+        certified.append(cert)
     q0 = norm_squared_outside_radius(f, covering.target_radius)
     return BadMassReport(
         bad_mass=bad,
         uncertified_good_mass=unc,
         q0_mass_upper=q0,
         budget=cfg.eps * bound.D1**2,
-        n_good=n_good,
         n_bad=n_bad,
         n_degenerate=n_deg,
         n_uncertified=n_unc,
+        tail_orders=tuple(orders),
+        tail_certified=tuple(certified),
     )
 
 

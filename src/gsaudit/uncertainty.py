@@ -62,7 +62,6 @@ from .local_estimates import (
     mk_bound,
     mk_bruteforce,
     pointwise_witness,
-    tail_condition_order,
 )
 from .semigroup import GSBound, delta_weight_transfer, tail_mass_check
 
@@ -276,13 +275,13 @@ def _run_pipeline(
     covering = once("covering", lambda: besicovitch_cover(profile, tail.r))
     balls = covering.balls()
     kappa = covering.kappa_measured
-    summary = {"n_balls": len(balls), "kappa": kappa, "target_radius": covering.target_radius}
-    record(
-        "covering",
-        covering.coverage.passed and kappa <= OVERLAP_CAP,
-        **summary,
-        n_uncovered=covering.coverage.n_uncovered,
-    )
+    summary = {
+        "n_balls": len(balls),
+        "kappa": kappa,
+        "target_radius": covering.target_radius,
+        "uncovered_measure": covering.uncovered_measure,
+    }
+    record("covering", covering.uncovered_measure == 0.0 and kappa <= OVERLAP_CAP, **summary)
 
     if decaying:
         # per-center norm bound from the proof: 1 + |y_k|^a is controlled by
@@ -322,24 +321,20 @@ def _run_pipeline(
     bad_report = once(
         "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
     )
-    audits = []
-    for k, (ball, res) in enumerate(zip(balls, results)):
-        order = None
-        if res.is_good and not res.degenerate:
-            order = tail_condition_order(cfg, tilde.D1, res.mass_sq)
-        audits.append(
-            BallAudit(
-                k=k,
-                ball=ball,
-                m_cap=m_cap,
-                is_good=res.is_good,
-                failing_m=res.failing_m,
-                degenerate=res.degenerate,
-                mass_sq=res.mass_sq,
-                tail_certified=None if order is None else order <= m_cap + 1,
-                tail_order=order,
-            )
+    audits = [
+        BallAudit(
+            k=k,
+            ball=ball,
+            m_cap=m_cap,
+            is_good=res.is_good,
+            failing_m=res.failing_m,
+            degenerate=res.degenerate,
+            mass_sq=res.mass_sq,
+            tail_certified=bad_report.tail_certified[k],
+            tail_order=bad_report.tail_orders[k],
         )
+        for k, (ball, res) in enumerate(zip(balls, results))
+    ]
     # the certified good balls; an uncertified ball's tail condition is
     # unknown beyond m_cap, and its mass already sits in the eps budget
     active = [a for a in audits if a.tail_certified]
@@ -534,11 +529,7 @@ def _run_pipeline(
         profile=profile,
         bound={**asdict(bound), "tilde_D2": tilde.D2, "s": s},
         tail_radius=tail.r,
-        covering={
-            **summary,
-            "coverage_samples": covering.coverage.n_samples,
-            "coverage_misses": covering.coverage.n_uncovered,
-        },
+        covering=summary,
         **counts,
         ball_audits=tuple(audits),
         steps=tuple(steps),

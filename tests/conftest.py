@@ -21,6 +21,24 @@ def random_expansion(seed: int, degree: int) -> SpectralFunction:
     return SpectralFunction(c / np.linalg.norm(c))
 
 
+def depth_oracle(lo, hi, extent: float):
+    """Brute-force (kappa, uncovered measure) of the open intervals (lo, hi).
+
+    Probes every interval end, +-extent and the midpoint of every pair of
+    neighbouring distinct such points, and counts the intervals holding each
+    probe in one points x intervals comparison. kappa is the largest count;
+    the uncovered measure adds up the stretches between neighbours inside
+    [-extent, extent] whose midpoint lies in no interval.
+    """
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    points = np.unique(np.concatenate([lo, hi, [-extent, extent]]))
+    mids = (points[1:] + points[:-1]) / 2
+    probes = np.concatenate([points, mids])
+    depth = np.sum((probes[:, None] > lo[None, :]) & (probes[:, None] < hi[None, :]), axis=1)
+    gaps = (depth[len(points):] == 0) & (np.abs(mids) < extent)
+    return int(depth.max()), float(np.sum(np.diff(points)[gaps]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230817)

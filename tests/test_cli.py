@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import cli, experiments, uncertainty
+from gsaudit import cli, experiments, geometry, uncertainty
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -77,6 +77,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "csv_schema.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,16 @@ class TestRunExperiment:
         assert result.exit_code == 1
         assert result.report["failed_step"] == "density"
         assert result.rows == []
+
+    def test_overlap_above_cap_fails_covering(self, monkeypatch):
+        # an overlap above the declared cap fails the covering audit (exit 1);
+        # it is not a numerical failure
+        monkeypatch.setattr(geometry, "OVERLAP_CAP", 2)
+        monkeypatch.setattr(uncertainty, "OVERLAP_CAP", 2)
+        cfg = json.loads((CONFIGS / "uncertainty.json").read_text(encoding="utf-8"))
+        result = run_experiment(cfg)
+        assert result.exit_code == 1
+        assert result.report["failed_step"] == "covering"
 
     def test_observability_matches_closed_form(self, obs_result):
         assert obs_result.passed

@@ -208,8 +208,8 @@ class TestBadMassBound:
         assert report.passed
         assert report.n_bad == 0 and report.bad_mass == 0.0
         assert report.total == report.bad_mass + report.uncertified_good_mass + report.q0_mass_upper
-        counted = report.n_good + report.n_bad + report.n_degenerate
-        assert counted == len(covering.balls())
+        n_good = sum(order is not None for order in report.tail_orders)
+        assert n_good + report.n_bad + report.n_degenerate == len(covering.balls())
 
     def test_result_count_mismatch_rejected(self):
         f = basis_function(0)

@@ -103,12 +103,19 @@ def test_every_option_is_set_by_some_call():
 
 
 # exports that only tests use today, each kept for a ROADMAP item that gives
-# it a caller (item 1: multiply_by_coordinate, item 5: diagonal_constant) or
-# deletes it (item 3: coverage_check)
-UNUSED_EXPORTS_KEPT = {"multiply_by_coordinate", "diagonal_constant", "coverage_check"}
+# it a caller (item 1: multiply_by_coordinate, item 5: diagonal_constant)
+UNUSED_EXPORTS_KEPT = {"multiply_by_coordinate", "diagonal_constant"}
 
 
-def test_every_export_is_used_outside_tests():
+def _exports():
+    return [
+        (f"gsaudit.{name}", export)
+        for name in MODULES
+        for export in getattr(importlib.import_module(f"gsaudit.{name}"), "__all__", ())
+    ]
+
+
+def _program_reads():
     # a use is a name or attribute read anywhere in the program; a def, a
     # class statement, an import and the __all__ string itself are not
     used = set()
@@ -119,10 +126,22 @@ def test_every_export_is_used_outside_tests():
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_outside_tests():
+    used = _program_reads()
     unused = [
-        f"gsaudit.{name}.{export}"
-        for name in MODULES
-        for export in getattr(importlib.import_module(f"gsaudit.{name}"), "__all__", ())
+        f"{module}.{export}"
+        for module, export in _exports()
         if export not in used and export not in UNUSED_EXPORTS_KEPT
     ]
     assert not unused, f"exports used by no program code: {unused}"
+
+
+def test_unused_export_exemptions_are_current():
+    # an exempt name must still be exported and still have no program reader,
+    # so neither a deletion nor a new caller leaves a stale exemption behind
+    exported = {export for _, export in _exports()}
+    stale = (UNUSED_EXPORTS_KEPT - exported) | (UNUSED_EXPORTS_KEPT & _program_reads())
+    assert not stale, f"stale exemptions: {sorted(stale)}"
