@@ -8,10 +8,19 @@ differentiation and coordinate multiplication through the ladder relations
 
 and weighted L2 norms are computed by quadrature with an explicit
 refinement-convergence check: weighted_norm on the whole line by
-Gauss-Hermite, ball_norms_squared on a ball by two composite Gauss-Legendre
+Gauss-Hermite, ball_norms_squared on balls by two composite Gauss-Legendre
 rules. The Legendre rule of each order is computed once per process, and
 one Clenshaw recurrence evaluates a whole stack of coefficient vectors on
 shared nodes.
+
+Every Legendre quadrature runs through one batched kernel, _rule_sums: it
+takes a list of intervals, concatenates their composite-rule nodes,
+evaluates the stack over all of them in cache-sized blocks and returns each
+interval's sums. So ball_norms_squared runs each rule once over all of a
+covering's balls, and norm_squared_on_intervals once over all of a sensor's
+intervals. Clenshaw is elementwise and each sum is taken over its own
+interval's nodes, so every value is bit for bit that of a pass over the
+interval alone.
 """
 
 from __future__ import annotations
@@ -38,11 +47,11 @@ __all__ = [
     "effective_support_radius",
     "evaluate",
     "gauss_hermite",
-    "interval_nodes",
     "multiply_by_coordinate",
     "norm_squared_on_ball",
     "norm_squared_on_intervals",
     "norm_squared_outside_radius",
+    "refined_rows",
     "weighted_norm",
 ]
 
@@ -52,6 +61,9 @@ MAX_DEGREE = 64  # validated truncation; ladder images may exceed it
 # this relative amount
 _REFINEMENT_RTOL = 1e-8
 _PI_QUARTER = math.pi ** -0.25
+# array elements (rows x points) per block of a batched evaluation: small
+# enough that a block's temporaries stay in cache
+_BLOCK = 1 << 14
 
 
 class DimensionMismatchError(ValueError):
@@ -233,18 +245,41 @@ def _read_only_rule(rule, order: int) -> tuple:
     return x0, w0
 
 
+def _interval_rules(intervals, order: int, max_panel: float) -> tuple:
+    """Composite Gauss-Legendre nodes and weights on each (a, b) of intervals
+    with panels of at most max_panel, concatenated, and the offsets `ends`:
+    interval i has the nodes ends[i]:ends[i + 1].
+
+    The edges are np.linspace's: edge j of an interval's p panels is
+    j * ((b - a) / p) + a, and its last edge is b.
+    """
+    ab = np.array(intervals, dtype=float).reshape(-1, 2)
+    a, b = ab[:, 0], ab[:, 1]
+    panels = np.maximum(1, np.ceil((b - a) / max_panel)).astype(np.intp)
+    owner = np.repeat(np.arange(len(ab)), panels)
+    j = np.arange(len(owner)) - (np.cumsum(panels) - panels)[owner]
+    step, start = ((b - a) / panels)[owner], a[owner]
+    lo = j * step + start
+    hi = (j + 1) * step + start
+    last = j + 1 == panels[owner]
+    hi[last] = b[owner][last]
+    x0, w0 = _read_only_rule(leggauss, order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
+    w = (half[:, None] * w0[None, :]).ravel()
+    ends = order * np.concatenate(([0], np.cumsum(panels)))
+    return x, w, ends
+
+
 def interval_nodes(a: float, b: float, order: int = 20, max_panel: float = 0.5):
     """Composite Gauss-Legendre nodes/weights on [a, b] with bounded panels.
 
-    The returned arrays are new on every call; the cached unit rule is not.
+    The one-interval form of _interval_rules, which the quadratures call
+    directly; kept under this name for perfbench/tracer.py's span. The
+    returned arrays are new on every call; the cached unit rule is not.
     """
-    panels = max(1, math.ceil((b - a) / max_panel))
-    edges = np.linspace(a, b, panels + 1)
-    x0, w0 = _read_only_rule(leggauss, order)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
+    x, w, _ = _interval_rules([(a, b)], order, max_panel)
     return x, w
 
 
@@ -304,24 +339,51 @@ def weighted_norm(
     return math.sqrt(max(fine, 0.0))
 
 
-def _ball_rule_sq(stack: np.ndarray, ball: Ball, delta: float, order: int, max_panel: float) -> list:
-    a, b = ball.interval()
-    x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
-    vals = _clenshaw_scaled(stack, x) * np.exp(-0.5 * x**2)
-    return [float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals[n] ** 2)) for n in range(len(stack))]
+def _rule_sums(stack: np.ndarray, intervals, delta: float, order: int, max_panel: float) -> np.ndarray:
+    """Squared norms ||(1+x^2)^(delta*n/2) g_n||^2 of the rows g_n of stack on
+    each interval, by the order-point rule on panels of at most max_panel:
+    shape (len(intervals), len(stack)).
 
-
-def ball_norms_squared(stack: np.ndarray, ball: Ball, delta: float, atol, what: str) -> list:
-    """Squared norms ||(1+x^2)^(delta*n/2) g_n||^2_{L2(ball)} of the rows g_n.
-
-    Each row of the zero-padded coefficient stack is integrated by 24 points
-    on panels of at most 0.5 and by 48 points on panels of at most 0.25, and
-    the fine values are returned. The rows are checked in order: the first
-    that refinement moves by more than a relative 1e-8 plus atol[n] raises
-    QuadratureConvergenceError, with `what` naming the quantity.
+    One Clenshaw pass over all the intervals' nodes, in blocks of about
+    _BLOCK array elements; each sum is np.sum over its interval's own nodes,
+    with the weight raised to the row's scalar power, so every value is bit
+    for bit that of the interval evaluated alone.
     """
-    coarse = _ball_rule_sq(stack, ball, delta, 24, 0.5)
-    fine = _ball_rule_sq(stack, ball, delta, 48, 0.25)
+    x, w, ends = _interval_rules(intervals, order, max_panel)
+    terms = np.empty((len(stack), len(x)))
+    size = max(1, _BLOCK // len(stack))
+    for lo in range(0, len(x), size):
+        xb, wb = x[lo : lo + size], w[lo : lo + size]
+        vals = _clenshaw_scaled(stack, xb) * np.exp(-0.5 * xb**2)
+        weight = 1.0 + xb**2
+        for n, row in enumerate(vals):
+            terms[n, lo : lo + size] = wb * weight ** (delta * n) * row**2
+    sums = np.empty((len(ends) - 1, len(stack)))
+    for i in range(len(sums)):
+        sums[i] = np.sum(terms[:, ends[i] : ends[i + 1]], axis=1)
+    return sums
+
+
+def ball_norms_squared(stack: np.ndarray, balls, delta: float) -> list:
+    """Squared norms ||(1+x^2)^(delta*n/2) g_n||^2_{L2(ball)} of the rows g_n
+    of the zero-padded coefficient stack, on each of the balls.
+
+    Each rule runs once over all the balls: 24 points on panels of at most
+    0.5 (coarse) and 48 points on panels of at most 0.25 (fine). Returns per
+    ball the pair (coarse, fine) of lists of row values, unchecked:
+    refined_rows checks a pair and returns its fine values.
+    """
+    intervals = [ball.interval() for ball in balls]
+    coarse = _rule_sums(stack, intervals, delta, 24, 0.5).tolist()
+    fine = _rule_sums(stack, intervals, delta, 48, 0.25).tolist()
+    return list(zip(coarse, fine))
+
+
+def refined_rows(coarse: list, fine: list, atol, what: str) -> list:
+    """The fine values of a (coarse, fine) pair of ball_norms_squared, checked
+    row by row in order: the first row that refinement moves by more than a
+    relative 1e-8 plus atol[n] raises QuadratureConvergenceError, with `what`
+    naming the quantity."""
     for c, v, floor in zip(coarse, fine, atol, strict=True):
         _check_refinement(c, v, what, atol=floor)
     return fine
@@ -330,28 +392,25 @@ def ball_norms_squared(stack: np.ndarray, ball: Ball, delta: float, atol, what: 
 def norm_squared_on_intervals(f: SpectralFunction, intervals) -> float:
     """Sum of integrals of f^2 over the given intervals.
 
-    Each interval takes interval_nodes' 20-point rule on panels of width at
-    most 0.5.
+    Each interval takes a 20-point rule on panels of width at most 0.5, all
+    of them in one batched pass; the per-interval values are added in order.
 
     Intervals fully outside the effective support contribute exact zeros and
     are skipped; partial overlaps are clipped.
     """
     cutoff = effective_support_radius(f)
+    clipped = [(max(float(a), -cutoff), min(float(b), cutoff)) for a, b in intervals]
     total = 0.0
-    for a, b in intervals:
-        a, b = max(float(a), -cutoff), min(float(b), cutoff)
-        if b <= a:
-            continue
-        x, w = interval_nodes(a, b)
-        vals = _poly_part(f, x) * np.exp(-0.5 * x**2)
-        total += float(np.sum(w * vals**2))
+    for (value,) in _rule_sums(f.coeffs[None], [(a, b) for a, b in clipped if b > a], 0.0, 20, 0.5):
+        total += float(value)
     return total
 
 
 def norm_squared_on_ball(f: SpectralFunction, ball: Ball, atol: float = 0.0) -> float:
     """Integral of f^2 over a ball, with refinement-convergence check."""
-    (fine,) = ball_norms_squared(f.coeffs[None], ball, 0.0, [atol], "norm_squared_on_ball")
-    return max(fine, 0.0)
+    ((coarse, fine),) = ball_norms_squared(f.coeffs[None], [ball], 0.0)
+    (value,) = refined_rows(coarse, fine, [atol], "norm_squared_on_ball")
+    return max(value, 0.0)
 
 
 def norm_squared_outside_radius(f: SpectralFunction, r: float) -> float:

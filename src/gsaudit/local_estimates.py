@@ -26,15 +26,17 @@ from scipy.special import gammaln, logsumexp
 
 from .hermite import (
     Ball,
+    NumericalError,
     SpectralFunction,
+    _BLOCK,
     _clenshaw_scaled,
     _poly_part,
     ball_norms_squared,
     derivative,
     evaluate,
-    norm_squared_on_ball,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
+    refined_rows,
 )
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "WitnessResult",
     "analyticity_check",
     "bad_mass_bound",
+    "classify_balls",
     "derivative_family",
     "derivative_stack",
     "good_ball_test",
@@ -142,21 +145,30 @@ class GoodBallResult:
     log_margins: tuple  # log RHS - log LHS per m; positive means good at m
 
 
+def _degenerate(f: SpectralFunction, mass_sq: float) -> bool:
+    return mass_sq <= DEGENERATE_MASS_REL * f.norm_squared()
+
+
 def good_ball_test(
     f: SpectralFunction,
-    ball: Ball,
     cfg: ClassifierConfig,
-    derivatives: np.ndarray,
+    mass_rules: tuple,
+    derivative_rules: tuple | None,
 ) -> GoodBallResult:
-    """Classify a covering ball, checking the inequality for m <= m_cap.
+    """Classify a covering ball from its quadratures, checking the inequality
+    for m <= m_cap.
 
-    derivatives is derivative_stack(f, m_cap); all orders share one
-    quadrature of it on the ball. Quadrature noise guard: the derivative
-    masses only matter on the scale of the right-hand side, so the
-    refinement check of order m runs with that floor.
+    mass_rules and derivative_rules are the ball's (coarse, fine) pairs of
+    ball_norms_squared for f and for derivative_stack(f, m_cap), as
+    classify_balls computes them; derivative_rules is None for a degenerate
+    ball. The mass refinement is checked first, then the degenerate
+    threshold, then the refinement of each order. Quadrature noise guard:
+    the derivative masses only matter on the scale of the right-hand side,
+    so the check of order m runs with that floor.
     """
-    mass_sq = norm_squared_on_ball(f, ball, atol=1e-30 * f.norm_squared())
-    if mass_sq <= DEGENERATE_MASS_REL * f.norm_squared():
+    (mass_sq,) = refined_rows(*mass_rules, [1e-30 * f.norm_squared()], "norm_squared_on_ball")
+    mass_sq = max(mass_sq, 0.0)
+    if _degenerate(f, mass_sq):
         return GoodBallResult(True, None, True, mass_sq, ())
     log_mass = math.log(mass_sq)
     log_prefactor = math.log(2.0 * cfg.kappa / cfg.eps)
@@ -169,7 +181,7 @@ def good_ball_test(
         for m in range(cfg.m_cap + 1)
     ]
     floors = [math.exp(min(rhs - 23.0, 700.0)) for rhs in log_rhs]
-    norms_sq = ball_norms_squared(derivatives, ball, cfg.delta, floors, "weighted_norm")
+    norms_sq = refined_rows(*derivative_rules, floors, "weighted_norm")
     margins = []
     failing = None
     for m, (rhs, sq) in enumerate(zip(log_rhs, norms_sq)):
@@ -180,6 +192,23 @@ def good_ball_test(
         if failing is None and log_lhs > rhs:
             failing = m
     return GoodBallResult(failing is None, failing, False, mass_sq, tuple(margins))
+
+
+def classify_balls(
+    f: SpectralFunction, balls, cfg: ClassifierConfig, derivatives: np.ndarray
+) -> list:
+    """good_ball_test on each ball, in order. derivatives is
+    derivative_stack(f, m_cap).
+
+    Each quadrature rule runs once: the mass rules over all the balls, then
+    the derivative rules over the non-degenerate ones. Every refinement
+    check runs in good_ball_test, ball by ball, so the checks, and the
+    first that fails, are those of classifying the balls one at a time.
+    """
+    masses = ball_norms_squared(f.coeffs[None], balls, 0.0)
+    live = [k for k, (_, (fine,)) in enumerate(masses) if not _degenerate(f, max(fine, 0.0))]
+    norms = dict(zip(live, ball_norms_squared(derivatives, [balls[k] for k in live], cfg.delta)))
+    return [good_ball_test(f, cfg, masses[k], norms.get(k)) for k in range(len(balls))]
 
 
 def tail_condition_order(cfg: ClassifierConfig, d1: float, mass_sq: float) -> int:
@@ -355,11 +384,15 @@ def _log_abs_analytic(f: SpectralFunction, z: np.ndarray) -> np.ndarray:
 
 
 def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
+    # blocks of _BLOCK points; a NaN would vanish from max(best, nan), so it
+    # stops the audit instead
     flat = pts.reshape(-1)
-    chunk = 1 << 17
     best = -math.inf
-    for i in range(0, len(flat), chunk):
-        best = max(best, float(np.max(_log_abs_analytic(f, flat[i : i + chunk]))))
+    for i in range(0, len(flat), _BLOCK):
+        top = float(np.max(_log_abs_analytic(f, flat[i : i + _BLOCK])))
+        if math.isnan(top):
+            raise NumericalError("polydisc sup: the analytic extension evaluated to NaN")
+        best = max(best, top)
     return best
 
 

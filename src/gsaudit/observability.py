@@ -24,10 +24,10 @@ from .geometry import FullSpaceSensorSet, sensor_id
 from .hermite import (
     NumericalError,
     QuadratureConvergenceError,
+    _interval_rules,
     basis_function,
     basis_matrix,
     effective_support_radius,
-    interval_nodes,
 )
 
 __all__ = [
@@ -88,13 +88,7 @@ def mass_matrix(omega, n_trunc: int) -> np.ndarray:
         return np.zeros((n_trunc, n_trunc))
 
     def assemble(order: int, max_panel: float) -> np.ndarray:
-        xs, ws = [], []
-        for a, b in pieces:
-            x, w = interval_nodes(a, b, order=order, max_panel=max_panel)
-            xs.append(x)
-            ws.append(w)
-        x = np.concatenate(xs)
-        w = np.concatenate(ws)
+        x, w, _ = _interval_rules(pieces, order, max_panel)
         basis = basis_matrix(n_trunc - 1, x)
         return (basis * w) @ basis.T
 

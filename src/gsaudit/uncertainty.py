@@ -56,8 +56,8 @@ from .local_estimates import (
     BallAudit,
     ClassifierConfig,
     bad_mass_bound,
+    classify_balls,
     derivative_stack,
-    good_ball_test,
     local_estimate_check,
     mk_bound,
     mk_bruteforce,
@@ -314,10 +314,7 @@ def _run_pipeline(
         eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
     derivs = once("derivatives", lambda: derivative_stack(f, m_cap))
-    results = once(
-        "classification",
-        lambda: [good_ball_test(f, ball, cfg, derivatives=derivs) for ball in balls],
-    )
+    results = once("classification", lambda: classify_balls(f, balls, cfg, derivs))
     bad_report = once(
         "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
     )

@@ -26,8 +26,8 @@ from gsaudit.geometry import (
 from gsaudit.local_estimates import (
     ClassifierConfig,
     bad_mass_bound,
+    classify_balls,
     derivative_stack,
-    good_ball_test,
     series_bound,
 )
 from gsaudit.observability import observability_scan
@@ -178,7 +178,7 @@ def test_good_bad_budget(instance):
                 delta=profile.delta,
             )
             derivs = derivative_stack(func, cfg.m_cap)
-            results = [good_ball_test(func, ball, cfg, derivs) for ball in covering.balls()]
+            results = classify_balls(func, covering.balls(), cfg, derivs)
             report = bad_mass_bound(func, covering, cfg, tilde, results)
             assert report.passed
             assert report.total <= eps * gs.D1**2 * (1.0 + 1e-12)

@@ -6,13 +6,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from gsaudit import hermite
 from gsaudit.hermite import (
     _clenshaw_scaled,
+    _interval_rules,
     _poly_part,
+    _rule_sums,
     Ball,
     DimensionMismatchError,
     SpectralFunction,
@@ -26,9 +29,10 @@ from gsaudit.hermite import (
     multiply_by_coordinate,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
+    refined_rows,
     weighted_norm,
 )
-from gsaudit.local_estimates import derivative_family
+from gsaudit.local_estimates import derivative_family, derivative_stack
 from conftest import random_expansion
 
 
@@ -212,6 +216,89 @@ class TestStackedClenshaw:
             assert stacked[j] == _clenshaw_scaled(v[None], np.float64(0.7))[0]
 
 
+def _linspace_nodes(a, b, order, max_panel):
+    """interval_nodes as it was built for one interval, from np.linspace."""
+    panels = max(1, math.ceil((b - a) / max_panel))
+    edges = np.linspace(a, b, panels + 1)
+    x0, w0 = leggauss(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * x0[None, :]).ravel(), (half[:, None] * w0[None, :]).ravel()
+
+
+def _one_interval_sums(stack, a, b, delta, order, max_panel):
+    """The per-ball rule pass the batched kernel replaced, on one interval."""
+    x, w = _linspace_nodes(a, b, order, max_panel)
+    vals = _clenshaw_scaled(stack, x) * np.exp(-0.5 * x**2)
+    return [float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals[n] ** 2)) for n in range(len(stack))]
+
+
+@st.composite
+def interval_lists(draw):
+    """Runs of intervals, some touching their predecessor, that may reach past
+    the effective support of a degree <= 40 expansion (at most 24 from 0)."""
+    out = []
+    end = draw(st.floats(-32.0, 20.0))
+    for _ in range(draw(st.integers(1, 8))):
+        start = end + draw(st.sampled_from([0.0, 0.0, 0.37]) | st.floats(0.0, 8.0))
+        end = start + draw(st.floats(1e-3, 4.0))
+        out.append((start, end))
+    return out
+
+
+RULES = [(20, 0.5), (24, 0.5), (48, 0.25)]
+
+
+class TestBatchedKernel:
+    """The batched kernel must give every interval the bits of a pass over
+    that interval alone, in every block layout. A block holds 655 points of a
+    25-row derivative stack and 16,384 of a one-row stack (the example)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(0, 40),
+        derivatives=st.booleans(),
+        delta=st.sampled_from([0.0, 0.5, 1.0]),
+        rule=st.sampled_from(RULES),
+        intervals=interval_lists(),
+    )
+    @example(seed=1, degree=30, derivatives=False, delta=0.5, rule=(48, 0.25), intervals=[(-50.0, -24.0), (-24.0, 70.0)])
+    def test_sums_match_one_interval_passes(self, seed, degree, derivatives, delta, rule, intervals):
+        f = random_expansion(seed, degree)
+        stack = derivative_stack(f, 24) if derivatives else f.coeffs[None]
+        x, w, ends = _interval_rules(intervals, *rule)
+        sums = _rule_sums(stack, intervals, delta, *rule)
+        assert sums.shape == (len(intervals), len(stack))
+        for i, (a, b) in enumerate(intervals):
+            xi, wi = _linspace_nodes(a, b, *rule)
+            assert np.array_equal(x[ends[i] : ends[i + 1]], xi)
+            assert np.array_equal(w[ends[i] : ends[i + 1]], wi)
+            assert sums[i].tolist() == _one_interval_sums(stack, a, b, delta, *rule), i
+        assert ends[-1] == len(x) == len(w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 40), intervals=interval_lists())
+    def test_interval_norm_is_the_sequential_total(self, seed, degree, intervals):
+        # clipped at the cutoff, empty clips skipped, values added in order
+        f = random_expansion(seed, degree)
+        cutoff = hermite.effective_support_radius(f)
+        total = 0.0
+        for a, b in intervals:
+            a, b = max(a, -cutoff), min(b, cutoff)
+            if b > a:
+                total += _one_interval_sums(f.coeffs[None], a, b, 0.0, 20, 0.5)[0]
+        assert norm_squared_on_intervals(f, intervals) == total
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_ball_pairs_match_one_ball_passes(self, delta):
+        stack = derivative_stack(random_expansion(5, 30), 24)
+        balls = [Ball((c,), r) for c, r in [(-3.0, 0.4), (-2.6, 1.7), (0.1, 2.2), (9.0, 0.9)]]
+        for ball, (coarse, fine) in zip(balls, ball_norms_squared(stack, balls, delta)):
+            assert coarse == _one_interval_sums(stack, *ball.interval(), delta, 24, 0.5)
+            assert fine == _one_interval_sums(stack, *ball.interval(), delta, 48, 0.25)
+
+
 class TestParseval:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=64))
@@ -253,9 +340,10 @@ class TestWeightedNorms:
 
     def test_ball_restriction(self):
         # int_{-1}^{1} h_0^2 = erf(1), by the ball kernel on a one-row stack
-        (got,) = ball_norms_squared(
-            basis_function(0).coeffs[None], Ball((0.0,), 1.0), 1.0, [0.0], "h_0 on [-1, 1]"
+        ((coarse, fine),) = ball_norms_squared(
+            basis_function(0).coeffs[None], [Ball((0.0,), 1.0)], 1.0
         )
+        (got,) = refined_rows(coarse, fine, [0.0], "h_0 on [-1, 1]")
         assert got == pytest.approx(math.erf(1.0), rel=1e-12)
 
 

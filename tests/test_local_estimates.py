@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
-from gsaudit import local_estimates
+from gsaudit import hermite, local_estimates
 from gsaudit.geometry import IntervalSensorSet, RadiusProfile, besicovitch_cover, sensor_periodic
 from gsaudit.hermite import (
     Ball,
+    NumericalError,
     SpectralFunction,
     basis_function,
     evaluate,
@@ -27,9 +28,9 @@ from gsaudit.local_estimates import (
     ClassifierConfig,
     analyticity_check,
     bad_mass_bound,
+    classify_balls,
     derivative_family,
     derivative_stack,
-    good_ball_test,
     local_estimate_check,
     mk_bound,
     mk_bruteforce,
@@ -56,7 +57,7 @@ def _mass(f, ball):
 
 
 def _classify(f, ball, cfg):
-    return good_ball_test(f, ball, cfg, derivative_stack(f, cfg.m_cap))
+    return classify_balls(f, [ball], cfg, derivative_stack(f, cfg.m_cap))[0]
 
 
 def _witness(f, ball, cfg):
@@ -139,8 +140,8 @@ class TestGoodBallTest:
         ball = Ball((center,), 1.0)
         derivs = derivative_stack(f, 4)
         kwargs = dict(tilde_d2=1.0, s=0.0, m_cap=4)
-        res_large = good_ball_test(f, ball, _cfg(eps=eps_large, **kwargs), derivatives=derivs)
-        res_small = good_ball_test(f, ball, _cfg(eps=eps_small, **kwargs), derivatives=derivs)
+        (res_large,) = classify_balls(f, [ball], _cfg(eps=eps_large, **kwargs), derivs)
+        (res_small,) = classify_balls(f, [ball], _cfg(eps=eps_small, **kwargs), derivs)
         if res_large.is_good:
             assert res_small.is_good
 
@@ -153,7 +154,7 @@ class TestGoodBallTest:
         f = random_expansion(seed, 16)
         ball = Ball((center,), 0.9)
         cfg = _cfg(tilde_d2=3.0, s=0.5, delta=delta, m_cap=24)
-        res = good_ball_test(f, ball, cfg, derivatives=derivative_stack(f, cfg.m_cap))
+        res = _classify(f, ball, cfg)
         assert not res.degenerate and len(res.log_margins) == cfg.m_cap + 1
         a, b = ball.interval()
         x, w = interval_nodes(a, b, order=48, max_panel=0.25)
@@ -169,6 +170,34 @@ class TestGoodBallTest:
             )
             log_lhs = 2.0 * math.log(math.sqrt(sq)) - gammaln(m + 1)
             assert res.log_margins[m] == log_rhs - log_lhs, m
+
+
+class TestClassifyBalls:
+    def test_checks_and_results_are_those_of_a_loop(self, monkeypatch):
+        # the batched rules must leave every refinement check where
+        # classifying the balls one at a time makes it: the mass, then each
+        # order of a non-degenerate ball, ball by ball
+        whats = []
+        real = hermite._check_refinement
+
+        def recording(coarse, fine, what, atol=0.0):
+            whats.append(what)
+            return real(coarse, fine, what, atol)
+
+        monkeypatch.setattr(hermite, "_check_refinement", recording)
+        f = random_expansion(11, 24)
+        cfg = _cfg(tilde_d2=3.0, s=0.5, delta=0.5, m_cap=24)
+        derivs = derivative_stack(f, cfg.m_cap)
+        balls = [Ball((c,), r) for c, r in [(-45.0, 2.0), (-1.1, 0.7), (0.2, 1.6), (30.0, 1.0), (2.4, 0.9)]]
+        batched = classify_balls(f, balls, cfg, derivs)
+        batched_whats, whats[:] = whats[:], []
+        looped = [classify_balls(f, [ball], cfg, derivs)[0] for ball in balls]
+        assert batched == looped
+        assert [r.degenerate for r in looped] == [True, False, False, True, False]
+        expected = []
+        for r in looped:
+            expected += ["norm_squared_on_ball"] + ["weighted_norm"] * (0 if r.degenerate else 25)
+        assert batched_whats == whats == expected
 
 
 class TestTailConditionOrder:
@@ -240,7 +269,7 @@ class TestPointwiseWitness:
             f = random_expansion(seed, 10)
             ball = Ball((0.5 * seed - 1.0,), 1.0)
             derivs = derivative_stack(f, cfg.m_cap)
-            cls = good_ball_test(f, ball, cfg, derivatives=derivs)
+            (cls,) = classify_balls(f, [ball], cfg, derivs)
             if not cls.is_good or cls.degenerate:
                 continue
             wit = pointwise_witness(f, ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs)
@@ -271,6 +300,26 @@ class TestMkBruteforce:
         f = basis_function(0)
         with pytest.raises(ValueError):
             mk_bruteforce(f, Ball((0.0,), 1.0), 0.5, norm_sq=0.0)
+
+    def test_nan_sample_is_a_numerical_error(self, monkeypatch):
+        # max(best, nan) keeps best, so a NaN would drop its whole block
+        real = local_estimates._log_abs_analytic
+
+        def one_nan(f, z):
+            out = real(f, z)
+            out[len(out) // 2] = math.nan
+            return out
+
+        monkeypatch.setattr(local_estimates, "_log_abs_analytic", one_nan)
+        with pytest.raises(NumericalError, match="NaN"):
+            _brute(random_expansion(2, 10), Ball((0.3,), 1.0), 0.5)
+
+    def test_blocked_max_is_the_one_block_max(self):
+        f = random_expansion(6, 30)
+        pts = local_estimates._polydisc_points(Ball((1.0,), 1.3), 4.0, 96, 192)
+        assert len(pts) > 2 * hermite._BLOCK
+        whole = float(np.max(local_estimates._log_abs_analytic(f, pts)))
+        assert local_estimates._max_log_abs(f, pts) == whole
 
 
 def _log_terms(m, d_value, s):

@@ -470,20 +470,23 @@ class TestSweepSharing:
     def test_sensor_free_stages_run_once_per_group(self, monkeypatch, cases):
         calls = {"cover": [], "ball": [], "witness": [], "polydisc": []}
 
-        def counting(name, fn, key):
+        def counting(name, fn, keys):
             def wrapped(*args, **kwargs):
-                calls[name].append(key(*args))
+                calls[name].extend(keys(*args))
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(uncertainty, fn.__name__, wrapped)
 
         def ball_key(f, ball, cfg):
-            return cfg.eps, ball.center, ball.radius
+            return [(cfg.eps, ball.center, ball.radius)]
 
-        counting("cover", uncertainty.besicovitch_cover, lambda profile, r: r)
-        counting("ball", uncertainty.good_ball_test, ball_key)
+        def covering_keys(f, balls, cfg, derivatives):
+            return [(cfg.eps, ball.center, ball.radius) for ball in balls]
+
+        counting("cover", uncertainty.besicovitch_cover, lambda profile, r: [r])
+        counting("ball", uncertainty.classify_balls, covering_keys)
         counting("witness", uncertainty.pointwise_witness, ball_key)
-        counting("polydisc", uncertainty.mk_bruteforce, lambda *args: None)
+        counting("polydisc", uncertainty.mk_bruteforce, lambda *args: [None])
         reports = []
         k_effective_sweep(cases, reports_out=reports)
 
