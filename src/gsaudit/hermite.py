@@ -6,12 +6,12 @@ differentiation and coordinate multiplication through the ladder relations
     h_n'(x)  = sqrt(n/2) h_{n-1}(x) - sqrt((n+1)/2) h_{n+1}(x),
     x h_n(x) = sqrt(n/2) h_{n-1}(x) + sqrt((n+1)/2) h_{n+1}(x),
 
-and weighted L2 norms are computed by quadrature with an explicit
-refinement-convergence check: weighted_norm on the whole line by
-Gauss-Hermite, ball_norms_squared on balls by two composite Gauss-Legendre
-rules. The Legendre rule of each order is computed once per process, and
-one Clenshaw recurrence evaluates a whole stack of coefficient vectors on
-shared nodes.
+so a whole-line norm ||(1+x^2)^(k/2) g|| with an integer power k is an
+exact sum of coefficient norms (weighted_norm). Every other weighted L2 norm
+is computed by two composite Gauss-Legendre rules with an explicit
+refinement-convergence check (ball_norms_squared). The Legendre rule of each
+order is computed once per process, and one Clenshaw recurrence evaluates a
+whole stack of coefficient vectors on shared nodes.
 
 Every Legendre quadrature runs through one batched kernel, _rule_sums: it
 takes a list of intervals, concatenates their composite-rule nodes,
@@ -46,7 +46,6 @@ __all__ = [
     "derivative",
     "effective_support_radius",
     "evaluate",
-    "gauss_hermite",
     "multiply_by_coordinate",
     "norm_squared_on_ball",
     "norm_squared_on_intervals",
@@ -229,6 +228,8 @@ def gauss_hermite(order: int) -> tuple:
 
     The rule integrates polynomials up to degree 2 order - 1 exactly.
     The arrays are computed once per order and shared, so they are read-only.
+    No program code calls it; it is kept under this name for
+    perfbench/tracer.py's span.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -297,12 +298,6 @@ def _check_refinement(coarse: float, fine: float, what: str, atol: float = 0.0):
         )
 
 
-def _gh_weighted_sq(g: SpectralFunction, n: int, delta: float, order: int) -> float:
-    x, w = gauss_hermite(order)
-    p = _poly_part(g, x)
-    return float(np.sum(w * (1.0 + x**2) ** (delta * n) * p**2))
-
-
 def weighted_norm(
     f: SpectralFunction,
     n: int = 0,
@@ -311,9 +306,12 @@ def weighted_norm(
 ) -> float:
     """Weighted derivative norm ||(1+|x|^2)^(delta*n/2) d^beta f||_{L2(R)}.
 
-    Gauss-Hermite on the whole line, with a refinement-convergence check that
-    always runs: doubling the rule's order must move the squared value by
-    less than a relative 1e-8. Norms on a ball are ball_norms_squared's.
+    With g = d^beta f and an integer k = delta*n the norm is exact:
+    ||(1+x^2)^(k/2) g||^2 = sum_j C(k, j) ||x^j g||^2, each term by the
+    ladder map multiply_by_coordinate and Parseval, so no expansion is
+    evaluated. A fractional delta*n goes through ball_norms_squared on
+    [-R, R], R = effective_support_radius(g), and its refinement check.
+    Norms on a ball are ball_norms_squared's.
 
     Parameters
     ----------
@@ -329,14 +327,19 @@ def weighted_norm(
     g = f
     for _ in range(int(beta)):
         g = derivative(g)
-    order = g.max_degree + n + 9
-    if not float(weight_delta * n).is_integer():
-        # non-polynomial weight: branch points at +-i slow the rule down
-        order = max(order, 100)
-    coarse = _gh_weighted_sq(g, n, weight_delta, order)
-    fine = _gh_weighted_sq(g, n, weight_delta, 2 * order)
-    _check_refinement(coarse, fine, "weighted_norm")
-    return math.sqrt(max(fine, 0.0))
+    if float(weight_delta * n).is_integer():
+        k, total = int(weight_delta * n), 0.0
+        for j in range(k + 1):
+            total += math.comb(k, j) * g.norm_squared()
+            g = multiply_by_coordinate(g)
+        return math.sqrt(total)
+    # row n of the stack carries the weight power delta*n
+    stack = np.zeros((n + 1, g.max_degree + 1))
+    stack[n] = g.coeffs
+    line = Ball((0.0,), effective_support_radius(g))
+    ((coarse, fine),) = ball_norms_squared(stack, [line], weight_delta)
+    value = refined_rows(coarse, fine, [0.0] * (n + 1), "weighted_norm")[n]
+    return math.sqrt(max(value, 0.0))
 
 
 def _rule_sums(stack: np.ndarray, intervals, delta: float, order: int, max_panel: float) -> np.ndarray:

@@ -19,7 +19,7 @@ large lives in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -760,27 +760,13 @@ class BallAudit:
         return self.log_local_lhs >= self.log_local_rhs - 1e-9
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "center": [float(c) for c in self.ball.center],
-            "radius": self.ball.radius,
-            "m_cap": self.m_cap,
-            "is_good": self.is_good,
-            "failing_m": self.failing_m,
-            "degenerate": self.degenerate,
-            "mass_sq": self.mass_sq,
-            "tail_certified": self.tail_certified,
-            "tail_order": self.tail_order,
-            "x_k": list(self.x_k) if self.x_k is not None else None,
-            "witness_verified": self.witness_verified,
-            "witness_refined": self.witness_refined,
-            "log_mk_bruteforce": self.log_mk_bruteforce,
-            "mk_converged": self.mk_converged,
-            "log_mk_bound": self.log_mk_bound,
-            "log_mk_intermediate": self.log_mk_intermediate,
-            "log_local_lhs": self.log_local_lhs,
-            "log_local_rhs": self.log_local_rhs,
-            "local_applicable": self.local_applicable,
-            "mk_consistent": self.mk_consistent,
-            "local_passed": self.local_passed,
-        }
+        """Every field but the ball, which gives its center and radius, plus
+        the two derived verdicts."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ball"}
+        out.update(
+            center=list(self.ball.center),
+            radius=self.ball.radius,
+            mk_consistent=self.mk_consistent,
+            local_passed=self.local_passed,
+        )
+        return out

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .geometry import FullSpaceSensorSet, sensor_id
 from .hermite import (
@@ -122,6 +121,8 @@ def diagonal_constant(T: float, n_trunc: int) -> float:
 
 
 def _pencil_top(energy_diag: np.ndarray, gramian: np.ndarray) -> tuple:
+    from scipy.linalg import eigvalsh  # deferred: only this audit loads it
+
     geigs = eigvalsh(gramian)
     norm = float(geigs[-1])
     floor = float(geigs[0])

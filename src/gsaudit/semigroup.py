@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import gammaln
 
 from .hermite import (
@@ -285,6 +284,8 @@ def fit_smoothing_certificate(
     scales as 1.05^(1+n+b), which matches how the dip grows with the
     derivative order. The certificate holds for t < t0 = SMOOTHING_T0.
     """
+    from scipy.optimize import linprog  # deferred: only this audit loads it
+
     rows, rhs, data = [], [], []
     for g in g_ensemble:
         log_g = math.log(g.norm())

@@ -183,7 +183,9 @@ def _mass_on_sensor(f: SpectralFunction, omega) -> float:
 
 def _premise_check(f, bound, tilde, delta):
     """Spot-check the declared derivative bounds on a small (n, beta) grid,
-    allowing a log-margin of -1e-7 for quadrature noise."""
+    allowing a log-margin of -1e-7. The integer-weight norms are exact
+    ladder sums up to rounding; quadrature noise enters only on the
+    fractional route of a profile delta in (0, 1)."""
     routes = [(1.0, bound)]
     if delta != 1.0:
         routes.append((delta, tilde))

@@ -308,7 +308,73 @@ class TestParseval:
         assert abs(quad - f.norm_squared()) < 1e-10
 
 
+def _gauss_hermite_pair(f, n, beta, delta):
+    """The whole-line norm by the Gauss-Hermite pair the ladder sum replaced:
+    orders deg + n + 9 (at least 100 for a fractional delta * n) and twice
+    that must agree to a relative 1e-8; returns the fine value."""
+    g = f
+    for _ in range(beta):
+        g = derivative(g)
+    order = g.max_degree + n + 9
+    if not float(delta * n).is_integer():
+        order = max(order, 100)
+
+    def squared(order):
+        x, w = gauss_hermite(order)
+        return float(np.sum(w * (1.0 + x**2) ** (delta * n) * _poly_part(g, x) ** 2))
+
+    coarse, fine = squared(order), squared(2 * order)
+    assert abs(fine - coarse) <= 1e-8 * max(abs(fine), abs(coarse))
+    return math.sqrt(fine)
+
+
 class TestWeightedNorms:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(0, 64),
+        n=st.integers(0, 8),
+        beta=st.integers(0, 8),
+        delta=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @example(seed=7, degree=64, n=8, beta=8, delta=1.0)
+    def test_integer_weight_matches_gauss_hermite(self, seed, degree, n, beta, delta):
+        n -= n % 2 if delta == 0.5 else 0  # keep delta * n an integer
+        f = random_expansion(seed, degree)
+        got = weighted_norm(f, n=n, beta=beta, weight_delta=delta)
+        assert got == pytest.approx(_gauss_hermite_pair(f, n, beta, delta), rel=1e-12)
+
+    def test_integer_weight_evaluates_nothing(self, monkeypatch):
+        # the ladder sum never evaluates the expansion nor runs a refinement
+        # check, so it cannot raise QuadratureConvergenceError
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an integer weight must not run quadrature")
+
+        monkeypatch.setattr(hermite, "_clenshaw_scaled", forbidden)
+        monkeypatch.setattr(hermite, "_check_refinement", forbidden)
+        f = random_expansion(4, 64)
+        for n, beta, delta in [(0, 0, 1.0), (2, 3, 1.0), (8, 8, 1.0), (4, 1, 0.5), (5, 2, 0.0)]:
+            assert math.isfinite(weighted_norm(f, n=n, beta=beta, weight_delta=delta))
+
+    def test_fractional_weight_is_checked_quadrature(self, monkeypatch):
+        checked = []
+        real = hermite._check_refinement
+
+        def spy(coarse, fine, what, atol=0.0):
+            checked.append(what)
+            real(coarse, fine, what, atol)
+
+        monkeypatch.setattr(hermite, "_check_refinement", spy)
+        f = random_expansion(9, 30)
+        got = weighted_norm(f, n=2, beta=1, weight_delta=0.3)
+        assert checked and set(checked) == {"weighted_norm"}
+        assert got == pytest.approx(_gauss_hermite_pair(f, 2, 1, 0.3), rel=1e-10)
+        # w = 1 + x^2 >= 1, and p -> log ||w^(p/2) g||^2 is convex, so the
+        # power 0.6 lies between the exact powers 0 and 1
+        lo = weighted_norm(f, n=0, beta=1)
+        hi = weighted_norm(f, n=1, beta=1, weight_delta=1.0)
+        assert lo < got <= lo**0.4 * hi**0.6 * (1 + 1e-12)
+
     def test_weighted_ground_state(self):
         # ||(1+x^2)^(1/2) h_0||^2 = 1 + <x^2> = 3/2
         got = weighted_norm(basis_function(0), n=1, beta=0, weight_delta=1.0)
@@ -330,8 +396,8 @@ class TestWeightedNorms:
         assert got**2 == pytest.approx(want, rel=1e-10)
 
     def test_ladder_consistency_weighted(self, rng):
-        # ||(1+x^2)^(1/2) f|| computed by quadrature equals the exact ladder
-        # image ||f||^2 + ||x f||^2 via Parseval.
+        # ||(1+x^2)^(1/2) f||^2 equals the exact ladder image
+        # ||f||^2 + ||x f||^2 via Parseval.
         f = random_expansion(21, 18)
         xf = multiply_by_coordinate(f)
         want = math.sqrt(f.norm_squared() + xf.norm_squared())

@@ -103,8 +103,8 @@ def test_every_option_is_set_by_some_call():
 
 
 # exports that only tests use today, each kept for a ROADMAP item that gives
-# it a caller (item 1: multiply_by_coordinate, item 5: diagonal_constant)
-UNUSED_EXPORTS_KEPT = {"multiply_by_coordinate", "diagonal_constant"}
+# it a caller (item 5: diagonal_constant)
+UNUSED_EXPORTS_KEPT = {"diagonal_constant"}
 
 
 def _exports():
