@@ -537,7 +537,7 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
         degree = int(rng.integers(_LOCAL_MIN_DEGREE, cfg["max_degree"] + 1))
         f = _random_expansion(rng, degree)
         center = float(rng.uniform(-3.0, 3.0))
-        ball = Ball((center,), float(profile.rho(center)))
+        ball = Ball(center, float(profile.rho(center)))
         omega = sensors[attempts % len(sensors)]
         if omega.measure_in_ball(ball) < cfg["min_density"] * ball.volume:
             continue

@@ -97,7 +97,7 @@ class Covering:
         return len(self.radii)
 
     def balls(self) -> list:
-        return [Ball((c,), r) for c, r in zip(self.centers, self.radii)]
+        return [Ball(c, r) for c, r in zip(self.centers, self.radii)]
 
 
 class CoveringConstructionError(NumericalError):
@@ -193,9 +193,6 @@ class FullSpaceSensorSet:
     def intersect_interval(self, a: float, b: float) -> list:
         return [(a, b)] if b > a else []
 
-    def to_dict(self) -> dict:
-        return {"kind": "full", "dim": 1, "description": self.description}
-
 
 class IntervalSensorSet:
     """Sensor set as a disjoint sorted union of half-open intervals."""
@@ -252,18 +249,10 @@ class IntervalSensorSet:
                 out.append((float(s), float(e)))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "intervals",
-            "dim": 1,
-            "description": self.description,
-            "intervals": [[float(a), float(b)] for a, b in zip(self.starts, self.ends)],
-        }
-
 
 def sensor_id(omega) -> str:
     """The name a report gives a sensor set: its description, else its kind."""
-    return omega.description or omega.to_dict()["kind"]
+    return omega.description or ("full" if isinstance(omega, FullSpaceSensorSet) else "intervals")
 
 
 def sensor_periodic(period: float, fill: float, extent: float = 400.0):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -117,18 +118,17 @@ def basis_function(degree: int) -> SpectralFunction:
 
 @dataclass(frozen=True)
 class Ball:
-    """The interval [c - r, c + r]; center is the 1-tuple (c,)."""
+    """The interval [center - radius, center + radius]."""
 
-    center: tuple
+    center: float
     radius: float
 
     def __post_init__(self):
-        center = tuple(float(c) for c in np.atleast_1d(self.center))
-        if len(center) != 1:
+        if not isinstance(self.center, Real):
             raise ValueError("ball center must be a single point on the line")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", float(self.center))
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
@@ -136,10 +136,7 @@ class Ball:
         return 2.0 * self.radius
 
     def interval(self) -> tuple:
-        return (self.center[0] - self.radius, self.center[0] + self.radius)
-
-    def center_norm(self) -> float:
-        return float(np.linalg.norm(self.center))
+        return (self.center - self.radius, self.center + self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +333,7 @@ def weighted_norm(
     # row n of the stack carries the weight power delta*n
     stack = np.zeros((n + 1, g.max_degree + 1))
     stack[n] = g.coeffs
-    line = Ball((0.0,), effective_support_radius(g))
+    line = Ball(0.0, effective_support_radius(g))
     ((coarse, fine),) = ball_norms_squared(stack, [line], weight_delta)
     value = refined_rows(coarse, fine, [0.0] * (n + 1), "weighted_norm")[n]
     return math.sqrt(max(value, 0.0))

@@ -19,7 +19,7 @@ large lives in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -42,7 +42,6 @@ from .hermite import (
 __all__ = [
     "AnalyticityReport",
     "BadMassReport",
-    "BallAudit",
     "ClassifierConfig",
     "GoodBallResult",
     "LocalEstimateReport",
@@ -298,7 +297,7 @@ def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results) -> BadMas
 def _log_w_inf_neg(ball: Ball, cfg: ClassifierConfig) -> float:
     # log sup_{x in Q} w(x)^{-2} = -delta * log(1 + max{0, |y| - rho}^2);
     # w is radially increasing, so the sup sits at the point nearest 0.
-    nearest = max(0.0, ball.center_norm() - ball.radius)
+    nearest = max(0.0, abs(ball.center) - ball.radius)
     return -cfg.delta * math.log1p(nearest * nearest)
 
 
@@ -310,12 +309,12 @@ def _log_abs_derivatives_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray
 
 
 def _ball_grid(ball: Ball, n: int):
-    return np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, n)
+    return np.linspace(*ball.interval(), n)
 
 
 @dataclass(frozen=True)
 class WitnessResult:
-    x_k: tuple | None
+    x_k: float
     verified: bool
     min_margin: float  # best over grid of worst log margin over m
     refined: bool
@@ -367,7 +366,7 @@ def pointwise_witness(
     if margin < 0.0:
         refined = True
         point, margin = scan(4 * n_grid)
-    return WitnessResult((float(point),), margin >= 0.0, margin, refined)
+    return WitnessResult(float(point), margin >= 0.0, margin, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +398,7 @@ def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
 def _polydisc_points(ball: Ball, rho8: float, n_q: int, n_phi: int):
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     circle = np.exp(1j * phis)
-    q = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, n_q)
-    q = np.append(q, ball.center[0])
+    q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
     rings = [q[:, None] + rho8 * v * circle[None, :] for v in (1.0, 0.5)]
     return np.concatenate([r.ravel() for r in rings] + [q.astype(complex)])
 
@@ -717,56 +715,3 @@ def analyticity_check(
         fitted_ratio=ratio,
         final_error=residuals[-1],
     )
-
-
-# ---------------------------------------------------------------------------
-# per-ball audit record
-
-
-@dataclass(frozen=True)
-class BallAudit:
-    """Everything measured about one covering ball during a theorem run."""
-
-    k: int
-    ball: Ball
-    m_cap: int
-    is_good: bool
-    failing_m: int | None
-    degenerate: bool
-    mass_sq: float
-    tail_certified: bool | None = None
-    tail_order: int | None = None
-    x_k: tuple | None = None
-    witness_verified: bool | None = None
-    witness_refined: bool | None = None
-    log_mk_bruteforce: float | None = None
-    mk_converged: bool | None = None
-    log_mk_bound: float | None = None
-    log_mk_intermediate: float | None = None
-    log_local_lhs: float | None = None
-    log_local_rhs: float | None = None
-    local_applicable: bool | None = None
-
-    @property
-    def mk_consistent(self) -> bool | None:
-        if self.log_mk_bruteforce is None or self.log_mk_bound is None:
-            return None
-        return self.log_mk_bruteforce <= self.log_mk_bound + 1e-9
-
-    @property
-    def local_passed(self) -> bool | None:
-        if self.log_local_lhs is None or not self.local_applicable:
-            return None
-        return self.log_local_lhs >= self.log_local_rhs - 1e-9
-
-    def to_dict(self) -> dict:
-        """Every field but the ball, which gives its center and radius, plus
-        the two derived verdicts."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ball"}
-        out.update(
-            center=list(self.ball.center),
-            radius=self.ball.radius,
-            mk_consistent=self.mk_consistent,
-            local_passed=self.local_passed,
-        )
-        return out

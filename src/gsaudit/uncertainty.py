@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from multiprocessing import get_context
@@ -53,7 +54,6 @@ from .hermite import (
     weighted_norm,
 )
 from .local_estimates import (
-    BallAudit,
     ClassifierConfig,
     bad_mass_bound,
     classify_balls,
@@ -66,6 +66,7 @@ from .local_estimates import (
 from .semigroup import GSBound, delta_weight_transfer, tail_mass_check
 
 __all__ = [
+    "BallAudit",
     "PipelineError",
     "StepRecord",
     "UncertaintyReport",
@@ -101,9 +102,9 @@ def _log(x: float) -> float:
 
 def _jsonable(x):
     """x as JSON data: a non-finite float becomes a string, a numpy scalar a
-    Python one, a tuple a list, and a dataclass the dict of its fields, or its
-    to_dict() where it derives more. The common scalar and container cases are
-    tested first, as they make up most of a report."""
+    Python one, a tuple a list, and a dataclass the dict of its fields. The
+    common scalar and container cases are tested first, as they make up most
+    of a report."""
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
@@ -119,8 +120,6 @@ def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return _jsonable(float(x)) if isinstance(x, np.floating) else int(x)
     if is_dataclass(x):
-        if hasattr(x, "to_dict"):
-            return _jsonable(x.to_dict())
         return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     return x
 
@@ -134,6 +133,31 @@ class StepRecord:
     log_lhs: float | None = None
     log_rhs: float | None = None
     detail: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class BallAudit:
+    """What one non-degenerate covering ball measured: its classification,
+    and for a certified good ball its witness, polydisc sup and local
+    estimate. The case-level bounds these are checked against sit in the
+    steps."""
+
+    k: int
+    center: float
+    radius: float
+    is_good: bool
+    failing_m: int | None
+    mass_sq: float
+    tail_certified: bool | None
+    tail_order: int | None
+    x_k: float | None = None
+    witness_verified: bool | None = None
+    witness_refined: bool | None = None
+    log_mk_bruteforce: float | None = None
+    mk_converged: bool | None = None
+    log_local_lhs: float | None = None
+    log_local_rhs: float | None = None
+    local_applicable: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -153,7 +177,7 @@ class UncertaintyReport:
     n_uncertified: int
     n_bad: int
     n_degenerate: int
-    ball_audits: tuple
+    ball_audits: tuple  # BallAudit per non-degenerate ball, in k order
     steps: tuple
     total_mass: float
     omega_mass: float
@@ -320,23 +344,23 @@ def _run_pipeline(
     bad_report = once(
         "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
     )
-    audits = [
-        BallAudit(
+    audits = {
+        k: BallAudit(
             k=k,
-            ball=ball,
-            m_cap=m_cap,
+            center=ball.center,
+            radius=ball.radius,
             is_good=res.is_good,
             failing_m=res.failing_m,
-            degenerate=res.degenerate,
             mass_sq=res.mass_sq,
             tail_certified=bad_report.tail_certified[k],
             tail_order=bad_report.tail_orders[k],
         )
         for k, (ball, res) in enumerate(zip(balls, results))
-    ]
+        if not res.degenerate
+    }
     # the certified good balls; an uncertified ball's tail condition is
     # unknown beyond m_cap, and its mass already sits in the eps budget
-    active = [a for a in audits if a.tail_certified]
+    active = [a for a in audits.values() if a.tail_certified]
     counts = {
         "n_good": len(active),
         "n_uncertified": bad_report.n_uncertified,
@@ -357,7 +381,7 @@ def _run_pipeline(
 
     total_mass = f.norm_squared()
     good_mass = sum(a.mass_sq for a in active)
-    deg_mass = sum(a.mass_sq for a in audits if a.degenerate)
+    deg_mass = sum((res.mass_sq for res in results if res.degenerate), 0.0)
     # bad_report.total = bad + uncertified-good + outside-mass, all inside the
     # eps budget; certified good balls and degenerate slop carry the rest
     covered = good_mass + deg_mass + bad_report.total
@@ -368,6 +392,7 @@ def _run_pipeline(
         log_rhs=_log(covered),
         covered_mass=covered,
         total_mass=total_mass,
+        degenerate_mass=deg_mass,
     )
 
     # one pass over the certified good balls: witness, analytic-extension
@@ -380,31 +405,26 @@ def _run_pipeline(
     sum_inter = 0.0
     gamma_floors, log_measured_factors = [], []
     for audit in active:
-        gamma_floors.append(_gamma_floor(gamma_spec, audit.ball.center_norm()))
+        ball = balls[audit.k]
+        gamma_floors.append(_gamma_floor(gamma_spec, abs(ball.center)))
         wit = once(
             ("witness", audit.k),
             lambda: pointwise_witness(
-                f, audit.ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs,
-                n_grid=witness_grid,
+                f, ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs, n_grid=witness_grid
             ),
         )
         audits[audit.k] = replace(
-            audit,
-            x_k=wit.x_k,
-            witness_verified=wit.verified,
-            witness_refined=wit.refined,
-            log_mk_bound=ub.log_bound,
-            log_mk_intermediate=ub.log_intermediate,
+            audit, x_k=wit.x_k, witness_verified=wit.verified, witness_refined=wit.refined
         )
         if not wit.verified:
             unwitnessed.append(audit.k)
             continue
-        rho_k = float(profile.rho(wit.x_k[0]))
+        rho_k = float(profile.rho(wit.x_k))
         brute = once(
             ("mk-bruteforce", audit.k),
-            lambda: mk_bruteforce(f, audit.ball, rho_k, norm_sq=audit.mass_sq),
+            lambda: mk_bruteforce(f, ball, rho_k, norm_sq=audit.mass_sq),
         )
-        local = local_estimate_check(f, audit.ball, omega, brute.log_m, mass_sq=audit.mass_sq)
+        local = local_estimate_check(f, ball, omega, brute.log_m, mass_sq=audit.mass_sq)
         audits[audit.k] = replace(
             audits[audit.k],
             log_mk_bruteforce=brute.log_m,
@@ -422,7 +442,7 @@ def _run_pipeline(
         worst_local = min(worst_local, local.log_lhs - local.log_rhs)
         sum_inter += local.intersection_mass_sq
         worst_ball_density = min(
-            worst_ball_density, local.intersection_measure / audit.ball.volume - gamma_floors[-1]
+            worst_ball_density, local.intersection_measure / ball.volume - gamma_floors[-1]
         )
         log_measured_factors.append(local.exponent * math.log(local.base))
     record(
@@ -530,7 +550,7 @@ def _run_pipeline(
         tail_radius=tail.r,
         covering=summary,
         **counts,
-        ball_audits=tuple(audits),
+        ball_audits=tuple(audits.values()),
         steps=tuple(steps),
         total_mass=total_mass,
         omega_mass=omega_mass,
@@ -673,13 +693,13 @@ def k_effective_sweep(
     Cases with the same f, bound and profile objects and an equal eps form a
     group, which audits its sensor-free stages once (see the module
     docstring) and runs its cases in case order up to the first that raises
-    PipelineError or NumericalError. One worker runs the groups in a loop
-    and stops before a group whose first case comes after a failed case.
-    With threads > 1 the groups run in min(threads, number of groups)
-    forked worker processes. The reports are
-    put back in case order and the error raised is that of the first case
-    without a report, so the rows, and the exception, are those of a loop
-    over the cases; any other exception is a bug and propagates at once.
+    PipelineError or NumericalError. With threads > 1 the groups run in
+    min(threads, number of groups) forked worker processes, else in this
+    one. Either way one loop reads the groups' outcomes in order and stops
+    before a group whose first case comes after a failed case. The reports
+    are put back in case order and the error raised is that of the first
+    case without a report, so the rows, and the exception, are those of a
+    loop over the cases; any other exception is a bug and propagates.
     """
     cases = list(cases)
     groups = {}
@@ -691,24 +711,19 @@ def k_effective_sweep(
     work = [[cases[i] for i in group] for group in groups]
     reports = [None] * len(cases)
     errors = {}
-
-    def collect(group, outcome):
-        done, err = outcome
-        for i, report in zip(group, done):
-            reports[i] = report
-        if err is not None:
-            errors[group[len(done)]] = err
-
     workers = min(threads, len(groups))
-    if workers <= 1:
-        for group, group_cases in zip(groups, work):
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork")) if workers > 1 else None
+    with pool or nullcontext():
+        # builtin map audits a group only when the loop asks for its outcome
+        outcomes = pool.map(audit, work) if pool else map(audit, work)
+        for group in groups:
             if errors and group[0] > min(errors):
                 break  # the loop over the cases stops before this group
-            collect(group, audit(group_cases))
-    else:
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            for group, outcome in zip(groups, pool.map(audit, work)):
-                collect(group, outcome)
+            done, err = next(outcomes)
+            for i, report in zip(group, done):
+                reports[i] = report
+            if err is not None:
+                errors[group[len(done)]] = err
     if errors:
         raise errors[min(errors)]
     if reports_out is not None:

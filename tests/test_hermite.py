@@ -293,7 +293,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     def test_ball_pairs_match_one_ball_passes(self, delta):
         stack = derivative_stack(random_expansion(5, 30), 24)
-        balls = [Ball((c,), r) for c, r in [(-3.0, 0.4), (-2.6, 1.7), (0.1, 2.2), (9.0, 0.9)]]
+        balls = [Ball(c, r) for c, r in [(-3.0, 0.4), (-2.6, 1.7), (0.1, 2.2), (9.0, 0.9)]]
         for ball, (coarse, fine) in zip(balls, ball_norms_squared(stack, balls, delta)):
             assert coarse == _one_interval_sums(stack, *ball.interval(), delta, 24, 0.5)
             assert fine == _one_interval_sums(stack, *ball.interval(), delta, 48, 0.25)
@@ -407,7 +407,7 @@ class TestWeightedNorms:
     def test_ball_restriction(self):
         # int_{-1}^{1} h_0^2 = erf(1), by the ball kernel on a one-row stack
         ((coarse, fine),) = ball_norms_squared(
-            basis_function(0).coeffs[None], [Ball((0.0,), 1.0)], 1.0
+            basis_function(0).coeffs[None], [Ball(0.0, 1.0)], 1.0
         )
         (got,) = refined_rows(coarse, fine, [0.0], "h_0 on [-1, 1]")
         assert got == pytest.approx(math.erf(1.0), rel=1e-12)

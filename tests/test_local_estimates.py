@@ -1,9 +1,7 @@
 """Ball classification, polydisc sup bounds, the series lemma, local estimates."""
 
-import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from gsaudit.hermite import (
 )
 from gsaudit.local_estimates import (
     SERIES_TERM_CAP,
-    BallAudit,
     ClassifierConfig,
     analyticity_check,
     bad_mass_bound,
@@ -99,11 +96,11 @@ class TestGoodBallTest:
     def test_order_zero_always_holds(self):
         # at m = 0 the inequality reads mass <= (2 kappa/eps) * 2 * mass
         f = random_expansion(3, 12)
-        res = _classify(f, Ball((0.5,), 1.2), _cfg(tilde_d2=1.0, s=0.0))
+        res = _classify(f, Ball(0.5, 1.2), _cfg(tilde_d2=1.0, s=0.0))
         assert res.log_margins[0] >= math.log(4.0) - 1e-9
 
     def test_gaussian_unit_ball_good(self):
-        res = _classify(basis_function(0), Ball((0.0,), 1.0), _cfg(tilde_d2=10.0))
+        res = _classify(basis_function(0), Ball(0.0, 1.0), _cfg(tilde_d2=10.0))
         assert res.is_good and res.failing_m is None and not res.degenerate
         assert math.isclose(res.mass_sq, ERF1, rel_tol=1e-10)
         assert len(res.log_margins) == 9
@@ -111,13 +108,13 @@ class TestGoodBallTest:
     def test_high_degree_small_ball_bad(self):
         # h_40 oscillates at frequency ~9 near the origin, so with trivial
         # derivative constants the weighted masses outrun 2^(m+1)/m! quickly
-        res = _classify(basis_function(40), Ball((0.0,), 0.5), _cfg(tilde_d2=1.0, s=0.0, m_cap=6))
+        res = _classify(basis_function(40), Ball(0.0, 0.5), _cfg(tilde_d2=1.0, s=0.0, m_cap=6))
         assert not res.is_good
         assert res.failing_m is not None and 1 <= res.failing_m <= 6
         assert res.log_margins[res.failing_m] < 0.0
 
     def test_far_ball_degenerate(self):
-        res = _classify(basis_function(4), Ball((40.0,), 1.0), _cfg())
+        res = _classify(basis_function(4), Ball(40.0, 1.0), _cfg())
         assert res.is_good and res.degenerate and res.log_margins == ()
 
     def test_dimension_mismatch(self):
@@ -137,7 +134,7 @@ class TestGoodBallTest:
         # shrinking eps inflates every right-hand side, so a ball that is good
         # at the larger eps stays good at the smaller one
         f = random_expansion(seed, degree)
-        ball = Ball((center,), 1.0)
+        ball = Ball(center, 1.0)
         derivs = derivative_stack(f, 4)
         kwargs = dict(tilde_d2=1.0, s=0.0, m_cap=4)
         (res_large,) = classify_balls(f, [ball], _cfg(eps=eps_large, **kwargs), derivs)
@@ -152,7 +149,7 @@ class TestGoodBallTest:
         # points on panels of at most 0.25) with the unpadded d^m f, as the
         # classifier did before its orders shared one stacked quadrature
         f = random_expansion(seed, 16)
-        ball = Ball((center,), 0.9)
+        ball = Ball(center, 0.9)
         cfg = _cfg(tilde_d2=3.0, s=0.5, delta=delta, m_cap=24)
         res = _classify(f, ball, cfg)
         assert not res.degenerate and len(res.log_margins) == cfg.m_cap + 1
@@ -188,7 +185,7 @@ class TestClassifyBalls:
         f = random_expansion(11, 24)
         cfg = _cfg(tilde_d2=3.0, s=0.5, delta=0.5, m_cap=24)
         derivs = derivative_stack(f, cfg.m_cap)
-        balls = [Ball((c,), r) for c, r in [(-45.0, 2.0), (-1.1, 0.7), (0.2, 1.6), (30.0, 1.0), (2.4, 0.9)]]
+        balls = [Ball(c, r) for c, r in [(-45.0, 2.0), (-1.1, 0.7), (0.2, 1.6), (30.0, 1.0), (2.4, 0.9)]]
         batched = classify_balls(f, balls, cfg, derivs)
         batched_whats, whats[:] = whats[:], []
         looped = [classify_balls(f, [ball], cfg, derivs)[0] for ball in balls]
@@ -252,22 +249,22 @@ class TestBadMassBound:
 
 class TestPointwiseWitness:
     def test_gaussian_witness_found(self):
-        ball = Ball((0.0,), 1.0)
+        ball = Ball(0.0, 1.0)
         res = _witness(basis_function(0), ball, _cfg())
         assert res.verified and res.min_margin >= 0.0 and not res.refined
-        assert abs(res.x_k[0]) <= 1.0
+        assert abs(res.x_k) <= 1.0
 
     def test_bad_ball_witness_fails_after_refinement(self):
         # same setup as the bad-classification case: no point can satisfy
         # the bounds, and the search reports the refinement attempt
-        res = _witness(basis_function(40), Ball((0.0,), 0.5), _cfg(tilde_d2=1.0, s=0.0, m_cap=4))
+        res = _witness(basis_function(40), Ball(0.0, 0.5), _cfg(tilde_d2=1.0, s=0.0, m_cap=4))
         assert not res.verified and res.refined and res.min_margin < 0.0
 
     def test_good_ball_has_witness_ensemble(self):
         cfg = _cfg(tilde_d2=3.0, s=0.5, m_cap=6)
         for seed in range(6):
             f = random_expansion(seed, 10)
-            ball = Ball((0.5 * seed - 1.0,), 1.0)
+            ball = Ball(0.5 * seed - 1.0, 1.0)
             derivs = derivative_stack(f, cfg.m_cap)
             (cls,) = classify_balls(f, [ball], cfg, derivs)
             if not cls.is_good or cls.degenerate:
@@ -278,14 +275,14 @@ class TestPointwiseWitness:
     def test_zero_mass_rejected(self):
         f = basis_function(0)
         with pytest.raises(ValueError):
-            pointwise_witness(f, Ball((0.0,), 1.0), _cfg(), 0.0, derivative_stack(f, 8))
+            pointwise_witness(f, Ball(0.0, 1.0), _cfg(), 0.0, derivative_stack(f, 8))
 
 
 class TestMkBruteforce:
     def test_gaussian_closed_form(self):
         # |H_0(u+iv)| = pi^(-1/4) exp((v^2-u^2)/2); on [-1,1] + D(0,4) the sup
         # sits at u=0, v=4, and the ball mass is erf(1)
-        res = _brute(basis_function(0), Ball((0.0,), 1.0), 0.5)
+        res = _brute(basis_function(0), Ball(0.0, 1.0), 0.5)
         expected = 0.5 * math.log(2.0) - 0.5 * math.log(ERF1) + 8.0 - 0.25 * math.log(math.pi)
         assert res.converged
         assert math.isclose(res.log_m, expected, abs_tol=1e-6)
@@ -293,13 +290,13 @@ class TestMkBruteforce:
     def test_never_below_one(self):
         for seed in range(5):
             f = random_expansion(seed, 14)
-            res = _brute(f, Ball((0.4 * seed - 1.0,), 0.8), 0.6)
+            res = _brute(f, Ball(0.4 * seed - 1.0, 0.8), 0.6)
             assert res.log_m >= 0.0
 
     def test_zero_mass_rejected(self):
         f = basis_function(0)
         with pytest.raises(ValueError):
-            mk_bruteforce(f, Ball((0.0,), 1.0), 0.5, norm_sq=0.0)
+            mk_bruteforce(f, Ball(0.0, 1.0), 0.5, norm_sq=0.0)
 
     def test_nan_sample_is_a_numerical_error(self, monkeypatch):
         # max(best, nan) keeps best, so a NaN would drop its whole block
@@ -312,11 +309,11 @@ class TestMkBruteforce:
 
         monkeypatch.setattr(local_estimates, "_log_abs_analytic", one_nan)
         with pytest.raises(NumericalError, match="NaN"):
-            _brute(random_expansion(2, 10), Ball((0.3,), 1.0), 0.5)
+            _brute(random_expansion(2, 10), Ball(0.3, 1.0), 0.5)
 
     def test_blocked_max_is_the_one_block_max(self):
         f = random_expansion(6, 30)
-        pts = local_estimates._polydisc_points(Ball((1.0,), 1.3), 4.0, 96, 192)
+        pts = local_estimates._polydisc_points(Ball(1.0, 1.3), 4.0, 96, 192)
         assert len(pts) > 2 * hermite._BLOCK
         whole = float(np.max(local_estimates._log_abs_analytic(f, pts)))
         assert local_estimates._max_log_abs(f, pts) == whole
@@ -521,7 +518,7 @@ class TestMkBound:
             cfg = ClassifierConfig(eps=eps, kappa=1, tilde_d2=1.0, s=0.0, delta=0.0)
             ub = mk_bound(cfg, profile, bound)
             for center in (0.0, 1.5):
-                ball = Ball((center,), float(profile.rho(center)))
+                ball = Ball(center, float(profile.rho(center)))
                 brute = _brute(basis_function(0), ball, float(profile.rho(center)))
                 assert brute.log_m <= ub.log_intermediate <= ub.log_bound
 
@@ -530,7 +527,7 @@ class TestLocalEstimateCheck:
     def test_full_overlap_reference(self):
         # omega covering the ball: base 48, exponent 1, ratio exactly 48
         f = random_expansion(2, 8)
-        ball = Ball((0.2,), 1.5)
+        ball = Ball(0.2, 1.5)
         rep = local_estimate_check(f, ball, IntervalSensorSet([(-50.0, 50.0)]), 0.0, _mass(f, ball))
         assert rep.applicable and rep.passed
         assert math.isclose(rep.base, 48.0, rel_tol=1e-14)
@@ -538,7 +535,7 @@ class TestLocalEstimateCheck:
         assert math.isclose(rep.log_ratio, math.log(48.0), abs_tol=1e-6)
 
     def test_periodic_sensor_passes_with_honest_sup(self):
-        ball = Ball((0.0,), 2.0)
+        ball = Ball(0.0, 2.0)
         omega = sensor_periodic(1.0, 0.5)
         for degree in (0, 5):
             f = basis_function(degree)
@@ -550,19 +547,19 @@ class TestLocalEstimateCheck:
     def test_dishonest_sup_detected(self):
         # claiming M = 1 while omega sits in a tiny window at the zero of h_5
         # must fail: the check has real teeth
-        f, ball = basis_function(5), Ball((0.0,), 2.0)
+        f, ball = basis_function(5), Ball(0.0, 2.0)
         rep = local_estimate_check(f, ball, IntervalSensorSet([(-5e-7, 5e-7)]), 0.0, _mass(f, ball))
         assert rep.applicable and not rep.passed
 
     def test_empty_intersection_inapplicable(self):
-        f, ball = basis_function(0), Ball((0.0,), 1.0)
+        f, ball = basis_function(0), Ball(0.0, 1.0)
         rep = local_estimate_check(f, ball, IntervalSensorSet([(10.0, 11.0)]), 0.0, _mass(f, ball))
         assert not rep.applicable and not rep.passed
 
     def test_negative_log_sup_rejected(self):
         with pytest.raises(ValueError):
             local_estimate_check(
-                basis_function(0), Ball((0.0,), 1.0), IntervalSensorSet([(-1.0, 1.0)]), -0.5, ERF1
+                basis_function(0), Ball(0.0, 1.0), IntervalSensorSet([(-1.0, 1.0)]), -0.5, ERF1
             )
 
     def test_two_dimensional_rejected(self):
@@ -600,43 +597,6 @@ class TestAnalyticityCheck:
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             analyticity_check(basis_function(0), 1.0, 1.0, 0.0, tau=0.0)
-
-
-class TestBallAudit:
-    def _audit(self):
-        return BallAudit(
-            k=0,
-            ball=Ball((0.0,), 1.0),
-            m_cap=8,
-            is_good=True,
-            failing_m=None,
-            degenerate=False,
-            mass_sq=0.5,
-        )
-
-    def test_staged_fields_default_none(self):
-        audit = self._audit()
-        assert audit.mk_consistent is None and audit.local_passed is None
-
-    def test_with_fields_and_consistency(self):
-        audit = replace(self._audit(), log_mk_bruteforce=3.0, log_mk_bound=10.0)
-        assert audit.mk_consistent is True
-        worse = replace(audit, log_mk_bruteforce=11.0)
-        assert worse.mk_consistent is False
-
-    def test_local_verdict(self):
-        audit = replace(self._audit(), log_local_lhs=5.0, log_local_rhs=1.0, local_applicable=True)
-        assert audit.local_passed is True
-        assert replace(audit, log_local_lhs=0.0).local_passed is False
-
-    def test_json_roundtrip(self):
-        audit = replace(
-            self._audit(), tail_certified=True, tail_order=3, x_k=(0.25,), witness_verified=True
-        )
-        payload = json.loads(json.dumps(audit.to_dict()))
-        assert payload["k"] == 0 and payload["center"] == [0.0]
-        assert payload["tail_order"] == 3 and payload["x_k"] == [0.25]
-        assert payload["mk_consistent"] is None
 
 
 class TestDerivativeFamily:

@@ -61,7 +61,6 @@ class TestMassMatrix:
         # sensor sets take no dimension: every one lives on the line
         with pytest.raises(TypeError):
             FullSpaceSensorSet(dim=2)
-        assert FullSpaceSensorSet().to_dict()["dim"] == 1
 
     @pytest.mark.parametrize("n", [0, MAX_TRUNCATION + 1])
     def test_truncation_range(self, n):

@@ -4,10 +4,12 @@ import json
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from gsaudit import uncertainty
+from gsaudit.experiments import run_experiment
 from gsaudit.geometry import (
     FullSpaceSensorSet,
     RadiusProfile,
@@ -15,6 +17,7 @@ from gsaudit.geometry import (
     sensor_periodic,
 )
 from gsaudit.hermite import SpectralFunction
+from gsaudit.local_estimates import DEGENERATE_MASS_REL
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
     PipelineError,
@@ -43,6 +46,31 @@ STEP_ORDER = [
     "measured-chain",
     "formal-chain",
 ]
+
+
+BALL_AUDIT_FIELDS = {
+    "k", "center", "radius", "is_good", "failing_m", "mass_sq", "tail_certified",
+    "tail_order", "x_k", "witness_verified", "witness_refined", "log_mk_bruteforce",
+    "mk_converged", "log_local_lhs", "log_local_rhs", "local_applicable",
+}
+
+
+def assert_ball_audit_layout(report: dict):
+    """A report's JSON form holds one record per non-degenerate ball, in k
+    order, and the degenerate mass in the decomposition step."""
+    records = report["ball_audits"]
+    ks = [a["k"] for a in records]
+    assert ks == sorted(set(ks)) and all(0 <= k < report["covering"]["n_balls"] for k in ks)
+    assert len(records) == report["covering"]["n_balls"] - report["n_degenerate"]
+    floor = DEGENERATE_MASS_REL * report["total_mass"]
+    assert all(a["mass_sq"] > floor for a in records)
+    assert all(set(a) == BALL_AUDIT_FIELDS for a in records)
+    steps = {step["name"]: step["detail"] for step in report["steps"]}
+    decomposition, bad = steps["decomposition"], steps["bad-mass"]
+    bad_total = bad["bad_mass"] + bad["uncertified_good_mass"] + bad["q0_mass_upper"]
+    covered = report["good_mass"] + decomposition["degenerate_mass"] + bad_total
+    assert decomposition["covered_mass"] == covered
+    assert report["good_mass"] == sum(a["mass_sq"] for a in records if a["tail_certified"])
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +129,7 @@ class TestFullSpaceSensor:
         assert data["passed"] is True
         assert data["gamma"] == ["constant", 1.0]
         assert len(data["steps"]) == len(STEP_ORDER)
-        assert len(data["ball_audits"]) == data["covering"]["n_balls"]
+        assert len(data["ball_audits"]) == data["covering"]["n_balls"] - data["n_degenerate"]
 
 
 class TestPeriodicSensor:
@@ -133,9 +161,10 @@ class TestPeriodicSensor:
         )
 
     def test_good_ball_audits_fully_populated(self, report_periodic):
+        uniform = report_periodic.step("mk-bound").detail["log_mk_uniform_bound"]
         checked = 0
         for audit in report_periodic.ball_audits:
-            if not (audit.is_good and not audit.degenerate):
+            if not audit.is_good:
                 continue
             if not audit.tail_certified:
                 # unknown beyond m_cap: counted in the eps budget, not audited
@@ -144,16 +173,30 @@ class TestPeriodicSensor:
             checked += 1
             assert audit.witness_verified
             # closed ball: the witness may sit on the boundary
-            assert abs(audit.x_k[0] - audit.ball.center[0]) <= audit.ball.radius + 1e-12
-            assert audit.mk_consistent
-            assert audit.local_passed
+            assert abs(audit.x_k - audit.center) <= audit.radius + 1e-12
+            assert audit.log_mk_bruteforce <= uniform + 1e-9
+            assert audit.local_applicable
+            assert audit.log_local_lhs >= audit.log_local_rhs - 1e-9
         assert checked == report_periodic.n_good
 
     def test_decomposition_accounts_for_all_mass(self, report_periodic):
         r = report_periodic
         covered = r.good_mass + r.bad_mass + r.q0_mass_upper
-        deg = sum(a.mass_sq for a in r.ball_audits if a.degenerate)
+        deg = r.step("decomposition").detail["degenerate_mass"]
         assert covered + deg >= r.total_mass * (1.0 - 1e-8) - 1e-12
+
+    def test_ball_audit_layout(self, report_periodic):
+        assert_ball_audit_layout(json.loads(json.dumps(_jsonable(report_periodic))))
+
+
+def test_committed_sweep_ball_audit_layout():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
+    result = run_experiment(json.loads(path.read_text(encoding="utf-8")))
+    assert result.passed
+    reports = result.report["results"]["reports"]
+    assert len(reports) == 12
+    for report in reports:
+        assert_ball_audit_layout(report)
 
 
 class TestErrorTermDominated:
@@ -242,12 +285,13 @@ class TestPipelineFailures:
         f, bound, profile = instance
         active = [a for a in report_periodic.ball_audits if a.tail_certified]
         chosen = {name: sorted(active[i].k for i in where) for name, where in failing.items()}
-        k_of = {a.ball: a.k for a in report_periodic.ball_audits}
+        k_of = {(a.center, a.radius): a.k for a in report_periodic.ball_audits}
 
         def fail_on(real, ks, flag):
             def audit(f, ball, *args, **kwargs):
                 result = real(f, ball, *args, **kwargs)
-                return replace(result, **{flag: False}) if k_of[ball] in ks else result
+                hit = k_of[ball.center, ball.radius] in ks
+                return replace(result, **{flag: False}) if hit else result
 
             return audit
 
