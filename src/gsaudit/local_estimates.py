@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .hermite import (
     Ball,
@@ -34,6 +33,8 @@ from .hermite import (
     ball_norms_squared,
     derivative,
     evaluate,
+    log_factorial,
+    logsumexp,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
     refined_rows,
@@ -72,11 +73,11 @@ DEGENERATE_MASS_REL = 1e-40
 # lies past 0.9 of this.
 SERIES_TERM_CAP = 30_000_000
 # series_bound sums windows of +-40 sigma (and wider) around the peak in
-# chunks of at most _SERIES_CHUNK terms, and certifies once the omitted tails
+# blocks of at most _SERIES_BLOCK terms, and certifies once the omitted tails
 # stay within exp(_LOG_SERIES_REL_TAIL) of the sum: at 2^-53, the unit
 # roundoff of a double, they stay below the rounding error of the sum itself
 _SERIES_WINDOW_SIGMAS = 40.0
-_SERIES_CHUNK = 1_000_000
+_SERIES_BLOCK = 1 << 16
 _LOG_SERIES_REL_TAIL = math.log(2.0**-53)
 
 _LOG2 = math.log(2.0)
@@ -113,7 +114,7 @@ class ClassifierConfig:
             raise ValueError("m_cap must lie in [0, 24]")
 
     def log_q(self, m: int) -> float:
-        return 2.0 * m * math.log(self.tilde_d2) + self.s * gammaln(m + 1)
+        return 2.0 * m * math.log(self.tilde_d2) + self.s * log_factorial(m)
 
 
 def derivative_family(f: SpectralFunction, max_order: int) -> dict:
@@ -175,7 +176,7 @@ def good_ball_test(
         log_prefactor
         + (m + 1) * _LOG2
         + 2.0 * cfg.log_q(m)
-        - gammaln(m + 1)
+        - log_factorial(m)
         + log_mass
         for m in range(cfg.m_cap + 1)
     ]
@@ -186,7 +187,7 @@ def good_ball_test(
     for m, (rhs, sq) in enumerate(zip(log_rhs, norms_sq)):
         w = math.sqrt(max(sq, 0.0))
         log_sq = 2.0 * math.log(w) if w > 0 else -math.inf
-        log_lhs = log_sq - gammaln(m + 1)
+        log_lhs = log_sq - log_factorial(m)
         margins.append(rhs - log_lhs)
         if failing is None and log_lhs > rhs:
             failing = m
@@ -475,19 +476,18 @@ def _series_windows(m_star: float, sigma: float, term_cap: int):
 
 def _log_series_term(m, log_d: float, one_ms: float):
     """log D^m/(m!)^(1-s), for an integer or an array of them."""
-    return m * log_d - one_ms * gammaln(m + 1)
+    return m * log_d - one_ms * log_factorial(m)
 
 
 def _log_series_sum(lo: int, hi: int, log_d: float, one_ms: float) -> float:
-    """log sum_{m=lo}^{hi} D^m/(m!)^(1-s), in chunks of at most _SERIES_CHUNK
-    terms so that memory stays bounded."""
-    log_sum = -math.inf
-    while lo <= hi:
-        end = min(lo + _SERIES_CHUNK, hi + 1)
-        terms = _log_series_term(np.arange(lo, end), log_d, one_ms)
-        log_sum = np.logaddexp(log_sum, logsumexp(terms))
-        lo = end
-    return float(log_sum)
+    """log sum_{m=lo}^{hi} D^m/(m!)^(1-s): the logsumexp of the logsumexps of
+    blocks of at most _SERIES_BLOCK terms, so that memory stays small."""
+    return logsumexp(
+        [
+            logsumexp(_log_series_term(np.arange(start, min(start + _SERIES_BLOCK, hi + 1)), log_d, one_ms))
+            for start in range(lo, hi + 1, _SERIES_BLOCK)
+        ]
+    )
 
 
 def _log_geometric(log_first: float, ratio: float) -> float:
@@ -504,8 +504,8 @@ def series_bound(
 
     The term ratio t(m+1)/t(m) = D/(m+1)^(1-s) falls with m, so the terms
     peak near m* = D^(1/(1-s)) and only a window m* +- 40 sigma,
-    sigma = sqrt(max(m*, 1)/(1-s)), is summed, in log space and in chunks
-    of at most 1M terms. Right of the window [lo, hi] the terms shrink at
+    sigma = sqrt(max(m*, 1)/(1-s)), is summed, in log space and in blocks
+    of at most 64Ki terms. Right of the window [lo, hi] the terms shrink at
     least geometrically by D/(hi+2)^(1-s), left of it by lo^(1-s)/D; the
     sum is certified once these two geometric tails together stay within
     2^-53 of the window's sum, below the rounding error of the sum itself,
@@ -688,7 +688,7 @@ def analyticity_check(
     violations = []
     for b in range(premise_order + 1):
         exact = derivatives[b].norm()
-        cap = c1 * c2**b * math.exp(gammaln(b + 1))
+        cap = c1 * c2**b * math.exp(log_factorial(b))
         if exact > cap * (1.0 + 1e-12):
             violations.append((b, exact, cap))
     rng = np.random.default_rng(0)
@@ -700,7 +700,7 @@ def analyticity_check(
     residuals = []
     for b in range(taylor_degree + 1):
         coeff = evaluate(derivatives[b], y0)
-        partial = partial + coeff / math.exp(gammaln(b + 1)) * offsets**b
+        partial = partial + coeff / math.exp(log_factorial(b)) * offsets**b
         residuals.append(float(np.max(np.abs(partial - target))))
     tail = [r for r in residuals[-8:] if r > 1e-300]
     if len(tail) >= 2:

@@ -121,9 +121,7 @@ def diagonal_constant(T: float, n_trunc: int) -> float:
 
 
 def _pencil_top(energy_diag: np.ndarray, gramian: np.ndarray) -> tuple:
-    from scipy.linalg import eigvalsh  # deferred: only this audit loads it
-
-    geigs = eigvalsh(gramian)
+    geigs = np.linalg.eigvalsh(gramian)
     norm = float(geigs[-1])
     floor = float(geigs[0])
     if norm <= 0 or floor <= norm / _COND_LIMIT:
@@ -132,7 +130,15 @@ def _pencil_top(energy_diag: np.ndarray, gramian: np.ndarray) -> tuple:
             f"(eigenvalue range [{floor:.3e}, {norm:.3e}]); "
             "the sensor set is too thin for this truncation"
         )
-    top = float(eigvalsh(np.diag(energy_diag), gramian)[-1])
+    # the pencil (diag(energy), G) through G = L L^T: the eigenvalues of
+    # L^-1 diag(energy) L^-T, the reduction LAPACK's sygvd makes
+    try:
+        chol = np.linalg.cholesky(gramian)
+    except np.linalg.LinAlgError as err:
+        raise GramianError(f"observation Gramian has no Cholesky factor: {err}") from err
+    half = np.linalg.solve(chol, np.diag(energy_diag))
+    reduced = np.linalg.solve(chol, half.T)
+    top = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1])
     return top, norm / floor, floor / norm
 
 

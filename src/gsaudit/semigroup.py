@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hermite import (
     MAX_DEGREE,
     NumericalError,
     SpectralFunction,
+    log_factorial,
     norm_squared_outside_radius,
     weighted_norm,
 )
@@ -88,8 +88,8 @@ class SmoothingCertificate:
         return (
             (1 + n + q) * math.log(self.C)
             - (self.r1 + self.r2 * q) * math.log(t)
-            + self.nu * gammaln(n + 1)
-            + self.mu * gammaln(b + 1)
+            + self.nu * log_factorial(n)
+            + self.mu * log_factorial(b)
         )
 
 
@@ -120,8 +120,8 @@ class GSBound:
         return (
             math.log(self.D1)
             + q * math.log(self.D2)
-            + self.nu * gammaln(n + 1)
-            + self.mu * gammaln(b + 1)
+            + self.nu * log_factorial(n)
+            + self.mu * log_factorial(b)
         )
 
 
@@ -259,9 +259,59 @@ def fit_gs_bound(f: SpectralFunction, nu: float, mu: float) -> GSBound:
     for n, b in _SMOOTHING_GRID[1:]:  # every (n, b) but (0, 0)
         w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
         log_w = math.log(w) if w > 0 else -math.inf
-        y = log_w - nu * gammaln(n + 1) - mu * gammaln(b + 1)
+        y = log_w - nu * log_factorial(n) - mu * log_factorial(b)
         log_d2 = max(log_d2, (y - math.log(d1)) / (n + b))
     return GSBound(D1=d1, D2=max(1.0, math.exp(log_d2)), nu=nu, mu=mu)
+
+
+# pivots after which the certificate fit gives up; the committed fit takes a
+# handful
+_MAX_PIVOTS = 100
+
+
+def _vertex_simplex(cost: np.ndarray, a: np.ndarray, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Minimize cost @ x subject to a @ x >= b and x >= lower, for cost > 0
+    and a[:, 0] > 0: an active-set simplex over the vertices.
+
+    The constraints are the rows of a, then the bounds. The walk starts with
+    every component but the first at its bound, the first tight at its
+    binding constraint. At each vertex the multipliers lam solve
+    active^T lam = cost. If none is negative the vertex is optimal;
+    otherwise the constraint with a negative multiplier and the smallest
+    index leaves, and the first constraint that blocks the edge along which
+    the others stay tight (the smallest index among ties) enters. That is
+    Bland's rule, which cannot cycle (Bland, "New finite pivoting rules for
+    the simplex method", Math. Oper. Res. 1977). A component whose bound is
+    active is set exactly to the bound. cost > 0 and x >= lower bound the
+    LP below, so the walk ends at an optimum; more than _MAX_PIVOTS pivots
+    raise NumericalError.
+    """
+    n, rows = len(cost), len(a)
+    g = np.vstack([a, np.eye(n)])
+    h = np.concatenate([b, lower])
+    scale = np.abs(g).sum(axis=1)
+    x = np.array(lower, dtype=float)
+    lift = np.append((b - a[:, 1:] @ x[1:]) / a[:, 0], lower[0])
+    first = int(np.argmax(lift))
+    x[0] = lift[first]
+    active = [first, *range(rows + 1, rows + n)]
+    tol = 1e-12 * float(np.max(cost))
+    for _ in range(_MAX_PIVOTS):
+        lam = np.linalg.solve(g[active].T, cost)
+        negative = [j for j in range(n) if lam[j] < -tol]
+        if not negative:
+            return x
+        leave = min(negative, key=lambda j: active[j])
+        d = np.linalg.solve(g[active], np.eye(n)[leave])
+        rate = g @ d
+        rate[active] = 0.0
+        blocking = np.flatnonzero(rate < -1e-12 * scale * np.max(np.abs(d)))
+        steps = np.maximum(g[blocking] @ x - h[blocking], 0.0) / -rate[blocking]
+        active[leave] = int(blocking[np.argmin(steps)])
+        x = x + float(np.min(steps)) * d
+        bounds = [k - rows for k in active if k >= rows]
+        x[bounds] = lower[bounds]
+    raise NumericalError(f"certificate fit LP failed: no optimum after {_MAX_PIVOTS} pivots")
 
 
 def fit_smoothing_certificate(
@@ -274,8 +324,9 @@ def fit_smoothing_certificate(
 ) -> SmoothingCertificate:
     """Fit (C, r1, r2) so the smoothing estimate holds on the sampled data.
 
-    Linear program in (log C, r1, r2): every sampled weighted norm must sit
-    under the certificate surface; the objective minimizes the total slack,
+    Linear program in (log C, r1, r2), solved by _vertex_simplex: every
+    sampled weighted norm must sit under the certificate surface, with
+    log C, r1 >= 0 and r2 >= 1e-9; the objective minimizes the total slack,
     so the fit is tight at several grid points. The grid takes n, b <= 8,
     and grid_cap restricts it to n + b <= grid_cap. The fitted C is then
     inflated by a safety factor of 1.05: the minimal envelope touches the
@@ -284,9 +335,7 @@ def fit_smoothing_certificate(
     scales as 1.05^(1+n+b), which matches how the dip grows with the
     derivative order. The certificate holds for t < t0 = SMOOTHING_T0.
     """
-    from scipy.optimize import linprog  # deferred: only this audit loads it
-
-    rows, rhs, data = [], [], []
+    rows, rhs = [], []
     for g in g_ensemble:
         log_g = math.log(g.norm())
         for t in t_grid:
@@ -300,29 +349,19 @@ def fit_smoothing_certificate(
                 w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
                 if w <= 0:
                     continue
-                y = math.log(w) - nu * gammaln(n + 1) - mu * gammaln(b + 1) - log_g
+                y = math.log(w) - nu * log_factorial(n) - mu * log_factorial(b) - log_g
                 coef = (1.0 + n + q, -math.log(t), -q * math.log(t))
                 rows.append(coef)
                 rhs.append(y)
-                data.append((n, b, t))
     if not rows:
         raise ValueError("no data points to fit")
-    a_ub = -np.asarray(rows)
-    b_ub = -np.asarray(rhs)
-    cost = np.sum(np.asarray(rows), axis=0)
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0, None), (0, None), (1e-9, None)],
-        method="highs",
+    rows = np.asarray(rows)
+    log_c, r1, r2 = _vertex_simplex(
+        np.sum(rows, axis=0), rows, np.asarray(rhs), np.array([0.0, 0.0, 1e-9])
     )
-    if not res.success:
-        raise NumericalError(f"certificate fit LP failed: {res.message}")
-    log_c, r1, r2 = res.x
     log_c += math.log(1.05)
     fitted = np.array([log_c, r1, r2])
-    residuals = tuple(float(v) for v in (np.asarray(rows) @ fitted - np.asarray(rhs)))
+    residuals = tuple(float(v) for v in (rows @ fitted - np.asarray(rhs)))
     if min(residuals) < -1e-9:
         raise RuntimeError("certificate fit produced a negative slack")
     return SmoothingCertificate(

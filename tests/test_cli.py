@@ -5,6 +5,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -518,3 +521,36 @@ def test_run_all_prints_report_digests(tmp_path, capsys):
     digest = hashlib.sha256(report.read_bytes()).hexdigest()[:8]
     row = capsys.readouterr().out.strip().splitlines()[-1].split()
     assert row[0] == "observability" and row[1] == "ok" and row[-1] == digest
+
+
+# runs gsaudit.cli.main on each (config, out) pair of argv in one fresh
+# interpreter, then prints the scipy modules it loaded as the last line
+_SCIPY_PROBE = """
+import json, sys
+from gsaudit.cli import main
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    main(["run", config, "--threads", "1", "--out", out])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_committed_configs_run_without_scipy(tmp_path):
+    root = RUN_ALL_PATH.parents[1]
+    configs = sorted((root / "scripts" / "configs").glob("*.json"))
+    assert len(configs) == 5
+    argv = []
+    for config in configs:
+        argv += [str(config), str(tmp_path / config.stem)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    for config in configs:
+        assert (tmp_path / config.stem / "report.json").is_file(), config.stem
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []

@@ -26,6 +26,8 @@ from gsaudit.hermite import (
     evaluate,
     gauss_hermite,
     interval_nodes,
+    log_factorial,
+    logsumexp,
     multiply_by_coordinate,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
@@ -131,6 +133,73 @@ class TestLadder:
         # h_0' = -h_1 / sqrt(2)
         d = derivative(basis_function(0))
         assert d.norm() == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+
+
+def _log_factorial_error(m, got):
+    # |got - log m!| in units of max(log m!, 1), against mpmath at 50 digits
+    exact = mpmath.loggamma(mpmath.mpf(int(m) + 1))
+    return float(abs(mpmath.mpf(float(got)) - exact) / max(abs(exact), 1))
+
+
+class TestSpecialFunctions:
+    def test_log_factorial_scalar_is_lgamma(self):
+        for m in (0, 1, 24, 255, 256, 10**6):
+            assert log_factorial(m) == math.lgamma(m + 1)
+        assert log_factorial(np.int64(30)) == math.lgamma(31)
+
+    def test_log_factorial_against_mpmath(self):
+        # every m up to 2000, then a sample up to 2e6: the Stirling sum's
+        # truncation is below 1e-19, so what is left is rounding
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(3)
+        m = np.concatenate([np.arange(2001), np.sort(rng.integers(2001, 2_000_000, 400))])
+        got = log_factorial(m)
+        assert got.shape == m.shape
+        worst = max(_log_factorial_error(k, v) for k, v in zip(m, got))
+        assert worst <= 1e-15
+
+    def test_log_factorial_table_seam(self):
+        # the table and the Stirling sum meet at 256 without a step
+        m = np.arange(250, 262)
+        got = log_factorial(m)
+        assert np.all(np.diff(got) > 0)
+        assert np.allclose(got, [math.lgamma(k + 1) for k in m], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [3.5],
+            [-np.inf],
+            [-np.inf, -np.inf, -np.inf],
+            [np.inf, 1.0],
+            [-np.inf, 2.0, 1.0],
+            [1e308, 1e308],
+            [-1000.0, -1000.0],
+        ],
+    )
+    def test_logsumexp_edge_cases_match_scipy(self, a):
+        special = pytest.importorskip("scipy.special")
+        assert logsumexp(a) == special.logsumexp(np.asarray(a))
+
+    def test_logsumexp_nan_propagates(self):
+        assert math.isnan(logsumexp([1.0, np.nan]))
+        assert math.isnan(logsumexp([np.inf, np.nan]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=200),
+        st.floats(-700.0, 700.0),
+    )
+    def test_logsumexp_matches_scipy(self, values, shift):
+        special = pytest.importorskip("scipy.special")
+        a = np.asarray(values) + shift
+        want = float(special.logsumexp(a))
+        assert logsumexp(a) == pytest.approx(want, rel=1e-15, abs=1e-12)
+
+    def test_logsumexp_of_many_normals_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        a = np.random.default_rng(0).standard_normal(100_000)
+        assert logsumexp(a) == pytest.approx(float(special.logsumexp(a)), rel=1e-15)
 
 
 class TestQuadratureRules:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
 
 from gsaudit import hermite, local_estimates
 from gsaudit.geometry import IntervalSensorSet, RadiusProfile, besicovitch_cover, sensor_periodic
@@ -18,6 +17,8 @@ from gsaudit.hermite import (
     basis_function,
     evaluate,
     interval_nodes,
+    log_factorial,
+    logsumexp,
     norm_squared_on_ball,
 )
 from gsaudit.local_estimates import (
@@ -162,10 +163,10 @@ class TestGoodBallTest:
                 math.log(2.0 * cfg.kappa / cfg.eps)
                 + (m + 1) * math.log(2.0)
                 + 2.0 * cfg.log_q(m)
-                - gammaln(m + 1)
+                - log_factorial(m)
                 + log_mass
             )
-            log_lhs = 2.0 * math.log(math.sqrt(sq)) - gammaln(m + 1)
+            log_lhs = 2.0 * math.log(math.sqrt(sq)) - log_factorial(m)
             assert res.log_margins[m] == log_rhs - log_lhs, m
 
 
@@ -320,7 +321,7 @@ class TestMkBruteforce:
 
 
 def _log_terms(m, d_value, s):
-    return m * math.log(d_value) - (1.0 - s) * gammaln(m + 1)
+    return m * math.log(d_value) - (1.0 - s) * log_factorial(m)
 
 
 def _chunked_series_reference(d_value, s, term_cap=SERIES_TERM_CAP):
@@ -460,6 +461,19 @@ class TestSeriesBound:
         assert res.remainder_certified
         assert min_terms < res.terms_used < 2 * min_terms
         assert peak < 64 * 2**20
+
+    def test_blocked_sum_stays_small(self):
+        # the (5, 0.9) lemma grid point sums 790,571 terms in 64Ki-term
+        # blocks; one 1M-term array of them took about 45 MiB
+        series_bound(2.0, 0.5)  # first-call allocations stay out of the trace
+        tracemalloc.start()
+        try:
+            res = series_bound(5.0, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.terms_used == 790_571
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "d_value, s, term_cap",

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gsaudit import observability
 from gsaudit.geometry import FullSpaceSensorSet, IntervalSensorSet, sensor_periodic
 from gsaudit.observability import (
     GramianError,
@@ -137,6 +138,26 @@ class TestEmpiricalConstant:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             c_obs_at(FullSpaceSensorSet(), 0.0, 8)
+
+    @pytest.mark.parametrize("fill", [0.5, 0.75])
+    def test_pencil_top_matches_scipy(self, fill):
+        linalg = pytest.importorskip("scipy.linalg")
+        mass = mass_matrix(sensor_periodic(1.0, fill), 40)
+        energy_rates = 2.0 * (np.arange(40) + 0.5)
+        for T in T_GRID:
+            gramian = observability_gramian(mass, T)
+            energy = np.exp(-energy_rates * T)
+            top = observability._pencil_top(energy, gramian)[0]
+            want = linalg.eigvalsh(np.diag(energy), gramian)[-1]
+            assert top == pytest.approx(want, rel=1e-13), T
+
+    def test_failed_cholesky_is_gramian_error(self, monkeypatch):
+        def no_factor(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        with pytest.raises(GramianError, match="Cholesky"):
+            c_obs_at(sensor_periodic(1.0, 0.5), 0.5, 24)
 
 
 class TestBoundShapeFit:

@@ -8,15 +8,19 @@ eigendecomposition route; fitted certificates must majorize every sampled
 norm and generalize to held-out times.
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsaudit.hermite import SpectralFunction, basis_function, weighted_norm
+from gsaudit import semigroup
+from gsaudit.experiments import run_experiment
+from gsaudit.hermite import NumericalError, SpectralFunction, basis_function, weighted_norm
 from gsaudit.semigroup import (
     SMOOTHING_T0,
     GSBound,
@@ -297,3 +301,84 @@ class TestDeltaTransfer:
         for delta in (-0.1, 1.2):
             with pytest.raises(ValueError):
                 delta_weight_transfer(bound, delta)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+_LOWER = np.array([0.0, 0.0, 1e-9])
+
+
+def _highs(cost, a, b, lower):
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.linprog(
+        cost, A_ub=-a, b_ub=-b, bounds=[(v, None) for v in lower], method="highs"
+    )
+    assert res.success
+    return res
+
+
+def _active(a, b, lower, x):
+    slack = np.concatenate([a @ x - b, x - lower])
+    return set(np.flatnonzero(slack <= 1e-9).tolist())
+
+
+@st.composite
+def certificate_lps(draw):
+    """Rows (1+n+q, -log t, -q log t), q = n + b, with any right-hand side:
+    the shape of the certificate fit's LP."""
+    points = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 8), st.integers(0, 8), st.floats(0.01, 0.99), st.floats(-20.0, 20.0)
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    a = np.array([(1.0 + 2 * n + b, -math.log(t), -(n + b) * math.log(t)) for n, b, t, _ in points])
+    return np.sum(a, axis=0), a, np.array([y for *_, y in points])
+
+
+class TestVertexSimplex:
+    def test_certificate_lps_match_highs(self, monkeypatch):
+        # the smoothing_validate fit at seeds 0-9: the vertex HiGHS finds
+        lps = []
+        real = semigroup._vertex_simplex
+
+        def recording(cost, a, b, lower):
+            x = real(cost, a, b, lower)
+            lps.append((cost, a, b, lower, x))
+            return x
+
+        monkeypatch.setattr(semigroup, "_vertex_simplex", recording)
+        cfg = json.loads((ROOT / "scripts" / "configs" / "smoothing_validate.json").read_text())
+        for seed in range(10):
+            run_experiment(dict(cfg, seed=seed), threads=1)
+        assert len(lps) == 10
+        for cost, a, b, lower, x in lps:
+            assert a.shape == (270, 3)
+            res = _highs(cost, a, b, lower)
+            assert _active(a, b, lower, x) == _active(a, b, lower, res.x)
+            assert cost @ x == pytest.approx(res.fun, rel=1e-14)
+            assert np.min(a @ x - b) >= -1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(certificate_lps())
+    def test_random_lps_of_the_fit_shape(self, lp):
+        cost, a, b = lp
+        x = semigroup._vertex_simplex(cost, a, b, _LOWER)
+        assert np.all(x >= _LOWER)
+        assert np.min(a @ x - b) >= -1e-9 * (1.0 + np.max(np.abs(b)))
+        res = _highs(cost, a, b, _LOWER)
+        assert cost @ x == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+
+    def test_active_bounds_are_exact(self):
+        # every row rises with log C, so the optimum has r1 and r2 at their bounds
+        a = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        x = semigroup._vertex_simplex(np.sum(a, axis=0) + [0.0, 1.0, 1.0], a, np.array([2.0, 3.0]), _LOWER)
+        assert x[0] == 2.0 and x[1] == 0.0 and x[2] == 1e-9
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_MAX_PIVOTS", 0)
+        ensemble = [random_expansion(1, degree=16)]
+        with pytest.raises(NumericalError, match="certificate fit LP failed"):
+            fit_smoothing_certificate(harmonic_flow, ensemble, [0.1, 0.2], 0.5, 0.5, grid_cap=8)
