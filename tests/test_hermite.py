@@ -158,13 +158,6 @@ class TestSpecialFunctions:
         worst = max(_log_factorial_error(k, v) for k, v in zip(m, got))
         assert worst <= 1e-15
 
-    def test_log_factorial_table_seam(self):
-        # the table and the Stirling sum meet at 256 without a step
-        m = np.arange(250, 262)
-        got = log_factorial(m)
-        assert np.all(np.diff(got) > 0)
-        assert np.allclose(got, [math.lgamma(k + 1) for k in m], rtol=1e-15, atol=0)
-
     @pytest.mark.parametrize(
         "a",
         [

@@ -446,11 +446,13 @@ class TestSeriesBound:
     @pytest.mark.parametrize(
         "d_value, s, min_terms",
         [
+            (5.0, 0.9, 700_000),  # the lemma suite's grid point, 790,571 terms
             (5.5, 0.9, 1_200_000),  # peak 5.5^10 = 2.5e7
             (1.4, 0.98, 2_500_000),  # peak 1.4^50 = 2.0e7
         ],
     )
     def test_wide_window_in_bounded_chunks(self, d_value, s, min_terms):
+        # blocks of 64Ki terms keep the peak at a few MiB, whatever the window
         series_bound(2.0, 0.5)  # first-call allocations stay out of the trace
         tracemalloc.start()
         try:
@@ -460,19 +462,6 @@ class TestSeriesBound:
             tracemalloc.stop()
         assert res.remainder_certified
         assert min_terms < res.terms_used < 2 * min_terms
-        assert peak < 64 * 2**20
-
-    def test_blocked_sum_stays_small(self):
-        # the (5, 0.9) lemma grid point sums 790,571 terms in 64Ki-term
-        # blocks; one 1M-term array of them took about 45 MiB
-        series_bound(2.0, 0.5)  # first-call allocations stay out of the trace
-        tracemalloc.start()
-        try:
-            res = series_bound(5.0, 0.9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.terms_used == 790_571
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(

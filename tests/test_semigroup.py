@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsaudit import semigroup
@@ -309,8 +309,15 @@ _LOWER = np.array([0.0, 0.0, 1e-9])
 
 def _highs(cost, a, b, lower):
     optimize = pytest.importorskip("scipy.optimize")
+    # HiGHS accepts rows violated by up to its feasibility tolerances, 1e-7
+    # by default, which lowers its objective; the reference runs at 1e-10
     res = optimize.linprog(
-        cost, A_ub=-a, b_ub=-b, bounds=[(v, None) for v in lower], method="highs"
+        cost,
+        A_ub=-a,
+        b_ub=-b,
+        bounds=[(v, None) for v in lower],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.success
     return res
@@ -363,6 +370,15 @@ class TestVertexSimplex:
 
     @settings(max_examples=60, deadline=None)
     @given(certificate_lps())
+    # one row of order 0: HiGHS at its default tolerances returned the bound
+    # vertex, 1e-8 short of the row, and objective 0 against the exact 1e-8
+    @example(
+        lp=(
+            np.array([1.0, math.log(2.0), 0.0]),
+            np.array([[1.0, math.log(2.0), 0.0]]),
+            np.array([1e-8]),
+        )
+    )
     def test_random_lps_of_the_fit_shape(self, lp):
         cost, a, b = lp
         x = semigroup._vertex_simplex(cost, a, b, _LOWER)
