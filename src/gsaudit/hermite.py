@@ -13,6 +13,15 @@ refinement-convergence check (ball_norms_squared). The Legendre rule of each
 order is computed once per process, and one Clenshaw recurrence evaluates a
 whole stack of coefficient vectors on shared nodes.
 
+Every evaluation, at quadrature nodes, witness grids or complex polydisc
+samples, runs through that one kernel, _clenshaw_scaled. It runs the
+recurrence in place in per-block buffers, on blocks of about _BLOCK array
+elements, and lets each row of a stack enter at its top nonzero
+coefficient; a derivative stack's rows rise in degree, so the active rows
+of a step are a tail slice of the stack. The operations and their order
+are those of the plain recurrence over the whole stack, so every value is
+bit for bit the same.
+
 Every Legendre quadrature runs through one batched kernel, _rule_sums: it
 takes a list of intervals, concatenates their composite-rule nodes,
 evaluates the stack over all of them in cache-sized blocks and returns each
@@ -150,19 +159,70 @@ class Ball:
 
 def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Row j is g_j(x) * exp(x^2/2) (the polynomial part) for the coefficient
-    # rows g_j of stack: stable at large |x|, where h_n underflows. High-end
-    # zero padding keeps the recurrence at exact zeros, so each row is
-    # bit-identical to its evaluation as a one-row stack.
+    # rows g_j of stack: stable at large |x|, where h_n underflows. Row j
+    # enters the recurrence at its top coefficient that is not +0.0: above
+    # it every step of the recurrence over the whole stack keeps +0.0 at
+    # finite points, so skipping those steps changes no bit, and each row is
+    # bit-identical to its evaluation as a one-row stack. A vector of points
+    # goes in near-equal blocks of at most _BLOCK array elements.
+    #
+    # numpy rounds a complex product by the loop it picks for the operands'
+    # shapes, and a (1,) array times a (1, 1) one takes a loop no other
+    # shapes take. So a scalar point stays 0-d, no block holds a lone point
+    # of a longer vector, and at a lone point of a vector every row runs
+    # every step: the products meet that loop where the plain recurrence's
+    # do, and nowhere else.
     x = np.asarray(x)
-    coeffs = stack.reshape(stack.shape + (1,) * x.ndim)
-    b1 = np.zeros((len(stack),) + x.shape, dtype=np.result_type(x, 1.0))
+    points = x if x.ndim == 0 else x.reshape(-1)
+    rows, width = stack.shape
+    perm, starts = None, [0] * width  # every row runs every step
+    if rows > 1 and points.shape != (1,):
+        # for one row, finding its top would cost more than it saves
+        live = (stack != 0.0) | np.signbit(stack)
+        tops = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), -1)
+        if np.any(tops[1:] < tops[:-1]):
+            perm = np.argsort(tops, kind="stable")
+            stack, tops = stack[perm], tops[perm]
+        # at step k the rows from starts[k] on are active: a tail slice
+        starts = np.searchsorted(tops, np.arange(width)).tolist()
+    columns = np.ascontiguousarray(stack.T).reshape((width, rows) + (1,) * points.ndim)
+    dtype = np.result_type(x, 1.0)
+    blocks = -(-points.size // max(1, _BLOCK // rows))
+    if blocks <= 1:
+        out = _clenshaw_block(columns, starts, points, dtype)
+    else:
+        pieces = np.array_split(points, blocks)
+        out = np.concatenate([_clenshaw_block(columns, starts, p, dtype) for p in pieces], axis=1)
+    if perm is not None:
+        out[perm] = out.copy()
+    np.multiply(_PI_QUARTER, out, out=out)
+    return out.reshape((rows,) + x.shape)
+
+
+def _clenshaw_block(columns: np.ndarray, starts: list, x: np.ndarray, dtype) -> np.ndarray:
+    # b_k = c_k + sqrt(2/(k+1)) x b_{k+1} - sqrt((k+1)/(k+2)) b_{k+2} on the
+    # active rows, in place and in the operation order of the expression
+    rows = columns.shape[1]
+    b1 = np.zeros((rows,) + x.shape, dtype=dtype)
     b2 = np.zeros_like(b1)
-    for k in range(stack.shape[1] - 1, -1, -1):
-        b1, b2 = (
-            coeffs[:, k] + math.sqrt(2.0 / (k + 1)) * x * b1 - math.sqrt((k + 1.0) / (k + 2.0)) * b2,
-            b1,
-        )
-    return _PI_QUARTER * b1
+    scratch = np.empty_like(b1)
+    cx = np.empty(x.shape, dtype=dtype)
+    mul, add, sub, sqrt = np.multiply, np.add, np.subtract, math.sqrt
+    for k in range(len(columns) - 1, -1, -1):
+        lo = starts[k]
+        if lo == rows:
+            continue  # no row has entered yet: both buffers hold +0.0
+        if lo == 0:  # whole arrays: a one-row stack pays for no slicing
+            a, b, t, c = b1, b2, scratch, columns[k]
+        else:
+            a, b, t, c = b1[lo:], b2[lo:], scratch[lo:], columns[k, lo:]
+        mul(sqrt(2.0 / (k + 1)), x, cx)
+        mul(cx, a, t)
+        add(c, t, t)
+        mul(sqrt((k + 1.0) / (k + 2.0)), b, b)
+        sub(t, b, b)
+        b1, b2 = b2, b1
+    return b1
 
 
 def _scaled_basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
@@ -358,8 +418,9 @@ def effective_support_radius(f: SpectralFunction) -> float:
 
 def _check_refinement(coarse: float, fine: float, what: str, atol: float = 0.0):
     # Near-zero results compare in absolute terms; the norms at stake are O(1).
+    # A NaN on either side fails: every comparison with it is False.
     tol = _REFINEMENT_RTOL * max(abs(fine), abs(coarse)) + atol + 1e-280
-    if abs(fine - coarse) > tol:
+    if not abs(fine - coarse) <= tol:
         raise QuadratureConvergenceError(
             f"{what}: refinement moved the value from {coarse!r} to {fine!r}"
         )

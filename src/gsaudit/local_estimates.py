@@ -195,7 +195,11 @@ def good_ball_test(
 
 
 def classify_balls(
-    f: SpectralFunction, balls, cfg: ClassifierConfig, derivatives: np.ndarray
+    f: SpectralFunction,
+    balls,
+    cfg: ClassifierConfig,
+    derivatives: np.ndarray,
+    rules: dict | None = None,
 ) -> list:
     """good_ball_test on each ball, in order. derivatives is
     derivative_stack(f, m_cap).
@@ -204,11 +208,20 @@ def classify_balls(
     the derivative rules over the non-degenerate ones. Every refinement
     check runs in good_ball_test, ball by ball, so the checks, and the
     first that fails, are those of classifying the balls one at a time.
+
+    rules: a dict of the balls' quadrature pairs from earlier calls with the
+    same f, derivatives and cfg.delta, keyed by Ball. Only the balls it
+    lacks are batched, and they are added to it; a batched pair is bit for
+    bit that of the ball alone, so the results are those of rules=None.
     """
-    masses = ball_norms_squared(f.coeffs[None], balls, 0.0)
+    rules = {} if rules is None else rules
+    new = [ball for ball in dict.fromkeys(balls) if ball not in rules]
+    masses = ball_norms_squared(f.coeffs[None], new, 0.0)
     live = [k for k, (_, (fine,)) in enumerate(masses) if not _degenerate(f, max(fine, 0.0))]
-    norms = dict(zip(live, ball_norms_squared(derivatives, [balls[k] for k in live], cfg.delta)))
-    return [good_ball_test(f, cfg, masses[k], norms.get(k)) for k in range(len(balls))]
+    norms = dict(zip(live, ball_norms_squared(derivatives, [new[k] for k in live], cfg.delta)))
+    for k, ball in enumerate(new):
+        rules[ball] = (masses[k], norms.get(k))
+    return [good_ball_test(f, cfg, *rules[ball]) for ball in balls]
 
 
 def tail_condition_order(cfg: ClassifierConfig, d1: float, mass_sq: float) -> int:
@@ -360,6 +373,9 @@ def pointwise_witness(
         for m in range(cfg.m_cap + 1):
             worst = np.minimum(worst, log_rhs[m] - logs[m])
         best = int(np.argmax(worst))
+        if math.isnan(worst[best]):
+            # argmax picks a NaN wherever there is one
+            raise NumericalError("pointwise witness: a derivative evaluated to NaN")
         return grid[best], float(worst[best])
 
     point, margin = scan(n_grid)

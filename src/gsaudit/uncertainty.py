@@ -18,14 +18,18 @@ or a bug, never a counterexample.
 
 k_effective_sweep runs a list of such instances of either kind. The sensor
 enters the proof only at the density premise and the local estimates, so
-the sweep groups the instances that share f, its bound, the radius profile
-and eps: the first instance of a group to reach a sensor-free stage (premise,
-tail, covering, classification, bad mass, the polydisc bound, and each
-ball's witness and polydisc sup) computes it, and the others reuse it.
-Groups are independent, so the sweep is the one place that runs in
-parallel: with more than one worker it hands whole groups to a pool of
-forked processes and reads the reports back in case order. Inside a group
-every loop is sequential.
+the sweep keeps one store of sensor-free stages per family of instances
+that share f, its bound and the radius profile: the first instance to reach
+a stage computes it, and the others reuse it. The premise, the derivative
+stack, each ball's mass and derivative quadratures and each ball's polydisc
+sup at a given rho_k read no eps and are computed once per family. The
+tail, covering, classification, bad mass, polydisc bound and each ball's
+witness read eps and are keyed on it, so they are computed once per group,
+the family's instances at one eps. Groups are independent, so the sweep is
+the one place that runs in parallel: with more than one worker it hands
+whole groups to a pool of forked processes, each group with a store of its
+own, and reads the reports back in case order. Inside a group every loop
+is sequential.
 """
 
 from __future__ import annotations
@@ -249,8 +253,9 @@ def _run_pipeline(
     decaying = gamma_spec[0] == "decaying"
 
     def once(key, compute):
-        # a sensor-free value: computed by the first case of the sweep group
-        # that gets this far, reused by the group's later cases
+        # a sensor-free value: computed by the first case of the sweep family
+        # that gets this far, reused by the family's later cases; the key of
+        # a value that reads eps holds eps
         if key not in shared:
             shared[key] = compute()
         return shared[key]
@@ -287,7 +292,7 @@ def _run_pipeline(
     )
 
     # localization: mass outside B(0, r) fits in half the error budget
-    tail = once("tail", lambda: tail_mass_check(f, bound, eps))
+    tail = once(("tail", eps), lambda: tail_mass_check(f, bound, eps))
     record(
         "tail",
         tail.passed,
@@ -298,7 +303,7 @@ def _run_pipeline(
         budget=tail.budget,
     )
 
-    covering = once("covering", lambda: besicovitch_cover(profile, tail.r))
+    covering = once(("covering", eps), lambda: besicovitch_cover(profile, tail.r))
     balls = covering.balls()
     kappa = covering.kappa_measured
     summary = {
@@ -340,9 +345,12 @@ def _run_pipeline(
         eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
     )
     derivs = once("derivatives", lambda: derivative_stack(f, m_cap))
-    results = once("classification", lambda: classify_balls(f, balls, cfg, derivs))
+    results = once(
+        ("classification", eps),
+        lambda: classify_balls(f, balls, cfg, derivs, rules=shared.setdefault("ball-rules", {})),
+    )
     bad_report = once(
-        "bad-mass", lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
+        ("bad-mass", eps), lambda: bad_mass_bound(f, covering, cfg, tilde, results=results)
     )
     audits = {
         k: BallAudit(
@@ -398,7 +406,7 @@ def _run_pipeline(
     # one pass over the certified good balls: witness, analytic-extension
     # sup and local estimate; the failures are raised after the pass, step by
     # step, each naming its first ball
-    ub = once("mk-bound", lambda: mk_bound(cfg, profile, tilde))
+    ub = once(("mk-bound", eps), lambda: mk_bound(cfg, profile, tilde))
     log_mk_reference = ub.log_bound if ub.log_intermediate is None else ub.log_intermediate
     unwitnessed, unconverged, missed = [], [], []
     worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
@@ -408,7 +416,7 @@ def _run_pipeline(
         ball = balls[audit.k]
         gamma_floors.append(_gamma_floor(gamma_spec, abs(ball.center)))
         wit = once(
-            ("witness", audit.k),
+            ("witness", eps, audit.k),
             lambda: pointwise_witness(
                 f, ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs, n_grid=witness_grid
             ),
@@ -421,7 +429,7 @@ def _run_pipeline(
             continue
         rho_k = float(profile.rho(wit.x_k))
         brute = once(
-            ("mk-bruteforce", audit.k),
+            ("mk-bruteforce", ball, rho_k),
             lambda: mk_bruteforce(f, ball, rho_k, norm_sq=audit.mass_sq),
         )
         local = local_estimate_check(f, ball, omega, brute.log_m, mass_sq=audit.mass_sq)
@@ -588,8 +596,9 @@ def verify_uncertainty(
     bug, since every step is a proved statement.
 
     shared: a dict holding the sensor-free stages of earlier calls with the
-    same f, bound, profile, eps, m_cap and witness_grid; the stages this call
-    computes first are added to it. None computes every stage.
+    same f, bound, profile, m_cap and witness_grid, at any eps (the stages
+    that read eps are keyed on it); the stages this call computes first are
+    added to it. None computes every stage.
     """
     return _run_pipeline(
         f, bound, profile, omega, ("constant", float(gamma)), eps,
@@ -634,11 +643,12 @@ def _audit_case(case: dict, m_cap: int, witness_grid: int, shared: dict) -> Unce
     )
 
 
-def _audit_group(cases: list, m_cap: int, witness_grid: int) -> tuple:
+def _audit_group(task: tuple, m_cap: int, witness_grid: int) -> tuple:
     """One group's cases in order, in whichever process runs them; top-level
-    so it pickles. Returns the reports up to the first case that fails its
-    audit or does not converge, and that case's error (None if none fails)."""
-    shared = {}
+    so it pickles. task is the pair of the cases and the store of the group's
+    family. Returns the reports up to the first case that fails its audit or
+    does not converge, and that case's error (None if none fails)."""
+    cases, shared = task
     reports = []
     for case in cases:
         try:
@@ -690,31 +700,39 @@ def k_effective_sweep(
     also carries K_effective normalized by (1 + log(1/eps)). Pass a list as
     reports_out to also collect the full reports.
 
-    Cases with the same f, bound and profile objects and an equal eps form a
-    group, which audits its sensor-free stages once (see the module
-    docstring) and runs its cases in case order up to the first that raises
-    PipelineError or NumericalError. With threads > 1 the groups run in
-    min(threads, number of groups) forked worker processes, else in this
-    one. Either way one loop reads the groups' outcomes in order and stops
-    before a group whose first case comes after a failed case. The reports
-    are put back in case order and the error raised is that of the first
-    case without a report, so the rows, and the exception, are those of a
-    loop over the cases; any other exception is a bug and propagates.
+    Cases with the same f, bound and profile objects form a family, and the
+    family's cases with an equal eps a group. A family computes its
+    sensor-free stages once (see the module docstring); a group runs its
+    cases in case order up to the first that raises PipelineError or
+    NumericalError. With threads > 1 the groups run in min(threads, number
+    of groups) forked worker processes, each group with a store of its own,
+    else in this one, each family with one store. Either way one loop reads
+    the groups' outcomes in order and stops before a group whose first case
+    comes after a failed case. The reports are put back in case order and
+    the error raised is that of the first case without a report, so the
+    rows, and the exception, are those of a loop over the cases; any other
+    exception is a bug and propagates.
     """
     cases = list(cases)
     groups = {}
     for i, case in enumerate(cases):
-        key = (id(case["f"]), id(case["bound"]), id(case["profile"]), case["eps"])
-        groups.setdefault(key, []).append(i)
+        family = (id(case["f"]), id(case["bound"]), id(case["profile"]))
+        groups.setdefault((family, case["eps"]), []).append(i)
+    stores = {}  # one per family
+    work = [
+        ([cases[i] for i in group], stores.setdefault(family, {}))
+        for (family, _), group in groups.items()
+    ]
     groups = list(groups.values())
     audit = partial(_audit_group, m_cap=m_cap, witness_grid=witness_grid)
-    work = [[cases[i] for i in group] for group in groups]
     reports = [None] * len(cases)
     errors = {}
     workers = min(threads, len(groups))
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork")) if workers > 1 else None
     with pool or nullcontext():
-        # builtin map audits a group only when the loop asks for its outcome
+        # builtin map audits a group only when the loop asks for its outcome;
+        # with a pool this process fills no store, so each group sent to a
+        # worker gets an empty store of its own
         outcomes = pool.map(audit, work) if pool else map(audit, work)
         for group in groups:
             if errors and group[0] > min(errors):

@@ -278,6 +278,72 @@ class TestStackedClenshaw:
             assert stacked[j] == _clenshaw_scaled(v[None], np.float64(0.7))[0]
 
 
+def _clenshaw_reference(stack, x):
+    """The plain recurrence over every step of the whole stack at once, as the
+    kernel ran before rows entered at their top coefficient and points went
+    in blocks."""
+    x = np.asarray(x)
+    coeffs = stack.reshape(stack.shape + (1,) * x.ndim)
+    b1 = np.zeros((len(stack),) + x.shape, dtype=np.result_type(x, 1.0))
+    b2 = np.zeros_like(b1)
+    for k in range(stack.shape[1] - 1, -1, -1):
+        b1, b2 = (
+            coeffs[:, k] + math.sqrt(2.0 / (k + 1)) * x * b1 - math.sqrt((k + 1.0) / (k + 2.0)) * b2,
+            b1,
+        )
+    return hermite._PI_QUARTER * b1
+
+
+@st.composite
+def ragged_stacks(draw):
+    """Stacks whose rows have their own top degree, in any order, padded
+    above it with +0.0 or -0.0; a top of -1 leaves the row all zero."""
+    rows = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 45))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.standard_normal((rows, width))
+    for j in range(rows):
+        top = draw(st.integers(-1, width - 1))
+        stack[j, top + 1 :] = draw(st.sampled_from([0.0, -0.0]))
+    return stack
+
+
+class TestKernelAgainstReference:
+    """The in-place, blocked kernel that skips each row's zero steps must
+    give the bits of the plain recurrence at every finite point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=ragged_stacks(),
+        complex_points=st.booleans(),
+        size=st.sampled_from(["scalar", "empty", "one", "below", "block", "above", "some"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(stack=derivative_stack(random_expansion(3, 12), 24), complex_points=False, size="some", seed=0)
+    def test_bits_match_the_plain_recurrence(self, stack, complex_points, size, seed):
+        block = max(1, hermite._BLOCK // len(stack))
+        rng = np.random.default_rng(seed)
+        n = {
+            "scalar": None,
+            "empty": 0,
+            "one": 1,
+            "below": block - 1,
+            "block": block,
+            "above": block + 1,
+            "some": int(rng.integers(2, 3 * block)),
+        }[size]
+        points = rng.uniform(-12.0, 12.0, size=n)
+        if complex_points:
+            points = points + 1j * rng.uniform(-6.0, 6.0, size=n)
+        points = np.asarray(points)[()] if n is None else points
+        got = _clenshaw_scaled(stack, points)
+        want = _clenshaw_reference(stack, points)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # bit for bit, signed zeros included
+        assert got.tobytes() == want.tobytes()
+
+
 def _linspace_nodes(a, b, order, max_panel):
     """interval_nodes as it was built for one interval, from np.linspace."""
     panels = max(1, math.ceil((b - a) / max_panel))

@@ -13,7 +13,9 @@ from gsaudit.geometry import IntervalSensorSet, RadiusProfile, besicovitch_cover
 from gsaudit.hermite import (
     Ball,
     NumericalError,
+    QuadratureConvergenceError,
     SpectralFunction,
+    ball_norms_squared,
     basis_function,
     evaluate,
     interval_nodes,
@@ -29,6 +31,7 @@ from gsaudit.local_estimates import (
     classify_balls,
     derivative_family,
     derivative_stack,
+    good_ball_test,
     local_estimate_check,
     mk_bound,
     mk_bruteforce,
@@ -118,6 +121,17 @@ class TestGoodBallTest:
         res = _classify(basis_function(4), Ball(40.0, 1.0), _cfg())
         assert res.is_good and res.degenerate and res.log_margins == ()
 
+    def test_nan_mass_is_not_converged(self):
+        # at 1e10 the polynomial part of a degree-40 expansion overflows and
+        # the Gaussian factor underflows, so both rules give a NaN mass: the
+        # refinement check must fail it, not let it through as a good ball
+        f = random_expansion(7, 40)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ((coarse, fine),) = ball_norms_squared(f.coeffs[None], [Ball(1e10, 1.0)], 0.0)
+        assert math.isnan(coarse[0]) and math.isnan(fine[0])
+        with pytest.raises(QuadratureConvergenceError, match="norm_squared_on_ball"):
+            good_ball_test(f, _cfg(), (coarse, fine), None)
+
     def test_dimension_mismatch(self):
         # a 2D ball cannot be built, so it never reaches the classifier
         with pytest.raises(ValueError):
@@ -196,6 +210,30 @@ class TestClassifyBalls:
         for r in looped:
             expected += ["norm_squared_on_ball"] + ["weighted_norm"] * (0 if r.degenerate else 25)
         assert batched_whats == whats == expected
+
+    def test_rules_store_batches_only_new_balls(self, monkeypatch):
+        # a ball already in the store is not integrated again, and the
+        # results are those of classifying without a store
+        f = random_expansion(11, 24)
+        cfg = _cfg(tilde_d2=3.0, s=0.5, delta=0.5, m_cap=24)
+        derivs = derivative_stack(f, cfg.m_cap)
+        first = [Ball(-1.1, 0.7), Ball(30.0, 1.0), Ball(0.2, 1.6)]
+        second = [Ball(0.2, 1.6), Ball(2.4, 0.9), Ball(-1.1, 0.7), Ball(2.4, 0.9)]
+        rules = {}
+        assert classify_balls(f, first, cfg, derivs, rules) == classify_balls(f, first, cfg, derivs)
+        batched = []
+        real = local_estimates.ball_norms_squared
+
+        def recording(stack, balls, delta):
+            batched.append((len(stack), list(balls)))
+            return real(stack, balls, delta)
+
+        monkeypatch.setattr(local_estimates, "ball_norms_squared", recording)
+        got = classify_balls(f, second, cfg, derivs, rules)
+        assert batched == [(1, [Ball(2.4, 0.9)]), (25, [Ball(2.4, 0.9)])]
+        monkeypatch.undo()
+        assert got == classify_balls(f, second, cfg, derivs)
+        assert set(rules) == set(first + second)
 
 
 class TestTailConditionOrder:
@@ -277,6 +315,14 @@ class TestPointwiseWitness:
         f = basis_function(0)
         with pytest.raises(ValueError):
             pointwise_witness(f, Ball(0.0, 1.0), _cfg(), 0.0, derivative_stack(f, 8))
+
+    def test_nan_in_the_grid_raises(self):
+        # at 1e10 the derivatives of a degree-40 expansion evaluate to NaN
+        # (an overflowing polynomial part times an underflowing Gaussian):
+        # that is non-convergence, not a failed witness
+        f = random_expansion(7, 40)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="pointwise witness"):
+            pointwise_witness(f, Ball(1e10, 1.0), _cfg(), 1.0, derivative_stack(f, 8))
 
 
 class TestMkBruteforce:

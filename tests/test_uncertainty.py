@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import uncertainty
+from gsaudit import local_estimates, uncertainty
 from gsaudit.experiments import run_experiment
 from gsaudit.geometry import (
     FullSpaceSensorSet,
@@ -16,7 +16,7 @@ from gsaudit.geometry import (
     sensor_decaying_density,
     sensor_periodic,
 )
-from gsaudit.hermite import SpectralFunction
+from gsaudit.hermite import Ball, SpectralFunction
 from gsaudit.local_estimates import DEGENERATE_MASS_REL
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
@@ -511,15 +511,17 @@ class TestSweepSharing:
         assert built == ([] if threads == 1 else [2])
         assert _jsonable(reports) == independent
 
-    def test_sensor_free_stages_run_once_per_group(self, monkeypatch, cases):
-        calls = {"cover": [], "ball": [], "witness": [], "polydisc": []}
+    @staticmethod
+    def _counting(monkeypatch):
+        """Wrap the sensor-free stages; the returned dict lists each call's keys."""
+        calls = {name: [] for name in ("cover", "ball", "witness", "polydisc", "rules", "stack", "premise")}
 
-        def counting(name, fn, keys):
+        def counting(name, module, fn, keys):
             def wrapped(*args, **kwargs):
                 calls[name].extend(keys(*args))
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(uncertainty, fn.__name__, wrapped)
+            monkeypatch.setattr(module, fn.__name__, wrapped)
 
         def ball_key(f, ball, cfg):
             return [(cfg.eps, ball.center, ball.radius)]
@@ -527,10 +529,22 @@ class TestSweepSharing:
         def covering_keys(f, balls, cfg, derivatives):
             return [(cfg.eps, ball.center, ball.radius) for ball in balls]
 
-        counting("cover", uncertainty.besicovitch_cover, lambda profile, r: [r])
-        counting("ball", uncertainty.classify_balls, covering_keys)
-        counting("witness", uncertainty.pointwise_witness, ball_key)
-        counting("polydisc", uncertainty.mk_bruteforce, lambda *args: [None])
+        counting("cover", uncertainty, uncertainty.besicovitch_cover, lambda profile, r: [r])
+        counting("ball", uncertainty, uncertainty.classify_balls, covering_keys)
+        counting("witness", uncertainty, uncertainty.pointwise_witness, ball_key)
+        counting("polydisc", uncertainty, uncertainty.mk_bruteforce, lambda f, ball, rho_k: [(ball, rho_k)])
+        counting(
+            "rules",
+            local_estimates,
+            local_estimates.ball_norms_squared,
+            lambda stack, balls, delta: [(len(stack), ball) for ball in balls],
+        )
+        counting("stack", uncertainty, uncertainty.derivative_stack, lambda f, m_cap: [m_cap])
+        counting("premise", uncertainty, uncertainty._premise_check, lambda *args: [None])
+        return calls
+
+    def test_sensor_free_stages_run_once_per_group(self, monkeypatch, instance, cases):
+        calls = self._counting(monkeypatch)
         reports = []
         k_effective_sweep(cases, reports_out=reports)
 
@@ -542,12 +556,43 @@ class TestSweepSharing:
         assert len(calls["cover"]) == 2
         assert len(calls["ball"]) == per_eps(lambda r: r.covering["n_balls"])
         assert len(set(calls["ball"])) == len(calls["ball"])
-        # each active ball's witness and polydisc sup, once per eps
+        # each active ball's witness once per eps
         checked = per_eps(lambda r: sum(a.witness_verified is not None for a in r.ball_audits))
         assert len(calls["witness"]) == checked > 0
         assert len(set(calls["witness"])) == len(calls["witness"])
-        sampled = per_eps(lambda r: sum(a.mk_converged is not None for a in r.ball_audits))
-        assert len(calls["polydisc"]) == sampled
+        # each ball's quadratures, and its polydisc sup at each rho_k, once
+        # for the family
+        assert len(set(calls["rules"])) == len(calls["rules"])
+        assert {ball for _, ball in calls["rules"]} == {
+            Ball(*key[1:]) for key in calls["ball"]
+        }
+        _, _, profile = instance
+        sampled = {
+            (Ball(a.center, a.radius), float(profile.rho(a.x_k)))
+            for r in reports
+            for a in r.ball_audits
+            if a.mk_converged is not None
+        }
+        assert sorted(calls["polydisc"], key=repr) == sorted(sampled, key=repr)
+        assert len(calls["stack"]) == len(calls["premise"]) == 1
+
+    def test_families_share_nothing(self, monkeypatch, cases):
+        # f's twin is an equal expansion in another object, so its cases form
+        # a second family: the sweep of both audits every stage twice, and
+        # each family's reports are those of its sweep alone
+        f = cases[0]["f"]
+        twin = SpectralFunction(f.coeffs.copy())
+        both = [c for case in cases for c in (case, {**case, "f": twin})]
+        alone, together = [], []
+        calls = self._counting(monkeypatch)
+        k_effective_sweep(cases, reports_out=alone)
+        once = {name: sorted(keys, key=repr) for name, keys in calls.items()}
+        for keys in calls.values():
+            keys.clear()
+        k_effective_sweep(both, reports_out=together)
+        for name, keys in calls.items():
+            assert sorted(keys, key=repr) == sorted(2 * once[name], key=repr), name
+        assert _jsonable(together[::2]) == _jsonable(together[1::2]) == _jsonable(alone)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_first_failing_case_in_case_order_raises(self, instance, threads):
