@@ -162,16 +162,17 @@ def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     # rows g_j of stack: stable at large |x|, where h_n underflows. Row j
     # enters the recurrence at its top coefficient that is not +0.0: above
     # it every step of the recurrence over the whole stack keeps +0.0 at
-    # finite points, so skipping those steps changes no bit, and each row is
-    # bit-identical to its evaluation as a one-row stack. A vector of points
-    # goes in near-equal blocks of at most _BLOCK array elements.
+    # finite points, so skipping those steps changes no bit. A vector of
+    # points goes in near-equal blocks of at most _BLOCK array elements.
     #
     # numpy rounds a complex product by the loop it picks for the operands'
     # shapes, and a (1,) array times a (1, 1) one takes a loop no other
     # shapes take. So a scalar point stays 0-d, no block holds a lone point
     # of a longer vector, and at a lone point of a vector every row runs
     # every step: the products meet that loop where the plain recurrence's
-    # do, and nowhere else.
+    # do, and nowhere else. Each row is then bit-identical to its evaluation
+    # as a one-row stack, except at a lone complex point in a vector, where
+    # the plain recurrence itself is not.
     x = np.asarray(x)
     points = x if x.ndim == 0 else x.reshape(-1)
     rows, width = stack.shape
@@ -513,8 +514,8 @@ def ball_norms_squared(stack: np.ndarray, balls, delta: float) -> list:
 def refined_rows(coarse: list, fine: list, atol, what: str) -> list:
     """The fine values of a (coarse, fine) pair of ball_norms_squared, checked
     row by row in order: the first row that refinement moves by more than a
-    relative 1e-8 plus atol[n] raises QuadratureConvergenceError, with `what`
-    naming the quantity."""
+    relative 1e-8 plus atol[n], or that is NaN on either rule, raises
+    QuadratureConvergenceError, with `what` naming the quantity."""
     for c, v, floor in zip(coarse, fine, atol, strict=True):
         _check_refinement(c, v, what, atol=floor)
     return fine
