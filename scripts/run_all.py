@@ -28,12 +28,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out", help="root directory for per-config outputs")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes over the eps groups of the uncertainty sweeps",
-    )
-    parser.add_argument(
         "--only", default=None, help="substring filter on config file names"
     )
     args = parser.parse_args(argv)
@@ -49,11 +43,8 @@ def main(argv=None) -> int:
     outcomes = []
     for path in configs:
         out_dir = Path(args.out) / path.stem
-        cli_args = ["run", str(path), "--out", str(out_dir)]
-        if args.threads is not None:
-            cli_args += ["--threads", str(args.threads)]
         started = time.perf_counter()
-        code = cli_main(cli_args)
+        code = cli_main(["run", str(path), "--out", str(out_dir)])
         elapsed = time.perf_counter() - started
         digest = report_digest(out_dir) if code <= 1 else "-"
         outcomes.append((path.stem, code, elapsed, digest))

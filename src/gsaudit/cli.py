@@ -64,9 +64,8 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=1,
-        help="worker processes over the eps groups of an uncertainty sweep, each"
-        " group holding every sensor case at one eps; 1 runs them in this process"
-        " (default 1)",
+        help="ignored, so that existing command lines still parse: every run"
+        " uses this one process",
     )
     run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("list-experiments", help="list experiment kinds")
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
         raw["seed"] = args.seed
 
     try:
-        result = run_experiment(raw, threads=args.threads)
+        result = run_experiment(raw)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,7 +6,7 @@ nested section and per sensor type, and one resolver reads it. A field that
 is unknown, missing, ill-typed, non-finite or out of range aborts with its
 path named. The kind then runs its audit and returns a full report plus flat
 summary rows. All randomness flows from the single config seed, so a fixed
-seed reproduces the report byte for byte whatever the worker count.
+seed reproduces the report byte for byte.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ _SWEEP_COLUMNS = {
 }
 
 
-def _run_uncertainty(cfg: dict, threads: int):
+def _run_uncertainty(cfg: dict):
     """Both uncertainty kinds: every sensor case at every eps, in one sweep.
     A case's fields other than its sensor are the density the sweep reads."""
     profile = RadiusProfile(**cfg["profile"])
@@ -394,11 +394,7 @@ def _run_uncertainty(cfg: dict, threads: int):
             )
     reports = []
     rows = k_effective_sweep(
-        cases,
-        m_cap=cfg["m_cap"],
-        threads=threads,
-        reports_out=reports,
-        witness_grid=cfg["witness_grid"],
+        cases, m_cap=cfg["m_cap"], reports_out=reports, witness_grid=cfg["witness_grid"]
     )
     payload = {"bound": reports[0].bound, "reports": reports}
     if cfg["kind"] == "uncertainty":
@@ -406,7 +402,7 @@ def _run_uncertainty(cfg: dict, threads: int):
     return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], all(r["passed"] for r in rows)
 
 
-def _run_observability(cfg: dict, threads: int):
+def _run_observability(cfg: dict):
     profile = RadiusProfile()
     rows, reports = [], []
     for spec in cfg["sensors"]:
@@ -434,7 +430,7 @@ def _run_observability(cfg: dict, threads: int):
     return payload, rows, columns, all(r.monotone for r in reports)
 
 
-def _run_smoothing_validate(cfg: dict, threads: int):
+def _run_smoothing_validate(cfg: dict):
     nu, mu = shubin_exponents(cfg["k"], cfg["m"], cfg["theta"])
     nu, mu = float(nu), float(mu)
     rng = default_rng(cfg["seed"])
@@ -590,7 +586,7 @@ def _lemma_analyticity_rows(cfg: dict, rng):
     return rows
 
 
-def _run_lemma_suite(cfg: dict, threads: int):
+def _run_lemma_suite(cfg: dict):
     profile = RadiusProfile(**cfg["profile"])
     rng = default_rng(cfg["seed"])
     rows = _lemma_series_rows(cfg["series"])
@@ -625,7 +621,7 @@ class ExperimentResult:
     columns: list
 
 
-def run_experiment(config: dict, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: dict) -> ExperimentResult:
     """Resolve and execute one experiment config.
 
     Raises ConfigError for invalid configs. Inequality failures inside the
@@ -636,7 +632,7 @@ def run_experiment(config: dict, threads: int = 1) -> ExperimentResult:
     resolved = resolve_config(config)
     runner = _RUNNERS[resolved["kind"]]
     try:
-        payload, rows, columns, passed = runner(resolved, max(1, threads))
+        payload, rows, columns, passed = runner(resolved)
         failure = None
     except PipelineError as err:
         payload = {"failed_step": err.step, "error": str(err)}

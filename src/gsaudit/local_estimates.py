@@ -412,12 +412,16 @@ def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
     return best
 
 
-def _polydisc_points(ball: Ball, rho8: float, n_q: int, n_phi: int):
+def _polydisc_max(f: SpectralFunction, ball: Ball, rho8: float, n_q: int, n_phi: int) -> float:
+    # max log |F| over the real base points q and the circles of radius rho8
+    # and rho8 / 2 around them, one ring of points alive at a time
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     circle = np.exp(1j * phis)
     q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
-    rings = [q[:, None] + rho8 * v * circle[None, :] for v in (1.0, 0.5)]
-    return np.concatenate([r.ravel() for r in rings] + [q.astype(complex)])
+    best = _max_log_abs(f, q.astype(complex))
+    for v in (1.0, 0.5):
+        best = max(best, _max_log_abs(f, q[:, None] + rho8 * v * circle[None, :]))
+    return best
 
 
 @dataclass(frozen=True)
@@ -448,13 +452,10 @@ def mk_bruteforce(
     rho8 = 8.0 * rho_k
     n_q, n_phi = 24, 48
     log_sup = -math.inf
-    rounds = 0
     converged = False
-    n_samples = 0
     for rounds in range(1, 6):
-        pts = _polydisc_points(ball, rho8, n_q, n_phi)
-        n_samples = len(pts)
-        new = _max_log_abs(f, pts)
+        n_samples = (n_q + 1) * (2 * n_phi + 1)
+        new = _polydisc_max(f, ball, rho8, n_q, n_phi)
         if rounds > 1 and abs(new - log_sup) <= math.log1p(0.01):
             log_sup = max(log_sup, new)
             converged = True

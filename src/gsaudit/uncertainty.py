@@ -16,30 +16,22 @@ Every failure aborts with the violated step identified: the underlying
 statements are theorems, so a red inequality means an invalid certificate
 or a bug, never a counterexample.
 
-k_effective_sweep runs a list of such instances of either kind. The sensor
-enters the proof only at the density premise and the local estimates, so
-the sweep keeps one store of sensor-free stages per family of instances
-that share f, its bound and the radius profile: the first instance to reach
-a stage computes it, and the others reuse it. The premise, the derivative
-stack, each ball's mass and derivative quadratures and each ball's polydisc
-sup at a given rho_k read no eps and are computed once per family. The
-tail, covering, classification, bad mass, polydisc bound and each ball's
-witness read eps and are keyed on it, so they are computed once per group,
-the family's instances at one eps. Groups are independent, so the sweep is
-the one place that runs in parallel: with more than one worker it hands
-whole groups to a pool of forked processes, each group with a store of its
-own, and reads the reports back in case order. Inside a group every loop
-is sequential.
+k_effective_sweep runs a list of such instances of either kind, one after
+another in case order. The sensor enters the proof only at the density
+premise and the local estimates, so the sweep keeps one store of sensor-free
+stages per family of instances that share f, its bound and the radius
+profile: the first instance to reach a stage computes it, and the others
+reuse it. The premise, the derivative stack, each ball's mass and derivative
+quadratures and each ball's polydisc sup at a given rho_k read no eps and
+are computed once per family. The tail, covering, classification, bad mass,
+polydisc bound and each ball's witness read eps and are keyed on it, so they
+are computed once per eps of the family.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -52,8 +44,8 @@ from .geometry import (
     sensor_id,
 )
 from .hermite import (
-    NumericalError,
     SpectralFunction,
+    log_factorial,
     norm_squared_on_intervals,
     weighted_norm,
 )
@@ -90,10 +82,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"step '{step}': {message}")
         self.step = step
         self.message = message
-
-    def __reduce__(self):
-        # the default rebuilds from self.args, the formatted text alone
-        return type(self), (self.step, self.message)
 
 
 def _safe_exp_arg(arg: float) -> float:
@@ -229,6 +217,19 @@ def _premise_check(f, bound, tilde, delta):
     return worst, worst_at, worst >= -1e-7
 
 
+def _first_false_order(f, bound, exponent: str):
+    """The first order n <= 10^4 at which |c_d| sqrt((d+n)!/d!) 2^(-n/2), a
+    lower bound on ||x^n f|| ("nu") and on ||d^n f|| ("mu") from the top
+    coefficient c_d of f alone, exceeds the declared bound; None if none
+    does. It outgrows D1 D2^n (n!)^e for every e < 1/2."""
+    d = int(np.flatnonzero(f.coeffs)[-1])
+    n = np.arange(1, 10**4 + 1)
+    lower = math.log(abs(f.coeffs[d])) + 0.5 * (log_factorial(d + n) - log_factorial(d) - n * _LOG2)
+    declared = bound.log_value(n, 0) if exponent == "nu" else bound.log_value(0, n)
+    hit = np.flatnonzero(lower > declared)
+    return int(n[hit[0]]) if hit.size else None
+
+
 def _gamma_floor(gamma_spec, center_norm: float) -> float:
     if gamma_spec[0] == "constant":
         return gamma_spec[1]
@@ -278,7 +279,12 @@ def _run_pipeline(
         raise PipelineError("admissibility", "need gamma0 in (0, 1] and a >= 0")
     record("admissibility", True, s=s, tilde_d2=tilde.D2, eps=eps)
 
-    # the declared derivative bounds must actually majorize f
+    # the declared derivative bounds must actually majorize f; no nonzero
+    # expansion meets an exponent below 1/2
+    for exponent, value in (("nu", bound.nu), ("mu", bound.mu)):
+        if value < 0.5 and f.coeffs.any():
+            first = _first_false_order(f, bound, exponent)
+            record("premise", False, exponent=exponent, value=value, first_false_order=first)
     worst_margin, worst_at, ok = once(
         "premise", lambda: _premise_check(f, bound, tilde, profile.delta)
     )
@@ -633,31 +639,6 @@ def verify_uncertainty_decay(
     )
 
 
-def _audit_case(case: dict, m_cap: int, witness_grid: int, shared: dict) -> UncertaintyReport:
-    instance = (case["f"], case["bound"], case["profile"], case["omega"])
-    options = {"m_cap": m_cap, "f_id": case.get("f_id", "f"), "witness_grid": witness_grid}
-    if "gamma" in case:
-        return verify_uncertainty(*instance, case["gamma"], case["eps"], shared=shared, **options)
-    return verify_uncertainty_decay(
-        *instance, case["gamma0"], case["a"], case["eps"], shared=shared, **options
-    )
-
-
-def _audit_group(task: tuple, m_cap: int, witness_grid: int) -> tuple:
-    """One group's cases in order, in whichever process runs them; top-level
-    so it pickles. task is the pair of the cases and the store of the group's
-    family. Returns the reports up to the first case that fails its audit or
-    does not converge, and that case's error (None if none fails)."""
-    cases, shared = task
-    reports = []
-    for case in cases:
-        try:
-            reports.append(_audit_case(case, m_cap, witness_grid, shared))
-        except (PipelineError, NumericalError) as err:
-            return reports, err
-    return reports, None
-
-
 def _sweep_row(report: UncertaintyReport) -> dict:
     k_eff = report.k_effective
     if report.kind == "uncertainty":
@@ -687,7 +668,6 @@ def _sweep_row(report: UncertaintyReport) -> dict:
 def k_effective_sweep(
     cases,
     m_cap: int = 24,
-    threads: int = 1,
     reports_out: list | None = None,
     witness_grid: int = 1024,
 ) -> list:
@@ -700,50 +680,27 @@ def k_effective_sweep(
     also carries K_effective normalized by (1 + log(1/eps)). Pass a list as
     reports_out to also collect the full reports.
 
-    Cases with the same f, bound and profile objects form a family, and the
-    family's cases with an equal eps a group. A family computes its
-    sensor-free stages once (see the module docstring); a group runs its
-    cases in case order up to the first that raises PipelineError or
-    NumericalError. With threads > 1 the groups run in min(threads, number
-    of groups) forked worker processes, each group with a store of its own,
-    else in this one, each family with one store. Either way one loop reads
-    the groups' outcomes in order and stops before a group whose first case
-    comes after a failed case. The reports are put back in case order and
-    the error raised is that of the first case without a report, so the
-    rows, and the exception, are those of a loop over the cases; any other
-    exception is a bug and propagates.
+    The cases run in order in this process, and the first PipelineError or
+    NumericalError propagates. Cases with the same f, bound and profile
+    objects form a family, which computes its sensor-free stages once (see
+    the module docstring).
     """
-    cases = list(cases)
-    groups = {}
-    for i, case in enumerate(cases):
+    cases = list(cases)  # keeps each family's objects, and so their ids, alive
+    stores = {}
+    reports = []
+    for case in cases:
         family = (id(case["f"]), id(case["bound"]), id(case["profile"]))
-        groups.setdefault((family, case["eps"]), []).append(i)
-    stores = {}  # one per family
-    work = [
-        ([cases[i] for i in group], stores.setdefault(family, {}))
-        for (family, _), group in groups.items()
-    ]
-    groups = list(groups.values())
-    audit = partial(_audit_group, m_cap=m_cap, witness_grid=witness_grid)
-    reports = [None] * len(cases)
-    errors = {}
-    workers = min(threads, len(groups))
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork")) if workers > 1 else None
-    with pool or nullcontext():
-        # builtin map audits a group only when the loop asks for its outcome;
-        # with a pool this process fills no store, so each group sent to a
-        # worker gets an empty store of its own
-        outcomes = pool.map(audit, work) if pool else map(audit, work)
-        for group in groups:
-            if errors and group[0] > min(errors):
-                break  # the loop over the cases stops before this group
-            done, err = next(outcomes)
-            for i, report in zip(group, done):
-                reports[i] = report
-            if err is not None:
-                errors[group[len(done)]] = err
-    if errors:
-        raise errors[min(errors)]
+        if "gamma" in case:
+            audit, density = verify_uncertainty, (case["gamma"],)
+        else:
+            audit, density = verify_uncertainty_decay, (case["gamma0"], case["a"])
+        reports.append(
+            audit(
+                case["f"], case["bound"], case["profile"], case["omega"], *density, case["eps"],
+                m_cap=m_cap, f_id=case.get("f_id", "f"), witness_grid=witness_grid,
+                shared=stores.setdefault(family, {}),
+            )
+        )
     if reports_out is not None:
         reports_out.extend(reports)
     return [_sweep_row(report) for report in reports]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import cli, experiments, geometry, uncertainty
+from gsaudit import experiments, geometry, uncertainty
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -457,20 +457,18 @@ class TestMain:
         assert report["failed_step"] == "mk-bound"
         assert "exceeds its proved bound" in report["results"]["error"]
 
-    def test_threads_default_to_one(self, tmp_path, monkeypatch):
-        seen = []
-
-        def fake_run_experiment(config, threads):
-            seen.append(threads)
-            raise ConfigError("kind", "stop before running")
-
-        monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
-        assert main(["run", write_config(tmp_path, config(OBS_BASE))]) == EXIT_CONFIG
-        assert seen == [1]
+    def test_threads_default_to_one(self, tmp_path):
+        # --threads still parses, and every run uses one process, so it
+        # changes no byte of the outputs
+        path = write_config(tmp_path, config(OBS_BASE))
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        assert main(["run", path, "--out", str(dirs[0])]) == EXIT_OK
+        assert main(["run", path, "--out", str(dirs[1]), "--threads", "2"]) == EXIT_OK
+        for name in ("report.json", "summary.csv"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
-        # the decay config has two eps, so --threads 2 runs the pool over
-        # its two groups of two cases
+        # reruns agree byte for byte, with or without --threads 2
         decay = config(
             UNC_BASE,
             kind="uncertainty-decay",
@@ -487,15 +485,14 @@ class TestMain:
 
     def test_failing_case_in_pool_reports_like_the_loop(self, tmp_path, capsys):
         # the second of two sensor cases fails at density at both eps; the
-        # worker's PipelineError must reach the report as the in-process one does
+        # report carries the error of its first failing case, eps = 0.1
         cases = [{"sensor": PERIODIC_HALF, "gamma": 0.3}, {"sensor": PERIODIC_HALF, "gamma": 0.45}]
         path = write_config(tmp_path, config(UNC_BASE, cases=cases, eps_grid=[0.1, 1.0]))
-        dirs = [tmp_path / "a", tmp_path / "b"]
-        for out, threads in zip(dirs, ("1", "2")):
-            assert main(["run", path, "--out", str(out), "--threads", threads]) == 1
-        report = (dirs[0] / "report.json").read_bytes()
-        assert json.loads(report)["failed_step"] == "density"
-        assert report == (dirs[1] / "report.json").read_bytes()
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "report.json").read_bytes())
+        alone = run_experiment(config(UNC_BASE, cases=cases[1:], eps_grid=[0.1])).report
+        assert report["failed_step"] == alone["failed_step"] == "density"
+        assert report["results"] == alone["results"]
 
     def test_seed_override_changes_output(self, tmp_path):
         # observability is seed-independent; the lemma ensemble is not
@@ -523,14 +520,16 @@ def test_run_all_prints_report_digests(tmp_path, capsys):
     assert row[0] == "observability" and row[1] == "ok" and row[-1] == digest
 
 
-# runs gsaudit.cli.main on each (config, out) pair of argv in one fresh
-# interpreter, then prints the scipy modules it loaded as the last line
+# runs gsaudit.cli.main at --threads 2 on each (config, out) pair of argv in
+# one fresh interpreter, then prints the scipy, multiprocessing and
+# concurrent.futures modules it loaded as the last line
 _SCIPY_PROBE = """
 import json, sys
 from gsaudit.cli import main
 for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
-    main(["run", config, "--threads", "1", "--out", out])
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+    main(["run", config, "--threads", "2", "--out", out])
+roots = ("scipy", "multiprocessing", "concurrent.futures")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(roots))))
 """
 
 

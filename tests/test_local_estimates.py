@@ -39,7 +39,13 @@ from gsaudit.local_estimates import (
     series_bound,
     tail_condition_order,
 )
-from gsaudit.semigroup import GSBound, delta_weight_transfer, fit_gs_bound, tail_radius
+from gsaudit.semigroup import (
+    GSBound,
+    delta_weight_transfer,
+    fit_gs_bound,
+    harmonic_flow,
+    tail_radius,
+)
 
 from conftest import random_expansion
 
@@ -359,11 +365,30 @@ class TestMkBruteforce:
             _brute(random_expansion(2, 10), Ball(0.3, 1.0), 0.5)
 
     def test_blocked_max_is_the_one_block_max(self):
+        # one ring of the polydisc: a circle of radius 4 around each of 193
+        # base points on the ball
         f = random_expansion(6, 30)
-        pts = local_estimates._polydisc_points(Ball(1.0, 1.3), 4.0, 96, 192)
-        assert len(pts) > 2 * hermite._BLOCK
-        whole = float(np.max(local_estimates._log_abs_analytic(f, pts)))
-        assert local_estimates._max_log_abs(f, pts) == whole
+        base = np.linspace(*Ball(1.0, 1.3).interval(), 193)
+        ring = base[:, None] + 4.0 * np.exp(2j * math.pi * np.arange(384) / 384)[None, :]
+        assert ring.size > 2 * hermite._BLOCK
+        whole = float(np.max(local_estimates._log_abs_analytic(f, ring.ravel())))
+        assert local_estimates._max_log_abs(f, ring) == whole
+
+    def test_all_rounds_in_bounded_memory(self):
+        # round 5 samples 591,745 points; one ring of them at a time keeps
+        # the peak near 6 MiB, where all three at once took 20 MiB
+        f = harmonic_flow(random_expansion(7, 12), 0.3)
+        ball = Ball(2.0, 1.0)
+        _brute(f, Ball(0.0, 1.0), 0.1)  # first-call allocations stay out of the trace
+        mass = _mass(f, ball)
+        tracemalloc.start()
+        try:
+            res = mk_bruteforce(f, ball, 1.0, mass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rounds == 5 and res.n_samples == 591_745
+        assert peak < 8 * 2**20
 
 
 def _log_terms(m, d_value, s):

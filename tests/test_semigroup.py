@@ -359,7 +359,7 @@ class TestVertexSimplex:
         monkeypatch.setattr(semigroup, "_vertex_simplex", recording)
         cfg = json.loads((ROOT / "scripts" / "configs" / "smoothing_validate.json").read_text())
         for seed in range(10):
-            run_experiment(dict(cfg, seed=seed), threads=1)
+            run_experiment(dict(cfg, seed=seed))
         assert len(lps) == 10
         for cost, a, b, lower, x in lps:
             assert a.shape == (270, 3)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from gsaudit.geometry import (
     sensor_decaying_density,
     sensor_periodic,
 )
-from gsaudit.hermite import Ball, SpectralFunction
+from gsaudit.hermite import Ball, SpectralFunction, weighted_norm
 from gsaudit.local_estimates import DEGENERATE_MASS_REL
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
@@ -197,6 +196,40 @@ def test_committed_sweep_ball_audit_layout():
     assert len(reports) == 12
     for report in reports:
         assert_ball_audit_layout(report)
+
+
+@pytest.mark.parametrize(
+    "nu, mu, exponent, first",
+    [(0.2, 0.2, "nu", 158), (0.5, 0.3, "mu", 903)],
+)
+def test_exponent_below_half_fails_premise(nu, mu, exponent, first):
+    # no nonzero expansion meets such a bound, however D1 and D2 are fitted
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["function"].update(nu=nu, mu=mu)
+    result = run_experiment(cfg)
+    assert result.exit_code == 1
+    assert result.report["failed_step"] == "premise"
+    detail = f"'exponent': '{exponent}', 'value': {min(nu, mu)}, 'first_false_order': {first}"
+    assert detail in result.report["results"]["error"]
+
+
+def test_first_false_order_is_a_measured_violation(instance):
+    # at the order it names, the exact ladder norm breaks the declared bound
+    f, _, _ = instance
+    bound = fit_gs_bound(f, 0.2, 0.5)
+    n = uncertainty._first_false_order(f, bound, "nu")
+    assert n is not None
+    assert math.log(weighted_norm(f, n=n, beta=0)) > bound.log_value(n, 0)
+    assert uncertainty._first_false_order(f, bound, "mu") is None
+
+
+def test_zero_function_meets_any_exponent(instance):
+    _, _, profile = instance
+    zero = SpectralFunction([0.0, 0.0])
+    bound = GSBound(D1=1.0, D2=2.0, nu=0.2, mu=0.2)
+    rep = verify_uncertainty(zero, bound, profile, FullSpaceSensorSet(), gamma=1.0, eps=0.1)
+    assert rep.step("premise").passed
 
 
 class TestErrorTermDominated:
@@ -413,61 +446,6 @@ class TestSweep:
         assert all(row["x"] == 1.0 for row in (constant, decaying))
 
 
-class RecordingPool:
-    """Stands in for the process pool: notes its size, runs tasks in-process."""
-
-    def __init__(self, built, max_workers, mp_context=None):
-        built.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
-class TestSweepWorkers:
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(
-            uncertainty,
-            "ProcessPoolExecutor",
-            lambda *args, **kwargs: RecordingPool(built, *args, **kwargs),
-        )
-        return built
-
-    @pytest.fixture(scope="class")
-    def cases(self, instance):
-        # two sensors at two eps: four cases in two groups
-        f, bound, profile = instance
-        return [
-            {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": g, "eps": eps}
-            for omega, g in ((FullSpaceSensorSet("full line"), 1.0), (sensor_periodic(1.0, 0.5), 0.3))
-            for eps in (1.0, 0.5)
-        ]
-
-    def test_workers_capped_at_case_count(self, built, cases):
-        # the pool runs over groups, so the cap is the number of groups
-        pooled = k_effective_sweep(cases, threads=64)
-        assert built == [2]
-        assert pooled == k_effective_sweep(cases, threads=1)
-        assert built == [2]
-
-    def test_no_pool_for_one_case(self, built, cases):
-        k_effective_sweep(cases[:1], threads=64)
-        assert built == []
-
-    def test_pipeline_error_pickles(self):
-        err = pickle.loads(pickle.dumps(PipelineError("tail", "x")))
-        assert isinstance(err, PipelineError)
-        assert err.step == "tail"
-        assert str(err) == str(PipelineError("tail", "x"))
-
-
 class TestSweepSharing:
     """Cases that share f, bound, profile and eps audit the sensor-free
     stages once; every report and error stays that of its own audit."""
@@ -498,17 +476,9 @@ class TestSweepSharing:
                 )
         return _jsonable(reports)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_reports_equal_independent_audits(self, monkeypatch, cases, independent, threads):
-        built = []
-        monkeypatch.setattr(
-            uncertainty,
-            "ProcessPoolExecutor",
-            lambda *args, **kwargs: RecordingPool(built, *args, **kwargs),
-        )
+    def test_reports_equal_independent_audits(self, cases, independent):
         reports = []
-        k_effective_sweep(cases, threads=threads, reports_out=reports)
-        assert built == ([] if threads == 1 else [2])
+        k_effective_sweep(cases, reports_out=reports)
         assert _jsonable(reports) == independent
 
     @staticmethod
@@ -549,7 +519,7 @@ class TestSweepSharing:
         k_effective_sweep(cases, reports_out=reports)
 
         def per_eps(count):
-            # a group's reports agree, so one entry per eps counts each once
+            # the reports at one eps agree, so one entry per eps counts each once
             return sum({r.eps: count(r) for r in reports}.values())
 
         # one covering per eps, and each (eps, ball) classified once
@@ -594,10 +564,9 @@ class TestSweepSharing:
             assert sorted(keys, key=repr) == sorted(2 * once[name], key=repr), name
         assert _jsonable(together[::2]) == _jsonable(together[1::2]) == _jsonable(alone)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_first_failing_case_in_case_order_raises(self, instance, threads):
-        # the failing eps = 1.0 case comes second, in the group after the
-        # failing eps = 0.1 case's: the loop raises the eps = 1.0 error
+    def test_first_failing_case_in_case_order_raises(self, instance):
+        # the failing eps = 1.0 case comes second, before the failing
+        # eps = 0.1 case: the sweep raises the eps = 1.0 error
         f, bound, profile = instance
         common = {"f": f, "bound": bound, "profile": profile}
         periodic = sensor_periodic(1.0, 0.5)
@@ -609,12 +578,12 @@ class TestSweepSharing:
         with pytest.raises(PipelineError) as loop:
             verify_uncertainty(f, bound, profile, periodic, 0.45, 1.0)
         with pytest.raises(PipelineError) as swept:
-            k_effective_sweep(cases, threads=threads)
+            k_effective_sweep(cases)
         assert swept.value.step == loop.value.step == "density"
         assert str(swept.value) == str(loop.value)
 
     def test_one_worker_stops_at_the_first_failing_case(self, monkeypatch, instance):
-        # the first case fails at density, so the later groups never run
+        # the first case fails at density, so the later cases never run
         f, bound, profile = instance
         common = {"f": f, "bound": bound, "profile": profile, "omega": sensor_periodic(1.0, 0.5)}
         cases = [{**common, "gamma": 0.45, "eps": eps} for eps in (0.1, 1.0, 0.5)]
@@ -628,7 +597,7 @@ class TestSweepSharing:
 
         monkeypatch.setattr(uncertainty, "verify_uncertainty", counting)
         with pytest.raises(PipelineError) as swept:
-            k_effective_sweep(cases, threads=1)
+            k_effective_sweep(cases)
         assert len(calls) == 1
         assert swept.value.step == loop.value.step == "density"
         assert str(swept.value) == str(loop.value)
