@@ -38,6 +38,9 @@ __all__ = [
 # Declared overlap cap of the greedy construction, audited on every covering.
 OVERLAP_CAP = 4
 
+# Largest candidate grid a covering builds; the committed configs need ~2e4.
+MAX_CANDIDATES = 10**7
+
 
 @dataclass(frozen=True)
 class RadiusProfile:
@@ -101,12 +104,15 @@ class Covering:
 
 
 class CoveringConstructionError(NumericalError):
-    """The greedy construction hit its iteration cap before covering."""
+    """The candidate grid is too large, or the greedy construction hit its cap."""
 
 
 def _candidate_grid(extent: float, step: float) -> np.ndarray:
     # Strictly interior candidates, the outermost within two steps of the rim.
-    n = int(math.floor((extent - step) / step))
+    half = (extent - step) / step
+    if not 2.0 * half + 1.0 <= MAX_CANDIDATES:
+        raise CoveringConstructionError(f"covering grid of {2.0 * half + 1.0:.3e} candidates")
+    n = int(math.floor(half))
     return np.arange(-n, n + 1) * step
 
 

@@ -44,6 +44,7 @@ from .geometry import (
     sensor_id,
 )
 from .hermite import (
+    NumericalError,
     SpectralFunction,
     log_factorial,
     norm_squared_on_intervals,
@@ -467,9 +468,7 @@ def _run_pipeline(
     )
 
     if unconverged:
-        raise PipelineError(
-            "mk-bound", f"polydisc sampling did not stabilize on ball {unconverged[0]}"
-        )
+        raise NumericalError(f"polydisc sampling did not stabilize on ball {unconverged[0]}")
     series = ub.series
     if series and series.remainder_certified and series.log_sum > series.log_bound + 1e-9:
         raise PipelineError("mk-bound", "certified series sum exceeds its proved bound")

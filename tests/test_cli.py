@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import experiments, geometry, uncertainty
+from gsaudit import experiments, geometry, observability, uncertainty
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -203,10 +203,11 @@ class TestResolveConfig:
             resolve_config(config(OBS_BASE, t_grid=[0.5, 0.5]))
         assert err.value.field == "t_grid"
 
-    def test_s_below_one(self):
-        with pytest.raises(ConfigError) as err:
-            resolve_config(config(OBS_BASE, s=1.0))
-        assert err.value.field == "s"
+    @pytest.mark.parametrize("field", ["r2", "s"])
+    def test_observability_takes_no_shape_exponents(self, field):
+        with pytest.raises(ConfigError, match="unknown field") as err:
+            resolve_config(config(OBS_BASE, **{field: 0.5}))
+        assert err.value.field == field
 
     def test_decay_case_without_sensor_gets_matching_density(self):
         cfg = config(
@@ -344,7 +345,7 @@ class TestMain:
         assert report["kind"] == "observability"
         csv_text = (out / "summary.csv").read_text()
         lines = csv_text.strip().splitlines()
-        assert lines[0] == "omega_id,n_trunc,T,c_obs,conditioning,fitted_n,passed,x,y"
+        assert lines[0] == "omega_id,n_trunc,T,c_obs,conditioning,passed,x,y"
         assert len(lines) == 1 + len(report["summary_rows"])
         assert "\r" not in csv_text
         assert capsys.readouterr().out.startswith("observability: passed")
@@ -403,6 +404,36 @@ class TestMain:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_flow_to_zero_is_a_config_error(self, tmp_path, capsys):
+        # at t = 745 every mode of the degree-6 flow underflows to zero
+        cfg = config(UNC_BASE, function={"degree": 6, "t": 745.0})
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "function.t" in capsys.readouterr().err
+
+    def test_oversized_covering_grid_is_a_numerical_failure(self, tmp_path, capsys):
+        # the grid size is checked before anything is allocated
+        cfg = config(UNC_BASE, eps_grid=[1e-300])
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
+        assert "covering grid" in capsys.readouterr().err
+
+    def test_constant_below_full_line_fails(self, tmp_path, monkeypatch, capsys):
+        # a sensor constant below the full-line one contradicts G_omega <= G_R
+        real = observability._pencil_top
+
+        def halved(energy, gramian):
+            top, conditioning = real(energy, gramian)
+            return 0.5 * top, conditioning
+
+        monkeypatch.setattr(observability, "_pencil_top", halved)
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, config(OBS_BASE)), "--out", str(out)]) == 1
+        assert "observability: FAILED" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["reports"][0]["monotone"] is True
+        assert not any(row["passed"] for row in report["summary_rows"])
+
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         # a RuntimeError that is no NumericalError is a bug, so it must
         # surface with a traceback rather than exit 3
@@ -457,7 +488,7 @@ class TestMain:
         assert report["failed_step"] == "mk-bound"
         assert "exceeds its proved bound" in report["results"]["error"]
 
-    def test_threads_default_to_one(self, tmp_path):
+    def test_threads_option_changes_no_output_byte(self, tmp_path):
         # --threads still parses, and every run uses one process, so it
         # changes no byte of the outputs
         path = write_config(tmp_path, config(OBS_BASE))
@@ -483,7 +514,7 @@ class TestMain:
             for name in ("report.json", "summary.csv"):
                 assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    def test_failing_case_in_pool_reports_like_the_loop(self, tmp_path, capsys):
+    def test_failing_case_reports_like_running_it_alone(self, tmp_path, capsys):
         # the second of two sensor cases fails at density at both eps; the
         # report carries the error of its first failing case, eps = 0.1
         cases = [{"sensor": PERIODIC_HALF, "gamma": 0.3}, {"sensor": PERIODIC_HALF, "gamma": 0.45}]

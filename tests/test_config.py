@@ -49,7 +49,7 @@ RESOLVED = {
     "observability": {
         "schema_version": 1, "kind": "observability", "seed": 0,
         "sensors": [{"type": "full"}], "t_grid": [0.05, 0.1, 0.25, 0.5, 1.0, 2.0],
-        "n_trunc": 40, "r2": 0.5, "s": 0.5,
+        "n_trunc": 40,
     },
     "lemma-suite": {
         "schema_version": 1, "kind": "lemma-suite", "seed": 0,
@@ -140,8 +140,6 @@ SINGLE_FAULTS = [
     (minimal("observability", sensors=[]), "sensors"),
     (minimal("observability", sensors=[{"type": "random-intervals"}]), "sensors[0].type"),
     (minimal("observability", n_trunc=49), "n_trunc"),
-    (minimal("observability", r2=0.0), "r2"),
-    (minimal("observability", s=-0.5), "s"),
     (minimal("observability", t_grid=[0.0, 1.0]), "t_grid[0]"),
     (minimal("lemma-suite", series={"d_grid": [0.4]}), "series.d_grid[0]"),
     (minimal("lemma-suite", series={"d_grid": [1.0], "n": 1}), "series.n"),
@@ -187,7 +185,7 @@ NON_FINITE = [
     (minimal("uncertainty", eps_grid=[NAN]), "eps_grid[0]"),
     (minimal("uncertainty", cases=[{"sensor": {"type": "full"}, "gamma": NAN}]), "cases[0].gamma"),
     (minimal("uncertainty", profile={"R": INF}), "profile.R"),
-    (minimal("observability", r2=NAN), "r2"),
+    (minimal("observability", t_grid=[0.5, NAN]), "t_grid[1]"),
     # an integer literal past the float range: float() would overflow
     (minimal("smoothing-validate", theta=10**400), "theta"),
     (minimal("lemma-suite", series={"d_grid": [INF]}), "series.d_grid[0]"),

@@ -102,11 +102,6 @@ def test_every_option_is_set_by_some_call():
     assert not unset, f"parameters no call sets: {unset}"
 
 
-# exports that only tests use today, each kept for a ROADMAP item that gives
-# it a caller (item 5: diagonal_constant)
-UNUSED_EXPORTS_KEPT = {"diagonal_constant"}
-
-
 def _exports():
     return [
         (f"gsaudit.{name}", export)
@@ -134,14 +129,6 @@ def test_every_export_is_used_outside_tests():
     unused = [
         f"{module}.{export}"
         for module, export in _exports()
-        if export not in used and export not in UNUSED_EXPORTS_KEPT
+        if export not in used
     ]
     assert not unused, f"exports used by no program code: {unused}"
-
-
-def test_unused_export_exemptions_are_current():
-    # an exempt name must still be exported and still have no program reader,
-    # so neither a deletion nor a new caller leaves a stale exemption behind
-    exported = {export for _, export in _exports()}
-    stale = (UNUSED_EXPORTS_KEPT - exported) | (UNUSED_EXPORTS_KEPT & _program_reads())
-    assert not stale, f"stale exemptions: {sorted(stale)}"

@@ -15,7 +15,7 @@ from gsaudit.geometry import (
     sensor_decaying_density,
     sensor_periodic,
 )
-from gsaudit.hermite import Ball, SpectralFunction, weighted_norm
+from gsaudit.hermite import Ball, NumericalError, SpectralFunction, weighted_norm
 from gsaudit.local_estimates import DEGENERATE_MASS_REL
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
@@ -293,7 +293,8 @@ class TestPipelineFailures:
         "local-estimate": ("local_estimate_check", "applicable"),
     }
     # which audits fail, on which of the certified good balls (positions in
-    # their list), and the step that must report it
+    # their list), and the step that must report it; unsettled polydisc
+    # sampling is numerical non-convergence, not a failed inequality
     BALL_FAILURES = [
         ({"witness": [1]}, "witness"),
         ({"witness": [-1, 0]}, "witness"),
@@ -331,16 +332,17 @@ class TestPipelineFailures:
         for name, ks in chosen.items():
             attr, flag = self.BALL_AUDITS[name]
             monkeypatch.setattr(uncertainty, attr, fail_on(getattr(uncertainty, attr), ks, flag))
-        with pytest.raises(PipelineError) as err:
+        error = NumericalError if step == "mk-bound" else PipelineError
+        with pytest.raises(error) as err:
             verify_uncertainty(f, bound, profile, sensor_periodic(1.0, 0.5), gamma=0.3, eps=0.1)
-        assert err.value.step == step
+        assert getattr(err.value, "step", step) == step
         ks = chosen[step]
         expected = {
             "witness": f"'unwitnessed_balls': {ks}",
             "mk-bound": f"polydisc sampling did not stabilize on ball {ks[0]}",
             "local-estimate": f"ball {ks[0]} does not meet omega",
         }
-        assert expected[step] in err.value.message
+        assert expected[step] in str(err.value)
 
     def test_two_dimensional_input_rejected(self):
         # a 2D coefficient matrix is refused before any pipeline can see it
@@ -513,7 +515,7 @@ class TestSweepSharing:
         counting("premise", uncertainty, uncertainty._premise_check, lambda *args: [None])
         return calls
 
-    def test_sensor_free_stages_run_once_per_group(self, monkeypatch, instance, cases):
+    def test_sensor_free_stages_run_once_per_family(self, monkeypatch, instance, cases):
         calls = self._counting(monkeypatch)
         reports = []
         k_effective_sweep(cases, reports_out=reports)
