@@ -244,8 +244,6 @@ _SWEEP = {
     "function": (_fields(_FUNCTION), {}),
     "profile": (_fields(_PROFILE), {}),
     "eps_grid": (_numbers(0.0, 1.0, open_lo=True), [0.1]),
-    "m_cap": (_integer(0, 24), 24),
-    "witness_grid": (_integer(64, 8192), 1024),
 }
 _CASE = {"sensor": (_SENSOR, REQUIRED), "gamma": (_number(0.0, 1.0, open_lo=True), REQUIRED)}
 _DECAY_CASE = {"gamma0": _GAMMA0, "a": _DECAY_A, "sensor": (_SENSOR, None)}
@@ -347,6 +345,9 @@ def resolve_config(data) -> dict:
 
 # ---------------------------------------------------------------------------
 # runners
+#
+# Each runner returns (payload, rows, columns, failed_step): the step a
+# failing run names, None when it passes.
 
 
 def _random_expansion(rng, degree: int) -> SpectralFunction:
@@ -380,26 +381,21 @@ _SWEEP_COLUMNS = {
 
 def _run_uncertainty(cfg: dict):
     """Both uncertainty kinds: every sensor case at every eps, in one sweep.
-    A case's fields other than its sensor are the density the sweep reads."""
+    A case's fields other than its sensor are the density the sweep reads.
+    Every failing step raises PipelineError, so a sweep that returns has passed."""
     profile = RadiusProfile(**cfg["profile"])
     f, bound, f_id = _prepare_function(cfg)
     cases = []
     for case in cfg["cases"]:
         omega = _build_sensor(case["sensor"], profile)
         density = {k: v for k, v in case.items() if k != "sensor"}
-        for eps in cfg["eps_grid"]:
-            cases.append(
-                {"f": f, "bound": bound, "profile": profile, "omega": omega,
-                 "eps": eps, "f_id": f_id, **density}
-            )
+        cases += [{"omega": omega, "eps": eps, **density} for eps in cfg["eps_grid"]]
     reports = []
-    rows = k_effective_sweep(
-        cases, m_cap=cfg["m_cap"], reports_out=reports, witness_grid=cfg["witness_grid"]
-    )
+    rows = k_effective_sweep(f, bound, profile, cases, f_id=f_id, reports_out=reports)
     payload = {"bound": reports[0].bound, "reports": reports}
     if cfg["kind"] == "uncertainty":
         payload["spread"] = k_effective_spread(rows)
-    return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], all(r["passed"] for r in rows)
+    return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], None
 
 
 def _run_observability(cfg: dict):
@@ -424,7 +420,8 @@ def _run_observability(cfg: dict):
             )
     payload = {"reports": reports}
     columns = ["omega_id", "n_trunc", "T", "c_obs", "conditioning", "passed", "x", "y"]
-    return payload, rows, columns, all(r.passed for r in reports)
+    step = next(("full-line" if r.monotone else "monotone" for r in reports if not r.passed), None)
+    return payload, rows, columns, step
 
 
 def _run_smoothing_validate(cfg: dict):
@@ -480,7 +477,7 @@ def _run_smoothing_validate(cfg: dict):
         },
     }
     columns = ["k", "m", "theta", "t", "worst_ratio", "passed", "x", "y"]
-    return payload, rows, columns, report.passed
+    return payload, rows, columns, None if report.passed else "validation"
 
 
 def _lemma_series_rows(cfg: dict):
@@ -596,7 +593,7 @@ def _run_lemma_suite(cfg: dict):
         stats["n_passed"] += bool(row["passed"])
     payload = {"sections": sections}
     columns = ["section", "case", "x", "y", "passed"]
-    return payload, rows, columns, all(r["passed"] for r in rows)
+    return payload, rows, columns, next((r["section"] for r in rows if not r["passed"]), None)
 
 
 _RUNNERS = {
@@ -622,18 +619,18 @@ def run_experiment(config: dict) -> ExperimentResult:
     """Resolve and execute one experiment config.
 
     Raises ConfigError for invalid configs. Inequality failures inside the
-    audits produce exit_code 1 (with the failing step in the report);
-    numerical non-convergence propagates as exceptions for the CLI to map to
-    exit code 3.
+    audits produce exit_code 1, with the failing step in the report's
+    failed_step; numerical non-convergence propagates as exceptions for the
+    CLI to map to exit code 3.
     """
     resolved = resolve_config(config)
     runner = _RUNNERS[resolved["kind"]]
     try:
-        payload, rows, columns, passed = runner(resolved)
-        failure = None
+        payload, rows, columns, failure = runner(resolved)
     except PipelineError as err:
         payload = {"failed_step": err.step, "error": str(err)}
-        rows, columns, passed, failure = [], [], False, err.step
+        rows, columns, failure = [], [], err.step
+    passed = failure is None
     report = _jsonable(
         {
             "artifact_version": __version__,

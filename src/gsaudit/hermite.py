@@ -32,7 +32,8 @@ interval's nodes, so every value is bit for bit that of a pass over the
 interval alone.
 
 The two special functions the audits need, log m! and log-sum-exp, are
-computed here in numpy (log_factorial, logsumexp).
+computed here in numpy (log_factorial, logsumexp), next to the one copy of
+the zero-safe log and the overflow-safe exp the other modules share.
 """
 
 from __future__ import annotations
@@ -344,6 +345,19 @@ def logsumexp(a) -> float:
     np.exp(shifted, out=shifted)
     shifted[at] = 0.0
     return math.log1p(float(np.sum(shifted))) + top
+
+
+_LOG2 = math.log(2.0)
+
+
+def _log(x: float) -> float:
+    """log x, and -inf for x <= 0."""
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _exp(arg: float) -> float:
+    """exp(arg), and inf where it would overflow."""
+    return math.exp(arg) if arg < 709.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,10 @@ from .hermite import (
     NumericalError,
     SpectralFunction,
     _BLOCK,
+    _LOG2,
     _clenshaw_scaled,
+    _exp,
+    _log,
     _poly_part,
     ball_norms_squared,
     derivative,
@@ -80,7 +83,12 @@ _SERIES_WINDOW_SIGMAS = 40.0
 _SERIES_BLOCK = 1 << 16
 _LOG_SERIES_REL_TAIL = math.log(2.0**-53)
 
-_LOG2 = math.log(2.0)
+# Constants of the method, not of the audited statement: the classifier
+# checks the ball condition for m <= M_CAP and certifies the orders past it by
+# the global bound (tail_condition_order), and pointwise_witness scans each
+# good ball on WITNESS_GRID points, then on 4 * WITNESS_GRID.
+M_CAP = 24
+WITNESS_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,7 @@ class ClassifierConfig:
     tilde_d2: float
     s: float
     delta: float
-    m_cap: int = 24
+    m_cap: int = M_CAP
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -110,8 +118,8 @@ class ClassifierConfig:
             raise ValueError("s must lie in [0, 1)")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if not 0 <= self.m_cap <= 24:
-            raise ValueError("m_cap must lie in [0, 24]")
+        if not 0 <= self.m_cap <= M_CAP:
+            raise ValueError(f"m_cap must lie in [0, {M_CAP}]")
 
     def log_q(self, m: int) -> float:
         return 2.0 * m * math.log(self.tilde_d2) + self.s * log_factorial(m)
@@ -186,8 +194,7 @@ def good_ball_test(
     failing = None
     for m, (rhs, sq) in enumerate(zip(log_rhs, norms_sq)):
         w = math.sqrt(max(sq, 0.0))
-        log_sq = 2.0 * math.log(w) if w > 0 else -math.inf
-        log_lhs = log_sq - log_factorial(m)
+        log_lhs = 2.0 * _log(w) - log_factorial(m)
         margins.append(rhs - log_lhs)
         if failing is None and log_lhs > rhs:
             failing = m
@@ -340,15 +347,14 @@ def pointwise_witness(
     cfg: ClassifierConfig,
     mass_sq: float,
     derivatives: np.ndarray,
-    n_grid: int = 1024,
 ) -> WitnessResult:
     """Search the ball for a point satisfying the pointwise derivative bounds.
 
     The bound at order m reads |d^m f(x)| <= (2 kappa/eps)^(1/2) 2^(m+1)
     C^(1/2) ||f||_Q / |Q|^(1/2) with C = q_m^2 sup_Q w^(-2m). A good
-    ball must contain such a point; the grid is refined once before reporting
-    failure. mass_sq is the ball's mass ||f||^2_Q and derivatives is
-    derivative_stack(f, m_cap).
+    ball must contain such a point; the scan of WITNESS_GRID points is refined
+    once, to 4 * WITNESS_GRID, before reporting failure. mass_sq is the
+    ball's mass ||f||^2_Q and derivatives is derivative_stack(f, m_cap).
     """
     if not mass_sq > 0:
         raise ValueError("pointwise witness needs positive ball mass")
@@ -378,11 +384,11 @@ def pointwise_witness(
             raise NumericalError("pointwise witness: a derivative evaluated to NaN")
         return grid[best], float(worst[best])
 
-    point, margin = scan(n_grid)
+    point, margin = scan(WITNESS_GRID)
     refined = False
     if margin < 0.0:
         refined = True
-        point, margin = scan(4 * n_grid)
+        point, margin = scan(4 * WITNESS_GRID)
     return WitnessResult(float(point), margin >= 0.0, margin, refined)
 
 
@@ -539,8 +545,7 @@ def series_bound(
         raise ValueError("s must lie in [0, 1)")
     log_d = math.log(D)
     one_ms = 1.0 - s
-    peak_arg = log_d / one_ms
-    m_star = math.exp(peak_arg) if peak_arg < 709.0 else math.inf
+    m_star = _exp(log_d / one_ms)
     sigma = math.sqrt(max(m_star, 1.0) / one_ms)
     terms = 0
     for lo, hi in _series_windows(m_star, sigma, term_cap):
@@ -555,8 +560,7 @@ def series_bound(
         certified = log_rem <= log_sum + _LOG_SERIES_REL_TAIL
         if certified:
             break
-    arg = math.log(2.0 * D) / one_ms
-    power = math.exp(arg) if arg < 709.0 else math.inf
+    power = _exp(math.log(2.0 * D) / one_ms)
     log_bound = _LOG2 + 3.0 * power * math.log(2.0 * D)
     return SeriesBound(
         log_sum=log_sum,
@@ -576,7 +580,7 @@ class MkBound:
     exponent_overflow: bool
 
 
-def mk_bound(cfg: ClassifierConfig, profile, bound) -> MkBound:
+def mk_bound(cfg: ClassifierConfig, profile) -> MkBound:
     """Closed-form bound on log M_k, plus the sharper series intermediate.
 
     D = 40 tilde_D2^2 R max{r0, (1-eta)^(-1)}; the uniform bound is
@@ -584,10 +588,6 @@ def mk_bound(cfg: ClassifierConfig, profile, bound) -> MkBound:
     2 (2 kappa/eps)^(1/2) sum_m D^m/(m!)^(1-s) is reported whenever the
     series is certifiable within SERIES_TERM_CAP terms.
     """
-    if abs(bound.D2 - cfg.tilde_d2) > 1e-9 * cfg.tilde_d2:
-        raise ValueError("config tilde_d2 must match the transferred bound")
-    if abs(bound.s - cfg.s) > 1e-12:
-        raise ValueError("config s must match the transferred bound")
     d_value = (
         40.0
         * cfg.tilde_d2**2
@@ -595,18 +595,14 @@ def mk_bound(cfg: ClassifierConfig, profile, bound) -> MkBound:
         * max(profile.r0, 1.0 / (1.0 - profile.eta))
     )
     half_log = 0.5 * math.log(2.0 * cfg.kappa / cfg.eps)
-    arg = (2.0 / (1.0 - cfg.s)) * math.log(2.0 * d_value)
-    power = math.exp(arg) if arg < 709.0 else math.inf
+    power = _exp((2.0 / (1.0 - cfg.s)) * math.log(2.0 * d_value))
     log_bound = math.log(4.0) + half_log + 3.0 * power
     series = None
     log_intermediate = None
-    if d_value >= 0.5:
-        peak_arg = math.log(d_value) / (1.0 - cfg.s)
-        peak = math.exp(peak_arg) if peak_arg < 709.0 else math.inf
-        if peak <= 0.9 * SERIES_TERM_CAP:
-            series = series_bound(d_value, cfg.s)
-            if series.remainder_certified:
-                log_intermediate = _LOG2 + half_log + series.log_sum
+    if d_value >= 0.5 and _exp(math.log(d_value) / (1.0 - cfg.s)) <= 0.9 * SERIES_TERM_CAP:
+        series = series_bound(d_value, cfg.s)
+        if series.remainder_certified:
+            log_intermediate = _LOG2 + half_log + series.log_sum
     return MkBound(
         d_value=d_value,
         log_bound=log_bound,
@@ -662,9 +658,8 @@ def local_estimate_check(
     inter_sq = norm_squared_on_intervals(f, pieces)
     base = 48.0 * ball.volume / measure  # 24 d 2^d = 48 in dimension 1
     exponent = 1.0 + 4.0 * max(log_m_k, 0.0) / _LOG2
-    log_lhs = exponent * math.log(base) + (math.log(inter_sq) if inter_sq > 0 else -math.inf)
-    log_rhs = math.log(mass_sq) if mass_sq > 0 else -math.inf
-    return LocalEstimateReport(True, log_lhs, log_rhs, measure, inter_sq, base, exponent)
+    log_lhs = exponent * math.log(base) + _log(inter_sq)
+    return LocalEstimateReport(True, log_lhs, _log(mass_sq), measure, inter_sq, base, exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .hermite import (
     MAX_DEGREE,
     NumericalError,
     SpectralFunction,
+    _log,
     log_factorial,
     norm_squared_outside_radius,
     weighted_norm,
@@ -258,8 +259,7 @@ def fit_gs_bound(f: SpectralFunction, nu: float, mu: float) -> GSBound:
     log_d2 = 0.0
     for n, b in _SMOOTHING_GRID[1:]:  # every (n, b) but (0, 0)
         w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
-        log_w = math.log(w) if w > 0 else -math.inf
-        y = log_w - nu * log_factorial(n) - mu * log_factorial(b)
+        y = _log(w) - nu * log_factorial(n) - mu * log_factorial(b)
         log_d2 = max(log_d2, (y - math.log(d1)) / (n + b))
     return GSBound(D1=d1, D2=max(1.0, math.exp(log_d2)), nu=nu, mu=mu)
 
@@ -320,7 +320,7 @@ def fit_smoothing_certificate(
     t_grid,
     nu: float,
     mu: float,
-    grid_cap: int | None = 8,
+    grid_cap: int = 8,
 ) -> SmoothingCertificate:
     """Fit (C, r1, r2) so the smoothing estimate holds on the sampled data.
 
@@ -344,7 +344,7 @@ def fit_smoothing_certificate(
             f = flow(g, t)
             for n, b in _SMOOTHING_GRID:
                 q = n + b
-                if grid_cap is not None and q > grid_cap:
+                if q > grid_cap:
                     continue
                 w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
                 if w <= 0:
@@ -394,7 +394,7 @@ def validate_smoothing(
     flow,
     g_ensemble,
     t_grid,
-    grid_cap: int | None = 8,
+    grid_cap: int = 8,
 ) -> SmoothingValidationReport:
     """Worst ratio of measured weighted norms to the certificate bound.
 
@@ -411,7 +411,7 @@ def validate_smoothing(
         for t in used:
             f = flow(g, t)
             for n, b in _SMOOTHING_GRID:
-                if grid_cap is not None and n + b > grid_cap:
+                if n + b > grid_cap:
                     continue
                 w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
                 count += 1

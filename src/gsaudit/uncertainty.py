@@ -16,16 +16,15 @@ Every failure aborts with the violated step identified: the underlying
 statements are theorems, so a red inequality means an invalid certificate
 or a bug, never a counterexample.
 
-k_effective_sweep runs a list of such instances of either kind, one after
-another in case order. The sensor enters the proof only at the density
-premise and the local estimates, so the sweep keeps one store of sensor-free
-stages per family of instances that share f, its bound and the radius
-profile: the first instance to reach a stage computes it, and the others
-reuse it. The premise, the derivative stack, each ball's mass and derivative
-quadratures and each ball's polydisc sup at a given rho_k read no eps and
-are computed once per family. The tail, covering, classification, bad mass,
-polydisc bound and each ball's witness read eps and are keyed on it, so they
-are computed once per eps of the family.
+k_effective_sweep audits one f, with its bound and radius profile, on a
+list of cases of either kind, one after another in case order. The sensor
+enters the proof only at the density premise and the local estimates, so the
+sweep keeps one store of sensor-free stages: the first case to reach a stage
+computes it, and the later cases reuse it. The premise, the derivative
+stack, each ball's mass and derivative quadratures and each ball's polydisc
+sup at a given rho_k read no eps and are computed once per sweep. The tail,
+covering, classification, bad mass, polydisc bound and each ball's witness
+read eps and are keyed on it, so they are computed once per eps.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ from .geometry import (
 from .hermite import (
     NumericalError,
     SpectralFunction,
+    _LOG2,
+    _exp,
+    _log,
     log_factorial,
     norm_squared_on_intervals,
     weighted_norm,
@@ -73,9 +75,6 @@ __all__ = [
     "verify_uncertainty_decay",
 ]
 
-_LOG2 = math.log(2.0)
-
-
 class PipelineError(RuntimeError):
     """A pipeline step failed; .step names the violated premise or lemma."""
 
@@ -83,14 +82,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"step '{step}': {message}")
         self.step = step
         self.message = message
-
-
-def _safe_exp_arg(arg: float) -> float:
-    return math.exp(arg) if arg < 709.0 else math.inf
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
 
 
 def _jsonable(x):
@@ -245,9 +236,7 @@ def _run_pipeline(
     omega,
     gamma_spec: tuple,
     eps: float,
-    m_cap: int,
     f_id: str,
-    witness_grid: int,
     shared: dict | None,
 ) -> UncertaintyReport:
     steps = []
@@ -255,9 +244,9 @@ def _run_pipeline(
     decaying = gamma_spec[0] == "decaying"
 
     def once(key, compute):
-        # a sensor-free value: computed by the first case of the sweep family
-        # that gets this far, reused by the family's later cases; the key of
-        # a value that reads eps holds eps
+        # a sensor-free value: computed by the first case of the sweep that
+        # gets this far, reused by the later cases; the key of a value that
+        # reads eps holds eps
         if key not in shared:
             shared[key] = compute()
         return shared[key]
@@ -348,10 +337,8 @@ def _run_pipeline(
 
     # classification; bad balls and the uncovered remainder fit in the
     # error budget
-    cfg = ClassifierConfig(
-        eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta, m_cap=m_cap
-    )
-    derivs = once("derivatives", lambda: derivative_stack(f, m_cap))
+    cfg = ClassifierConfig(eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta)
+    derivs = once("derivatives", lambda: derivative_stack(f, cfg.m_cap))
     results = once(
         ("classification", eps),
         lambda: classify_balls(f, balls, cfg, derivs, rules=shared.setdefault("ball-rules", {})),
@@ -374,7 +361,7 @@ def _run_pipeline(
         if not res.degenerate
     }
     # the certified good balls; an uncertified ball's tail condition is
-    # unknown beyond m_cap, and its mass already sits in the eps budget
+    # unknown beyond the classifier cap, and its mass already sits in the eps budget
     active = [a for a in audits.values() if a.tail_certified]
     counts = {
         "n_good": len(active),
@@ -413,7 +400,7 @@ def _run_pipeline(
     # one pass over the certified good balls: witness, analytic-extension
     # sup and local estimate; the failures are raised after the pass, step by
     # step, each naming its first ball
-    ub = once(("mk-bound", eps), lambda: mk_bound(cfg, profile, tilde))
+    ub = once(("mk-bound", eps), lambda: mk_bound(cfg, profile))
     log_mk_reference = ub.log_bound if ub.log_intermediate is None else ub.log_intermediate
     unwitnessed, unconverged, missed = [], [], []
     worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
@@ -424,9 +411,7 @@ def _run_pipeline(
         gamma_floors.append(_gamma_floor(gamma_spec, abs(ball.center)))
         wit = once(
             ("witness", eps, audit.k),
-            lambda: pointwise_witness(
-                f, ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs, n_grid=witness_grid
-            ),
+            lambda: pointwise_witness(f, ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs),
         )
         audits[audit.k] = replace(
             audit, x_k=wit.x_k, witness_verified=wit.verified, witness_refined=wit.refined
@@ -526,14 +511,14 @@ def _run_pipeline(
 
     # formal chain with the closed-form constants
     arg = (2.0 / (1.0 - s)) * math.log(2.0 * ub.d_value)
-    power = _safe_exp_arg(arg)
+    power = _exp(arg)
     exponent_formal = 9.0 + (2.0 / _LOG2) * math.log(2.0 * kappa / eps) + (12.0 / _LOG2) * power
     gamma_min = min(gamma_floors, default=_gamma_floor(gamma_spec, covering.target_radius))
     log_formal_factor = exponent_formal * math.log(48.0 / gamma_min) + math.log(kappa)
     log_rhs_formal = float(np.logaddexp(log_formal_factor + _log(omega_mass), _log(error_term)))
     log_lhs = _log(total_mass)
     formal_ok = log_lhs <= log_rhs_formal + 1e-9
-    d2_power = _safe_exp_arg((4.0 / (1.0 - s)) * math.log(bound.D2))
+    d2_power = _exp((4.0 / (1.0 - s)) * math.log(bound.D2))
     bracket = 1.0 + math.log(1.0 / eps) + d2_power
     denom = bracket**2 if decaying else bracket
     k_formal = log_formal_factor / denom
@@ -587,9 +572,7 @@ def verify_uncertainty(
     omega,
     gamma: float,
     eps: float,
-    m_cap: int = 24,
     f_id: str = "f",
-    witness_grid: int = 1024,
     shared: dict | None = None,
 ) -> UncertaintyReport:
     """Audit the constant-density uncertainty principle on one instance.
@@ -601,13 +584,12 @@ def verify_uncertainty(
     bug, since every step is a proved statement.
 
     shared: a dict holding the sensor-free stages of earlier calls with the
-    same f, bound, profile, m_cap and witness_grid, at any eps (the stages
-    that read eps are keyed on it); the stages this call computes first are
-    added to it. None computes every stage.
+    same f, bound and profile, at any eps (the stages that read eps are keyed
+    on it); the stages this call computes first are added to it. None
+    computes every stage.
     """
     return _run_pipeline(
-        f, bound, profile, omega, ("constant", float(gamma)), eps,
-        m_cap=m_cap, f_id=f_id, witness_grid=witness_grid, shared=shared,
+        f, bound, profile, omega, ("constant", float(gamma)), eps, f_id=f_id, shared=shared
     )
 
 
@@ -619,9 +601,7 @@ def verify_uncertainty_decay(
     gamma0: float,
     a: float,
     eps: float,
-    m_cap: int = 24,
     f_id: str = "f",
-    witness_grid: int = 1024,
     shared: dict | None = None,
 ) -> UncertaintyReport:
     """Audit the variant with polynomially decaying density gamma0/(1+|x|^a).
@@ -634,7 +614,7 @@ def verify_uncertainty_decay(
     """
     return _run_pipeline(
         f, bound, profile, omega, ("decaying", float(gamma0), float(a)), eps,
-        m_cap=m_cap, f_id=f_id, witness_grid=witness_grid, shared=shared,
+        f_id=f_id, shared=shared,
     )
 
 
@@ -665,40 +645,36 @@ def _sweep_row(report: UncertaintyReport) -> dict:
 
 
 def k_effective_sweep(
+    f: SpectralFunction,
+    bound: GSBound,
+    profile: RadiusProfile,
     cases,
-    m_cap: int = 24,
+    f_id: str = "f",
     reports_out: list | None = None,
-    witness_grid: int = 1024,
 ) -> list:
-    """Audit a family of instances and tabulate the empirical constant.
+    """Audit f, with its bound and radius profile, on each case and tabulate
+    the empirical constant.
 
-    cases: iterable of dicts with keys f, bound, profile, omega, eps, the
-    density (gamma for a constant one, gamma0 and a for a decaying one) and
-    optionally f_id. Returns one row per case with the report's headline
-    numbers, plotted as x = eps, y = K_effective; a constant-density row
-    also carries K_effective normalized by (1 + log(1/eps)). Pass a list as
-    reports_out to also collect the full reports.
+    cases: iterable of dicts with keys omega, eps and the density (gamma for
+    a constant one, gamma0 and a for a decaying one). Returns one row per
+    case with the report's headline numbers, plotted as x = eps,
+    y = K_effective; a constant-density row also carries K_effective
+    normalized by (1 + log(1/eps)). Pass a list as reports_out to also
+    collect the full reports.
 
-    The cases run in order in this process, and the first PipelineError or
-    NumericalError propagates. Cases with the same f, bound and profile
-    objects form a family, which computes its sensor-free stages once (see
-    the module docstring).
+    The cases run in order in this process, share one store of sensor-free
+    stages (see the module docstring), and the first PipelineError or
+    NumericalError propagates.
     """
-    cases = list(cases)  # keeps each family's objects, and so their ids, alive
-    stores = {}
+    shared = {}
     reports = []
     for case in cases:
-        family = (id(case["f"]), id(case["bound"]), id(case["profile"]))
         if "gamma" in case:
             audit, density = verify_uncertainty, (case["gamma"],)
         else:
             audit, density = verify_uncertainty_decay, (case["gamma0"], case["a"])
         reports.append(
-            audit(
-                case["f"], case["bound"], case["profile"], case["omega"], *density, case["eps"],
-                m_cap=m_cap, f_id=case.get("f_id", "f"), witness_grid=witness_grid,
-                shared=stores.setdefault(family, {}),
-            )
+            audit(f, bound, profile, case["omega"], *density, case["eps"], f_id=f_id, shared=shared)
         )
     if reports_out is not None:
         reports_out.extend(reports)

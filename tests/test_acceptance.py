@@ -86,12 +86,12 @@ def sweep(instance):
         (FullSpaceSensorSet("full line"), 1.0),
     ]
     cases = [
-        {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": gamma, "eps": eps}
+        {"omega": omega, "gamma": gamma, "eps": eps}
         for omega, gamma in sensors
         for eps in EPS_GRID
     ]
     reports = []
-    rows = k_effective_sweep(cases, reports_out=reports)
+    rows = k_effective_sweep(f, bound, profile, cases, reports_out=reports)
     return rows, reports
 
 

@@ -23,6 +23,7 @@ from gsaudit.experiments import (
     run_experiment,
 )
 from gsaudit.local_estimates import SeriesBound
+from gsaudit.semigroup import SmoothingCertificate
 
 PERIODIC_HALF = {"type": "periodic", "period": 1.0, "fill": 0.5}
 
@@ -115,8 +116,6 @@ class TestResolveConfig:
         )
         assert resolved["seed"] == 0
         assert resolved["eps_grid"] == [0.1]
-        assert resolved["m_cap"] == 24
-        assert resolved["witness_grid"] == 1024
         assert resolved["profile"] == {"R": 1.0, "delta": 0.0, "eta": 0.5, "r0": 1.0}
         assert resolved["function"] == {"degree": 12, "t": 0.3, "nu": 0.5, "mu": 0.5}
 
@@ -209,6 +208,17 @@ class TestResolveConfig:
             resolve_config(config(OBS_BASE, **{field: 0.5}))
         assert err.value.field == field
 
+    @pytest.mark.parametrize("field", ["m_cap", "witness_grid"])
+    def test_uncertainty_takes_no_classifier_cap_or_witness_grid(self, field, tmp_path, capsys):
+        # both are constants of the method (local_estimates.M_CAP and
+        # WITNESS_GRID), not of the audited statement
+        with pytest.raises(ConfigError, match="unknown field") as err:
+            resolve_config(config(UNC_BASE, **{field: 24}))
+        assert err.value.field == field
+        path = write_config(tmp_path, config(UNC_BASE, **{field: 24}))
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config field '{field}': unknown field" in capsys.readouterr().err
+
     def test_decay_case_without_sensor_gets_matching_density(self):
         cfg = config(
             UNC_BASE,
@@ -241,7 +251,6 @@ class TestRunExperiment:
             assert key in report
         assert report["failed_step"] is None
         assert report["config"]["seed"] == 7
-        assert report["config"]["m_cap"] == 24
 
     def test_rows_match_columns(self, unc_result):
         assert unc_result.columns
@@ -429,10 +438,46 @@ class TestMain:
         monkeypatch.setattr(observability, "_pencil_top", halved)
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path, config(OBS_BASE)), "--out", str(out)]) == 1
-        assert "observability: FAILED" in capsys.readouterr().out
+        assert "observability: FAILED (failing step: full-line)" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
+        assert report["failed_step"] == "full-line"
         assert report["results"]["reports"][0]["monotone"] is True
         assert not any(row["passed"] for row in report["summary_rows"])
+
+    def test_constant_rising_in_t_fails_monotone(self, tmp_path, monkeypatch, capsys):
+        # constants scaled up tenfold per T rise along the grid; they stay
+        # above the full-line ones, so only the monotone check fails
+        real = observability._pencil_top
+        scale = [1.0]
+
+        def rising(energy, gramian):
+            top, conditioning = real(energy, gramian)
+            scale[0] *= 10.0
+            return scale[0] * top, conditioning
+
+        monkeypatch.setattr(observability, "_pencil_top", rising)
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, config(OBS_BASE)), "--out", str(out)]) == 1
+        assert "observability: FAILED (failing step: monotone)" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_step"] == "monotone"
+        assert report["results"]["reports"][0]["monotone"] is False
+        assert min(report["results"]["reports"][0]["log_margins"]) > 0.0
+
+    def test_certificate_below_held_out_norms_fails_validation(self, tmp_path, monkeypatch, capsys):
+        # a certificate bound lowered by a factor e lies below the measured
+        # norms at the held-out times
+        real = SmoothingCertificate.log_bound
+        monkeypatch.setattr(
+            SmoothingCertificate, "log_bound", lambda cert, n, b, t: real(cert, n, b, t) - 1.0
+        )
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, config(SMOOTH_BASE)), "--out", str(out)]) == 1
+        assert "smoothing-validate: FAILED (failing step: validation)" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_step"] == "validation"
+        assert report["results"]["validation"]["worst_ratio"] > 1.0
+        assert not all(row["passed"] for row in report["summary_rows"])
 
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         # a RuntimeError that is no NumericalError is a bug, so it must
@@ -458,7 +503,9 @@ class TestMain:
         out = tmp_path / "o"
         path = write_config(tmp_path, config(LEMMA_BASE, analyticity={"n_cases": 0}))
         assert main(["run", path, "--out", str(out)]) == 1
+        assert "lemma-suite: FAILED (failing step: series)" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
+        assert report["failed_step"] == "series"
         series = [row for row in report["summary_rows"] if row["section"] == "series"]
         assert len(series) == 4
         assert not any(row["passed"] for row in series)
@@ -469,8 +516,8 @@ class TestMain:
         # lies above the proved bound
         real = uncertainty.mk_bound
 
-        def violated(cfg, profile, bound):
-            ub = real(cfg, profile, bound)
+        def violated(cfg, profile):
+            ub = real(cfg, profile)
             series = SeriesBound(
                 log_sum=1.0,
                 log_bound=0.0,
@@ -552,14 +599,16 @@ def test_run_all_prints_report_digests(tmp_path, capsys):
 
 
 # runs gsaudit.cli.main at --threads 2 on each (config, out) pair of argv in
-# one fresh interpreter, then prints the scipy, multiprocessing and
-# concurrent.futures modules it loaded as the last line
+# one fresh interpreter, then prints the exit codes as the second-to-last line
+# and the scipy, multiprocessing and concurrent.futures modules it loaded as
+# the last line
 _SCIPY_PROBE = """
 import json, sys
 from gsaudit.cli import main
-for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
-    main(["run", config, "--threads", "2", "--out", out])
+pairs = zip(sys.argv[1::2], sys.argv[2::2])
+codes = [main(["run", config, "--threads", "2", "--out", out]) for config, out in pairs]
 roots = ("scipy", "multiprocessing", "concurrent.futures")
+print(json.dumps(codes))
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(roots))))
 """
 
@@ -583,4 +632,6 @@ def test_committed_configs_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     for config in configs:
         assert (tmp_path / config.stem / "report.json").is_file(), config.stem
-    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+    *_, codes, modules = done.stdout.strip().splitlines()
+    assert json.loads(codes) == [EXIT_OK] * len(configs), done.stdout
+    assert json.loads(modules) == []

@@ -31,13 +31,11 @@ RESOLVED = {
     "uncertainty": {
         "schema_version": 1, "kind": "uncertainty", "seed": 0,
         "function": FUNCTION, "profile": PROFILE, "eps_grid": [0.1],
-        "m_cap": 24, "witness_grid": 1024,
         "cases": [{"sensor": {"type": "full"}, "gamma": 0.5}],
     },
     "uncertainty-decay": {
         "schema_version": 1, "kind": "uncertainty-decay", "seed": 0,
         "function": FUNCTION, "profile": PROFILE, "eps_grid": [0.1],
-        "m_cap": 24, "witness_grid": 1024,
         "cases": [
             {
                 "sensor": {"type": "decaying", "gamma0": 0.5, "a": 1.0, "extent": 400.0},
@@ -92,9 +90,6 @@ SINGLE_FAULTS = [
     (minimal("uncertainty", function={"degree": 2.0}), "function.degree"),
     (minimal("uncertainty", function={"t": -0.1}), "function.t"),
     (minimal("uncertainty", function={"mu": "1"}), "function.mu"),
-    (minimal("uncertainty", m_cap=25), "m_cap"),
-    (minimal("uncertainty", m_cap=True), "m_cap"),
-    (minimal("uncertainty", witness_grid=63), "witness_grid"),
     (minimal("uncertainty", eps_grid=[0.0]), "eps_grid[0]"),
     (minimal("uncertainty", eps_grid=[]), "eps_grid"),
     (minimal("uncertainty", eps_grid=0.1), "eps_grid"),

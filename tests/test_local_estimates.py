@@ -557,8 +557,7 @@ class TestMkBound:
         # 3 * 160^2 = 76800 at kappa = 1, eps = 1, s = 0
         cfg = ClassifierConfig(eps=1.0, kappa=1, tilde_d2=1.0, s=0.0, delta=0.0)
         profile = RadiusProfile(R=1.0, delta=0.0, eta=0.5, r0=1.0)
-        bound = GSBound(D1=1.0, D2=1.0, nu=0.0, mu=0.0)
-        res = mk_bound(cfg, profile, bound)
+        res = mk_bound(cfg, profile)
         assert res.d_value == 80.0
         assert math.isclose(res.log_bound, math.log(4.0) + 0.5 * math.log(2.0) + 76800.0)
         assert not res.exponent_overflow
@@ -568,29 +567,18 @@ class TestMkBound:
         assert math.isclose(res.log_intermediate, expected, rel_tol=1e-10)
         assert res.log_intermediate < res.log_bound
 
-    def test_constants_must_match_bound(self):
-        cfg = ClassifierConfig(eps=1.0, kappa=1, tilde_d2=1.0, s=0.0, delta=0.0)
-        profile = RadiusProfile()
-        with pytest.raises(ValueError):
-            mk_bound(cfg, profile, GSBound(D1=1.0, D2=2.0, nu=0.0, mu=0.0))
-        with pytest.raises(ValueError):
-            mk_bound(cfg, profile, GSBound(D1=1.0, D2=1.0, nu=0.25, mu=0.25))
-
     def test_overflow_flagged(self):
         cfg = ClassifierConfig(eps=1.0, kappa=1, tilde_d2=1000.0, s=0.95, delta=0.0)
-        profile = RadiusProfile()
-        bound = GSBound(D1=1.0, D2=1000.0, nu=0.475, mu=0.475)
-        res = mk_bound(cfg, profile, bound)
+        res = mk_bound(cfg, RadiusProfile())
         assert res.exponent_overflow and math.isinf(res.log_bound)
         assert res.log_intermediate is None
 
     def test_bruteforce_below_bound(self):
         # criterion shape: the measured sup never exceeds the closed form
         profile = RadiusProfile(R=1.0, delta=0.0, eta=0.5, r0=1.0)
-        bound = GSBound(D1=1.0, D2=1.0, nu=0.0, mu=0.0)
         for eps in (0.1, 1.0):
             cfg = ClassifierConfig(eps=eps, kappa=1, tilde_d2=1.0, s=0.0, delta=0.0)
-            ub = mk_bound(cfg, profile, bound)
+            ub = mk_bound(cfg, profile)
             for center in (0.0, 1.5):
                 ball = Ball(center, float(profile.rho(center)))
                 brute = _brute(basis_function(0), ball, float(profile.rho(center)))

@@ -412,11 +412,11 @@ class TestSweep:
         periodic = sensor_periodic(1.0, 0.5)
         full = FullSpaceSensorSet("full line")
         cases = [
-            {"f": f, "bound": bound, "profile": profile, "omega": omega, "gamma": g, "eps": eps}
+            {"omega": omega, "gamma": g, "eps": eps}
             for (omega, g) in ((periodic, 0.3), (full, 1.0))
             for eps in (0.1, 1.0)
         ]
-        rows = k_effective_sweep(cases)
+        rows = k_effective_sweep(f, bound, profile, cases)
         assert len(rows) == 4
         assert all(r["passed"] for r in rows)
         for r in rows:
@@ -433,13 +433,12 @@ class TestSweep:
 
     def test_rows_carry_each_kinds_density(self, instance):
         f, bound, profile = instance
-        common = {"f": f, "bound": bound, "profile": profile, "eps": 1.0}
         cases = [
-            {**common, "omega": FullSpaceSensorSet("full line"), "gamma": 1.0},
-            {**common, "omega": sensor_decaying_density(0.5, 1.0, profile), "gamma0": 0.5, "a": 1.0},
+            {"eps": 1.0, "omega": FullSpaceSensorSet("full line"), "gamma": 1.0},
+            {"eps": 1.0, "omega": sensor_decaying_density(0.5, 1.0, profile), "gamma0": 0.5, "a": 1.0},
         ]
         reports = []
-        constant, decaying = k_effective_sweep(cases, reports_out=reports)
+        constant, decaying = k_effective_sweep(f, bound, profile, cases, reports_out=reports)
         assert [r.kind for r in reports] == ["uncertainty", "uncertainty-decay"]
         assert constant["gamma"] == 1.0 and "gamma0" not in constant
         assert "k_effective_normalized" in constant
@@ -449,27 +448,30 @@ class TestSweep:
 
 
 class TestSweepSharing:
-    """Cases that share f, bound, profile and eps audit the sensor-free
-    stages once; every report and error stays that of its own audit."""
+    """The cases of one sweep audit the sensor-free stages once per sweep, or
+    once per eps; every report and error stays that of its own audit."""
 
     @pytest.fixture(scope="class")
     def cases(self, instance):
-        f, bound, profile = instance
-        common = {"f": f, "bound": bound, "profile": profile, "f_id": "flow"}
+        _, _, profile = instance
         cases = [
-            {**common, "omega": omega, "gamma": g, "eps": eps}
+            {"omega": omega, "gamma": g, "eps": eps}
             for omega, g in ((FullSpaceSensorSet("full line"), 1.0), (sensor_periodic(1.0, 0.5), 0.3))
             for eps in (1.0, 0.5)
         ]
         decay = sensor_decaying_density(0.5, 1.0, profile)
-        cases.append({**common, "omega": decay, "gamma0": 0.5, "a": 1.0, "eps": 1.0})
+        cases.append({"omega": decay, "gamma0": 0.5, "a": 1.0, "eps": 1.0})
         return cases
 
+    @staticmethod
+    def _sweep(instance, cases, reports):
+        return k_effective_sweep(*instance, cases, f_id="flow", reports_out=reports)
+
     @pytest.fixture(scope="class")
-    def independent(self, cases):
+    def independent(self, instance, cases):
         reports = []
         for c in cases:
-            args = (c["f"], c["bound"], c["profile"], c["omega"])
+            args = (*instance, c["omega"])
             if "gamma" in c:
                 reports.append(verify_uncertainty(*args, c["gamma"], c["eps"], f_id="flow"))
             else:
@@ -478,9 +480,9 @@ class TestSweepSharing:
                 )
         return _jsonable(reports)
 
-    def test_reports_equal_independent_audits(self, cases, independent):
+    def test_reports_equal_independent_audits(self, instance, cases, independent):
         reports = []
-        k_effective_sweep(cases, reports_out=reports)
+        self._sweep(instance, cases, reports)
         assert _jsonable(reports) == independent
 
     @staticmethod
@@ -518,7 +520,7 @@ class TestSweepSharing:
     def test_sensor_free_stages_run_once_per_family(self, monkeypatch, instance, cases):
         calls = self._counting(monkeypatch)
         reports = []
-        k_effective_sweep(cases, reports_out=reports)
+        self._sweep(instance, cases, reports)
 
         def per_eps(count):
             # the reports at one eps agree, so one entry per eps counts each once
@@ -533,7 +535,7 @@ class TestSweepSharing:
         assert len(calls["witness"]) == checked > 0
         assert len(set(calls["witness"])) == len(calls["witness"])
         # each ball's quadratures, and its polydisc sup at each rho_k, once
-        # for the family
+        # for the sweep
         assert len(set(calls["rules"])) == len(calls["rules"])
         assert {ball for _, ball in calls["rules"]} == {
             Ball(*key[1:]) for key in calls["ball"]
@@ -548,49 +550,45 @@ class TestSweepSharing:
         assert sorted(calls["polydisc"], key=repr) == sorted(sampled, key=repr)
         assert len(calls["stack"]) == len(calls["premise"]) == 1
 
-    def test_families_share_nothing(self, monkeypatch, cases):
-        # f's twin is an equal expansion in another object, so its cases form
-        # a second family: the sweep of both audits every stage twice, and
-        # each family's reports are those of its sweep alone
-        f = cases[0]["f"]
-        twin = SpectralFunction(f.coeffs.copy())
-        both = [c for case in cases for c in (case, {**case, "f": twin})]
-        alone, together = [], []
+    def test_a_second_sweep_starts_from_an_empty_store(self, monkeypatch, instance, cases):
+        # the store lives for one call: a second sweep of the same cases
+        # audits every stage again, and its reports are those of the first
+        first, second = [], []
         calls = self._counting(monkeypatch)
-        k_effective_sweep(cases, reports_out=alone)
+        self._sweep(instance, cases, first)
         once = {name: sorted(keys, key=repr) for name, keys in calls.items()}
         for keys in calls.values():
             keys.clear()
-        k_effective_sweep(both, reports_out=together)
+        self._sweep(instance, cases, second)
         for name, keys in calls.items():
-            assert sorted(keys, key=repr) == sorted(2 * once[name], key=repr), name
-        assert _jsonable(together[::2]) == _jsonable(together[1::2]) == _jsonable(alone)
+            assert sorted(keys, key=repr) == once[name], name
+        assert all(once.values())
+        assert _jsonable(second) == _jsonable(first)
 
     def test_first_failing_case_in_case_order_raises(self, instance):
         # the failing eps = 1.0 case comes second, before the failing
         # eps = 0.1 case: the sweep raises the eps = 1.0 error
         f, bound, profile = instance
-        common = {"f": f, "bound": bound, "profile": profile}
         periodic = sensor_periodic(1.0, 0.5)
         cases = [
-            {**common, "omega": periodic, "gamma": 0.3, "eps": 0.1},
-            {**common, "omega": periodic, "gamma": 0.45, "eps": 1.0},
-            {**common, "omega": periodic, "gamma": 0.45, "eps": 0.1},
+            {"omega": periodic, "gamma": 0.3, "eps": 0.1},
+            {"omega": periodic, "gamma": 0.45, "eps": 1.0},
+            {"omega": periodic, "gamma": 0.45, "eps": 0.1},
         ]
         with pytest.raises(PipelineError) as loop:
             verify_uncertainty(f, bound, profile, periodic, 0.45, 1.0)
         with pytest.raises(PipelineError) as swept:
-            k_effective_sweep(cases)
+            k_effective_sweep(f, bound, profile, cases)
         assert swept.value.step == loop.value.step == "density"
         assert str(swept.value) == str(loop.value)
 
     def test_one_worker_stops_at_the_first_failing_case(self, monkeypatch, instance):
         # the first case fails at density, so the later cases never run
         f, bound, profile = instance
-        common = {"f": f, "bound": bound, "profile": profile, "omega": sensor_periodic(1.0, 0.5)}
-        cases = [{**common, "gamma": 0.45, "eps": eps} for eps in (0.1, 1.0, 0.5)]
+        omega = sensor_periodic(1.0, 0.5)
+        cases = [{"omega": omega, "gamma": 0.45, "eps": eps} for eps in (0.1, 1.0, 0.5)]
         with pytest.raises(PipelineError) as loop:
-            verify_uncertainty(f, bound, profile, common["omega"], 0.45, 0.1)
+            verify_uncertainty(f, bound, profile, omega, 0.45, 0.1)
         calls = []
 
         def counting(*args, **kwargs):
@@ -599,7 +597,7 @@ class TestSweepSharing:
 
         monkeypatch.setattr(uncertainty, "verify_uncertainty", counting)
         with pytest.raises(PipelineError) as swept:
-            k_effective_sweep(cases)
+            k_effective_sweep(f, bound, profile, cases)
         assert len(calls) == 1
         assert swept.value.step == loop.value.step == "density"
         assert str(swept.value) == str(loop.value)
