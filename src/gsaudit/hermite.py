@@ -64,6 +64,7 @@ __all__ = [
     "logsumexp",
     "multiply_by_coordinate",
     "norm_squared_on_ball",
+    "norm_squared_on_interval_lists",
     "norm_squared_on_intervals",
     "norm_squared_outside_radius",
     "refined_rows",
@@ -87,6 +88,15 @@ class DimensionMismatchError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine did not converge; the CLI maps it to exit code 3."""
+
+
+class PipelineError(RuntimeError):
+    """An audited step failed; .step names the violated premise or lemma."""
+
+    def __init__(self, step: str, message: str):
+        super().__init__(f"step '{step}': {message}")
+        self.step = step
+        self.message = message
 
 
 class QuadratureConvergenceError(NumericalError):
@@ -544,12 +554,22 @@ def norm_squared_on_intervals(f: SpectralFunction, intervals) -> float:
     Intervals fully outside the effective support contribute exact zeros and
     are skipped; partial overlaps are clipped.
     """
+    return norm_squared_on_interval_lists(f, [intervals])[0]
+
+
+def norm_squared_on_interval_lists(f: SpectralFunction, lists) -> list:
+    """norm_squared_on_intervals of each list of intervals in one batched pass;
+    each total is bit for bit that of its own call."""
     cutoff = effective_support_radius(f)
-    clipped = [(max(float(a), -cutoff), min(float(b), cutoff)) for a, b in intervals]
-    total = 0.0
-    for (value,) in _rule_sums(f.coeffs[None], [(a, b) for a, b in clipped if b > a], 0.0, 20, 0.5):
-        total += float(value)
-    return total
+    kept = [[(max(float(a), -cutoff), min(float(b), cutoff)) for a, b in pieces] for pieces in lists]
+    kept = [[(a, b) for a, b in pieces if b > a] for pieces in kept]
+    sums = _rule_sums(f.coeffs[None], [iv for pieces in kept for iv in pieces], 0.0, 20, 0.5)
+    values, totals = iter(sums[:, 0].tolist()), []
+    for pieces in kept:
+        totals.append(0.0)
+        for _ in pieces:
+            totals[-1] += next(values)
+    return totals
 
 
 def norm_squared_on_ball(f: SpectralFunction, ball: Ball, atol: float = 0.0) -> float:

@@ -329,10 +329,6 @@ def _log_abs_derivatives_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray
         return np.log(np.abs(vals))
 
 
-def _ball_grid(ball: Ball, n: int):
-    return np.linspace(*ball.interval(), n)
-
-
 @dataclass(frozen=True)
 class WitnessResult:
     x_k: float
@@ -347,6 +343,7 @@ def pointwise_witness(
     cfg: ClassifierConfig,
     mass_sq: float,
     derivatives: np.ndarray,
+    grids: dict,
 ) -> WitnessResult:
     """Search the ball for a point satisfying the pointwise derivative bounds.
 
@@ -355,6 +352,8 @@ def pointwise_witness(
     ball must contain such a point; the scan of WITNESS_GRID points is refined
     once, to 4 * WITNESS_GRID, before reporting failure. mass_sq is the
     ball's mass ||f||^2_Q and derivatives is derivative_stack(f, m_cap).
+    grids holds first-scan grids, log |d^m f| on the WITNESS_GRID points (no
+    eps), by Ball, from calls with these derivatives; the ball's is read or added.
     """
     if not mass_sq > 0:
         raise ValueError("pointwise witness needs positive ball mass")
@@ -372,10 +371,10 @@ def pointwise_witness(
         for m in range(cfg.m_cap + 1)
     }
 
-    def scan(n: int):
-        grid = _ball_grid(ball, n)
-        logs = _log_abs_derivatives_at(derivatives, grid)
-        worst = np.full(len(grid), np.inf)
+    def scan(n: int, logs=None):
+        grid = np.linspace(*ball.interval(), n)
+        logs = _log_abs_derivatives_at(derivatives, grid) if logs is None else logs
+        worst = np.full(n, np.inf)
         for m in range(cfg.m_cap + 1):
             worst = np.minimum(worst, log_rhs[m] - logs[m])
         best = int(np.argmax(worst))
@@ -384,7 +383,9 @@ def pointwise_witness(
             raise NumericalError("pointwise witness: a derivative evaluated to NaN")
         return grid[best], float(worst[best])
 
-    point, margin = scan(WITNESS_GRID)
+    if ball not in grids:
+        grids[ball] = _log_abs_derivatives_at(derivatives, np.linspace(*ball.interval(), WITNESS_GRID))
+    point, margin = scan(WITNESS_GRID, grids[ball])
     refined = False
     if margin < 0.0:
         refined = True
@@ -419,14 +420,18 @@ def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
 
 
 def _polydisc_max(f: SpectralFunction, ball: Ball, rho8: float, n_q: int, n_phi: int) -> float:
-    # max log |F| over the real base points q and the circles of radius rho8
-    # and rho8 / 2 around them, one ring of points alive at a time
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    circle = np.exp(1j * phis)
+    # max log |F| over the real points q and the circles of radius rho8 and
+    # rho8 / 2 around them. f is real and _log_abs_analytic sign-symmetric, so
+    # conj z gives z's bits: a circle is evaluated at the angles 2 pi j / n_phi,
+    # j <= n_phi/2, a slice of q rows of about _BLOCK points at a time.
+    phis = 2.0 * math.pi * np.arange(n_phi // 2 + 1) / n_phi
+    arc = np.exp(1j * phis)
     q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
     best = _max_log_abs(f, q.astype(complex))
+    rows = max(1, _BLOCK // len(arc))
     for v in (1.0, 0.5):
-        best = max(best, _max_log_abs(f, q[:, None] + rho8 * v * circle[None, :]))
+        for i in range(0, len(q), rows):
+            best = max(best, _max_log_abs(f, q[i : i + rows, None] + rho8 * v * arc[None, :]))
     return best
 
 
@@ -452,6 +457,9 @@ def mk_bruteforce(
     result moves by less than a relative 0.01, for at most five rounds. The
     sup is normalized by the ball's mass norm_sq = ||f||^2_Q and by
     |Q| = ball.volume, and clamped to M >= 1 as in the defining lemma.
+    n_samples counts the sample set, n_q + 1 real points and two circles of
+    n_phi angles around each, symmetric under conjugation; only its upper
+    half is evaluated, as |F(conj z)| = |F(z)| bit for bit (_polydisc_max).
     """
     if not norm_sq > 0:
         raise ValueError("polydisc sup needs positive mass on the ball")
@@ -641,12 +649,14 @@ def local_estimate_check(
     omega,
     log_m_k: float,
     mass_sq: float,
+    inter_sq: float | None = None,
 ) -> LocalEstimateReport:
     """Check (48 |Q|/|Q cap omega|)^(1+4 log M/log 2) ||f||^2_{Q cap omega} >= ||f||^2_Q.
 
     The intersection is decomposed into intervals and both sides are
     integrated directly; the comparison runs in log space since the exponent
-    is typically in the thousands. mass_sq is the ball's mass ||f||^2_Q.
+    is typically in the thousands. mass_sq is the ball's mass ||f||^2_Q, and
+    inter_sq ||f||^2_{Q cap omega} if the caller has it (None integrates it).
     """
     if log_m_k < -1e-12:
         raise ValueError("log M_k must be nonnegative (M_k >= 1)")
@@ -655,7 +665,8 @@ def local_estimate_check(
     measure = sum(hi - lo for lo, hi in pieces)
     if measure <= 0.0:
         return LocalEstimateReport(False, -math.inf, -math.inf, 0.0, 0.0, math.inf, math.inf)
-    inter_sq = norm_squared_on_intervals(f, pieces)
+    if inter_sq is None:
+        inter_sq = norm_squared_on_intervals(f, pieces)
     base = 48.0 * ball.volume / measure  # 24 d 2^d = 48 in dimension 1
     exponent = 1.0 + 4.0 * max(log_m_k, 0.0) / _LOG2
     log_lhs = exponent * math.log(base) + _log(inter_sq)

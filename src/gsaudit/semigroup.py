@@ -27,6 +27,7 @@ import numpy as np
 from .hermite import (
     MAX_DEGREE,
     NumericalError,
+    PipelineError,
     SpectralFunction,
     _log,
     log_factorial,
@@ -333,7 +334,8 @@ def fit_smoothing_certificate(
     data at the grid times, and the measured norms are concave in log t
     between them, so an exact fit can dip below off-grid data. The inflation
     scales as 1.05^(1+n+b), which matches how the dip grows with the
-    derivative order. The certificate holds for t < t0 = SMOOTHING_T0.
+    derivative order. The certificate holds for t < t0 = SMOOTHING_T0. A
+    slack below -1e-9 raises PipelineError at step certificate-fit.
     """
     rows, rhs = [], []
     for g in g_ensemble:
@@ -363,7 +365,7 @@ def fit_smoothing_certificate(
     fitted = np.array([log_c, r1, r2])
     residuals = tuple(float(v) for v in (rows @ fitted - np.asarray(rhs)))
     if min(residuals) < -1e-9:
-        raise RuntimeError("certificate fit produced a negative slack")
+        raise PipelineError("certificate-fit", "a sampled norm lies above the fitted surface")
     return SmoothingCertificate(
         C=max(1.0, math.exp(log_c)),
         t0=SMOOTHING_T0,

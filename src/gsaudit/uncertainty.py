@@ -24,7 +24,9 @@ computes it, and the later cases reuse it. The premise, the derivative
 stack, each ball's mass and derivative quadratures and each ball's polydisc
 sup at a given rho_k read no eps and are computed once per sweep. The tail,
 covering, classification, bad mass, polydisc bound and each ball's witness
-read eps and are keyed on it, so they are computed once per eps.
+read eps and are keyed on it, so they are computed once per eps. A witness's
+first grid scan reads no eps: the store keeps it for the balls of the latest
+covering, and drops the rest when the covering changes.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from .geometry import (
 )
 from .hermite import (
     NumericalError,
+    PipelineError,
     SpectralFunction,
     _LOG2,
     _exp,
     _log,
     log_factorial,
-    norm_squared_on_intervals,
+    norm_squared_on_interval_lists,
     weighted_norm,
 )
 from .local_estimates import (
@@ -74,15 +77,6 @@ __all__ = [
     "verify_uncertainty",
     "verify_uncertainty_decay",
 ]
-
-class PipelineError(RuntimeError):
-    """A pipeline step failed; .step names the violated premise or lemma."""
-
-    def __init__(self, step: str, message: str):
-        super().__init__(f"step '{step}': {message}")
-        self.step = step
-        self.message = message
-
 
 def _jsonable(x):
     """x as JSON data: a non-finite float becomes a string, a numpy scalar a
@@ -176,17 +170,15 @@ class UncertaintyReport:
     error_term_dominated: bool
     passed: bool
 
-    def step(self, name: str) -> StepRecord:
-        for s in self.steps:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
-
-def _mass_on_sensor(f: SpectralFunction, omega) -> float:
-    if isinstance(omega, FullSpaceSensorSet):
-        return f.norm_squared()
-    return norm_squared_on_intervals(f, zip(omega.starts, omega.ends))
+def _masses_on_sensor(f: SpectralFunction, omega, balls) -> tuple:
+    """||f||^2 on Q cap omega for each ball Q, and on omega, in one quadrature
+    pass; each is bit for bit norm_squared_on_intervals on its intervals."""
+    full = isinstance(omega, FullSpaceSensorSet)
+    lists = [omega.intersect_interval(*ball.interval()) for ball in balls]
+    lists.append([] if full else zip(omega.starts, omega.ends))
+    *inter, on_omega = norm_squared_on_interval_lists(f, lists)
+    return inter, f.norm_squared() if full else on_omega
 
 
 def _premise_check(f, bound, tilde, delta):
@@ -402,16 +394,21 @@ def _run_pipeline(
     # step, each naming its first ball
     ub = once(("mk-bound", eps), lambda: mk_bound(cfg, profile))
     log_mk_reference = ub.log_bound if ub.log_intermediate is None else ub.log_intermediate
+    # the witness grids of this covering's balls, 200 KB each; the others go
+    grids = shared.setdefault("witness-grids", {})
+    for stale in grids.keys() - set(balls):
+        del grids[stale]
+    inter_masses, omega_mass = _masses_on_sensor(f, omega, [balls[a.k] for a in active])
     unwitnessed, unconverged, missed = [], [], []
     worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
     sum_inter = 0.0
     gamma_floors, log_measured_factors = [], []
-    for audit in active:
+    for audit, inter_sq in zip(active, inter_masses):
         ball = balls[audit.k]
         gamma_floors.append(_gamma_floor(gamma_spec, abs(ball.center)))
         wit = once(
             ("witness", eps, audit.k),
-            lambda: pointwise_witness(f, ball, cfg, mass_sq=audit.mass_sq, derivatives=derivs),
+            lambda: pointwise_witness(f, ball, cfg, audit.mass_sq, derivs, grids),
         )
         audits[audit.k] = replace(
             audit, x_k=wit.x_k, witness_verified=wit.verified, witness_refined=wit.refined
@@ -424,7 +421,7 @@ def _run_pipeline(
             ("mk-bruteforce", ball, rho_k),
             lambda: mk_bruteforce(f, ball, rho_k, norm_sq=audit.mass_sq),
         )
-        local = local_estimate_check(f, ball, omega, brute.log_m, mass_sq=audit.mass_sq)
+        local = local_estimate_check(f, ball, omega, brute.log_m, audit.mass_sq, inter_sq)
         audits[audit.k] = replace(
             audits[audit.k],
             log_mk_bruteforce=brute.log_m,
@@ -482,7 +479,6 @@ def _run_pipeline(
     )
 
     # summation with overlap kappa
-    omega_mass = _mass_on_sensor(f, omega)
     record(
         "overlap-sum",
         sum_inter <= kappa * omega_mass * (1.0 + 1e-9) + 1e-300,

@@ -21,6 +21,11 @@ def random_expansion(seed: int, degree: int) -> SpectralFunction:
     return SpectralFunction(c / np.linalg.norm(c))
 
 
+def step_of(report, name: str):
+    """The step record of an uncertainty report with this name."""
+    return next(s for s in report.steps if s.name == name)
+
+
 def depth_oracle(lo, hi, extent: float):
     """Brute-force (kappa, uncovered measure) of the open intervals (lo, hi).
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from conftest import random_expansion
+from conftest import random_expansion, step_of
 from gsaudit.cli import main as cli_main
 from gsaudit.experiments import run_experiment
 from gsaudit.geometry import (
@@ -214,7 +214,7 @@ def test_mk_bruteforce_below_bound(sweep):
     _, reports = sweep
     n_checked = 0
     for report in reports:
-        uniform = report.step("mk-bound").detail["log_mk_uniform_bound"]
+        uniform = step_of(report, "mk-bound").detail["log_mk_uniform_bound"]
         for audit in report.ball_audits:
             if audit.log_mk_bruteforce is None:
                 continue
@@ -244,8 +244,8 @@ def test_uncertainty_sweep(sweep):
     assert all(row["passed"] for row in rows)
     for report in reports:
         assert report.passed
-        assert report.step("measured-chain").passed
-        assert report.step("formal-chain").passed
+        assert step_of(report, "measured-chain").passed
+        assert step_of(report, "formal-chain").passed
     assert {row["eps"] for row in rows} == set(EPS_GRID)
     assert {row["gamma"] for row in rows} == {0.1, 0.5, 1.0}
     spread = k_effective_spread(rows)
@@ -260,7 +260,7 @@ def test_uncertainty_decay_instances(instance):
         omega = sensor_decaying_density(gamma0, a, profile)
         report = verify_uncertainty_decay(f, bound, profile, omega, gamma0, a, eps)
         assert report.passed, (gamma0, a, eps)
-        assert report.step("center-norm-bound").passed
+        assert step_of(report, "center-norm-bound").passed
 
 
 @criterion(11, "observability constants match 1/(e^T - 1), decay in T and stay above it")

@@ -12,8 +12,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsaudit import experiments, geometry, observability, uncertainty
+from gsaudit import experiments, geometry, observability, semigroup, uncertainty
 from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
@@ -479,6 +481,18 @@ class TestMain:
         assert report["results"]["validation"]["worst_ratio"] > 1.0
         assert not all(row["passed"] for row in report["summary_rows"])
 
+    def test_negative_slack_fails_certificate_fit(self, tmp_path, monkeypatch, capsys):
+        # a fit whose log C sits 5 below the optimum leaves sampled norms
+        # above the certificate: an audit failure with a report, not a crash
+        real = semigroup._vertex_simplex
+        monkeypatch.setattr(semigroup, "_vertex_simplex", lambda *args: real(*args) - [5.0, 0.0, 0.0])
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, config(SMOOTH_BASE)), "--out", str(out)]) == 1
+        assert "smoothing-validate: FAILED (failing step: certificate-fit)" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_step"] == "certificate-fit" and report["passed"] is False
+        assert "a sampled norm lies above the fitted surface" in report["results"]["error"]
+
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         # a RuntimeError that is no NumericalError is a bug, so it must
         # surface with a traceback rather than exit 3
@@ -560,6 +574,22 @@ class TestMain:
                 assert main(["run", path, "--out", str(out), "--threads", threads]) == EXIT_OK
             for name in ("report.json", "summary.csv"):
                 assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_reruns_byte_identical_at_any_seed(self, tmp_path_factory, seed):
+        # two in-process runs of each uncertainty kind at a random seed write
+        # the same report.json bytes, or end in the same exit code without one
+        decay = config(UNC_BASE, kind="uncertainty-decay", cases=[{"gamma0": 0.5, "a": 1.0}])
+        root = tmp_path_factory.mktemp("rerun")
+        for cfg in (UNC_BASE, decay):
+            path = write_config(root, config(cfg), name=f"{cfg['kind']}.json")
+            runs = []
+            for out in (root / cfg["kind"] / "a", root / cfg["kind"] / "b"):
+                code = main(["run", path, "--out", str(out), "--seed", str(seed)])
+                report = out / "report.json"
+                runs.append((code, report.read_bytes() if report.exists() else None))
+            assert runs[0] == runs[1]
 
     def test_failing_case_reports_like_running_it_alone(self, tmp_path, capsys):
         # the second of two sensor cases fails at density at both eps; the

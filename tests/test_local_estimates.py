@@ -68,7 +68,7 @@ def _classify(f, ball, cfg):
 
 
 def _witness(f, ball, cfg):
-    return pointwise_witness(f, ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap))
+    return pointwise_witness(f, ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap), {})
 
 
 def _brute(f, ball, rho_k):
@@ -314,13 +314,13 @@ class TestPointwiseWitness:
             (cls,) = classify_balls(f, [ball], cfg, derivs)
             if not cls.is_good or cls.degenerate:
                 continue
-            wit = pointwise_witness(f, ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs)
+            wit = pointwise_witness(f, ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs, grids={})
             assert wit.verified, f"good ball without witness at seed {seed}"
 
     def test_zero_mass_rejected(self):
         f = basis_function(0)
         with pytest.raises(ValueError):
-            pointwise_witness(f, Ball(0.0, 1.0), _cfg(), 0.0, derivative_stack(f, 8))
+            pointwise_witness(f, Ball(0.0, 1.0), _cfg(), 0.0, derivative_stack(f, 8), {})
 
     def test_nan_in_the_grid_raises(self):
         # at 1e10 the derivatives of a degree-40 expansion evaluate to NaN
@@ -328,7 +328,28 @@ class TestPointwiseWitness:
         # that is non-convergence, not a failed witness
         f = random_expansion(7, 40)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="pointwise witness"):
-            pointwise_witness(f, Ball(1e10, 1.0), _cfg(), 1.0, derivative_stack(f, 8))
+            pointwise_witness(f, Ball(1e10, 1.0), _cfg(), 1.0, derivative_stack(f, 8), {})
+
+    @pytest.mark.parametrize(
+        "f, ball, kwargs",
+        [
+            (random_expansion(3, 14), Ball(0.5, 1.0), {}),
+            (basis_function(40), Ball(0.0, 0.5), {"tilde_d2": 1.0, "s": 0.0, "m_cap": 4}),
+        ],
+        ids=["verified", "refined"],
+    )
+    def test_shared_grid_gives_the_result_of_a_fresh_scan(self, f, ball, kwargs):
+        # the first scan's grid reads no eps: stored by the call at one eps,
+        # it serves the calls at the others, and each result, refined or
+        # not, is the one the call computes on its own
+        grids, results = {}, []
+        for eps in (1.0, 0.1, 1e-3):
+            cfg = _cfg(eps=eps, **kwargs)
+            args = (f, ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap))
+            results.append(pointwise_witness(*args, grids))
+            assert results[-1] == pointwise_witness(*args, {})
+        assert list(grids) == [ball]
+        assert {r.refined for r in results} == {kwargs != {}}
 
 
 class TestMkBruteforce:
@@ -373,6 +394,70 @@ class TestMkBruteforce:
         assert ring.size > 2 * hermite._BLOCK
         whole = float(np.max(local_estimates._log_abs_analytic(f, ring.ravel())))
         assert local_estimates._max_log_abs(f, ring) == whole
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(0, 40),
+        z=st.lists(
+            st.complex_numbers(max_magnitude=20.0, allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=40,
+        ),
+    )
+    def test_conjugate_points_give_the_same_bits(self, seed, degree, z):
+        # f is real and every operation on the way is sign-symmetric, so the
+        # mirror image of a sample set needs no evaluation of its own
+        f = random_expansion(seed, degree)
+        z = np.array(z, dtype=complex)
+        upper = local_estimates._log_abs_analytic(f, z)
+        lower = local_estimates._log_abs_analytic(f, z.conj())
+        assert upper.tobytes() == lower.tobytes()
+
+    def test_half_ring_max_is_the_mirrored_ring_max(self, monkeypatch):
+        # _polydisc_max evaluates each circle on its upper half, angles
+        # 2 pi j / n_phi for j <= n_phi/2, a slice of base points at a time:
+        # those points and their mirrors are the whole sample set, and its
+        # max, evaluated in full, is the same float. Round 4's rings take
+        # three slices.
+        f = random_expansion(6, 30)
+        ball, rho8, n_q, n_phi = Ball(1.0, 1.3), 4.0, 192, 384
+        q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
+        arc = np.exp(1j * (2.0 * math.pi * np.arange(n_phi // 2 + 1) / n_phi))
+        mirrored = np.concatenate([arc, arc.conj()])
+        samples = np.concatenate(
+            [q.astype(complex)] + [(q[:, None] + rho8 * v * mirrored[None, :]).ravel() for v in (1.0, 0.5)]
+        )
+        whole = float(np.max(local_estimates._log_abs_analytic(f, samples)))
+        evaluated = []
+        real = local_estimates._log_abs_analytic
+
+        def recording(f, z):
+            evaluated.append(z.copy())
+            return real(f, z)
+
+        monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
+        assert local_estimates._polydisc_max(f, ball, rho8, n_q, n_phi) == whole
+        evaluated = np.concatenate(evaluated)
+        assert len(q) * len(arc) > 2 * hermite._BLOCK and len(evaluated) < len(samples) / 2 + len(q) * 2
+        assert np.all(evaluated.imag >= 0.0)
+        assert set(np.concatenate([evaluated, evaluated.conj()]).tolist()) == set(samples.tolist())
+
+    def test_round_five_call_peaks_below_two_mib(self):
+        # half of each ring, about _BLOCK points at a time: a five-round call
+        # keeps well under one round-5 ring of 4.7 MB alive
+        f = harmonic_flow(random_expansion(7, 12), 0.3)
+        ball = Ball(2.0, 1.0)
+        _brute(f, Ball(0.0, 1.0), 0.1)  # first-call allocations stay out of the trace
+        mass = _mass(f, ball)
+        tracemalloc.start()
+        try:
+            res = mk_bruteforce(f, ball, 1.0, mass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rounds == 5
+        assert peak < 2 * 2**20
 
     def test_all_rounds_in_bounded_memory(self):
         # round 5 samples 591,745 points; one ring of them at a time keeps

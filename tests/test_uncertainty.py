@@ -7,15 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import local_estimates, uncertainty
+from gsaudit import hermite, local_estimates, uncertainty
 from gsaudit.experiments import run_experiment
 from gsaudit.geometry import (
     FullSpaceSensorSet,
+    IntervalSensorSet,
     RadiusProfile,
     sensor_decaying_density,
     sensor_periodic,
 )
-from gsaudit.hermite import Ball, NumericalError, SpectralFunction, weighted_norm
+from gsaudit.hermite import (
+    Ball,
+    NumericalError,
+    SpectralFunction,
+    effective_support_radius,
+    norm_squared_on_intervals,
+    weighted_norm,
+)
 from gsaudit.local_estimates import DEGENERATE_MASS_REL
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
@@ -27,7 +35,7 @@ from gsaudit.uncertainty import (
     verify_uncertainty_decay,
 )
 
-from conftest import random_expansion
+from conftest import random_expansion, step_of
 
 STEP_ORDER = [
     "admissibility",
@@ -147,12 +155,12 @@ class TestPeriodicSensor:
 
     def test_chain_inequalities(self, report_periodic):
         for name in ("measured-chain", "formal-chain"):
-            step = report_periodic.step(name)
+            step = step_of(report_periodic, name)
             assert step.passed
             assert step.log_lhs <= step.log_rhs + 1e-9
 
     def test_overlap_sum_bounded_by_kappa(self, report_periodic):
-        step = report_periodic.step("overlap-sum")
+        step = step_of(report_periodic, "overlap-sum")
         kappa = step.detail["kappa"]
         assert kappa <= 4
         assert step.detail["sum_good_intersections"] <= kappa * step.detail["omega_mass"] * (
@@ -160,7 +168,7 @@ class TestPeriodicSensor:
         )
 
     def test_good_ball_audits_fully_populated(self, report_periodic):
-        uniform = report_periodic.step("mk-bound").detail["log_mk_uniform_bound"]
+        uniform = step_of(report_periodic, "mk-bound").detail["log_mk_uniform_bound"]
         checked = 0
         for audit in report_periodic.ball_audits:
             if not audit.is_good:
@@ -181,11 +189,47 @@ class TestPeriodicSensor:
     def test_decomposition_accounts_for_all_mass(self, report_periodic):
         r = report_periodic
         covered = r.good_mass + r.bad_mass + r.q0_mass_upper
-        deg = r.step("decomposition").detail["degenerate_mass"]
+        deg = step_of(r, "decomposition").detail["degenerate_mass"]
         assert covered + deg >= r.total_mass * (1.0 - 1e-8) - 1e-12
 
     def test_ball_audit_layout(self, report_periodic):
         assert_ball_audit_layout(json.loads(json.dumps(_jsonable(report_periodic))))
+
+
+def _own_pass(f, intervals):
+    """||f||^2 on the intervals from a quadrature pass of their own, clipped
+    to the effective support, the values added in order."""
+    cut = effective_support_radius(f)
+    clipped = [(max(a, -cut), min(b, cut)) for a, b in intervals]
+    total = 0.0
+    for (value,) in hermite._rule_sums(f.coeffs[None], [(a, b) for a, b in clipped if b > a], 0.0, 20, 0.5):
+        total += float(value)
+    return total
+
+
+def test_batched_sensor_masses_are_each_balls_own(instance):
+    # one quadrature pass over every ball's Q cap omega and over omega gives
+    # the value of each one's own pass and norm_squared_on_intervals call,
+    # bit for bit: an empty intersection, pieces clipped at the effective
+    # support radius, an intersection wholly outside it, and a ball over 15
+    # pieces
+    f = instance[0]
+    cut = effective_support_radius(f)
+    strips = [(0.7 * k, 0.7 * k + 0.3) for k in range(-15, 15)]
+    omega = IntervalSensorSet([(-cut - 3.0, -cut + 0.25), *strips, (cut - 0.5, cut + 20.0)])
+    balls = [Ball(0.0, 5.0), Ball(12.0, 0.5), Ball(-cut, 1.0), Ball(cut, 2.0), Ball(cut + 10.0, 1.0)]
+    for sensor, whole in ((omega, zip(omega.starts, omega.ends)), (FullSpaceSensorSet(), [(-cut, cut)])):
+        inter, on_omega = uncertainty._masses_on_sensor(f, sensor, balls)
+        pieces = [sensor.intersect_interval(*ball.interval()) for ball in balls]
+        assert inter == [_own_pass(f, p) for p in pieces]
+        assert inter == [norm_squared_on_intervals(f, p) for p in pieces]
+        if sensor is omega:
+            whole = list(whole)
+            assert on_omega == _own_pass(f, whole) == norm_squared_on_intervals(f, whole)
+            assert inter[1] == inter[4] == 0.0 < inter[2]
+            assert omega.intersect_interval(*balls[4].interval())
+        else:
+            assert on_omega == f.norm_squared()
 
 
 def test_committed_sweep_ball_audit_layout():
@@ -229,7 +273,7 @@ def test_zero_function_meets_any_exponent(instance):
     zero = SpectralFunction([0.0, 0.0])
     bound = GSBound(D1=1.0, D2=2.0, nu=0.2, mu=0.2)
     rep = verify_uncertainty(zero, bound, profile, FullSpaceSensorSet(), gamma=1.0, eps=0.1)
-    assert rep.step("premise").passed
+    assert step_of(rep, "premise").passed
 
 
 class TestErrorTermDominated:
@@ -371,12 +415,12 @@ class TestDecayVariant:
         assert report_decay.k_effective > 0.0
 
     def test_center_norm_bound_step(self, report_decay):
-        step = report_decay.step("center-norm-bound")
+        step = step_of(report_decay, "center-norm-bound")
         assert step.passed
         assert step.log_lhs <= step.log_rhs + 1e-12
 
     def test_per_ball_density_floor_respected(self, report_decay):
-        step = report_decay.step("local-estimate")
+        step = step_of(report_decay, "local-estimate")
         assert step.detail["worst_ball_density_margin"] >= -1e-12
 
     def test_squared_bracket_shrinks_constant(self, instance, report_decay):
@@ -392,8 +436,8 @@ class TestDecayVariant:
         )
         assert rep.passed
         # gamma0 / (1 + |x|^0) = gamma0 / 2 everywhere
-        assert rep.step("density").detail["min_ratio"] >= 0.25
-        step = rep.step("center-norm-bound")
+        assert step_of(rep, "density").detail["min_ratio"] >= 0.25
+        step = step_of(rep, "center-norm-bound")
         assert step.log_lhs == pytest.approx(math.log(2.0), abs=1e-12)
         assert step.log_rhs == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -488,7 +532,8 @@ class TestSweepSharing:
     @staticmethod
     def _counting(monkeypatch):
         """Wrap the sensor-free stages; the returned dict lists each call's keys."""
-        calls = {name: [] for name in ("cover", "ball", "witness", "polydisc", "rules", "stack", "premise")}
+        names = ("cover", "ball", "witness", "grid", "polydisc", "rules", "stack", "premise")
+        calls = {name: [] for name in names}
 
         def counting(name, module, fn, keys):
             def wrapped(*args, **kwargs):
@@ -497,7 +542,7 @@ class TestSweepSharing:
 
             monkeypatch.setattr(module, fn.__name__, wrapped)
 
-        def ball_key(f, ball, cfg):
+        def ball_key(f, ball, cfg, *args):
             return [(cfg.eps, ball.center, ball.radius)]
 
         def covering_keys(f, balls, cfg, derivatives):
@@ -506,6 +551,13 @@ class TestSweepSharing:
         counting("cover", uncertainty, uncertainty.besicovitch_cover, lambda profile, r: [r])
         counting("ball", uncertainty, uncertainty.classify_balls, covering_keys)
         counting("witness", uncertainty, uncertainty.pointwise_witness, ball_key)
+        counting(
+            "grid",
+            local_estimates,
+            local_estimates._log_abs_derivatives_at,
+            # a first-scan grid, named by its ends, the ball's interval
+            lambda stack, x: [(x[0], x[-1])] if x.shape == (local_estimates.WITNESS_GRID,) else [],
+        )
         counting("polydisc", uncertainty, uncertainty.mk_bruteforce, lambda f, ball, rho_k: [(ball, rho_k)])
         counting(
             "rules",
@@ -517,7 +569,7 @@ class TestSweepSharing:
         counting("premise", uncertainty, uncertainty._premise_check, lambda *args: [None])
         return calls
 
-    def test_sensor_free_stages_run_once_per_family(self, monkeypatch, instance, cases):
+    def test_sensor_free_stages_run_once_per_sweep(self, monkeypatch, instance, cases):
         calls = self._counting(monkeypatch)
         reports = []
         self._sweep(instance, cases, reports)
@@ -534,6 +586,10 @@ class TestSweepSharing:
         checked = per_eps(lambda r: sum(a.witness_verified is not None for a in r.ball_audits))
         assert len(calls["witness"]) == checked > 0
         assert len(set(calls["witness"])) == len(calls["witness"])
+        # each witnessed ball's first-scan grid once: the cases visit eps 1.0
+        # before 0.5, and a ball of both coverings keeps its grid
+        witnessed = {Ball(*key[1:]).interval() for key in calls["witness"]}
+        assert sorted(calls["grid"]) == sorted(witnessed)
         # each ball's quadratures, and its polydisc sup at each rho_k, once
         # for the sweep
         assert len(set(calls["rules"])) == len(calls["rules"])
@@ -549,6 +605,45 @@ class TestSweepSharing:
         }
         assert sorted(calls["polydisc"], key=repr) == sorted(sampled, key=repr)
         assert len(calls["stack"]) == len(calls["premise"]) == 1
+
+    def test_store_holds_only_the_current_coverings_grids(self, monkeypatch, instance, cases):
+        # after each witness call the store's grids are those of balls of the
+        # case's covering: moving to the other eps drops the others
+        held = []
+        real = uncertainty.pointwise_witness
+
+        def witness(f, ball, cfg, mass_sq, derivatives, grids):
+            result = real(f, ball, cfg, mass_sq, derivatives, grids)
+            held.append((cfg.eps, set(grids)))
+            return result
+
+        monkeypatch.setattr(uncertainty, "pointwise_witness", witness)
+        reports = []
+        self._sweep(instance, cases, reports)
+        balls = {r.eps: {Ball(a.center, a.radius) for a in r.ball_audits} for r in reports}
+        assert balls[1.0] != balls[0.5]
+        assert held and all(grids and grids <= balls[eps] for eps, grids in held)
+
+    def test_committed_sweep_shares_witness_grids(self, monkeypatch):
+        # uncertainty.json at its seed: 65 witness calls on 45 balls take 48
+        # grids; a ball leaving the covering and coming back costs one more
+        witnessed, grids = [], 0
+        real_witness, real_logs = uncertainty.pointwise_witness, local_estimates._log_abs_derivatives_at
+
+        def witness(f, ball, *args):
+            witnessed.append(ball)
+            return real_witness(f, ball, *args)
+
+        def logs(stack, x):
+            nonlocal grids
+            grids += x.shape == (local_estimates.WITNESS_GRID,)
+            return real_logs(stack, x)
+
+        monkeypatch.setattr(uncertainty, "pointwise_witness", witness)
+        monkeypatch.setattr(local_estimates, "_log_abs_derivatives_at", logs)
+        path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
+        assert run_experiment(json.loads(path.read_text(encoding="utf-8"))).passed
+        assert (len(witnessed), len(set(witnessed)), grids) == (65, 45, 48)
 
     def test_a_second_sweep_starts_from_an_empty_store(self, monkeypatch, instance, cases):
         # the store lives for one call: a second sweep of the same cases
