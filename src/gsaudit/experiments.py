@@ -26,6 +26,7 @@ from .geometry import (
     sensor_periodic,
 )
 from .hermite import (
+    MAX_DEGREE,
     Ball,
     NumericalError,
     SpectralFunction,
@@ -39,7 +40,7 @@ from .local_estimates import (
     mk_bruteforce,
     series_bound,
 )
-from .observability import observability_scan
+from .observability import MAX_TRUNCATION, observability_scan
 from .semigroup import (
     SMOOTHING_T0,
     fit_gs_bound,
@@ -274,7 +275,7 @@ _KINDS = {
         "n_seeds": (_integer(1, 16), 3),
         "fit_times": (_numbers(0.0, 1.0, open_lo=True, open_hi=True), [0.1, 0.2]),
         "validate_times": (_numbers(lo=0.0, open_lo=True), [0.15, 0.3]),
-        "n_trunc": (_integer(8, 64), 64),
+        "n_trunc": (_integer(8, MAX_DEGREE), 64),
         "grid_cap": (_integer(1, 16), 8),
     },
     "uncertainty": {**_SWEEP, "cases": (_list_of(_fields(_CASE)), REQUIRED)},
@@ -282,7 +283,7 @@ _KINDS = {
     "observability": {
         "sensors": (_list_of(_SENSOR), [{"type": "full"}]),
         "t_grid": (_numbers(lo=0.0, open_lo=True), [0.05, 0.1, 0.25, 0.5, 1.0, 2.0]),
-        "n_trunc": (_integer(1, 48), 40),
+        "n_trunc": (_integer(1, MAX_TRUNCATION), 40),
     },
     "lemma-suite": {
         "series": (_fields(_SERIES), {}),
@@ -444,9 +445,6 @@ def _run_smoothing_validate(cfg: dict):
     report = validate_smoothing(
         cert, flow, ensemble, cfg["validate_times"], grid_cap=cfg["grid_cap"]
     )
-    per_time = {}
-    for (gi, t, n, b), ratio in report.ratios.items():
-        per_time[t] = max(per_time.get(t, 0.0), ratio)
     rows = [
         {
             "k": cfg["k"],
@@ -458,7 +456,7 @@ def _run_smoothing_validate(cfg: dict):
             "x": t,
             "y": ratio,
         }
-        for t, ratio in sorted(per_time.items())
+        for t, ratio in sorted(report.worst_by_time.items())
     ]
     payload = {
         "exponents": {"nu": nu, "mu": mu},

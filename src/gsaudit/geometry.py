@@ -15,7 +15,7 @@ ends; sensor sets are exact interval unions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "RadiusProfile",
     "besicovitch_cover",
     "certify_density",
+    "density_threshold",
     "sensor_decaying_density",
     "sensor_id",
     "sensor_periodic",
@@ -93,7 +94,6 @@ class Covering:
     radii: np.ndarray
     target_radius: float
     kappa_measured: int
-    profile: RadiusProfile
     uncovered_measure: float
 
     def __len__(self) -> int:
@@ -178,7 +178,6 @@ def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
         radii=radii,
         target_radius=extent,
         kappa_measured=kappa,
-        profile=profile,
         uncovered_measure=uncovered,
     )
 
@@ -333,10 +332,11 @@ class DensityReport:
     min_ratio: float
     threshold: str
     n_violations: int
-    violations: list = field(default_factory=list)
 
 
-def _density_threshold(gamma):
+def density_threshold(gamma):
+    """(floor, description) of a constant gamma or a decaying (gamma0, a): the
+    floor maps |x| to gamma, or to gamma0 / (1 + |x|^a)."""
     if np.isscalar(gamma):
         g = float(gamma)
         if not 0.0 < g <= 1.0:
@@ -361,7 +361,7 @@ def certify_density(
     over [-extent, extent] with step min(0.1, min_radius / 5), plus any
     provided ones.
     """
-    threshold, desc = _density_threshold(gamma)
+    threshold, desc = density_threshold(gamma)
     step = min(0.1, profile.min_radius / 5.0)
     centers = np.arange(-extent, extent + step / 2, step)
     if sample_centers is not None:
@@ -375,14 +375,9 @@ def certify_density(
     required = threshold(dist)
     bad = ratios < required - 1e-12
     argmin = int(np.argmin(ratios / np.maximum(required, 1e-300)))
-    violations = [
-        (float(centers[i]), float(ratios[i]), float(required[i]))
-        for i in np.nonzero(bad)[0][:20]
-    ]
     return DensityReport(
         passed=not bad.any(),
         min_ratio=float(ratios[argmin]),
         threshold=desc,
         n_violations=int(bad.sum()),
-        violations=violations,
     )

@@ -7,20 +7,18 @@ differentiation and coordinate multiplication through the ladder relations
     x h_n(x) = sqrt(n/2) h_{n-1}(x) + sqrt((n+1)/2) h_{n+1}(x),
 
 so a whole-line norm ||(1+x^2)^(k/2) g|| with an integer power k is an
-exact sum of coefficient norms (weighted_norm). Every other weighted L2 norm
-is computed by two composite Gauss-Legendre rules with an explicit
-refinement-convergence check (ball_norms_squared). The Legendre rule of each
-order is computed once per process, and one Clenshaw recurrence evaluates a
-whole stack of coefficient vectors on shared nodes.
+exact sum of coefficient norms (weighted_norm). Norms on balls and
+fractional-power norms take two composite Gauss-Legendre rules and a
+refinement check (ball_norms_squared); norm_squared_on_interval_lists takes
+one 20-point rule, unchecked. Each Legendre rule is computed once per order.
 
-Every evaluation, at quadrature nodes, witness grids or complex polydisc
-samples, runs through that one kernel, _clenshaw_scaled. It runs the
-recurrence in place in per-block buffers, on blocks of about _BLOCK array
-elements, and lets each row of a stack enter at its top nonzero
-coefficient; a derivative stack's rows rise in degree, so the active rows
-of a step are a tail slice of the stack. The operations and their order
-are those of the plain recurrence over the whole stack, so every value is
-bit for bit the same.
+Every evaluation but basis_matrix's forward recurrence runs through one
+Clenshaw kernel, _clenshaw_scaled, which evaluates a whole stack of
+coefficient vectors in place, on blocks of about _BLOCK array elements.
+When the rows' top nonzero coefficients never fall in degree down the
+stack, as in a derivative stack, each row enters at its top, so a step's
+active rows are a tail slice; any other stack runs every row through every
+step. Either way every value is bit for bit that of the plain recurrence.
 
 Every Legendre quadrature runs through one batched kernel, _rule_sums: it
 takes a list of intervals, concatenates their composite-rule nodes,
@@ -170,11 +168,13 @@ class Ball:
 
 def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Row j is g_j(x) * exp(x^2/2) (the polynomial part) for the coefficient
-    # rows g_j of stack: stable at large |x|, where h_n underflows. Row j
-    # enters the recurrence at its top coefficient that is not +0.0: above
-    # it every step of the recurrence over the whole stack keeps +0.0 at
-    # finite points, so skipping those steps changes no bit. A vector of
-    # points goes in near-equal blocks of at most _BLOCK array elements.
+    # rows g_j of stack: stable at large |x|, where h_n underflows. When the
+    # degrees of the rows' top coefficients that are not +0.0 never fall down
+    # the stack, as in a derivative stack, row j enters the recurrence at its
+    # top: above it every step of the recurrence over the whole stack keeps
+    # +0.0 at finite points, so skipping those steps changes no bit. Any
+    # other stack runs every row through every step. A vector of points goes
+    # in near-equal blocks of at most _BLOCK array elements.
     #
     # numpy rounds a complex product by the loop it picks for the operands'
     # shapes, and a (1,) array times a (1, 1) one takes a loop no other
@@ -187,16 +187,14 @@ def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     points = x if x.ndim == 0 else x.reshape(-1)
     rows, width = stack.shape
-    perm, starts = None, [0] * width  # every row runs every step
+    starts = [0] * width  # every row runs every step
     if rows > 1 and points.shape != (1,):
         # for one row, finding its top would cost more than it saves
         live = (stack != 0.0) | np.signbit(stack)
         tops = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), -1)
-        if np.any(tops[1:] < tops[:-1]):
-            perm = np.argsort(tops, kind="stable")
-            stack, tops = stack[perm], tops[perm]
-        # at step k the rows from starts[k] on are active: a tail slice
-        starts = np.searchsorted(tops, np.arange(width)).tolist()
+        if np.all(tops[1:] >= tops[:-1]):
+            # at step k the rows from starts[k] on are active: a tail slice
+            starts = np.searchsorted(tops, np.arange(width)).tolist()
     columns = np.ascontiguousarray(stack.T).reshape((width, rows) + (1,) * points.ndim)
     dtype = np.result_type(x, 1.0)
     blocks = -(-points.size // max(1, _BLOCK // rows))
@@ -205,8 +203,6 @@ def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     else:
         pieces = np.array_split(points, blocks)
         out = np.concatenate([_clenshaw_block(columns, starts, p, dtype) for p in pieces], axis=1)
-    if perm is not None:
-        out[perm] = out.copy()
     np.multiply(_PI_QUARTER, out, out=out)
     return out.reshape((rows,) + x.shape)
 

@@ -333,7 +333,6 @@ def _log_abs_derivatives_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray
 class WitnessResult:
     x_k: float
     verified: bool
-    min_margin: float  # best over grid of worst log margin over m
     refined: bool
 
 
@@ -390,7 +389,7 @@ def pointwise_witness(
     if margin < 0.0:
         refined = True
         point, margin = scan(4 * WITNESS_GRID)
-    return WitnessResult(float(point), margin >= 0.0, margin, refined)
+    return WitnessResult(float(point), margin >= 0.0, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +406,12 @@ def _log_abs_analytic(f: SpectralFunction, z: np.ndarray) -> np.ndarray:
 
 
 def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
-    # blocks of _BLOCK points; a NaN would vanish from max(best, nan), so it
-    # stops the audit instead
-    flat = pts.reshape(-1)
-    best = -math.inf
-    for i in range(0, len(flat), _BLOCK):
-        top = float(np.max(_log_abs_analytic(f, flat[i : i + _BLOCK])))
-        if math.isnan(top):
-            raise NumericalError("polydisc sup: the analytic extension evaluated to NaN")
-        best = max(best, top)
-    return best
+    # one pass: _polydisc_max hands it at most _BLOCK points. A NaN would
+    # vanish from the caller's max(best, nan), so it stops the audit instead
+    top = float(np.max(_log_abs_analytic(f, pts.reshape(-1))))
+    if math.isnan(top):
+        raise NumericalError("polydisc sup: the analytic extension evaluated to NaN")
+    return top
 
 
 def _polydisc_max(f: SpectralFunction, ball: Ball, rho8: float, n_q: int, n_phi: int) -> float:
@@ -438,7 +433,6 @@ def _polydisc_max(f: SpectralFunction, ball: Ball, rho8: float, n_q: int, n_phi:
 @dataclass(frozen=True)
 class PolydiscSup:
     log_m: float
-    log_sup: float
     n_samples: int
     rounds: int
     converged: bool
@@ -479,7 +473,6 @@ def mk_bruteforce(
     log_m = 0.5 * math.log(ball.volume) - 0.5 * math.log(norm_sq) + log_sup
     return PolydiscSup(
         log_m=max(log_m, 0.0),
-        log_sup=log_sup,
         n_samples=n_samples,
         rounds=rounds,
         converged=converged,

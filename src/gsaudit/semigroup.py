@@ -19,7 +19,7 @@ form, fitted by log-linear minimax on a derivative grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +62,7 @@ SMOOTHING_T0 = 0.5
 class SmoothingCertificate:
     """Constants of a Gelfand-Shilov smoothing estimate for a semigroup,
     valid for t < t0. A fitted certificate records the t-grid it was fitted
-    on and the slack of each fitted data point."""
+    on."""
 
     C: float
     t0: float
@@ -71,7 +71,6 @@ class SmoothingCertificate:
     r1: float
     r2: float
     fitted_t_grid: tuple = ()
-    fit_residuals: tuple = ()
 
     def __post_init__(self):
         if not self.C >= 1.0:
@@ -170,7 +169,6 @@ class GalerkinFlowResult:
     function: SpectralFunction
     truncation_change: float  # relative change when the degree is halved
     unstable: bool
-    eigenvalue_range: tuple
 
 
 def shubin_galerkin_flow(
@@ -200,16 +198,16 @@ def shubin_galerkin_flow(
     if not theta > 1.0 / (2 * m):
         raise ValueError("theta must exceed 1/(2m)")
 
-    def flow_at(degree: int) -> tuple:
+    def flow_at(degree: int) -> np.ndarray:
         a_mat = shubin_operator_matrix(degree, k, m)
         lam, vec = np.linalg.eigh(a_mat)
         coeff = np.zeros(degree + 1)
         upto = min(degree + 1, len(g.coeffs))
         coeff[:upto] = g.coeffs[:upto]
-        return vec @ (np.exp(-t * lam**theta) * (vec.T @ coeff)), lam
+        return vec @ (np.exp(-t * lam**theta) * (vec.T @ coeff))
 
-    out_full, lam = flow_at(n_trunc)
-    out_half, _ = flow_at(max(n_trunc // 2, 1))
+    out_full = flow_at(n_trunc)
+    out_half = flow_at(max(n_trunc // 2, 1))
     pad_half = np.zeros(n_trunc + 1)
     pad_half[: len(out_half)] = out_half
     denom = max(g.norm(), 1e-300)
@@ -218,7 +216,6 @@ def shubin_galerkin_flow(
         function=SpectralFunction(out_full),
         truncation_change=change,
         unstable=change > 1e-4,
-        eigenvalue_range=(float(lam[0]), float(lam[-1])),
     )
 
 
@@ -363,8 +360,7 @@ def fit_smoothing_certificate(
     )
     log_c += math.log(1.05)
     fitted = np.array([log_c, r1, r2])
-    residuals = tuple(float(v) for v in (rows @ fitted - np.asarray(rhs)))
-    if min(residuals) < -1e-9:
+    if np.min(rows @ fitted - np.asarray(rhs)) < -1e-9:
         raise PipelineError("certificate-fit", "a sampled norm lies above the fitted surface")
     return SmoothingCertificate(
         C=max(1.0, math.exp(log_c)),
@@ -374,7 +370,6 @@ def fit_smoothing_certificate(
         r1=float(r1),
         r2=float(max(r2, 1e-9)),
         fitted_t_grid=tuple(sorted(set(float(t) for t in t_grid))),
-        fit_residuals=residuals,
     )
 
 
@@ -384,7 +379,7 @@ class SmoothingValidationReport:
     worst_case: tuple  # (g index, t, n, b)
     n_checked: int
     skipped_times: tuple
-    ratios: dict = field(repr=False, default_factory=dict)
+    worst_by_time: dict  # t -> worst ratio at t
 
     @property
     def passed(self) -> bool:
@@ -398,13 +393,14 @@ def validate_smoothing(
     t_grid,
     grid_cap: int = 8,
 ) -> SmoothingValidationReport:
-    """Worst ratio of measured weighted norms to the certificate bound.
+    """Worst ratio of measured weighted norms to the certificate bound,
+    overall and at each time.
 
     The (n, b) grid is the one fit_smoothing_certificate fits on. Times at
     or beyond t0 are excluded and reported as skipped.
     """
     worst, worst_case = -math.inf, None
-    ratios = {}
+    worst_by_time = {}
     skipped = tuple(t for t in t_grid if not 0 < t < cert.t0)
     used = [t for t in t_grid if 0 < t < cert.t0]
     count = 0
@@ -421,7 +417,7 @@ def validate_smoothing(
                     continue
                 log_ratio = math.log(w) - log_g - cert.log_bound(n, b, t)
                 ratio = math.exp(log_ratio)
-                ratios[(gi, t, n, b)] = ratio
+                worst_by_time[t] = max(worst_by_time.get(t, 0.0), ratio)
                 if ratio > worst:
                     worst, worst_case = ratio, (gi, t, n, b)
     if worst_case is None:
@@ -431,7 +427,7 @@ def validate_smoothing(
         worst_case=worst_case,
         n_checked=count,
         skipped_times=skipped,
-        ratios=ratios,
+        worst_by_time=worst_by_time,
     )
 
 
@@ -453,7 +449,6 @@ class TailMassReport:
     r: float
     tail_mass: float
     budget: float  # eps * D1^2 / 2
-    ratio: float
     passed: bool
 
 
@@ -466,7 +461,6 @@ def tail_mass_check(f: SpectralFunction, bound: GSBound, eps: float) -> TailMass
         r=r,
         tail_mass=tail,
         budget=budget,
-        ratio=tail / budget,
         passed=tail <= budget,
     )
 

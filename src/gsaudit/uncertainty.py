@@ -42,6 +42,7 @@ from .geometry import (
     RadiusProfile,
     besicovitch_cover,
     certify_density,
+    density_threshold,
     sensor_id,
 )
 from .hermite import (
@@ -140,7 +141,8 @@ class BallAudit:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """One audited instance; its fields are the keys of its JSON form."""
+    """One audited instance; its fields are the keys of its JSON form.
+    passed is always true on a returned report: every failing step raises."""
 
     kind: str  # "uncertainty" or "uncertainty-decay"
     f_id: str
@@ -212,13 +214,6 @@ def _first_false_order(f, bound, exponent: str):
     declared = bound.log_value(n, 0) if exponent == "nu" else bound.log_value(0, n)
     hit = np.flatnonzero(lower > declared)
     return int(n[hit[0]]) if hit.size else None
-
-
-def _gamma_floor(gamma_spec, center_norm: float) -> float:
-    if gamma_spec[0] == "constant":
-        return gamma_spec[1]
-    _, gamma0, a = gamma_spec
-    return gamma0 / (1.0 + center_norm**a)
 
 
 def _run_pipeline(
@@ -326,6 +321,7 @@ def _run_pipeline(
         threshold=density.threshold,
         n_violations=density.n_violations,
     )
+    gamma_floor, _ = density_threshold(gamma_arg)
 
     # classification; bad balls and the uncovered remainder fit in the
     # error budget
@@ -405,7 +401,7 @@ def _run_pipeline(
     gamma_floors, log_measured_factors = [], []
     for audit, inter_sq in zip(active, inter_masses):
         ball = balls[audit.k]
-        gamma_floors.append(_gamma_floor(gamma_spec, abs(ball.center)))
+        gamma_floors.append(float(gamma_floor(abs(ball.center))))
         wit = once(
             ("witness", eps, audit.k),
             lambda: pointwise_witness(f, ball, cfg, audit.mass_sq, derivs, grids),
@@ -509,7 +505,7 @@ def _run_pipeline(
     arg = (2.0 / (1.0 - s)) * math.log(2.0 * ub.d_value)
     power = _exp(arg)
     exponent_formal = 9.0 + (2.0 / _LOG2) * math.log(2.0 * kappa / eps) + (12.0 / _LOG2) * power
-    gamma_min = min(gamma_floors, default=_gamma_floor(gamma_spec, covering.target_radius))
+    gamma_min = min(gamma_floors, default=float(gamma_floor(covering.target_radius)))
     log_formal_factor = exponent_formal * math.log(48.0 / gamma_min) + math.log(kappa)
     log_rhs_formal = float(np.logaddexp(log_formal_factor + _log(omega_mass), _log(error_term)))
     log_lhs = _log(total_mass)

@@ -137,7 +137,7 @@ def test_tail_mass_budget():
         for eps in (0.1, 0.5, 1.0):
             report = tail_mass_check(f, bound, eps)
             if not report.passed:
-                failures.append((seed, eps, report.ratio))
+                failures.append((seed, eps, report.tail_mass / report.budget))
     assert not failures
 
 

@@ -296,14 +296,14 @@ class TestPointwiseWitness:
     def test_gaussian_witness_found(self):
         ball = Ball(0.0, 1.0)
         res = _witness(basis_function(0), ball, _cfg())
-        assert res.verified and res.min_margin >= 0.0 and not res.refined
+        assert res.verified and not res.refined
         assert abs(res.x_k) <= 1.0
 
     def test_bad_ball_witness_fails_after_refinement(self):
         # same setup as the bad-classification case: no point can satisfy
         # the bounds, and the search reports the refinement attempt
         res = _witness(basis_function(40), Ball(0.0, 0.5), _cfg(tilde_d2=1.0, s=0.0, m_cap=4))
-        assert not res.verified and res.refined and res.min_margin < 0.0
+        assert not res.verified and res.refined
 
     def test_good_ball_has_witness_ensemble(self):
         cfg = _cfg(tilde_d2=3.0, s=0.5, m_cap=6)
@@ -458,6 +458,21 @@ class TestMkBruteforce:
             tracemalloc.stop()
         assert res.rounds == 5
         assert peak < 2 * 2**20
+
+    def test_round_five_call_hands_the_kernel_at_most_a_block(self, monkeypatch):
+        # _max_log_abs evaluates what it gets in one pass; _polydisc_max keeps
+        # that within _BLOCK points
+        f = harmonic_flow(random_expansion(7, 12), 0.3)
+        ball = Ball(2.0, 1.0)
+        sizes, real = [], local_estimates._log_abs_analytic
+
+        def recording(f, z):
+            sizes.append(z.size)
+            return real(f, z)
+
+        monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
+        assert mk_bruteforce(f, ball, 1.0, _mass(f, ball)).rounds == 5
+        assert hermite._BLOCK // 2 < max(sizes) <= hermite._BLOCK
 
     def test_all_rounds_in_bounded_memory(self):
         # round 5 samples 591,745 points; one ring of them at a time keeps
@@ -757,3 +772,32 @@ class TestDerivativeFamily:
             basis_function(4), x
         )
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+
+def _row_tops(stack):
+    # each row's top coefficient that is not +0.0, as _clenshaw_scaled finds it
+    live = (stack != 0.0) | np.signbit(stack)
+    return [int(np.flatnonzero(row)[-1]) if row.any() else -1 for row in live]
+
+
+class TestDerivativeStackTops:
+    """_clenshaw_scaled lets each row enter at its top only when the tops
+    never fall down the stack; a derivative stack's never do."""
+
+    @pytest.mark.parametrize("t", [0.3, 60.0], ids=["committed", "top-underflows"])
+    def test_flowed_seed_seven(self, t):
+        f = harmonic_flow(random_expansion(7, 12), t)
+        assert (f.coeffs[-1] == 0.0) == (t == 60.0)
+        tops = _row_tops(derivative_stack(f, local_estimates.M_CAP))
+        assert tops == sorted(tops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False)), min_size=1, max_size=41
+        ).filter(lambda c: c[-1] != 0.0),
+        max_order=st.integers(0, local_estimates.M_CAP),
+    )
+    def test_drawn_expansions(self, coeffs, max_order):
+        tops = _row_tops(derivative_stack(SpectralFunction(coeffs), max_order))
+        assert tops == sorted(tops)

@@ -1,7 +1,8 @@
 """The public surface: every exported name exists and is used outside its
 own definition and tests, every function that perfbench/tracer.py wraps still
 resolves, so a deletion cannot silently break `perfbench/run.py --trace 1`,
-and every defaulted parameter is one that some call sets."""
+every defaulted parameter is one that some call sets, and every result field
+is one that program code reads."""
 
 import ast
 import importlib
@@ -132,3 +133,48 @@ def test_every_export_is_used_outside_tests():
         if export not in used
     ]
     assert not unused, f"exports used by no program code: {unused}"
+
+
+# report types whose fields _jsonable writes to report.json by name, through
+# dataclasses.fields, so that no attribute read names them
+JSON_REPORTS = {"UncertaintyReport", "BallAudit", "StepRecord", "RadiusProfile", "ObservabilityReport", "GSBound"}
+# fields only tests read, kept with the reason
+KEEP_FIELDS = {
+    "SeriesBound.log_remainder": "tests check the certified series tail bit for bit",
+    "AnalyticityReport.violations": "tests check which orders break the analyticity premise",
+    "AnalyticityReport.residuals": "tests check that the Taylor remainders fall",
+}
+
+
+def _is_dataclass(cls):
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _result_fields():
+    out = []
+    for path in sorted((ROOT / "src" / "gsaudit").glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and cls.name not in JSON_REPORTS:
+                out += [
+                    f"{cls.name}.{stmt.target.id}"
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return out
+
+
+def test_every_result_field_is_read():
+    # a field no program code reads is a result nobody uses: compute it where
+    # it is tested, or drop it
+    read = {
+        node.attr
+        for folder in ("src", "scripts", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = _result_fields()
+    assert set(KEEP_FIELDS) <= set(fields), "a kept field no longer exists"
+    unread = [name for name in fields if name.split(".")[1] not in read and name not in KEEP_FIELDS]
+    assert not unread, f"result fields no program code reads: {unread}"
