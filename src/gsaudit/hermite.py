@@ -12,22 +12,23 @@ fractional-power norms take two composite Gauss-Legendre rules and a
 refinement check (ball_norms_squared); norm_squared_on_interval_lists takes
 one 20-point rule, unchecked. Each Legendre rule is computed once per order.
 
-Every evaluation but basis_matrix's forward recurrence runs through one
-Clenshaw kernel, _clenshaw_scaled, which evaluates a whole stack of
-coefficient vectors in place, on blocks of about _BLOCK array elements.
-When the rows' top nonzero coefficients never fall in degree down the
-stack, as in a derivative stack, each row enters at its top, so a step's
-active rows are a tail slice; any other stack runs every row through every
-step. Either way every value is bit for bit that of the plain recurrence.
+Evaluation runs one recurrence per input shape. A single expansion, at
+real or complex points, runs the Clenshaw recurrence, _clenshaw_scaled. A
+stack of coefficient rows, such as a derivative stack, and basis_matrix run
+the forward recurrence of the scaled basis h_n(x) exp(x^2/2), once per
+block of points (_stack_scaled); each stack value is then one dot product
+of its row with its point's basis vector, a contraction that runs no BLAS,
+so its bits do not depend on the batch, the block, the other rows or the
+number of BLAS threads.
 
 Every Legendre quadrature runs through one batched kernel, _rule_sums: it
 takes a list of intervals, concatenates their composite-rule nodes,
-evaluates the stack over all of them in cache-sized blocks and returns each
-interval's sums. So ball_norms_squared runs each rule once over all of a
-covering's balls, and norm_squared_on_intervals once over all of a sensor's
-intervals. Clenshaw is elementwise and each sum is taken over its own
-interval's nodes, so every value is bit for bit that of a pass over the
-interval alone.
+evaluates the expansion or the stack over all of them in cache-sized blocks
+and returns each interval's sums. So ball_norms_squared runs each rule once
+over all of a covering's balls, and norm_squared_on_intervals once over all
+of a sensor's intervals. Both recurrences are elementwise and each sum is
+taken over its own interval's nodes, so every value is bit for bit that of
+a pass over the interval alone.
 
 The two special functions the audits need, log m! and log-sum-exp, are
 computed here in numpy (log_factorial, logsumexp), next to the one copy of
@@ -75,9 +76,11 @@ MAX_DEGREE = 64  # validated truncation; ladder images may exceed it
 # this relative amount
 _REFINEMENT_RTOL = 1e-8
 _PI_QUARTER = math.pi ** -0.25
-# array elements (rows x points) per block of a batched evaluation: small
-# enough that a block's temporaries stay in cache
+# array elements (rows x points) per block of a Clenshaw evaluation, and
+# points per block of a stack evaluation: small enough that a block's
+# temporaries stay in cache
 _BLOCK = 1 << 14
+_STACK_BLOCK = 1 << 10
 
 
 class DimensionMismatchError(ValueError):
@@ -167,70 +170,64 @@ class Ball:
 
 
 def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Row j is g_j(x) * exp(x^2/2) (the polynomial part) for the coefficient
-    # rows g_j of stack: stable at large |x|, where h_n underflows. When the
-    # degrees of the rows' top coefficients that are not +0.0 never fall down
-    # the stack, as in a derivative stack, row j enters the recurrence at its
-    # top: above it every step of the recurrence over the whole stack keeps
-    # +0.0 at finite points, so skipping those steps changes no bit. Any
-    # other stack runs every row through every step. A vector of points goes
-    # in near-equal blocks of at most _BLOCK array elements.
+    # g(x) * exp(x^2/2) (the polynomial part) for the one coefficient row g
+    # of stack, at real or complex points: stable at large |x|, where h_n
+    # underflows. A vector of points goes in near-equal blocks of at most
+    # _BLOCK array elements.
     #
     # numpy rounds a complex product by the loop it picks for the operands'
     # shapes, and a (1,) array times a (1, 1) one takes a loop no other
-    # shapes take. So a scalar point stays 0-d, no block holds a lone point
-    # of a longer vector, and at a lone point of a vector every row runs
-    # every step: the products meet that loop where the plain recurrence's
-    # do, and nowhere else. Each row is then bit-identical to its evaluation
-    # as a one-row stack, except at a lone complex point in a vector, where
-    # the plain recurrence itself is not.
+    # shapes take. So a scalar point stays 0-d and no block holds a lone
+    # point of a longer vector: the products meet that loop where the plain
+    # recurrence's do, and nowhere else, and every value is bit for bit that
+    # of the plain recurrence over all the points at once.
     x = np.asarray(x)
     points = x if x.ndim == 0 else x.reshape(-1)
     rows, width = stack.shape
-    starts = [0] * width  # every row runs every step
-    if rows > 1 and points.shape != (1,):
-        # for one row, finding its top would cost more than it saves
-        live = (stack != 0.0) | np.signbit(stack)
-        tops = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), -1)
-        if np.all(tops[1:] >= tops[:-1]):
-            # at step k the rows from starts[k] on are active: a tail slice
-            starts = np.searchsorted(tops, np.arange(width)).tolist()
     columns = np.ascontiguousarray(stack.T).reshape((width, rows) + (1,) * points.ndim)
     dtype = np.result_type(x, 1.0)
     blocks = -(-points.size // max(1, _BLOCK // rows))
     if blocks <= 1:
-        out = _clenshaw_block(columns, starts, points, dtype)
+        out = _clenshaw_block(columns, points, dtype)
     else:
         pieces = np.array_split(points, blocks)
-        out = np.concatenate([_clenshaw_block(columns, starts, p, dtype) for p in pieces], axis=1)
+        out = np.concatenate([_clenshaw_block(columns, p, dtype) for p in pieces], axis=1)
     np.multiply(_PI_QUARTER, out, out=out)
     return out.reshape((rows,) + x.shape)
 
 
-def _clenshaw_block(columns: np.ndarray, starts: list, x: np.ndarray, dtype) -> np.ndarray:
-    # b_k = c_k + sqrt(2/(k+1)) x b_{k+1} - sqrt((k+1)/(k+2)) b_{k+2} on the
-    # active rows, in place and in the operation order of the expression
-    rows = columns.shape[1]
-    b1 = np.zeros((rows,) + x.shape, dtype=dtype)
+def _clenshaw_block(columns: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
+    # b_k = c_k + sqrt(2/(k+1)) x b_{k+1} - sqrt((k+1)/(k+2)) b_{k+2}, in
+    # place and in the operation order of the expression
+    b1 = np.zeros((columns.shape[1],) + x.shape, dtype=dtype)
     b2 = np.zeros_like(b1)
-    scratch = np.empty_like(b1)
+    t = np.empty_like(b1)
     cx = np.empty(x.shape, dtype=dtype)
     mul, add, sub, sqrt = np.multiply, np.add, np.subtract, math.sqrt
     for k in range(len(columns) - 1, -1, -1):
-        lo = starts[k]
-        if lo == rows:
-            continue  # no row has entered yet: both buffers hold +0.0
-        if lo == 0:  # whole arrays: a one-row stack pays for no slicing
-            a, b, t, c = b1, b2, scratch, columns[k]
-        else:
-            a, b, t, c = b1[lo:], b2[lo:], scratch[lo:], columns[k, lo:]
         mul(sqrt(2.0 / (k + 1)), x, cx)
-        mul(cx, a, t)
-        add(c, t, t)
-        mul(sqrt((k + 1.0) / (k + 2.0)), b, b)
-        sub(t, b, b)
+        mul(cx, b1, t)
+        add(columns[k], t, t)
+        mul(sqrt((k + 1.0) / (k + 2.0)), b2, b2)
+        sub(t, b2, b2)
         b1, b2 = b2, b1
     return b1
+
+
+def _stack_scaled(stack: np.ndarray, x) -> np.ndarray:
+    # Row j is g_j(x) * exp(x^2/2) for the coefficient rows g_j of stack, at
+    # real points: the scaled basis is built once per block of _STACK_BLOCK
+    # points, and each value is the dot product of its row with its point's
+    # basis vector. The einsum runs numpy's own contraction loop, no BLAS
+    # gemm: with both operands contiguous along the summed axis each value
+    # is one dot product of the row's width, so its bits depend on nothing
+    # else (np.matmul's change with the batch layout and the BLAS threads).
+    points = np.ravel(x)
+    out = np.empty((len(stack), len(points)))
+    for lo in range(0, len(points), _STACK_BLOCK):
+        basis = _scaled_basis_matrix(stack.shape[1] - 1, points[lo : lo + _STACK_BLOCK])
+        out[:, lo : lo + _STACK_BLOCK] = np.einsum("rw,pw->rp", stack, np.ascontiguousarray(basis.T))
+    return out.reshape((len(stack),) + np.shape(x))
 
 
 def _scaled_basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
@@ -482,43 +479,46 @@ def weighted_norm(
             total += math.comb(k, j) * g.norm_squared()
             g = multiply_by_coordinate(g)
         return math.sqrt(total)
-    # row n of the stack carries the weight power delta*n
-    stack = np.zeros((n + 1, g.max_degree + 1))
-    stack[n] = g.coeffs
+    # g's one row carries the weight power delta*n
     line = Ball(0.0, effective_support_radius(g))
-    ((coarse, fine),) = ball_norms_squared(stack, [line], weight_delta)
-    value = refined_rows(coarse, fine, [0.0] * (n + 1), "weighted_norm")[n]
+    ((coarse, fine),) = ball_norms_squared(g.coeffs[None], [line], weight_delta, first=n)
+    (value,) = refined_rows(coarse, fine, [0.0], "weighted_norm")
     return math.sqrt(max(value, 0.0))
 
 
-def _rule_sums(stack: np.ndarray, intervals, delta: float, order: int, max_panel: float) -> np.ndarray:
-    """Squared norms ||(1+x^2)^(delta*n/2) g_n||^2 of the rows g_n of stack on
-    each interval, by the order-point rule on panels of at most max_panel:
-    shape (len(intervals), len(stack)).
+def _rule_sums(
+    stack: np.ndarray, intervals, delta: float, order: int, max_panel: float, first: int = 0
+) -> np.ndarray:
+    """Squared norms ||(1+x^2)^(p_n/2) g_n||^2 of the rows g_n of stack on
+    each interval, row n with the weight power p_n = delta * (first + n), by
+    the order-point rule on panels of at most max_panel: shape
+    (len(intervals), len(stack)).
 
-    One Clenshaw pass over all the intervals' nodes, in blocks of about
-    _BLOCK array elements; each sum is np.sum over its interval's own nodes,
-    with the weight raised to the row's scalar power, so every value is bit
-    for bit that of the interval evaluated alone.
+    One pass over all the intervals' nodes: Clenshaw in blocks of _BLOCK
+    points for a one-row stack, the shared basis (_stack_scaled) in blocks
+    of _STACK_BLOCK points for more rows. Each sum is np.sum over its
+    interval's own nodes, with the weight raised to the row's scalar power,
+    so every value is bit for bit that of the interval evaluated alone.
     """
     x, w, ends = _interval_rules(intervals, order, max_panel)
     terms = np.empty((len(stack), len(x)))
-    size = max(1, _BLOCK // len(stack))
+    kernel, size = (_clenshaw_scaled, _BLOCK) if len(stack) == 1 else (_stack_scaled, _STACK_BLOCK)
     for lo in range(0, len(x), size):
         xb, wb = x[lo : lo + size], w[lo : lo + size]
-        vals = _clenshaw_scaled(stack, xb) * np.exp(-0.5 * xb**2)
+        vals = kernel(stack, xb) * np.exp(-0.5 * xb**2)
         weight = 1.0 + xb**2
         for n, row in enumerate(vals):
-            terms[n, lo : lo + size] = wb * weight ** (delta * n) * row**2
+            terms[n, lo : lo + size] = wb * weight ** (delta * (first + n)) * row**2
     sums = np.empty((len(ends) - 1, len(stack)))
     for i in range(len(sums)):
         sums[i] = np.sum(terms[:, ends[i] : ends[i + 1]], axis=1)
     return sums
 
 
-def ball_norms_squared(stack: np.ndarray, balls, delta: float) -> list:
-    """Squared norms ||(1+x^2)^(delta*n/2) g_n||^2_{L2(ball)} of the rows g_n
-    of the zero-padded coefficient stack, on each of the balls.
+def ball_norms_squared(stack: np.ndarray, balls, delta: float, first: int = 0) -> list:
+    """Squared norms ||(1+x^2)^(p_n/2) g_n||^2_{L2(ball)} of the rows g_n of
+    the zero-padded coefficient stack, p_n = delta * (first + n), on each of
+    the balls.
 
     Each rule runs once over all the balls: 24 points on panels of at most
     0.5 (coarse) and 48 points on panels of at most 0.25 (fine). Returns per
@@ -526,8 +526,8 @@ def ball_norms_squared(stack: np.ndarray, balls, delta: float) -> list:
     refined_rows checks a pair and returns its fine values.
     """
     intervals = [ball.interval() for ball in balls]
-    coarse = _rule_sums(stack, intervals, delta, 24, 0.5).tolist()
-    fine = _rule_sums(stack, intervals, delta, 48, 0.25).tolist()
+    coarse = _rule_sums(stack, intervals, delta, 24, 0.5, first).tolist()
+    fine = _rule_sums(stack, intervals, delta, 48, 0.25, first).tolist()
     return list(zip(coarse, fine))
 
 

@@ -29,10 +29,10 @@ from .hermite import (
     SpectralFunction,
     _BLOCK,
     _LOG2,
-    _clenshaw_scaled,
     _exp,
     _log,
     _poly_part,
+    _stack_scaled,
     ball_norms_squared,
     derivative,
     evaluate,
@@ -211,10 +211,12 @@ def classify_balls(
     """good_ball_test on each ball, in order. derivatives is
     derivative_stack(f, m_cap).
 
-    Each quadrature rule runs once: the mass rules over all the balls, then
-    the derivative rules over the non-degenerate ones. Every refinement
-    check runs in good_ball_test, ball by ball, so the checks, and the
-    first that fails, are those of classifying the balls one at a time.
+    Each quadrature rule runs once: the mass rules over all the balls, by
+    the Clenshaw recurrence of f, then the derivative rules over the
+    non-degenerate ones, each node's m_cap + 1 values from its one scaled
+    basis vector (hermite._stack_scaled). Every refinement check runs in
+    good_ball_test, ball by ball, so the checks, and the first that fails,
+    are those of classifying the balls one at a time.
 
     rules: a dict of the balls' quadrature pairs from earlier calls with the
     same f, derivatives and cfg.delta, keyed by Ball. Only the balls it
@@ -323,8 +325,8 @@ def _log_w_inf_neg(ball: Ball, cfg: ClassifierConfig) -> float:
 
 
 def _log_abs_derivatives_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # row m: log |d^m f| at the points, from one Clenshaw pass over the stack
-    vals = _clenshaw_scaled(stack, points) * np.exp(-0.5 * points**2)
+    # row m: log |d^m f| at the points, from one scaled basis per point
+    vals = _stack_scaled(stack, points) * np.exp(-0.5 * points**2)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(vals))
 

@@ -1,7 +1,12 @@
 """Spectral core: oracles are mpmath evaluation, Gaussian-moment closed forms,
 and central finite differences; ladder identities are checked against both."""
 
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -16,6 +21,7 @@ from gsaudit.hermite import (
     _interval_rules,
     _poly_part,
     _rule_sums,
+    _stack_scaled,
     Ball,
     DimensionMismatchError,
     SpectralFunction,
@@ -237,8 +243,10 @@ class TestQuadratureRules:
 
 
 class TestStackedClenshaw:
-    """One Clenshaw pass over a zero-padded stack must give every row the bits
-    of that row evaluated alone, as a one-row stack."""
+    """The stack kernel must give every row of a zero-padded stack the bits of
+    that row evaluated alone, as a one-row stack. Complex points go to the
+    one-row Clenshaw kernel only: a padded row gives the bits of its
+    unpadded vector."""
 
     @staticmethod
     def _vectors(seed):
@@ -265,23 +273,28 @@ class TestStackedClenshaw:
     )
     def test_each_row_matches_its_one_row_stack(self, seed, points):
         vectors = self._vectors(seed)
-        stacked = _clenshaw_scaled(self._stack(vectors), points)
+        stack = self._stack(vectors)
+        if np.iscomplexobj(points):
+            for j, v in enumerate(vectors):
+                padded = _clenshaw_scaled(stack[j : j + 1], points)[0]
+                assert np.array_equal(padded, _clenshaw_scaled(v[None], points)[0]), j
+            return
+        stacked = _stack_scaled(stack, points)
         assert stacked.shape == (len(vectors), len(points))
-        for j, v in enumerate(vectors):
-            alone = _clenshaw_scaled(v[None], points)[0]
-            assert np.array_equal(stacked[j], alone), j
+        for j in range(len(stack)):
+            assert np.array_equal(stacked[j], _stack_scaled(stack[j : j + 1], points)[0]), j
 
     def test_scalar_point(self):
-        vectors = self._vectors(3)
-        stacked = _clenshaw_scaled(self._stack(vectors), np.float64(0.7))
-        for j, v in enumerate(vectors):
-            assert stacked[j] == _clenshaw_scaled(v[None], np.float64(0.7))[0]
+        stack = self._stack(self._vectors(3))
+        stacked = _stack_scaled(stack, np.float64(0.7))
+        assert stacked.shape == (len(stack),)
+        for j in range(len(stack)):
+            assert stacked[j] == _stack_scaled(stack[j : j + 1], np.float64(0.7))[0]
 
 
 def _clenshaw_reference(stack, x):
-    """The plain recurrence over every step of the whole stack at once, as the
-    kernel ran before rows entered at their top coefficient and points went
-    in blocks."""
+    """The plain recurrence over every step of the stack's row, over all the
+    points at once, as the kernel ran before points went in blocks."""
     x = np.asarray(x)
     coeffs = stack.reshape(stack.shape + (1,) * x.ndim)
     b1 = np.zeros((len(stack),) + x.shape, dtype=np.result_type(x, 1.0))
@@ -295,31 +308,29 @@ def _clenshaw_reference(stack, x):
 
 
 @st.composite
-def ragged_stacks(draw):
-    """Stacks whose rows have their own top degree, in any order, padded
-    above it with +0.0 or -0.0; a top of -1 leaves the row all zero."""
-    rows = draw(st.integers(1, 30))
+def padded_rows(draw):
+    """One-row stacks padded above a drawn top degree with +0.0 or -0.0; a
+    top of -1 leaves the row all zero."""
     width = draw(st.integers(1, 45))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stack = rng.standard_normal((rows, width))
-    for j in range(rows):
-        top = draw(st.integers(-1, width - 1))
-        stack[j, top + 1 :] = draw(st.sampled_from([0.0, -0.0]))
+    stack = rng.standard_normal((1, width))
+    top = draw(st.integers(-1, width - 1))
+    stack[0, top + 1 :] = draw(st.sampled_from([0.0, -0.0]))
     return stack
 
 
 class TestKernelAgainstReference:
-    """The in-place, blocked kernel that skips each row's zero steps must
-    give the bits of the plain recurrence at every finite point."""
+    """The in-place, blocked one-row kernel must give the bits of the plain
+    recurrence at every finite point."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        stack=ragged_stacks(),
+        stack=padded_rows(),
         complex_points=st.booleans(),
         size=st.sampled_from(["scalar", "empty", "one", "below", "block", "above", "some"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(stack=derivative_stack(random_expansion(3, 12), 24), complex_points=False, size="some", seed=0)
+    @example(stack=derivative_stack(random_expansion(3, 12), 24)[-1:], complex_points=False, size="some", seed=0)
     def test_bits_match_the_plain_recurrence(self, stack, complex_points, size, seed):
         block = max(1, hermite._BLOCK // len(stack))
         rng = np.random.default_rng(seed)
@@ -344,6 +355,123 @@ class TestKernelAgainstReference:
         assert got.tobytes() == want.tobytes()
 
 
+def _scaled_basis_mp(width, x):
+    """h_n(x) exp(x^2/2) for n < width from mpmath's Hermite polynomials."""
+    x = mpmath.mpf(x)
+    return [
+        mpmath.hermite(n, x) / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        for n in range(width)
+    ]
+
+
+def _stack_subprocess_digest(threads):
+    """sha256 of a derivative stack's values and ball sums, computed in a
+    child process with OPENBLAS_NUM_THREADS set to threads, or unset."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(hermite.__file__)), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from gsaudit.hermite import Ball, SpectralFunction, _stack_scaled, ball_norms_squared
+from gsaudit.local_estimates import derivative_stack
+
+stack = derivative_stack(SpectralFunction(np.random.default_rng(5).standard_normal(65)), 24)
+x = np.random.default_rng(6).uniform(-28.0, 28.0, 3000)
+sums = ball_norms_squared(stack, [Ball(-3.0, 2.5), Ball(0.4, 1.2), Ball(9.0, 4.0)], 0.5)
+print(hashlib.sha256(_stack_scaled(stack, x).tobytes() + repr(sums).encode()).hexdigest())
+"""
+
+
+class TestStackKernel:
+    """The shared-basis stack kernel: accurate to a few units in the last
+    place of the sum of its terms' magnitudes, and every value bit for bit
+    the same whatever else is evaluated with it and however many BLAS
+    threads run."""
+
+    @pytest.mark.parametrize("seed, degree", [(0, 12), (1, 40), (2, hermite.MAX_DEGREE)])
+    def test_against_50_digit_sums(self, seed, degree):
+        stack = derivative_stack(random_expansion(seed, degree), 24)
+        rows, width = stack.shape
+        radius = hermite.effective_support_radius(SpectralFunction(stack[-1]))
+        x = np.concatenate([[-radius, 0.0, radius], np.random.default_rng(seed).uniform(-radius, radius, 9)])
+        got = _stack_scaled(stack, x)
+        with mpmath.workdps(50):
+            for p, point in enumerate(x):
+                basis = _scaled_basis_mp(width, point)
+                for r in range(rows):
+                    terms = [mpmath.mpf(float(c)) * b for c, b in zip(stack[r], basis)]
+                    scale = float(sum(abs(t) for t in terms))
+                    assert abs(got[r, p] - float(sum(terms))) <= width * 2.0**-52 * scale, (r, point)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(0, hermite.MAX_DEGREE),
+        max_order=st.integers(1, 24),
+        size=st.sampled_from(["one", "below", "block", "above", "some"]),
+    )
+    def test_bits_do_not_depend_on_the_batch(self, seed, degree, max_order, size):
+        stack = derivative_stack(random_expansion(seed, degree), max_order)
+        rng = np.random.default_rng(seed)
+        block = hermite._STACK_BLOCK
+        n = {"one": 1, "below": block - 1, "block": block, "above": block + 1}.get(size) or int(rng.integers(2, 3 * block))
+        radius = hermite.effective_support_radius(SpectralFunction(stack[-1]))
+        x = rng.uniform(-radius, radius, n)
+        whole = _stack_scaled(stack, x)
+        cut = int(rng.integers(0, n + 1))
+        split = np.concatenate([_stack_scaled(stack, x[:cut]), _stack_scaled(stack, x[cut:])], axis=1)
+        assert split.tobytes() == whole.tobytes()
+        r = int(rng.integers(0, len(stack)))
+        assert _stack_scaled(stack[r : r + 1], x).tobytes() == whole[r].tobytes()
+        lo = int(rng.integers(0, len(stack)))
+        assert _stack_scaled(stack[lo:], x).tobytes() == whole[lo:].tobytes()
+        p = int(rng.integers(0, n))
+        assert _stack_scaled(stack, x[p : p + 1]).tobytes() == whole[:, p].tobytes()
+        assert _stack_scaled(stack, x[p]).tobytes() == whole[:, p].tobytes()
+
+    def test_bits_do_not_depend_on_the_blas_threads(self, monkeypatch):
+        # the contraction never reaches BLAS: einsum without an optimized
+        # path (which would hand it to tensordot), and no dot or matmul
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stack kernel must not run a BLAS product")
+
+        def plain_einsum(*operands, optimize=False, **kwargs):
+            if optimize is not False:
+                forbidden()
+            return real_einsum(*operands, **kwargs)
+
+        real_einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", plain_einsum)
+        for name in ("tensordot", "dot", "matmul"):
+            monkeypatch.setattr(np, name, forbidden)
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(_DIGEST_SCRIPT, {})
+        assert _stack_subprocess_digest(None) == here.getvalue().strip()
+        assert _stack_subprocess_digest(1) == here.getvalue().strip()
+
+
+def _basis_reference(max_degree, x):
+    """basis_matrix's forward recurrence, written out as one expression per
+    degree: (sqrt(2/(n+1)) * x) * out[n] - sqrt(n/(n+1)) * out[n-1]."""
+    out = np.empty((max_degree + 1,) + x.shape)
+    out[0] = hermite._PI_QUARTER
+    if max_degree >= 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for n in range(1, max_degree):
+        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
+    return out * np.exp(-0.5 * x**2)
+
+
 def _linspace_nodes(a, b, order, max_panel):
     """interval_nodes as it was built for one interval, from np.linspace."""
     panels = max(1, math.ceil((b - a) / max_panel))
@@ -354,11 +482,13 @@ def _linspace_nodes(a, b, order, max_panel):
     return (mid[:, None] + half[:, None] * x0[None, :]).ravel(), (half[:, None] * w0[None, :]).ravel()
 
 
-def _one_interval_sums(stack, a, b, delta, order, max_panel):
-    """The per-ball rule pass the batched kernel replaced, on one interval."""
+def _one_interval_sums(stack, a, b, delta, order, max_panel, first=0):
+    """The per-ball rule pass the batched kernel replaced, on one interval, by
+    the kernel the program runs on a stack of that many rows."""
     x, w = _linspace_nodes(a, b, order, max_panel)
-    vals = _clenshaw_scaled(stack, x) * np.exp(-0.5 * x**2)
-    return [float(np.sum(w * (1.0 + x**2) ** (delta * n) * vals[n] ** 2)) for n in range(len(stack))]
+    kernel = _clenshaw_scaled if len(stack) == 1 else _stack_scaled
+    vals = kernel(stack, x) * np.exp(-0.5 * x**2)
+    return [float(np.sum(w * (1.0 + x**2) ** (delta * (first + n)) * vals[n] ** 2)) for n in range(len(stack))]
 
 
 @st.composite
@@ -379,8 +509,8 @@ RULES = [(20, 0.5), (24, 0.5), (48, 0.25)]
 
 class TestBatchedKernel:
     """The batched kernel must give every interval the bits of a pass over
-    that interval alone, in every block layout. A block holds 655 points of a
-    25-row derivative stack and 16,384 of a one-row stack (the example)."""
+    that interval alone, in every block layout. A block holds 1,024 points of
+    a derivative stack and 16,384 of a one-row stack (the example)."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -479,6 +609,7 @@ class TestWeightedNorms:
             raise AssertionError("an integer weight must not run quadrature")
 
         monkeypatch.setattr(hermite, "_clenshaw_scaled", forbidden)
+        monkeypatch.setattr(hermite, "_stack_scaled", forbidden)
         monkeypatch.setattr(hermite, "_check_refinement", forbidden)
         f = random_expansion(4, 64)
         for n, beta, delta in [(0, 0, 1.0), (2, 3, 1.0), (8, 8, 1.0), (4, 1, 0.5), (5, 2, 0.0)]:
@@ -502,6 +633,18 @@ class TestWeightedNorms:
         lo = weighted_norm(f, n=0, beta=1)
         hi = weighted_norm(f, n=1, beta=1, weight_delta=1.0)
         assert lo < got <= lo**0.4 * hi**0.6 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n, beta, delta", [(1, 0, 0.3), (2, 1, 0.3), (7, 2, 0.5), (3, 0, 0.9)])
+    def test_fractional_weight_is_the_one_row_pass(self, n, beta, delta):
+        # g's one row with the weight power delta * n, by the one-row
+        # recurrence on [-R, R]: bit for bit the fine value of that pass
+        f = random_expansion(17, 20)
+        g = f
+        for _ in range(beta):
+            g = derivative(g)
+        cutoff = hermite.effective_support_radius(g)
+        (fine,) = _one_interval_sums(g.coeffs[None], -cutoff, cutoff, delta, 48, 0.25, first=n)
+        assert weighted_norm(f, n=n, beta=beta, weight_delta=delta) == math.sqrt(fine)
 
     def test_weighted_ground_state(self):
         # ||(1+x^2)^(1/2) h_0||^2 = 1 + <x^2> = 3/2
@@ -558,6 +701,13 @@ class TestRegionNorms:
 
 
 class TestBasisMatrix:
+    def test_bits_match_the_expression(self):
+        # mass_matrix (the observability digest) and the stack kernel read
+        # these bits: any rewrite of the recurrence must keep its order
+        x = np.concatenate([np.linspace(-30.0, 30.0, 601), np.random.default_rng(3).uniform(-30.0, 30.0, 400)])
+        for max_degree in range(hermite.MAX_DEGREE + 24 + 1):
+            assert basis_matrix(max_degree, x).tobytes() == _basis_reference(max_degree, x).tobytes(), max_degree
+
     def test_orthonormality_under_quadrature(self):
         x, w = gauss_hermite(80)
         h = basis_matrix(40, x) * np.exp(0.5 * x**2)

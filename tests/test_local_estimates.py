@@ -167,8 +167,8 @@ class TestGoodBallTest:
     @pytest.mark.parametrize("seed, center, delta", [(0, 0.3, 1.0), (4, -1.7, 0.5), (9, 2.2, 0.25)])
     def test_margins_match_row_by_row_quadrature(self, seed, center, delta):
         # reference: each order integrated on its own by the fine rule (48
-        # points on panels of at most 0.25) with the unpadded d^m f, as the
-        # classifier did before its orders shared one stacked quadrature
+        # points on panels of at most 0.25), its row of the derivative stack
+        # evaluated alone by the stack kernel
         f = random_expansion(seed, 16)
         ball = Ball(center, 0.9)
         cfg = _cfg(tilde_d2=3.0, s=0.5, delta=delta, m_cap=24)
@@ -177,8 +177,10 @@ class TestGoodBallTest:
         a, b = ball.interval()
         x, w = interval_nodes(a, b, order=48, max_panel=0.25)
         log_mass = math.log(res.mass_sq)
-        for m, g in derivative_family(f, cfg.m_cap).items():
-            sq = float(np.sum(w * (1.0 + x**2) ** (delta * m) * evaluate(g, x) ** 2))
+        stack = derivative_stack(f, cfg.m_cap)
+        for m in range(cfg.m_cap + 1):
+            row = hermite._stack_scaled(stack[m : m + 1], x)[0] * np.exp(-0.5 * x**2)
+            sq = float(np.sum(w * (1.0 + x**2) ** (delta * m) * row**2))
             log_rhs = (
                 math.log(2.0 * cfg.kappa / cfg.eps)
                 + (m + 1) * math.log(2.0)
@@ -772,32 +774,3 @@ class TestDerivativeFamily:
             basis_function(4), x
         )
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
-
-
-def _row_tops(stack):
-    # each row's top coefficient that is not +0.0, as _clenshaw_scaled finds it
-    live = (stack != 0.0) | np.signbit(stack)
-    return [int(np.flatnonzero(row)[-1]) if row.any() else -1 for row in live]
-
-
-class TestDerivativeStackTops:
-    """_clenshaw_scaled lets each row enter at its top only when the tops
-    never fall down the stack; a derivative stack's never do."""
-
-    @pytest.mark.parametrize("t", [0.3, 60.0], ids=["committed", "top-underflows"])
-    def test_flowed_seed_seven(self, t):
-        f = harmonic_flow(random_expansion(7, 12), t)
-        assert (f.coeffs[-1] == 0.0) == (t == 60.0)
-        tops = _row_tops(derivative_stack(f, local_estimates.M_CAP))
-        assert tops == sorted(tops)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        coeffs=st.lists(
-            st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False)), min_size=1, max_size=41
-        ).filter(lambda c: c[-1] != 0.0),
-        max_order=st.integers(0, local_estimates.M_CAP),
-    )
-    def test_drawn_expansions(self, coeffs, max_order):
-        tops = _row_tops(derivative_stack(SpectralFunction(coeffs), max_order))
-        assert tops == sorted(tops)
