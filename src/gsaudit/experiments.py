@@ -51,6 +51,7 @@ from .semigroup import (
     validate_smoothing,
 )
 from .uncertainty import (
+    STEPS,
     PipelineError,
     _jsonable,
     k_effective_spread,
@@ -483,7 +484,7 @@ def _lemma_series_rows(cfg: dict):
     for d in cfg["d_grid"]:
         for s in cfg["s_grid"]:
             result = series_bound(d, s)
-            ok = result.remainder_certified and result.log_sum <= result.log_bound + 1e-9
+            ok = result.remainder_certified and result.log_sum <= result.log_bound + STEPS["mk-bound"]
             rows.append(
                 {
                     "section": "series",
@@ -535,14 +536,15 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
         x_k = _argmax_on_ball(f, ball)
         brute = mk_bruteforce(f, ball, float(profile.rho(x_k)), norm_sq=mass)
         check = local_estimate_check(f, ball, omega, brute.log_m, mass_sq=mass)
+        log_ratio = check.log_lhs - check.log_rhs
         produced += 1
         rows.append(
             {
                 "section": "local",
                 "case": f"deg={degree},center={center:.3f},{omega.description}",
                 "x": float(produced),
-                "y": check.log_ratio,
-                "passed": bool(check.passed),
+                "y": log_ratio,
+                "passed": check.applicable and log_ratio >= -STEPS["local-estimate"],
             }
         )
     if produced < cfg["n_triples"]:

@@ -23,6 +23,7 @@ from .hermite import Ball, NumericalError
 
 __all__ = [
     "Covering",
+    "DENSITY_SLACK",
     "DensityReport",
     "FullSpaceSensorSet",
     "IntervalSensorSet",
@@ -38,6 +39,9 @@ __all__ = [
 
 # Declared overlap cap of the greedy construction, audited on every covering.
 OVERLAP_CAP = 4
+
+# A ball's sensor fraction may fall this far below its density floor.
+DENSITY_SLACK = 1e-12
 
 # Largest candidate grid a covering builds; the committed configs need ~2e4.
 MAX_CANDIDATES = 10**7
@@ -328,7 +332,6 @@ def sensor_decaying_density(
 
 @dataclass(frozen=True)
 class DensityReport:
-    passed: bool
     min_ratio: float
     threshold: str
     n_violations: int
@@ -373,10 +376,9 @@ def certify_density(
         ratios = omega.measure_in_many(centers - rho, centers + rho) / (2.0 * rho)
     dist = np.abs(centers)
     required = threshold(dist)
-    bad = ratios < required - 1e-12
+    bad = ratios < required - DENSITY_SLACK
     argmin = int(np.argmin(ratios / np.maximum(required, 1e-300)))
     return DensityReport(
-        passed=not bad.any(),
         min_ratio=float(ratios[argmin]),
         threshold=desc,
         n_violations=int(bad.sum()),

@@ -354,8 +354,9 @@ _LOG2 = math.log(2.0)
 
 
 def _log(x: float) -> float:
-    """log x, and -inf for x <= 0."""
-    return math.log(x) if x > 0 else -math.inf
+    """log x, -inf for x <= 0, and NaN for NaN, so that a step with a NaN
+    side fails."""
+    return math.log(x) if x > 0 else -math.inf if x <= 0 else math.nan
 
 
 def _exp(arg: float) -> float:

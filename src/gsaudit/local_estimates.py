@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +125,11 @@ class ClassifierConfig:
     def log_q(self, m: int) -> float:
         return 2.0 * m * math.log(self.tilde_d2) + self.s * log_factorial(m)
 
+    @cached_property
+    def order_terms(self) -> tuple:
+        """(log q_m, log m!) for m <= m_cap, shared by every ball's tests."""
+        return tuple((self.log_q(m), log_factorial(m)) for m in range(self.m_cap + 1))
+
 
 def derivative_family(f: SpectralFunction, max_order: int) -> dict:
     """All derivatives d^m f for m <= max_order, keyed by m."""
@@ -181,20 +187,16 @@ def good_ball_test(
     log_mass = math.log(mass_sq)
     log_prefactor = math.log(2.0 * cfg.kappa / cfg.eps)
     log_rhs = [
-        log_prefactor
-        + (m + 1) * _LOG2
-        + 2.0 * cfg.log_q(m)
-        - log_factorial(m)
-        + log_mass
-        for m in range(cfg.m_cap + 1)
+        log_prefactor + (m + 1) * _LOG2 + 2.0 * log_q - log_fact + log_mass
+        for m, (log_q, log_fact) in enumerate(cfg.order_terms)
     ]
     floors = [math.exp(min(rhs - 23.0, 700.0)) for rhs in log_rhs]
     norms_sq = refined_rows(*derivative_rules, floors, "weighted_norm")
     margins = []
     failing = None
-    for m, (rhs, sq) in enumerate(zip(log_rhs, norms_sq)):
+    for m, (rhs, sq, (_, log_fact)) in enumerate(zip(log_rhs, norms_sq, cfg.order_terms)):
         w = math.sqrt(max(sq, 0.0))
-        log_lhs = 2.0 * _log(w) - log_factorial(m)
+        log_lhs = 2.0 * _log(w) - log_fact
         margins.append(rhs - log_lhs)
         if failing is None and log_lhs > rhs:
             failing = m
@@ -264,10 +266,6 @@ class BadMassReport:
     @property
     def total(self) -> float:
         return self.bad_mass + self.uncertified_good_mass + self.q0_mass_upper
-
-    @property
-    def passed(self) -> bool:
-        return self.total <= self.budget * (1.0 + 1e-12)
 
 
 def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results) -> BadMassReport:
@@ -364,13 +362,10 @@ def pointwise_witness(
         + 0.5 * math.log(mass_sq)
         - 0.5 * math.log(ball.volume)
     )
-    log_rhs = {
-        m: base
-        + (m + 1) * _LOG2
-        + cfg.log_q(m)
-        + 0.5 * m * log_w_neg
-        for m in range(cfg.m_cap + 1)
-    }
+    log_rhs = [
+        base + (m + 1) * _LOG2 + log_q + 0.5 * m * log_w_neg
+        for m, (log_q, _) in enumerate(cfg.order_terms)
+    ]
 
     def scan(n: int, logs=None):
         grid = np.linspace(*ball.interval(), n)
@@ -628,14 +623,6 @@ class LocalEstimateReport:
     intersection_mass_sq: float
     base: float
     exponent: float
-
-    @property
-    def log_ratio(self) -> float:
-        return self.log_lhs - self.log_rhs
-
-    @property
-    def passed(self) -> bool:
-        return self.applicable and self.log_ratio >= -1e-9
 
 
 def local_estimate_check(

@@ -449,19 +449,14 @@ class TailMassReport:
     r: float
     tail_mass: float
     budget: float  # eps * D1^2 / 2
-    passed: bool
 
 
 def tail_mass_check(f: SpectralFunction, bound: GSBound, eps: float) -> TailMassReport:
-    """Check the localization step: mass outside B(0, r) is at most eps D1^2 / 2."""
+    """The sides of the localization step: the mass outside B(0, r), to be at
+    most eps D1^2 / 2."""
     r = tail_radius(bound.D2, eps)
-    tail = norm_squared_outside_radius(f, r)
-    budget = eps * bound.D1**2 / 2.0
     return TailMassReport(
-        r=r,
-        tail_mass=tail,
-        budget=budget,
-        passed=tail <= budget,
+        r=r, tail_mass=norm_squared_outside_radius(f, r), budget=eps * bound.D1**2 / 2.0
     )
 
 

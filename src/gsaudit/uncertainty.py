@@ -8,7 +8,10 @@ the local estimate on each, and sum with the covering overlap. Every
 inequality along the way is audited with both its measured sides and the
 closed-form constants; the report records each step and the smallest
 constant that actually works for the instance next to the pipeline's
-provable one. A report's JSON form is derived from its fields by _jsonable.
+provable one. STEPS declares every step once, with the slack of its
+inequality, and a step's verdict is derived from the two log sides it
+records, so it is exactly the margin the report shows. A report's JSON form
+is derived from its fields by _jsonable.
 
 verify_uncertainty_decay does the same for sensor sets whose density decays
 polynomially, with per-ball density floors and the squared-log constant.
@@ -37,6 +40,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .geometry import (
+    DENSITY_SLACK,
     OVERLAP_CAP,
     FullSpaceSensorSet,
     RadiusProfile,
@@ -71,6 +75,7 @@ from .semigroup import GSBound, delta_weight_transfer, tail_mass_check
 __all__ = [
     "BallAudit",
     "PipelineError",
+    "STEPS",
     "StepRecord",
     "UncertaintyReport",
     "k_effective_spread",
@@ -103,9 +108,34 @@ def _jsonable(x):
     return x
 
 
+# Every step of the pipeline, in the order a passing run records them, with
+# the slack of its inequality log_lhs <= log_rhs + slack; None marks a
+# condition step, which records no sides. center-norm-bound runs for a
+# decaying density only. The slacks absorb rounding, and the premise's
+# quadrature noise on the fractional-weight route.
+STEPS = {
+    "admissibility": None,
+    "premise": 1e-7,
+    "tail": 0.0,
+    "covering": None,
+    "center-norm-bound": 1e-12,
+    "density": None,
+    "classification": None,
+    "bad-mass": 1e-12,
+    "decomposition": 1e-8,
+    "witness": None,
+    "mk-bound": 1e-9,
+    "local-estimate": 1e-9,
+    "overlap-sum": 1e-9,
+    "measured-chain": 1e-9,
+    "formal-chain": 1e-9,
+}
+
+
 @dataclass(frozen=True)
 class StepRecord:
-    """One audited inequality: passed means log_lhs <= log_rhs (+ tolerance)."""
+    """One audited step: passed is its condition and, where it records sides,
+    log_lhs <= log_rhs + STEPS[name]; a NaN side fails it."""
 
     name: str
     passed: bool
@@ -142,7 +172,8 @@ class BallAudit:
 @dataclass(frozen=True)
 class UncertaintyReport:
     """One audited instance; its fields are the keys of its JSON form.
-    passed is always true on a returned report: every failing step raises."""
+    passed is the literal True, kept for the report's bytes: every failing
+    step raises."""
 
     kind: str  # "uncertainty" or "uncertainty-decay"
     f_id: str
@@ -184,8 +215,8 @@ def _masses_on_sensor(f: SpectralFunction, omega, balls) -> tuple:
 
 
 def _premise_check(f, bound, tilde, delta):
-    """Spot-check the declared derivative bounds on a small (n, beta) grid,
-    allowing a log-margin of -1e-7. The integer-weight norms are exact
+    """The worst log-margin of the declared derivative bounds over a small
+    (n, beta) grid, and where it sits. The integer-weight norms are exact
     ladder sums up to rounding; quadrature noise enters only on the
     fractional route of a profile delta in (0, 1)."""
     routes = [(1.0, bound)]
@@ -200,7 +231,7 @@ def _premise_check(f, bound, tilde, delta):
                 margin = gs.log_value(n, b) - _log(measured)
                 if margin < worst:
                     worst, worst_at = margin, (n, b, weight)
-    return worst, worst_at, worst >= -1e-7
+    return worst, worst_at
 
 
 def _first_false_order(f, bound, exponent: str):
@@ -238,7 +269,8 @@ def _run_pipeline(
             shared[key] = compute()
         return shared[key]
 
-    def record(name, passed, log_lhs=None, log_rhs=None, **detail):
+    def record(name, ok=True, log_lhs=None, log_rhs=None, **detail):
+        passed = ok and (log_lhs is None or log_lhs <= log_rhs + STEPS[name])
         steps.append(StepRecord(name, passed, log_lhs, log_rhs, detail))
         if not passed:
             raise PipelineError(name, f"audit failed with detail {detail}")
@@ -254,7 +286,7 @@ def _run_pipeline(
         raise PipelineError("admissibility", "gamma must lie in (0, 1]")
     if decaying and (not 0.0 < gamma_spec[1] <= 1.0 or gamma_spec[2] < 0.0):
         raise PipelineError("admissibility", "need gamma0 in (0, 1] and a >= 0")
-    record("admissibility", True, s=s, tilde_d2=tilde.D2, eps=eps)
+    record("admissibility", s=s, tilde_d2=tilde.D2, eps=eps)
 
     # the declared derivative bounds must actually majorize f; no nonzero
     # expansion meets an exponent below 1/2
@@ -262,23 +294,15 @@ def _run_pipeline(
         if value < 0.5 and f.coeffs.any():
             first = _first_false_order(f, bound, exponent)
             record("premise", False, exponent=exponent, value=value, first_false_order=first)
-    worst_margin, worst_at, ok = once(
-        "premise", lambda: _premise_check(f, bound, tilde, profile.delta)
-    )
+    worst_margin, worst_at = once("premise", lambda: _premise_check(f, bound, tilde, profile.delta))
     record(
-        "premise",
-        ok,
-        log_lhs=-worst_margin,
-        log_rhs=0.0,
-        worst_margin=worst_margin,
-        worst_at=worst_at,
+        "premise", log_lhs=-worst_margin, log_rhs=0.0, worst_margin=worst_margin, worst_at=worst_at
     )
 
     # localization: mass outside B(0, r) fits in half the error budget
     tail = once(("tail", eps), lambda: tail_mass_check(f, bound, eps))
     record(
         "tail",
-        tail.passed,
         log_lhs=_log(tail.tail_mass),
         log_rhs=math.log(tail.budget),
         r=tail.r,
@@ -308,7 +332,7 @@ def _run_pipeline(
             * (1.0 - profile.eta) ** (-a)
             * tail.r**a
         )
-        record("center-norm-bound", lhs <= rhs * (1.0 + 1e-12), math.log(lhs), math.log(rhs))
+        record("center-norm-bound", log_lhs=math.log(lhs), log_rhs=math.log(rhs))
 
     gamma_arg = gamma_spec[1:] if decaying else gamma_spec[1]
     density = certify_density(
@@ -316,7 +340,7 @@ def _run_pipeline(
     )
     record(
         "density",
-        density.passed,
+        density.n_violations == 0,
         min_ratio=density.min_ratio,
         threshold=density.threshold,
         n_violations=density.n_violations,
@@ -357,10 +381,9 @@ def _run_pipeline(
         "n_bad": bad_report.n_bad,
         "n_degenerate": bad_report.n_degenerate,
     }
-    record("classification", True, **counts)
+    record("classification", **counts)
     record(
         "bad-mass",
-        bad_report.passed,
         log_lhs=_log(bad_report.total),
         log_rhs=math.log(bad_report.budget),
         bad_mass=bad_report.bad_mass,
@@ -377,7 +400,6 @@ def _run_pipeline(
     covered = good_mass + deg_mass + bad_report.total
     record(
         "decomposition",
-        covered >= total_mass * (1.0 - 1e-8) - 1e-12,
         log_lhs=_log(total_mass),
         log_rhs=_log(covered),
         covered_mass=covered,
@@ -438,21 +460,17 @@ def _run_pipeline(
             worst_ball_density, local.intersection_measure / ball.volume - gamma_floors[-1]
         )
         log_measured_factors.append(local.exponent * math.log(local.base))
-    record(
-        "witness",
-        not unwitnessed,
-        n_checked=len(active),
-        unwitnessed_balls=unwitnessed,
-    )
+    record("witness", not unwitnessed, n_checked=len(active), unwitnessed_balls=unwitnessed)
 
     if unconverged:
         raise NumericalError(f"polydisc sampling did not stabilize on ball {unconverged[0]}")
     series = ub.series
-    if series and series.remainder_certified and series.log_sum > series.log_bound + 1e-9:
+    if series and series.remainder_certified and not (
+        series.log_sum <= series.log_bound + STEPS["mk-bound"]
+    ):
         raise PipelineError("mk-bound", "certified series sum exceeds its proved bound")
     record(
         "mk-bound",
-        worst_mk <= 1e-9,
         log_lhs=worst_mk,
         log_rhs=0.0,
         log_mk_uniform_bound=ub.log_bound,
@@ -467,7 +485,7 @@ def _run_pipeline(
         )
     record(
         "local-estimate",
-        worst_local >= -1e-9 and worst_ball_density >= -1e-12,
+        worst_ball_density >= -DENSITY_SLACK,
         log_lhs=-worst_local if active else None,
         log_rhs=0.0,
         n_checked=len(active),
@@ -477,7 +495,6 @@ def _run_pipeline(
     # summation with overlap kappa
     record(
         "overlap-sum",
-        sum_inter <= kappa * omega_mass * (1.0 + 1e-9) + 1e-300,
         log_lhs=_log(sum_inter),
         log_rhs=_log(kappa * omega_mass),
         sum_good_intersections=sum_inter,
@@ -494,11 +511,7 @@ def _run_pipeline(
     log_chain = max(log_measured_factors, default=-math.inf) + math.log(kappa)
     log_chain_rhs = float(np.logaddexp(log_chain + _log(omega_mass), _log(deg_mass)))
     record(
-        "measured-chain",
-        dominated or log_main <= log_chain_rhs + 1e-9,
-        log_lhs=log_main,
-        log_rhs=log_chain_rhs,
-        error_term_dominated=dominated,
+        "measured-chain", log_lhs=log_main, log_rhs=log_chain_rhs, error_term_dominated=dominated
     )
 
     # formal chain with the closed-form constants
@@ -509,14 +522,12 @@ def _run_pipeline(
     log_formal_factor = exponent_formal * math.log(48.0 / gamma_min) + math.log(kappa)
     log_rhs_formal = float(np.logaddexp(log_formal_factor + _log(omega_mass), _log(error_term)))
     log_lhs = _log(total_mass)
-    formal_ok = log_lhs <= log_rhs_formal + 1e-9
     d2_power = _exp((4.0 / (1.0 - s)) * math.log(bound.D2))
     bracket = 1.0 + math.log(1.0 / eps) + d2_power
     denom = bracket**2 if decaying else bracket
     k_formal = log_formal_factor / denom
     record(
         "formal-chain",
-        formal_ok,
         log_lhs=log_lhs,
         log_rhs=log_rhs_formal,
         k_formal=k_formal,
@@ -553,7 +564,7 @@ def _run_pipeline(
         k_formal=k_formal,
         k_effective=k_effective,
         error_term_dominated=dominated,
-        passed=formal_ok,
+        passed=True,
     )
 
 

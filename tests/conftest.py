@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gsaudit.hermite import SpectralFunction
+from gsaudit.hermite import SpectralFunction, _log
+from gsaudit.uncertainty import STEPS
 
 # one line per acceptance criterion, filled in by test_acceptance.py
 ACCEPTANCE_LINES = []
@@ -19,6 +20,12 @@ def random_expansion(seed: int, degree: int) -> SpectralFunction:
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(degree + 1)
     return SpectralFunction(c / np.linalg.norm(c))
+
+
+def step_holds(name: str, lhs: float, rhs: float) -> bool:
+    """The verdict of uncertainty step name on the sides lhs <= rhs, as the
+    pipeline derives it: in logs, with the slack STEPS gives the step."""
+    return _log(lhs) <= _log(rhs) + STEPS[name]
 
 
 def step_of(report, name: str):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from conftest import random_expansion, step_of
+from conftest import random_expansion, step_holds, step_of
 from gsaudit.cli import main as cli_main
 from gsaudit.experiments import run_experiment
 from gsaudit.geometry import (
@@ -136,7 +136,7 @@ def test_tail_mass_budget():
         bound = fit_gs_bound(f, 0.5, 0.5)
         for eps in (0.1, 0.5, 1.0):
             report = tail_mass_check(f, bound, eps)
-            if not report.passed:
+            if not step_holds("tail", report.tail_mass, report.budget):
                 failures.append((seed, eps, report.tail_mass / report.budget))
     assert not failures
 
@@ -168,7 +168,7 @@ def test_good_bad_budget(instance):
         tilde = delta_weight_transfer(gs, profile.delta)
         for eps in (0.1, 1.0):
             tail = tail_mass_check(func, gs, eps)
-            assert tail.passed
+            assert step_holds("tail", tail.tail_mass, tail.budget)
             covering = besicovitch_cover(profile, tail.r)
             cfg = ClassifierConfig(
                 eps=eps,
@@ -180,7 +180,7 @@ def test_good_bad_budget(instance):
             derivs = derivative_stack(func, cfg.m_cap)
             results = classify_balls(func, covering.balls(), cfg, derivs)
             report = bad_mass_bound(func, covering, cfg, tilde, results)
-            assert report.passed
+            assert step_holds("bad-mass", report.total, report.budget)
             assert report.total <= eps * gs.D1**2 * (1.0 + 1e-12)
 
 

@@ -199,25 +199,25 @@ class TestDensityCertification:
         profile = RadiusProfile(R=1.0, delta=0.0, eta=0.5, r0=2.0)
         omega = sensor_periodic(1.0, 0.5, extent=60.0)
         report = certify_density(omega, profile, 0.5, extent=20.0)
-        assert report.passed
+        assert report.n_violations == 0
         assert report.min_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_quarter_windows_fall_in_gaps(self):
         profile = RadiusProfile(R=1.0, delta=0.0, eta=0.25, r0=1.0)
         omega = sensor_periodic(1.0, 0.5, extent=60.0)
         report = certify_density(omega, profile, 0.5, extent=20.0)
-        assert not report.passed
+        assert report.n_violations != 0
         assert report.min_ratio < 1e-9  # some window misses omega entirely
         assert report.n_violations > 0
 
     def test_full_space_passes_any_gamma(self):
         report = certify_density(FullSpaceSensorSet(), RadiusProfile(), 1.0, extent=10.0)
-        assert report.passed and report.min_ratio == 1.0
+        assert report.n_violations == 0 and report.min_ratio == 1.0
 
     def test_empty_set_rejected(self):
         omega = sensor_periodic(1.0, 0.0, extent=10.0)
         report = certify_density(omega, RadiusProfile(), 0.1, extent=5.0)
-        assert not report.passed
+        assert report.n_violations != 0
 
     def test_monotone_under_superset(self):
         profile = RadiusProfile()
@@ -231,14 +231,14 @@ class TestDensityCertification:
         profile = RadiusProfile()
         omega = sensor_decaying_density(0.5, 1.0, profile, extent=80.0)
         report = certify_density(omega, profile, (0.5, 1.0), extent=40.0)
-        assert report.passed, report.min_ratio
+        assert report.n_violations == 0, report.min_ratio
 
     def test_decaying_threshold_zero_a_constant(self):
         profile = RadiusProfile()
         omega = sensor_periodic(1.0, 0.5, extent=60.0)
         const = certify_density(omega, profile, 0.25, extent=15.0)
         decay0 = certify_density(omega, profile, (0.25, 0.0), extent=15.0)
-        assert const.passed == decay0.passed
+        assert (const.n_violations == 0) == (decay0.n_violations == 0)
         assert const.min_ratio == pytest.approx(decay0.min_ratio)
 
     def test_invalid_gamma_rejected(self):

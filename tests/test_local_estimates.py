@@ -46,8 +46,9 @@ from gsaudit.semigroup import (
     harmonic_flow,
     tail_radius,
 )
+from gsaudit.uncertainty import STEPS
 
-from conftest import random_expansion
+from conftest import random_expansion, step_holds
 
 ERF1 = math.erf(1.0)  # mass of h_0^2 on [-1, 1]
 
@@ -278,7 +279,7 @@ class TestBadMassBound:
         )
         results = [_classify(f, ball, cfg) for ball in covering.balls()]
         report = bad_mass_bound(f, covering, cfg, tilde, results)
-        assert report.passed
+        assert step_holds("bad-mass", report.total, report.budget)
         assert report.n_bad == 0 and report.bad_mass == 0.0
         assert report.total == report.bad_mass + report.uncertified_good_mass + report.q0_mass_upper
         n_good = sum(order is not None for order in report.tail_orders)
@@ -687,16 +688,22 @@ class TestMkBound:
                 assert brute.log_m <= ub.log_intermediate <= ub.log_bound
 
 
+def local_holds(rep) -> bool:
+    # the lemma suite's verdict: the estimate applies, and its log ratio
+    # lhs - rhs stays within the local-estimate step's slack
+    return rep.applicable and rep.log_lhs - rep.log_rhs >= -STEPS["local-estimate"]
+
+
 class TestLocalEstimateCheck:
     def test_full_overlap_reference(self):
         # omega covering the ball: base 48, exponent 1, ratio exactly 48
         f = random_expansion(2, 8)
         ball = Ball(0.2, 1.5)
         rep = local_estimate_check(f, ball, IntervalSensorSet([(-50.0, 50.0)]), 0.0, _mass(f, ball))
-        assert rep.applicable and rep.passed
+        assert rep.applicable and local_holds(rep)
         assert math.isclose(rep.base, 48.0, rel_tol=1e-14)
         assert rep.exponent == 1.0
-        assert math.isclose(rep.log_ratio, math.log(48.0), abs_tol=1e-6)
+        assert math.isclose(rep.log_lhs - rep.log_rhs, math.log(48.0), abs_tol=1e-6)
 
     def test_periodic_sensor_passes_with_honest_sup(self):
         ball = Ball(0.0, 2.0)
@@ -706,19 +713,19 @@ class TestLocalEstimateCheck:
             mass = _mass(f, ball)
             brute = mk_bruteforce(f, ball, 1.0, mass)
             rep = local_estimate_check(f, ball, omega, brute.log_m, mass)
-            assert rep.applicable and rep.passed
+            assert rep.applicable and local_holds(rep)
 
     def test_dishonest_sup_detected(self):
         # claiming M = 1 while omega sits in a tiny window at the zero of h_5
         # must fail: the check has real teeth
         f, ball = basis_function(5), Ball(0.0, 2.0)
         rep = local_estimate_check(f, ball, IntervalSensorSet([(-5e-7, 5e-7)]), 0.0, _mass(f, ball))
-        assert rep.applicable and not rep.passed
+        assert rep.applicable and not local_holds(rep)
 
     def test_empty_intersection_inapplicable(self):
         f, ball = basis_function(0), Ball(0.0, 1.0)
         rep = local_estimate_check(f, ball, IntervalSensorSet([(10.0, 11.0)]), 0.0, _mass(f, ball))
-        assert not rep.applicable and not rep.passed
+        assert not rep.applicable and not local_holds(rep)
 
     def test_negative_log_sup_rejected(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ from gsaudit.semigroup import (
     validate_smoothing,
 )
 
-from conftest import random_expansion
+from conftest import random_expansion, step_holds
 
 # quartic oscillator -f'' + x^4 f ground energy, halved for our normalization
 QUARTIC_GROUND_HALF = 0.5301810452420915
@@ -266,7 +266,7 @@ class TestTail:
         assert report.r == pytest.approx(math.sqrt(2.0))
         assert report.tail_mass == pytest.approx(1.0 - math.erf(math.sqrt(2.0)), abs=1e-10)
         assert report.budget == 0.5
-        assert report.passed
+        assert step_holds("tail", report.tail_mass, report.budget)
 
     def test_fitted_bounds_pass_tail_check(self):
         for seed in (0, 1, 2):
@@ -274,7 +274,7 @@ class TestTail:
             bound = fit_gs_bound(f, 0.5, 0.5)
             for eps in (0.1, 0.5, 1.0):
                 report = tail_mass_check(f, bound, eps)
-                assert report.passed, (seed, eps, report)
+                assert step_holds("tail", report.tail_mass, report.budget), (seed, eps, report)
 
 
 class TestDeltaTransfer:

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from gsaudit import hermite, local_estimates, uncertainty
+from gsaudit import hermite, local_estimates, semigroup, uncertainty
 from gsaudit.experiments import run_experiment
 from gsaudit.geometry import (
+    DENSITY_SLACK,
     FullSpaceSensorSet,
     IntervalSensorSet,
     RadiusProfile,
@@ -27,6 +28,7 @@ from gsaudit.hermite import (
 from gsaudit.local_estimates import DEGENERATE_MASS_REL
 from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
+    STEPS,
     PipelineError,
     _jsonable,
     k_effective_spread,
@@ -53,6 +55,20 @@ STEP_ORDER = [
     "measured-chain",
     "formal-chain",
 ]
+# a decaying density adds the per-center norm bound after the covering
+DECAY_STEP_ORDER = STEP_ORDER[:4] + ["center-norm-bound"] + STEP_ORDER[4:]
+UNCERTAINTY_JSON = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
+
+
+def assert_steps_in_order(report, order):
+    # every step of a passing run, in order, and each verdict exactly the
+    # margin its two sides show, with the slack of STEPS
+    assert list(STEPS) == DECAY_STEP_ORDER
+    assert [s.name for s in report.steps] == order
+    assert all(s.passed for s in report.steps)
+    for s in report.steps:
+        if s.log_lhs is not None and s.log_rhs is not None:
+            assert s.passed == (s.log_lhs <= s.log_rhs + STEPS[s.name]), s.name
 
 
 BALL_AUDIT_FIELDS = {
@@ -123,8 +139,7 @@ class TestFullSpaceSensor:
         assert report_full.k_formal > 0.0
 
     def test_all_steps_recorded_in_order(self, report_full):
-        assert [s.name for s in report_full.steps] == STEP_ORDER
-        assert all(s.passed for s in report_full.steps)
+        assert_steps_in_order(report_full, STEP_ORDER)
 
     def test_omega_mass_is_total_mass(self, report_full, instance):
         f, _, _ = instance
@@ -157,7 +172,7 @@ class TestPeriodicSensor:
         for name in ("measured-chain", "formal-chain"):
             step = step_of(report_periodic, name)
             assert step.passed
-            assert step.log_lhs <= step.log_rhs + 1e-9
+            assert step.log_lhs <= step.log_rhs + STEPS[name]
 
     def test_overlap_sum_bounded_by_kappa(self, report_periodic):
         step = step_of(report_periodic, "overlap-sum")
@@ -233,8 +248,7 @@ def test_batched_sensor_masses_are_each_balls_own(instance):
 
 
 def test_committed_sweep_ball_audit_layout():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
-    result = run_experiment(json.loads(path.read_text(encoding="utf-8")))
+    result = run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8")))
     assert result.passed
     reports = result.report["results"]["reports"]
     assert len(reports) == 12
@@ -248,8 +262,7 @@ def test_committed_sweep_ball_audit_layout():
 )
 def test_exponent_below_half_fails_premise(nu, mu, exponent, first):
     # no nonzero expansion meets such a bound, however D1 and D2 are fitted
-    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
-    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg = json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8"))
     cfg["function"].update(nu=nu, mu=mu)
     result = run_experiment(cfg)
     assert result.exit_code == 1
@@ -388,6 +401,29 @@ class TestPipelineFailures:
         }
         assert expected[step] in str(err.value)
 
+    def test_nan_tail_mass_fails_tail(self, monkeypatch):
+        # the log of a NaN side stays NaN, and NaN <= x is false
+        monkeypatch.setattr(semigroup, "norm_squared_outside_radius", lambda f, r: math.nan)
+        result = run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8")))
+        assert (result.exit_code, result.report["failed_step"]) == (1, "tail")
+
+    def test_uncounted_good_mass_fails_decomposition_at_small_mass(self, monkeypatch):
+        # a bad-mass stage that drops every certified good ball and counts its
+        # mass nowhere; at t = 30, ||f||^2 is about 3e-20, and decomposition
+        # must still see the covered mass fall short of it
+        real = uncertainty.bad_mass_bound
+
+        def lie(*args, **kwargs):
+            report = real(*args, **kwargs)
+            lost = tuple(False if c else c for c in report.tail_certified)
+            return replace(report, tail_certified=lost)
+
+        monkeypatch.setattr(uncertainty, "bad_mass_bound", lie)
+        cfg = json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8"))
+        cfg["function"]["t"] = 30.0
+        result = run_experiment(cfg)
+        assert (result.exit_code, result.report["failed_step"]) == (1, "decomposition")
+
     def test_two_dimensional_input_rejected(self):
         # a 2D coefficient matrix is refused before any pipeline can see it
         with pytest.raises(ValueError, match="vector"):
@@ -410,6 +446,7 @@ class TestOmegaMonotonicity:
 class TestDecayVariant:
     def test_pipeline_passes(self, report_decay):
         assert report_decay.passed
+        assert_steps_in_order(report_decay, DECAY_STEP_ORDER)
         assert report_decay.kind == "uncertainty-decay"
         assert report_decay.gamma == ("decaying", 0.5, 1.0)
         assert report_decay.k_effective > 0.0
@@ -417,11 +454,11 @@ class TestDecayVariant:
     def test_center_norm_bound_step(self, report_decay):
         step = step_of(report_decay, "center-norm-bound")
         assert step.passed
-        assert step.log_lhs <= step.log_rhs + 1e-12
+        assert step.log_lhs <= step.log_rhs + STEPS["center-norm-bound"]
 
     def test_per_ball_density_floor_respected(self, report_decay):
         step = step_of(report_decay, "local-estimate")
-        assert step.detail["worst_ball_density_margin"] >= -1e-12
+        assert step.detail["worst_ball_density_margin"] >= -DENSITY_SLACK
 
     def test_squared_bracket_shrinks_constant(self, instance, report_decay):
         # same instance through the constant-density audit at the worst
@@ -641,8 +678,7 @@ class TestSweepSharing:
 
         monkeypatch.setattr(uncertainty, "pointwise_witness", witness)
         monkeypatch.setattr(local_estimates, "_log_abs_derivatives_at", logs)
-        path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "uncertainty.json"
-        assert run_experiment(json.loads(path.read_text(encoding="utf-8"))).passed
+        assert run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8"))).passed
         assert (len(witnessed), len(set(witnessed)), grids) == (65, 45, 48)
 
     def test_a_second_sweep_starts_from_an_empty_store(self, monkeypatch, instance, cases):
