@@ -14,6 +14,16 @@ at a witness point, an analytic extension to a complex neighborhood whose
 normalized sup M_k is bounded in closed form, and finally a local estimate
 transferring mass from Q to Q intersected with a sensor set. Everything
 large lives in log space.
+
+The sampled sup M_k (mk_bruteforce) runs for all of a case's balls at once
+(polydisc_sups). A round of many points evaluates, on a circle of radius r
+around q, only the angles where log majorant(|q| + r) + (y^2 - x^2)/2 plus a
+margin of 1e-9 (1 + |log M| + q^2 + r^2) reaches the best value evaluated
+for its ball in the round, seeded by the real points and each circle's peak
+of the bound. No computed value exceeds the bound by more than rounding far
+below the margin (hermite.majorant), so the round's maximum stays the same
+float. As a parabola in cos(phi) the bound leaves one window of angles per
+circle; a non-finite majorant leaves the whole circle.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .hermite import (
     evaluate,
     log_factorial,
     logsumexp,
+    majorant,
     norm_squared_on_intervals,
     norm_squared_outside_radius,
     refined_rows,
@@ -64,6 +75,7 @@ __all__ = [
     "mk_bound",
     "mk_bruteforce",
     "pointwise_witness",
+    "polydisc_sups",
     "series_bound",
     "tail_condition_order",
 ]
@@ -402,28 +414,68 @@ def _log_abs_analytic(f: SpectralFunction, z: np.ndarray) -> np.ndarray:
         return np.log(np.abs(vals)) + gauss
 
 
-def _max_log_abs(f: SpectralFunction, pts: np.ndarray) -> float:
-    # one pass: _polydisc_max hands it at most _BLOCK points. A NaN would
-    # vanish from the caller's max(best, nan), so it stops the audit instead
-    top = float(np.max(_log_abs_analytic(f, pts.reshape(-1))))
-    if math.isnan(top):
+def _fold_max(f: SpectralFunction, best: np.ndarray, total: int, points) -> None:
+    # log |F| of the samples lo..hi-1, points(lo, hi) = (z, owner), into
+    # best[owner], for 0..total-1 in near-equal blocks of at most _BLOCK; a
+    # lone point goes twice, as _clenshaw_scaled gives a 1-point vector other
+    # bits. A NaN would vanish from a later max, so it raises
+    blocks = -(-total // _BLOCK)
+    for i in range(blocks):
+        z, owner = points(total * i // blocks, total * (i + 1) // blocks)
+        if z.size == 1:
+            z, owner = np.repeat(z, 2), np.repeat(owner, 2)
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(best, owner, _log_abs_analytic(f, z))
+    if np.isnan(best).any():
         raise NumericalError("polydisc sup: the analytic extension evaluated to NaN")
-    return top
 
 
-def _polydisc_max(f: SpectralFunction, ball: Ball, rho8: float, n_q: int, n_phi: int) -> float:
-    # max log |F| over the real points q and the circles of radius rho8 and
-    # rho8 / 2 around them. f is real and _log_abs_analytic sign-symmetric, so
-    # conj z gives z's bits: a circle is evaluated at the angles 2 pi j / n_phi,
-    # j <= n_phi/2, a slice of q rows of about _BLOCK points at a time.
-    phis = 2.0 * math.pi * np.arange(n_phi // 2 + 1) / n_phi
-    arc = np.exp(1j * phis)
-    q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
-    best = _max_log_abs(f, q.astype(complex))
-    rows = max(1, _BLOCK // len(arc))
-    for v in (1.0, 0.5):
-        for i in range(0, len(q), rows):
-            best = max(best, _max_log_abs(f, q[i : i + rows, None] + rho8 * v * arc[None, :]))
+def _round_maxima(f: SpectralFunction, discs, n_q: int, n_phi: int) -> np.ndarray:
+    # max log |F| over the round's samples of each (ball, rho8) of discs, by
+    # 3 (n_q + 1) rows a disc: its real points q, then the circles of radius
+    # rho8 and rho8 / 2 around them at the angles 2 pi j / n_phi, j <= n_phi/2
+    # (mirrors give the same bits). Below _BLOCK / 2 points pruning costs more
+    half = n_phi // 2
+    arc = np.exp(1j * (2.0 * math.pi * np.arange(half + 1) / n_phi))
+    q = np.tile([np.append(np.linspace(*ball.interval(), n_q), ball.center) for ball, _ in discs], 3).ravel()
+    r = np.repeat([(0.0, rho8 * 1.0, rho8 * 0.5) for _, rho8 in discs], n_q + 1, axis=1).ravel()
+    owner = np.repeat(np.arange(len(discs)), 3 * (n_q + 1))
+    circle, best = r > 0.0, np.full(len(discs), -math.inf)
+
+    def fold(lo_j, counts):
+        ends = np.cumsum(counts)
+
+        def points(lo, hi):
+            k = np.arange(lo, hi)
+            row = np.searchsorted(ends, k, side="right")
+            z = q[row] + r[row] * arc[lo_j[row] + k - (ends[row] - counts[row])]
+            return np.where(circle[row], z, q[row]), owner[row]
+
+        _fold_max(f, best, int(ends[-1]), points)
+
+    if len(discs) * (n_q + 1) * (2 * half + 3) <= _BLOCK // 2:
+        fold(np.zeros(len(q), dtype=np.intp), np.where(circle, half + 1, 1))
+        return best
+    # seeds: the real points and each circle's peak of the bound, at
+    # c = cos(phi) = -q / (2 r); then each circle's window of c where
+    # bound + margin >= best
+    qc, rc, to_j = q[circle], r[circle], n_phi / (2.0 * math.pi)
+    lo_j = np.zeros(len(q), dtype=np.intp)
+    lo_j[circle] = np.rint(np.arccos(np.clip(-qc / (2.0 * rc), -1.0, 1.0)) * to_j)
+    fold(lo_j, np.ones(len(q), dtype=np.intp))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_m = np.log(majorant(f.coeffs, np.abs(qc) + rc))
+        margin = 1e-9 * (1.0 + np.abs(log_m) + qc * qc + rc * rc)
+        disc = qc * qc + 4.0 * (log_m + 0.5 * (rc * rc - qc * qc) + margin - best[owner[circle]])
+        root = np.sqrt(np.maximum(disc, 0.0))
+        c_lo, c_hi = (-qc - root) / (2.0 * rc), (-qc + root) / (2.0 * rc)
+        j_lo = np.floor(np.arccos(np.clip(c_hi, -1.0, 1.0)) * to_j)
+        j_hi = np.minimum(np.ceil(np.arccos(np.clip(c_lo, -1.0, 1.0)) * to_j), half)
+    whole, hit = ~np.isfinite(disc), (disc >= 0.0) & (c_lo <= 1.0) & (c_hi >= -1.0)
+    counts = np.zeros(len(q), dtype=np.intp)
+    lo_j[circle] = np.where(whole, 0, j_lo)
+    counts[circle] = np.where(whole, half + 1, np.where(hit, j_hi - j_lo + 1, 0))
+    fold(lo_j, counts)
     return best
 
 
@@ -435,12 +487,34 @@ class PolydiscSup:
     converged: bool
 
 
-def mk_bruteforce(
-    f: SpectralFunction,
-    ball: Ball,
-    rho_k: float,
-    norm_sq: float,
-) -> PolydiscSup:
+def polydisc_sups(f: SpectralFunction, items) -> list:
+    """mk_bruteforce of each (ball, rho_k, norm_sq) of items, bit for bit:
+    the items stay in step, each round one pass over all the live items'
+    samples, and an item leaves once it converges. Large rounds are pruned
+    (see the module docstring)."""
+    items = list(items)
+    if not all(norm_sq > 0 for _, _, norm_sq in items):
+        raise ValueError("polydisc sup needs positive mass on the ball")
+    out, log_sup = [None] * len(items), [-math.inf] * len(items)
+    live, n_q, n_phi = list(range(len(items))), 24, 48
+    for rounds in range(1, 6):
+        if not live:
+            break
+        n_samples = (n_q + 1) * (2 * n_phi + 1)
+        new = _round_maxima(f, [(items[i][0], 8.0 * items[i][1]) for i in live], n_q, n_phi)
+        for i, value in zip(live, new.tolist()):
+            converged = rounds > 1 and abs(value - log_sup[i]) <= math.log1p(0.01)
+            log_sup[i] = max(log_sup[i], value)
+            if converged or rounds == 5:
+                ball, _, norm_sq = items[i]
+                log_m = 0.5 * math.log(ball.volume) - 0.5 * math.log(norm_sq) + log_sup[i]
+                out[i] = PolydiscSup(max(log_m, 0.0), n_samples, rounds, converged)
+        live = [i for i in live if out[i] is None]
+        n_q, n_phi = 2 * n_q, 2 * n_phi
+    return out
+
+
+def mk_bruteforce(f: SpectralFunction, ball: Ball, rho_k: float, norm_sq: float) -> PolydiscSup:
     """Normalized sup of the analytic extension over Q + D(0, 8 rho_k).
 
     Samples the distinguished boundary (radius 8 rho_k around each real base
@@ -449,31 +523,11 @@ def mk_bruteforce(
     sup is normalized by the ball's mass norm_sq = ||f||^2_Q and by
     |Q| = ball.volume, and clamped to M >= 1 as in the defining lemma.
     n_samples counts the sample set, n_q + 1 real points and two circles of
-    n_phi angles around each, symmetric under conjugation; only its upper
-    half is evaluated, as |F(conj z)| = |F(z)| bit for bit (_polydisc_max).
+    n_phi angles around each, symmetric under conjugation; of its upper half
+    (|F(conj z)| = |F(z)| bit for bit) only what the majorant cannot rule
+    out is evaluated, as in polydisc_sups.
     """
-    if not norm_sq > 0:
-        raise ValueError("polydisc sup needs positive mass on the ball")
-    rho8 = 8.0 * rho_k
-    n_q, n_phi = 24, 48
-    log_sup = -math.inf
-    converged = False
-    for rounds in range(1, 6):
-        n_samples = (n_q + 1) * (2 * n_phi + 1)
-        new = _polydisc_max(f, ball, rho8, n_q, n_phi)
-        if rounds > 1 and abs(new - log_sup) <= math.log1p(0.01):
-            log_sup = max(log_sup, new)
-            converged = True
-            break
-        log_sup = max(log_sup, new)
-        n_q, n_phi = 2 * n_q, 2 * n_phi
-    log_m = 0.5 * math.log(ball.volume) - 0.5 * math.log(norm_sq) + log_sup
-    return PolydiscSup(
-        log_m=max(log_m, 0.0),
-        n_samples=n_samples,
-        rounds=rounds,
-        converged=converged,
-    )
+    return polydisc_sups(f, [(ball, rho_k, norm_sq)])[0]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ enters the proof only at the density premise and the local estimates, so the
 sweep keeps one store of sensor-free stages: the first case to reach a stage
 computes it, and the later cases reuse it. The premise, the derivative
 stack, each ball's mass and derivative quadratures and each ball's polydisc
-sup at a given rho_k read no eps and are computed once per sweep. The tail,
+sup at a given rho_k read no eps and are computed once per sweep, the sups a
+case lacks in one batch after its witnesses. The tail,
 covering, classification, bad mass, polydisc bound and each ball's witness
 read eps and are keyed on it, so they are computed once per eps. A witness's
 first grid scan reads no eps: the store keeps it for the balls of the latest
@@ -56,6 +57,7 @@ from .hermite import (
     _LOG2,
     _exp,
     _log,
+    effective_support_radius,
     log_factorial,
     norm_squared_on_interval_lists,
     weighted_norm,
@@ -67,8 +69,8 @@ from .local_estimates import (
     derivative_stack,
     local_estimate_check,
     mk_bound,
-    mk_bruteforce,
     pointwise_witness,
+    polydisc_sups,
 )
 from .semigroup import GSBound, delta_weight_transfer, tail_mass_check
 
@@ -206,10 +208,12 @@ class UncertaintyReport:
 
 def _masses_on_sensor(f: SpectralFunction, omega, balls) -> tuple:
     """||f||^2 on Q cap omega for each ball Q, and on omega, in one quadrature
-    pass; each is bit for bit norm_squared_on_intervals on its intervals."""
+    pass; each is bit for bit norm_squared_on_intervals on its intervals (omega
+    enters clipped to the effective support, where the quadrature clips)."""
     full = isinstance(omega, FullSpaceSensorSet)
     lists = [omega.intersect_interval(*ball.interval()) for ball in balls]
-    lists.append([] if full else zip(omega.starts, omega.ends))
+    radius = effective_support_radius(f)
+    lists.append([] if full else omega.intersect_interval(-radius, radius))
     *inter, on_omega = norm_squared_on_interval_lists(f, lists)
     return inter, f.norm_squared() if full else on_omega
 
@@ -407,9 +411,9 @@ def _run_pipeline(
         degenerate_mass=deg_mass,
     )
 
-    # one pass over the certified good balls: witness, analytic-extension
-    # sup and local estimate; the failures are raised after the pass, step by
-    # step, each naming its first ball
+    # the certified good balls: a pass of witnesses, one batch of
+    # analytic-extension sups, and a pass of local estimates; the failures
+    # are raised after them, step by step, each naming its first ball
     ub = once(("mk-bound", eps), lambda: mk_bound(cfg, profile))
     log_mk_reference = ub.log_bound if ub.log_intermediate is None else ub.log_intermediate
     # the witness grids of this covering's balls, 200 KB each; the others go
@@ -417,9 +421,7 @@ def _run_pipeline(
     for stale in grids.keys() - set(balls):
         del grids[stale]
     inter_masses, omega_mass = _masses_on_sensor(f, omega, [balls[a.k] for a in active])
-    unwitnessed, unconverged, missed = [], [], []
-    worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
-    sum_inter = 0.0
+    unwitnessed, unconverged, missed, witnessed = [], [], [], []
     gamma_floors, log_measured_factors = [], []
     for audit, inter_sq in zip(active, inter_masses):
         ball = balls[audit.k]
@@ -434,11 +436,15 @@ def _run_pipeline(
         if not wit.verified:
             unwitnessed.append(audit.k)
             continue
-        rho_k = float(profile.rho(wit.x_k))
-        brute = once(
-            ("mk-bruteforce", ball, rho_k),
-            lambda: mk_bruteforce(f, ball, rho_k, norm_sq=audit.mass_sq),
-        )
+        key = ("mk-bruteforce", ball, float(profile.rho(wit.x_k)))
+        witnessed.append((audit, inter_sq, gamma_floors[-1], key))
+    # the polydisc sups the store lacks, in one batch: x_k reads no sup
+    todo = {key: key[1:] + (audit.mass_sq,) for audit, *_, key in witnessed if key not in shared}
+    shared.update(zip(todo, polydisc_sups(f, list(todo.values()))))
+    worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
+    sum_inter = 0.0
+    for audit, inter_sq, floor, key in witnessed:
+        ball, brute = balls[audit.k], shared[key]
         local = local_estimate_check(f, ball, omega, brute.log_m, audit.mass_sq, inter_sq)
         audits[audit.k] = replace(
             audits[audit.k],
@@ -456,9 +462,7 @@ def _run_pipeline(
             continue
         worst_local = min(worst_local, local.log_lhs - local.log_rhs)
         sum_inter += local.intersection_mass_sq
-        worst_ball_density = min(
-            worst_ball_density, local.intersection_measure / ball.volume - gamma_floors[-1]
-        )
+        worst_ball_density = min(worst_ball_density, local.intersection_measure / ball.volume - floor)
         log_measured_factors.append(local.exponent * math.log(local.base))
     record("witness", not unwitnessed, n_checked=len(active), unwitnessed_balls=unwitnessed)
 

@@ -391,6 +391,55 @@ print(hashlib.sha256(_stack_scaled(stack, x).tobytes() + repr(sums).encode()).he
 """
 
 
+def _scaled_sum_mp(coeffs, z):
+    """sum_n c_n h_n(z) exp(z^2/2) at a complex z, to 50 digits, by the
+    forward recurrence of the scaled basis."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        prev, cur = mpmath.mpf(0), 1 / mpmath.root(mpmath.pi, 4)
+        total = mpmath.mpf(0)
+        for n, c in enumerate(coeffs):
+            total += mpmath.mpf(float(c)) * cur
+            prev, cur = cur, mpmath.sqrt(mpmath.mpf(2) / (n + 1)) * z * cur - mpmath.sqrt(mpmath.mpf(n) / (n + 1)) * prev
+        return abs(total)
+
+
+class TestMajorant:
+    """hermite.majorant bounds the polynomial part on a disc: the exact sum,
+    and its computed value, which the polydisc sup prunes with."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 7, 24, 40, hermite.MAX_DEGREE])
+    def test_never_below_the_sum_or_its_evaluation(self, degree):
+        f = random_expansion(degree + 1, degree)
+        radii = np.array([0.0, 0.5, 2.0, 7.5, 20.0, 40.0])
+        bounds = hermite.majorant(f.coeffs, radii)
+        for r, bound in zip(radii, bounds):
+            z = r * np.exp(1j * (2.0 * math.pi * np.arange(12) / 12 + 0.1))
+            computed = np.abs(_clenshaw_scaled(f.coeffs[None], z)[0])
+            assert np.all(computed <= bound), (degree, r)
+            assert all(_scaled_sum_mp(f.coeffs, point) <= bound for point in z), (degree, r)
+
+    @pytest.mark.parametrize("degree", [0, 2, 24, hermite.MAX_DEGREE])
+    def test_met_on_the_imaginary_axis(self, degree):
+        # with c_2m = (-1)^m every term of the sum at z = iy is |c_n| B_n(y):
+        # the bound is attained, and the computed value stays within the
+        # rounding the pruning's margin covers
+        coeffs = np.zeros(degree + 1)
+        coeffs[::2] = (-1.0) ** np.arange(len(coeffs[::2]))
+        y = np.array([0.0, 0.5, 3.0, 12.0, 40.0])
+        bounds = hermite.majorant(coeffs, y)
+        computed = np.abs(_clenshaw_scaled(coeffs[None], 1j * y)[0])
+        rounding = 10 * (degree + 2) * 2.0**-53
+        assert np.all(np.abs(computed - bounds) <= rounding * bounds)
+
+    def test_vectorized_over_radii(self):
+        f = random_expansion(5, 30)
+        radii = np.linspace(0.0, 40.0, 9)
+        together = hermite.majorant(f.coeffs, radii)
+        assert together.tolist() == [float(hermite.majorant(f.coeffs, r)) for r in radii]
+        assert np.all(np.diff(together) > 0.0)
+
+
 class TestStackKernel:
     """The shared-basis stack kernel: accurate to a few units in the last
     place of the sum of its terms' magnitudes, and every value bit for bit

@@ -36,6 +36,7 @@ from gsaudit.local_estimates import (
     mk_bound,
     mk_bruteforce,
     pointwise_witness,
+    polydisc_sups,
     series_bound,
     tail_condition_order,
 )
@@ -390,13 +391,33 @@ class TestMkBruteforce:
 
     def test_blocked_max_is_the_one_block_max(self):
         # one ring of the polydisc: a circle of radius 4 around each of 193
-        # base points on the ball
+        # base points on the ball, folded in near-equal blocks of at most
+        # _BLOCK points
         f = random_expansion(6, 30)
         base = np.linspace(*Ball(1.0, 1.3).interval(), 193)
-        ring = base[:, None] + 4.0 * np.exp(2j * math.pi * np.arange(384) / 384)[None, :]
+        ring = (base[:, None] + 4.0 * np.exp(2j * math.pi * np.arange(384) / 384)[None, :]).ravel()
         assert ring.size > 2 * hermite._BLOCK
-        whole = float(np.max(local_estimates._log_abs_analytic(f, ring.ravel())))
-        assert local_estimates._max_log_abs(f, ring) == whole
+        whole = float(np.max(local_estimates._log_abs_analytic(f, ring)))
+        best, owner = np.full(1, -math.inf), np.zeros(ring.size, dtype=np.intp)
+        local_estimates._fold_max(f, best, ring.size, lambda lo, hi: (ring[lo:hi], owner[lo:hi]))
+        assert best[0] == whole
+
+    def test_a_lone_point_takes_the_bits_of_a_longer_vector(self, monkeypatch):
+        # _clenshaw_scaled gives a 1-point vector other bits, so a lone point
+        # goes to the kernel twice over
+        f = random_expansion(3, 20)
+        z = np.array([0.3 + 2.1j, -1.2 + 0.4j])
+        sizes, real = [], local_estimates._log_abs_analytic
+
+        def recording(f, z):
+            sizes.append(z.size)
+            return real(f, z)
+
+        monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
+        best = np.full(1, -math.inf)
+        local_estimates._fold_max(f, best, 1, lambda lo, hi: (z[lo:hi], np.zeros(hi - lo, dtype=np.intp)))
+        assert sizes == [2]
+        assert best[0] == real(f, z)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -418,19 +439,14 @@ class TestMkBruteforce:
         assert upper.tobytes() == lower.tobytes()
 
     def test_half_ring_max_is_the_mirrored_ring_max(self, monkeypatch):
-        # _polydisc_max evaluates each circle on its upper half, angles
-        # 2 pi j / n_phi for j <= n_phi/2, a slice of base points at a time:
-        # those points and their mirrors are the whole sample set, and its
-        # max, evaluated in full, is the same float. Round 4's rings take
-        # three slices.
+        # _round_maxima evaluates each circle on its upper half, angles
+        # 2 pi j / n_phi for j <= n_phi/2, and of a round this large only the
+        # points the majorant cannot rule out: those points and their mirrors
+        # lie in the sample set, and the max is that of the whole set,
+        # evaluated in full, to the bit. Round 4's rings take several blocks.
         f = random_expansion(6, 30)
         ball, rho8, n_q, n_phi = Ball(1.0, 1.3), 4.0, 192, 384
-        q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
-        arc = np.exp(1j * (2.0 * math.pi * np.arange(n_phi // 2 + 1) / n_phi))
-        mirrored = np.concatenate([arc, arc.conj()])
-        samples = np.concatenate(
-            [q.astype(complex)] + [(q[:, None] + rho8 * v * mirrored[None, :]).ravel() for v in (1.0, 0.5)]
-        )
+        samples = _round_samples(ball, rho8, n_q, n_phi)
         whole = float(np.max(local_estimates._log_abs_analytic(f, samples)))
         evaluated = []
         real = local_estimates._log_abs_analytic
@@ -440,15 +456,16 @@ class TestMkBruteforce:
             return real(f, z)
 
         monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
-        assert local_estimates._polydisc_max(f, ball, rho8, n_q, n_phi) == whole
+        assert local_estimates._round_maxima(f, [(ball, rho8)], n_q, n_phi)[0] == whole
         evaluated = np.concatenate(evaluated)
-        assert len(q) * len(arc) > 2 * hermite._BLOCK and len(evaluated) < len(samples) / 2 + len(q) * 2
+        assert (n_q + 1) * (n_phi // 2 + 1) > 2 * hermite._BLOCK
+        assert len(evaluated) < len(samples) / 2 + (n_q + 1) * 2
         assert np.all(evaluated.imag >= 0.0)
-        assert set(np.concatenate([evaluated, evaluated.conj()]).tolist()) == set(samples.tolist())
+        assert set(np.concatenate([evaluated, evaluated.conj()]).tolist()) <= set(samples.tolist())
 
     def test_round_five_call_peaks_below_two_mib(self):
-        # half of each ring, about _BLOCK points at a time: a five-round call
-        # keeps well under one round-5 ring of 4.7 MB alive
+        # half of each ring, in blocks of at most _BLOCK points: a five-round
+        # call keeps well under one round-5 ring of 4.7 MB alive
         f = harmonic_flow(random_expansion(7, 12), 0.3)
         ball = Ball(2.0, 1.0)
         _brute(f, Ball(0.0, 1.0), 0.1)  # first-call allocations stay out of the trace
@@ -463,8 +480,8 @@ class TestMkBruteforce:
         assert peak < 2 * 2**20
 
     def test_round_five_call_hands_the_kernel_at_most_a_block(self, monkeypatch):
-        # _max_log_abs evaluates what it gets in one pass; _polydisc_max keeps
-        # that within _BLOCK points
+        # _log_abs_analytic evaluates what it gets in one pass; _fold_max
+        # keeps that within _BLOCK points, and above one
         f = harmonic_flow(random_expansion(7, 12), 0.3)
         ball = Ball(2.0, 1.0)
         sizes, real = [], local_estimates._log_abs_analytic
@@ -475,11 +492,11 @@ class TestMkBruteforce:
 
         monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
         assert mk_bruteforce(f, ball, 1.0, _mass(f, ball)).rounds == 5
-        assert hermite._BLOCK // 2 < max(sizes) <= hermite._BLOCK
+        assert 2 <= min(sizes) and max(sizes) <= hermite._BLOCK
 
     def test_all_rounds_in_bounded_memory(self):
-        # round 5 samples 591,745 points; one ring of them at a time keeps
-        # the peak near 6 MiB, where all three at once took 20 MiB
+        # round 5 samples 591,745 points; blocks of at most _BLOCK of them
+        # keep the peak near 1 MiB, where all three rings at once took 20 MiB
         f = harmonic_flow(random_expansion(7, 12), 0.3)
         ball = Ball(2.0, 1.0)
         _brute(f, Ball(0.0, 1.0), 0.1)  # first-call allocations stay out of the trace
@@ -492,6 +509,82 @@ class TestMkBruteforce:
             tracemalloc.stop()
         assert res.rounds == 5 and res.n_samples == 591_745
         assert peak < 8 * 2**20
+
+
+def _round_samples(ball, rho8, n_q, n_phi):
+    """A round's whole sample set, both halves of every circle: the real
+    points q and the circles of radius rho8 and rho8 / 2 around them, each
+    lower half the mirror image of its upper half."""
+    q = np.append(np.linspace(*ball.interval(), n_q), ball.center)
+    arc = np.exp(1j * (2.0 * math.pi * np.arange(n_phi // 2 + 1) / n_phi))
+    mirrored = np.concatenate([arc, arc.conj()])
+    circles = [(q[:, None] + rho8 * v * mirrored[None, :]).ravel() for v in (1.0, 0.5)]
+    return np.concatenate([q.astype(complex)] + circles)
+
+
+class TestPolydiscSups:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(0, 40),
+        discs=st.lists(
+            st.tuples(st.floats(-6.0, 6.0), st.floats(0.05, 2.0), st.floats(0.01, 2.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        n_q=st.integers(1, 128),
+        half=st.integers(1, 128),
+    )
+    # h_0 meets its majorant everywhere: only the margin keeps the max
+    @example(seed=0, degree=0, discs=[(0.0, 1.0, 0.5), (-0.0, 0.3, 1.5)], n_q=96, half=96)
+    @example(seed=1, degree=40, discs=[(5.0, 2.0, 2.0)], n_q=96, half=96)
+    # windows that reach phi = pi, where pi * n_phi / (2 pi) rounds up past half
+    @example(seed=1, degree=3, discs=[(-3.0, 1.0, 0.25), (3.0, 1.0, 0.25)], n_q=128, half=28)
+    def test_every_round_max_is_the_unpruned_max(self, seed, degree, discs, n_q, half):
+        f = random_expansion(seed, degree)
+        pairs = [(Ball(c, r), 8.0 * rho) for c, r, rho in discs]
+        got = local_estimates._round_maxima(f, pairs, n_q, 2 * half)
+        full = [
+            float(np.max(local_estimates._log_abs_analytic(f, _round_samples(ball, rho8, n_q, 2 * half))))
+            for ball, rho8 in pairs
+        ]
+        assert got.tolist() == full
+
+    def test_batch_is_each_ball_alone(self):
+        # items leaving at rounds 2, 3 and 4, and one that never settles
+        f = harmonic_flow(random_expansion(3, 24), 0.3)
+        discs = [(Ball(0.0, 1.0), 0.3), (Ball(2.0, 1.0), 0.6), (Ball(-3.0, 1.0), 1.0), (Ball(7.36, 2.7), 3.18)]
+        items = [(ball, rho_k, _mass(f, ball)) for ball, rho_k in discs]
+        batch = polydisc_sups(f, items)
+        assert batch == [mk_bruteforce(f, *item) for item in items]
+        assert [(res.rounds, res.converged) for res in batch] == [(2, True), (3, True), (4, True), (5, False)]
+        assert polydisc_sups(f, []) == []
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_majorant_evaluates_every_point(self, monkeypatch, value):
+        f = random_expansion(6, 30)
+        ball, rho8, n_q, n_phi = Ball(1.0, 1.3), 4.0, 96, 192
+        samples = _round_samples(ball, rho8, n_q, n_phi)
+        evaluated = []
+        real = local_estimates._log_abs_analytic
+
+        def recording(f, z):
+            evaluated.append(z.copy())
+            return real(f, z)
+
+        monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
+        monkeypatch.setattr(local_estimates, "majorant", lambda coeffs, r: np.full(np.shape(r), value))
+        got = local_estimates._round_maxima(f, [(ball, rho8)], n_q, n_phi)[0]
+        assert got == float(np.max(real(f, samples)))
+        # the real points and each circle's peak angle, then every angle of
+        # the upper half of every circle
+        evaluated = np.concatenate(evaluated)
+        assert len(evaluated) == 3 * (n_q + 1) + 2 * (n_q + 1) * (n_phi // 2 + 1)
+        assert set(evaluated.tolist()) == set(samples[samples.imag >= 0.0].tolist())
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(ValueError):
+            polydisc_sups(basis_function(0), [(Ball(0.0, 1.0), 0.5, 1.0), (Ball(2.0, 1.0), 0.5, 0.0)])
 
 
 def _log_terms(m, d_value, s):

@@ -343,10 +343,11 @@ class TestPipelineFailures:
         assert err.value.step == "admissibility"
 
     # each per-ball audit: the name the pipeline calls it by, and the field
-    # of its result that marks a failure
+    # of its result that marks a failure; the polydisc sups come in one
+    # batch of (ball, rho_k, mass) items per case
     BALL_AUDITS = {
         "witness": ("pointwise_witness", "verified"),
-        "mk-bound": ("mk_bruteforce", "converged"),
+        "mk-bound": ("polydisc_sups", "converged"),
         "local-estimate": ("local_estimate_check", "applicable"),
     }
     # which audits fail, on which of the certified good balls (positions in
@@ -379,12 +380,17 @@ class TestPipelineFailures:
         k_of = {(a.center, a.radius): a.k for a in report_periodic.ball_audits}
 
         def fail_on(real, ks, flag):
-            def audit(f, ball, *args, **kwargs):
-                result = real(f, ball, *args, **kwargs)
+            def failed(ball, result):
                 hit = k_of[ball.center, ball.radius] in ks
                 return replace(result, **{flag: False}) if hit else result
 
-            return audit
+            def audit(f, ball, *args, **kwargs):
+                return failed(ball, real(f, ball, *args, **kwargs))
+
+            def batch(f, items):
+                return [failed(ball, result) for (ball, *_), result in zip(items, real(f, items))]
+
+            return batch if real is uncertainty.polydisc_sups else audit
 
         for name, ks in chosen.items():
             attr, flag = self.BALL_AUDITS[name]
@@ -595,7 +601,12 @@ class TestSweepSharing:
             # a first-scan grid, named by its ends, the ball's interval
             lambda stack, x: [(x[0], x[-1])] if x.shape == (local_estimates.WITNESS_GRID,) else [],
         )
-        counting("polydisc", uncertainty, uncertainty.mk_bruteforce, lambda f, ball, rho_k: [(ball, rho_k)])
+        counting(
+            "polydisc",
+            uncertainty,
+            uncertainty.polydisc_sups,
+            lambda f, items: [(ball, rho_k) for ball, rho_k, _ in items],
+        )
         counting(
             "rules",
             local_estimates,
@@ -681,6 +692,33 @@ class TestSweepSharing:
         assert run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8"))).passed
         assert (len(witnessed), len(set(witnessed)), grids) == (65, 45, 48)
 
+    def test_committed_sweep_prunes_the_polydisc_samples(self, monkeypatch):
+        # uncertainty.json at its seed: the majorant leaves about 11% of the
+        # 1,305,345 upper-half samples of its 45 polydisc sups to evaluate, and
+        # each (ball, rho_k) is sampled once for the sweep
+        sampled, upper, evaluated = [], 0, 0
+        real_sups, real_logs = uncertainty.polydisc_sups, local_estimates._log_abs_analytic
+
+        def sups(f, items):
+            nonlocal upper
+            results = real_sups(f, items)
+            sampled.extend((ball, rho_k) for ball, rho_k, _ in items)
+            for res in results:
+                upper += sum((24 * 2**i + 1) * (48 * 2**i + 3) for i in range(res.rounds))
+            return results
+
+        def logs(f, z):
+            nonlocal evaluated
+            evaluated += z.size
+            return real_logs(f, z)
+
+        monkeypatch.setattr(uncertainty, "polydisc_sups", sups)
+        monkeypatch.setattr(local_estimates, "_log_abs_analytic", logs)
+        assert run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8"))).passed
+        assert (len(sampled), upper) == (45, 1_305_345)
+        assert len(set(sampled)) == len(sampled)
+        assert evaluated <= 0.15 * upper
+
     def test_a_second_sweep_starts_from_an_empty_store(self, monkeypatch, instance, cases):
         # the store lives for one call: a second sweep of the same cases
         # audits every stage again, and its reports are those of the first
@@ -713,7 +751,7 @@ class TestSweepSharing:
         assert swept.value.step == loop.value.step == "density"
         assert str(swept.value) == str(loop.value)
 
-    def test_one_worker_stops_at_the_first_failing_case(self, monkeypatch, instance):
+    def test_first_failing_case_stops_the_sweep(self, monkeypatch, instance):
         # the first case fails at density, so the later cases never run
         f, bound, profile = instance
         omega = sensor_periodic(1.0, 0.5)
