@@ -32,6 +32,7 @@ from .hermite import (
     SpectralFunction,
     evaluate,
     norm_squared_on_ball,
+    norm_squared_on_intervals,
     weighted_norm,
 )
 from .local_estimates import (
@@ -42,6 +43,7 @@ from .local_estimates import (
 )
 from .observability import MAX_TRUNCATION, observability_scan
 from .semigroup import (
+    SMOOTHING_SLACK,
     SMOOTHING_T0,
     fit_gs_bound,
     fit_smoothing_certificate,
@@ -453,7 +455,7 @@ def _run_smoothing_validate(cfg: dict):
             "theta": cfg["theta"],
             "t": t,
             "worst_ratio": ratio,
-            "passed": ratio <= 1.0 + 1e-9,
+            "passed": ratio <= 1.0 + SMOOTHING_SLACK,
             "x": t,
             "y": ratio,
         }
@@ -535,7 +537,9 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
             continue
         x_k = _argmax_on_ball(f, ball)
         brute = mk_bruteforce(f, ball, float(profile.rho(x_k)), norm_sq=mass)
-        check = local_estimate_check(f, ball, omega, brute.log_m, mass_sq=mass)
+        pieces = omega.intersect_interval(*ball.interval())
+        inter = norm_squared_on_intervals(f, pieces)
+        check = local_estimate_check(ball, pieces, brute.log_m, mass, inter)
         log_ratio = check.log_lhs - check.log_rhs
         produced += 1
         rows.append(

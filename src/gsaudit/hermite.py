@@ -13,7 +13,8 @@ refinement check (ball_norms_squared); norm_squared_on_interval_lists takes
 one 20-point rule, unchecked. Each Legendre rule is computed once per order.
 
 Evaluation runs one recurrence per input shape. A single expansion, at
-real or complex points, runs the Clenshaw recurrence, _clenshaw_scaled. A
+real or complex points, runs the Clenshaw recurrence over them as one flat
+vector (_clenshaw_scaled), so each value's bits are its point's alone. A
 stack of coefficient rows, such as a derivative stack, and basis_matrix run
 the forward recurrence of the scaled basis h_n(x) exp(x^2/2), once per
 block of points (_stack_scaled); each stack value is then one dot product
@@ -78,9 +79,8 @@ MAX_DEGREE = 64  # validated truncation; ladder images may exceed it
 # this relative amount
 _REFINEMENT_RTOL = 1e-8
 _PI_QUARTER = math.pi ** -0.25
-# array elements (rows x points) per block of a Clenshaw evaluation, and
-# points per block of a stack evaluation: small enough that a block's
-# temporaries stay in cache
+# points per block of a Clenshaw evaluation and of a stack evaluation: small
+# enough that a block's temporaries stay in cache
 _BLOCK = 1 << 14
 _STACK_BLOCK = 1 << 10
 
@@ -171,45 +171,33 @@ class Ball:
 # evaluation
 
 
-def _clenshaw_scaled(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # g(x) * exp(x^2/2) (the polynomial part) for the one coefficient row g
-    # of stack, at real or complex points: stable at large |x|, where h_n
-    # underflows. A vector of points goes in near-equal blocks of at most
-    # _BLOCK array elements.
-    #
-    # numpy rounds a complex product by the loop it picks for the operands'
-    # shapes, and a (1,) array times a (1, 1) one takes a loop no other
-    # shapes take. So a scalar point stays 0-d and no block holds a lone
-    # point of a longer vector: the products meet that loop where the plain
-    # recurrence's do, and nowhere else, and every value is bit for bit that
-    # of the plain recurrence over all the points at once.
+def _clenshaw_scaled(coeffs: np.ndarray, x) -> np.ndarray:
+    # g(x) * exp(x^2/2) (the polynomial part) for the coefficient vector g,
+    # at real or complex points of any shape: stable at large |x|, where h_n
+    # underflows. The points go as one flat vector, in blocks of _BLOCK
+    # points. numpy rounds a complex product of two flat vectors to the same
+    # bits at every length, so each value is that of its point alone.
     x = np.asarray(x)
-    points = x if x.ndim == 0 else x.reshape(-1)
-    rows, width = stack.shape
-    columns = np.ascontiguousarray(stack.T).reshape((width, rows) + (1,) * points.ndim)
-    dtype = np.result_type(x, 1.0)
-    blocks = -(-points.size // max(1, _BLOCK // rows))
-    if blocks <= 1:
-        out = _clenshaw_block(columns, points, dtype)
-    else:
-        pieces = np.array_split(points, blocks)
-        out = np.concatenate([_clenshaw_block(columns, p, dtype) for p in pieces], axis=1)
+    points = x.reshape(-1)
+    out = np.empty(points.shape, dtype=np.result_type(x, 1.0))
+    for lo in range(0, len(points), _BLOCK):
+        out[lo : lo + _BLOCK] = _clenshaw_block(coeffs, points[lo : lo + _BLOCK])
     np.multiply(_PI_QUARTER, out, out=out)
-    return out.reshape((rows,) + x.shape)
+    return out.reshape(x.shape)
 
 
-def _clenshaw_block(columns: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
+def _clenshaw_block(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     # b_k = c_k + sqrt(2/(k+1)) x b_{k+1} - sqrt((k+1)/(k+2)) b_{k+2}, in
     # place and in the operation order of the expression
-    b1 = np.zeros((columns.shape[1],) + x.shape, dtype=dtype)
+    b1 = np.zeros(x.shape, dtype=np.result_type(x, 1.0))
     b2 = np.zeros_like(b1)
     t = np.empty_like(b1)
-    cx = np.empty(x.shape, dtype=dtype)
+    cx = np.empty_like(b1)
     mul, add, sub, sqrt = np.multiply, np.add, np.subtract, math.sqrt
-    for k in range(len(columns) - 1, -1, -1):
+    for k in range(len(coeffs) - 1, -1, -1):
         mul(sqrt(2.0 / (k + 1)), x, cx)
         mul(cx, b1, t)
-        add(columns[k], t, t)
+        add(coeffs[k], t, t)
         mul(sqrt((k + 1.0) / (k + 2.0)), b2, b2)
         sub(t, b2, b2)
         b1, b2 = b2, b1
@@ -252,10 +240,10 @@ def majorant(coeffs: np.ndarray, r) -> np.ndarray:
     positive, B_k = |c_k| + sqrt(2/(k+1)) r B_{k+1} + sqrt((k+1)/(k+2)) B_{k+2},
     so that |b_k| <= B_k for each intermediate at z, by induction from the
     top. Each float step rounds terms bounded by their positive counterparts,
-    so every computed intermediate, and |_clenshaw_scaled(c, z)|, stays within
-    (1 + theta) of the majorant, theta about 6 (n+2) 2^-53 for degree n; the
-    majorant itself is within 4 (n+2) 2^-53 of its exact sum. Where it is
-    finite, no computed value at such a z is NaN.
+    so every computed intermediate, and |_clenshaw_scaled(c, z)| at any z of
+    the disc, stays within (1 + theta) of the majorant, theta about
+    6 (n+2) 2^-53 for degree n; the majorant itself is within 4 (n+2) 2^-53
+    of its exact sum. Where it is finite, no computed value there is NaN.
     """
     b1 = b2 = np.zeros_like(np.asarray(r, dtype=float))
     for k in range(len(coeffs) - 1, -1, -1):
@@ -269,18 +257,12 @@ def basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
     return _scaled_basis_matrix(max_degree, x) * np.exp(-0.5 * x**2)
 
 
-def _poly_part(f: SpectralFunction, points: np.ndarray) -> np.ndarray:
-    """f(points) * exp(x^2/2), vectorized over any array of real or complex
-    points; at complex z this is the entire extension times exp(z^2/2)."""
-    return _clenshaw_scaled(f.coeffs[None], points)[0]
-
-
 def evaluate(f: SpectralFunction, x) -> np.ndarray:
     """Pointwise values of f at real points (scalar or vector)."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim > 1:
         raise DimensionMismatchError("expansions take scalar or vector points")
-    vals = _poly_part(f, pts) * np.exp(-0.5 * pts**2)
+    vals = _clenshaw_scaled(f.coeffs, pts) * np.exp(-0.5 * pts**2)
     return vals if vals.ndim else float(vals)
 
 
@@ -524,10 +506,11 @@ def _rule_sums(
     """
     x, w, ends = _interval_rules(intervals, order, max_panel)
     terms = np.empty((len(stack), len(x)))
-    kernel, size = (_clenshaw_scaled, _BLOCK) if len(stack) == 1 else (_stack_scaled, _STACK_BLOCK)
+    size = _BLOCK if len(stack) == 1 else _STACK_BLOCK
     for lo in range(0, len(x), size):
         xb, wb = x[lo : lo + size], w[lo : lo + size]
-        vals = kernel(stack, xb) * np.exp(-0.5 * xb**2)
+        scaled = _clenshaw_scaled(stack[0], xb)[None] if len(stack) == 1 else _stack_scaled(stack, xb)
+        vals = scaled * np.exp(-0.5 * xb**2)
         weight = 1.0 + xb**2
         for n, row in enumerate(vals):
             terms[n, lo : lo + size] = wb * weight ** (delta * (first + n)) * row**2

@@ -10,10 +10,11 @@ with w(x) = (1+|x|^2)^(delta/2) and q_m = tilde_D2^(2m) (m!)^s. The test is
 run for m up to a cap; beyond the cap the condition is implied by the global
 derivative bound once 2^(m+1) >= eps D1^2 / (2 kappa ||f||^2_Q), which is
 recorded as a certified tail. Good balls admit a pointwise derivative bound
-at a witness point, an analytic extension to a complex neighborhood whose
-normalized sup M_k is bounded in closed form, and finally a local estimate
-transferring mass from Q to Q intersected with a sensor set. Everything
-large lives in log space.
+at a witness point (its grid scan reads eps, kappa and ||f||_Q only through
+one additive constant in logs, and is kept without it), an analytic
+extension to a complex neighborhood whose normalized sup M_k is bounded in
+closed form, and finally a local estimate transferring mass from Q to Q
+intersected with a sensor set. Everything large lives in log space.
 
 The sampled sup M_k (mk_bruteforce) runs for all of a case's balls at once
 (polydisc_sups). A round of many points evaluates, on a circle of radius r
@@ -40,9 +41,9 @@ from .hermite import (
     SpectralFunction,
     _BLOCK,
     _LOG2,
+    _clenshaw_scaled,
     _exp,
     _log,
-    _poly_part,
     _stack_scaled,
     ball_norms_squared,
     derivative,
@@ -50,7 +51,6 @@ from .hermite import (
     log_factorial,
     logsumexp,
     majorant,
-    norm_squared_on_intervals,
     norm_squared_outside_radius,
     refined_rows,
 )
@@ -354,7 +354,7 @@ def pointwise_witness(
     cfg: ClassifierConfig,
     mass_sq: float,
     derivatives: np.ndarray,
-    grids: dict,
+    scans: dict,
 ) -> WitnessResult:
     """Search the ball for a point satisfying the pointwise derivative bounds.
 
@@ -363,42 +363,41 @@ def pointwise_witness(
     ball must contain such a point; the scan of WITNESS_GRID points is refined
     once, to 4 * WITNESS_GRID, before reporting failure. mass_sq is the
     ball's mass ||f||^2_Q and derivatives is derivative_stack(f, m_cap).
-    grids holds first-scan grids, log |d^m f| on the WITNESS_GRID points (no
-    eps), by Ball, from calls with these derivatives; the ball's is read or added.
+    The log bounds read eps, kappa and the mass only through the constant
+    base = 0.5 log(2 kappa/eps) + 0.5 log ||f||^2_Q - 0.5 log |Q|. scans
+    holds, by (ball, number of points), a scan's best point and its margin
+    minus base, from calls with these derivatives and cfg's delta and order
+    terms; the ball's are read or added.
     """
     if not mass_sq > 0:
         raise ValueError("pointwise witness needs positive ball mass")
-    log_w_neg = _log_w_inf_neg(ball, cfg)
     base = (
         0.5 * math.log(2.0 * cfg.kappa / cfg.eps)
         + 0.5 * math.log(mass_sq)
         - 0.5 * math.log(ball.volume)
     )
-    log_rhs = [
-        base + (m + 1) * _LOG2 + log_q + 0.5 * m * log_w_neg
-        for m, (log_q, _) in enumerate(cfg.order_terms)
-    ]
 
-    def scan(n: int, logs=None):
-        grid = np.linspace(*ball.interval(), n)
-        logs = _log_abs_derivatives_at(derivatives, grid) if logs is None else logs
-        worst = np.full(n, np.inf)
-        for m in range(cfg.m_cap + 1):
-            worst = np.minimum(worst, log_rhs[m] - logs[m])
-        best = int(np.argmax(worst))
-        if math.isnan(worst[best]):
-            # argmax picks a NaN wherever there is one
-            raise NumericalError("pointwise witness: a derivative evaluated to NaN")
-        return grid[best], float(worst[best])
+    def scan(n: int) -> tuple:
+        if (ball, n) not in scans:
+            log_w_neg = _log_w_inf_neg(ball, cfg)
+            grid = np.linspace(*ball.interval(), n)
+            logs = _log_abs_derivatives_at(derivatives, grid)
+            worst = np.full(n, np.inf)
+            for m, (log_q, _) in enumerate(cfg.order_terms):
+                worst = np.minimum(worst, (m + 1) * _LOG2 + log_q + 0.5 * m * log_w_neg - logs[m])
+            best = int(np.argmax(worst))
+            if math.isnan(worst[best]):
+                # argmax picks a NaN wherever there is one
+                raise NumericalError("pointwise witness: a derivative evaluated to NaN")
+            scans[ball, n] = (float(grid[best]), float(worst[best]))
+        point, value = scans[ball, n]
+        return point, base + value
 
-    if ball not in grids:
-        grids[ball] = _log_abs_derivatives_at(derivatives, np.linspace(*ball.interval(), WITNESS_GRID))
-    point, margin = scan(WITNESS_GRID, grids[ball])
-    refined = False
-    if margin < 0.0:
-        refined = True
+    point, margin = scan(WITNESS_GRID)
+    refined = margin < 0.0
+    if refined:
         point, margin = scan(4 * WITNESS_GRID)
-    return WitnessResult(float(point), margin >= 0.0, refined)
+    return WitnessResult(point, margin >= 0.0, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def pointwise_witness(
 def _log_abs_analytic(f: SpectralFunction, z: np.ndarray) -> np.ndarray:
     # log |F(z)| on complex points; the Gaussian factor is applied in logs so
     # large imaginary parts cannot overflow.
-    vals = _poly_part(f, z)
+    vals = _clenshaw_scaled(f.coeffs, z)
     gauss = 0.5 * (z.imag**2 - z.real**2)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(vals)) + gauss
@@ -416,14 +415,10 @@ def _log_abs_analytic(f: SpectralFunction, z: np.ndarray) -> np.ndarray:
 
 def _fold_max(f: SpectralFunction, best: np.ndarray, total: int, points) -> None:
     # log |F| of the samples lo..hi-1, points(lo, hi) = (z, owner), into
-    # best[owner], for 0..total-1 in near-equal blocks of at most _BLOCK; a
-    # lone point goes twice, as _clenshaw_scaled gives a 1-point vector other
-    # bits. A NaN would vanish from a later max, so it raises
-    blocks = -(-total // _BLOCK)
-    for i in range(blocks):
-        z, owner = points(total * i // blocks, total * (i + 1) // blocks)
-        if z.size == 1:
-            z, owner = np.repeat(z, 2), np.repeat(owner, 2)
+    # best[owner], for 0..total-1 in blocks of _BLOCK. A NaN would vanish
+    # from a later max, so it raises
+    for lo in range(0, total, _BLOCK):
+        z, owner = points(lo, min(lo + _BLOCK, total))
         with np.errstate(invalid="ignore"):
             np.maximum.at(best, owner, _log_abs_analytic(f, z))
     if np.isnan(best).any():
@@ -680,29 +675,24 @@ class LocalEstimateReport:
 
 
 def local_estimate_check(
-    f: SpectralFunction,
     ball: Ball,
-    omega,
+    pieces,
     log_m_k: float,
     mass_sq: float,
-    inter_sq: float | None = None,
+    inter_sq: float,
 ) -> LocalEstimateReport:
     """Check (48 |Q|/|Q cap omega|)^(1+4 log M/log 2) ||f||^2_{Q cap omega} >= ||f||^2_Q.
 
-    The intersection is decomposed into intervals and both sides are
-    integrated directly; the comparison runs in log space since the exponent
-    is typically in the thousands. mass_sq is the ball's mass ||f||^2_Q, and
-    inter_sq ||f||^2_{Q cap omega} if the caller has it (None integrates it).
+    pieces are the intervals of Q cap omega, mass_sq is the ball's mass
+    ||f||^2_Q and inter_sq the mass ||f||^2_{Q cap omega} on the pieces;
+    the comparison runs in log space since the exponent is typically in the
+    thousands.
     """
     if log_m_k < -1e-12:
         raise ValueError("log M_k must be nonnegative (M_k >= 1)")
-    a, b = ball.interval()
-    pieces = omega.intersect_interval(a, b)
     measure = sum(hi - lo for lo, hi in pieces)
     if measure <= 0.0:
         return LocalEstimateReport(False, -math.inf, -math.inf, 0.0, 0.0, math.inf, math.inf)
-    if inter_sq is None:
-        inter_sq = norm_squared_on_intervals(f, pieces)
     base = 48.0 * ball.volume / measure  # 24 d 2^d = 48 in dimension 1
     exponent = 1.0 + 4.0 * max(log_m_k, 0.0) / _LOG2
     log_lhs = exponent * math.log(base) + _log(inter_sq)

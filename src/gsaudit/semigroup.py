@@ -36,6 +36,7 @@ from .hermite import (
 )
 
 __all__ = [
+    "SMOOTHING_SLACK",
     "SMOOTHING_T0",
     "GSBound",
     "GalerkinFlowResult",
@@ -56,6 +57,7 @@ __all__ = [
 
 # fitted smoothing certificates hold for t < SMOOTHING_T0
 SMOOTHING_T0 = 0.5
+SMOOTHING_SLACK = 1e-9  # a measured norm passes within 1 + this times its bound
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,7 @@ class SmoothingValidationReport:
 
     @property
     def passed(self) -> bool:
-        return self.worst_ratio <= 1.0 + 1e-9
+        return self.worst_ratio <= 1.0 + SMOOTHING_SLACK
 
 
 def validate_smoothing(

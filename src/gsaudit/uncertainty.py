@@ -24,13 +24,11 @@ list of cases of either kind, one after another in case order. The sensor
 enters the proof only at the density premise and the local estimates, so the
 sweep keeps one store of sensor-free stages: the first case to reach a stage
 computes it, and the later cases reuse it. The premise, the derivative
-stack, each ball's mass and derivative quadratures and each ball's polydisc
-sup at a given rho_k read no eps and are computed once per sweep, the sups a
-case lacks in one batch after its witnesses. The tail,
-covering, classification, bad mass, polydisc bound and each ball's witness
-read eps and are keyed on it, so they are computed once per eps. A witness's
-first grid scan reads no eps: the store keeps it for the balls of the latest
-covering, and drops the rest when the covering changes.
+stack, each ball's mass and derivative quadratures, witness scans (two
+floats each, see pointwise_witness) and polydisc sup at a given rho_k read
+no eps and are computed once per sweep, the sups a case lacks in one batch
+after its witnesses. The tail, covering, classification, bad mass and
+polydisc bound read eps and are keyed on it, so they are computed once per eps.
 """
 
 from __future__ import annotations
@@ -207,15 +205,16 @@ class UncertaintyReport:
 
 
 def _masses_on_sensor(f: SpectralFunction, omega, balls) -> tuple:
-    """||f||^2 on Q cap omega for each ball Q, and on omega, in one quadrature
-    pass; each is bit for bit norm_squared_on_intervals on its intervals (omega
-    enters clipped to the effective support, where the quadrature clips)."""
+    """The intervals of Q cap omega for each ball Q, ||f||^2 on each of them,
+    and ||f||^2 on omega, in one quadrature pass; each mass is bit for bit
+    norm_squared_on_intervals on its intervals (omega enters clipped to the
+    effective support, where the quadrature clips)."""
     full = isinstance(omega, FullSpaceSensorSet)
     lists = [omega.intersect_interval(*ball.interval()) for ball in balls]
     radius = effective_support_radius(f)
     lists.append([] if full else omega.intersect_interval(-radius, radius))
     *inter, on_omega = norm_squared_on_interval_lists(f, lists)
-    return inter, f.norm_squared() if full else on_omega
+    return lists[:-1], inter, f.norm_squared() if full else on_omega
 
 
 def _premise_check(f, bound, tilde, delta):
@@ -416,20 +415,14 @@ def _run_pipeline(
     # are raised after them, step by step, each naming its first ball
     ub = once(("mk-bound", eps), lambda: mk_bound(cfg, profile))
     log_mk_reference = ub.log_bound if ub.log_intermediate is None else ub.log_intermediate
-    # the witness grids of this covering's balls, 200 KB each; the others go
-    grids = shared.setdefault("witness-grids", {})
-    for stale in grids.keys() - set(balls):
-        del grids[stale]
-    inter_masses, omega_mass = _masses_on_sensor(f, omega, [balls[a.k] for a in active])
+    scans = shared.setdefault("witness-scans", {})
+    pieces, inter_masses, omega_mass = _masses_on_sensor(f, omega, [balls[a.k] for a in active])
     unwitnessed, unconverged, missed, witnessed = [], [], [], []
     gamma_floors, log_measured_factors = [], []
-    for audit, inter_sq in zip(active, inter_masses):
+    for audit, cut, inter_sq in zip(active, pieces, inter_masses):
         ball = balls[audit.k]
         gamma_floors.append(float(gamma_floor(abs(ball.center))))
-        wit = once(
-            ("witness", eps, audit.k),
-            lambda: pointwise_witness(f, ball, cfg, audit.mass_sq, derivs, grids),
-        )
+        wit = pointwise_witness(f, ball, cfg, audit.mass_sq, derivs, scans)
         audits[audit.k] = replace(
             audit, x_k=wit.x_k, witness_verified=wit.verified, witness_refined=wit.refined
         )
@@ -437,15 +430,15 @@ def _run_pipeline(
             unwitnessed.append(audit.k)
             continue
         key = ("mk-bruteforce", ball, float(profile.rho(wit.x_k)))
-        witnessed.append((audit, inter_sq, gamma_floors[-1], key))
+        witnessed.append((audit, cut, inter_sq, gamma_floors[-1], key))
     # the polydisc sups the store lacks, in one batch: x_k reads no sup
     todo = {key: key[1:] + (audit.mass_sq,) for audit, *_, key in witnessed if key not in shared}
     shared.update(zip(todo, polydisc_sups(f, list(todo.values()))))
     worst_mk, worst_local, worst_ball_density = -math.inf, math.inf, math.inf
     sum_inter = 0.0
-    for audit, inter_sq, floor, key in witnessed:
+    for audit, cut, inter_sq, floor, key in witnessed:
         ball, brute = balls[audit.k], shared[key]
-        local = local_estimate_check(f, ball, omega, brute.log_m, audit.mass_sq, inter_sq)
+        local = local_estimate_check(ball, cut, brute.log_m, audit.mass_sq, inter_sq)
         audits[audit.k] = replace(
             audits[audit.k],
             log_mk_bruteforce=brute.log_m,

@@ -628,6 +628,22 @@ def test_run_all_prints_report_digests(tmp_path, capsys):
     assert row[0] == "observability" and row[1] == "ok" and row[-1] == digest
 
 
+def test_digest_sweep_matrix_names_every_config():
+    # scripts/digest_sweep.py runs every committed config at its own seed and
+    # at seeds 0-10, and five uncertainty.json variants at three seeds each;
+    # every config of the matrix resolves
+    spec = importlib.util.spec_from_file_location("digest_sweep", RUN_ALL_PATH.with_name("digest_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    runs = sweep.matrix()
+    configs = sorted(p.stem for p in (RUN_ALL_PATH.parent / "configs").glob("*.json"))
+    assert len(configs) == 5 and len(runs) == 75
+    for stem in configs:
+        assert [seed for name, _, seed in runs if name == stem] == [None, *range(11)]
+    for _, config, _ in runs:
+        resolve_config(copy.deepcopy(config))
+
+
 # runs gsaudit.cli.main at --threads 2 on each (config, out) pair of argv in
 # one fresh interpreter, then prints the exit codes as the second-to-last line
 # and the scipy, multiprocessing and concurrent.futures modules it loaded as

@@ -22,6 +22,7 @@ from gsaudit.hermite import (
     log_factorial,
     logsumexp,
     norm_squared_on_ball,
+    norm_squared_on_intervals,
 )
 from gsaudit.local_estimates import (
     SERIES_TERM_CAP,
@@ -75,6 +76,13 @@ def _witness(f, ball, cfg):
 
 def _brute(f, ball, rho_k):
     return mk_bruteforce(f, ball, rho_k, _mass(f, ball))
+
+
+def _local(f, ball, omega, log_m_k, mass_sq):
+    # the local estimate on the pieces of Q cap omega and their mass, as the
+    # pipeline cuts and integrates them
+    pieces = omega.intersect_interval(*ball.interval())
+    return local_estimate_check(ball, pieces, log_m_k, mass_sq, norm_squared_on_intervals(f, pieces))
 
 
 class TestClassifierConfig:
@@ -318,7 +326,7 @@ class TestPointwiseWitness:
             (cls,) = classify_balls(f, [ball], cfg, derivs)
             if not cls.is_good or cls.degenerate:
                 continue
-            wit = pointwise_witness(f, ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs, grids={})
+            wit = pointwise_witness(f, ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs, scans={})
             assert wit.verified, f"good ball without witness at seed {seed}"
 
     def test_zero_mass_rejected(self):
@@ -343,17 +351,78 @@ class TestPointwiseWitness:
         ids=["verified", "refined"],
     )
     def test_shared_grid_gives_the_result_of_a_fresh_scan(self, f, ball, kwargs):
-        # the first scan's grid reads no eps: stored by the call at one eps,
-        # it serves the calls at the others, and each result, refined or
-        # not, is the one the call computes on its own
-        grids, results = {}, []
+        # a scan reads no eps: stored by the call at one eps, it serves the
+        # calls at the others, and each result, refined or not, is the one
+        # the call computes on its own
+        scans, results = {}, []
         for eps in (1.0, 0.1, 1e-3):
             cfg = _cfg(eps=eps, **kwargs)
             args = (f, ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap))
-            results.append(pointwise_witness(*args, grids))
+            results.append(pointwise_witness(*args, scans))
             assert results[-1] == pointwise_witness(*args, {})
-        assert list(grids) == [ball]
+        sizes = [local_estimates.WITNESS_GRID] + [4 * local_estimates.WITNESS_GRID] * (kwargs != {})
+        assert list(scans) == [(ball, n) for n in sizes]
         assert {r.refined for r in results} == {kwargs != {}}
+
+    def test_eps_free_scan_matches_the_per_eps_formula(self):
+        # seeded (f, ball, eps) triples, degrees 0-40: four or five eps per
+        # ball share one scans dict, and each result is exactly the per-eps
+        # scan's. The fifth eps, where there is one, puts the bound between
+        # the two scans' best margins, so that only the refined scan verifies
+        grid = local_estimates.WITNESS_GRID
+        rng = np.random.default_rng(2024)
+        results, scans = [], {}
+        for _ in range(60):
+            f = random_expansion(int(rng.integers(2**32)), int(rng.integers(0, 41)))
+            ball = Ball(float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.05, 2.0)))
+            mass = _mass(f, ball)
+            if not mass > 1e-40 * f.norm_squared():
+                continue
+            terms = {
+                "kappa": int(rng.integers(1, 4)),
+                "tilde_d2": float(rng.choice([1.0, 1.5, 3.0])),
+                "s": float(rng.choice([0.0, 0.5])),
+                "delta": float(rng.choice([0.0, 0.5, 1.0])),
+                "m_cap": int(rng.integers(0, 25)),
+            }
+            derivs = derivative_stack(f, terms["m_cap"])
+            at_one = [_reference_scan(ball, _cfg(**terms), mass, derivs, n)[1] for n in (grid, 4 * grid)]
+            between = [math.exp(min(at_one[1], 0.0) + at_one[0])] if at_one[0] < min(at_one[1], 0.0) else []
+            for eps in [1.0, 0.3, 1e-2, 1e-5, *between]:
+                cfg = _cfg(eps=eps, **terms)
+                got = pointwise_witness(f, ball, cfg, mass, derivs, scans)
+                assert (got.x_k, got.verified, got.refined) == _witness_reference(ball, cfg, mass, derivs)
+                results.append(got)
+        assert len(results) >= 200
+        assert {(r.verified, r.refined) for r in results} == {(True, False), (True, True), (False, True)}
+        assert all(type(a) is type(b) is float for a, b in scans.values())
+
+
+def _reference_scan(ball, cfg, mass_sq, derivatives, n):
+    """The best point of the per-eps scan on n grid points and its margin:
+    every order's log bound, eps and mass included, minus log |d^m f|."""
+    log_w_neg = local_estimates._log_w_inf_neg(ball, cfg)
+    base = 0.5 * math.log(2.0 * cfg.kappa / cfg.eps) + 0.5 * math.log(mass_sq) - 0.5 * math.log(ball.volume)
+    log_rhs = [
+        base + (m + 1) * math.log(2.0) + log_q + 0.5 * m * log_w_neg
+        for m, (log_q, _) in enumerate(cfg.order_terms)
+    ]
+    grid = np.linspace(*ball.interval(), n)
+    logs = local_estimates._log_abs_derivatives_at(derivatives, grid)
+    worst = np.full(n, np.inf)
+    for m in range(cfg.m_cap + 1):
+        worst = np.minimum(worst, log_rhs[m] - logs[m])
+    best = int(np.argmax(worst))
+    return float(grid[best]), float(worst[best])
+
+
+def _witness_reference(ball, cfg, mass_sq, derivatives):
+    """(x_k, verified, refined) by the per-eps scan, refined once."""
+    point, margin = _reference_scan(ball, cfg, mass_sq, derivatives, local_estimates.WITNESS_GRID)
+    refined = margin < 0.0
+    if refined:
+        point, margin = _reference_scan(ball, cfg, mass_sq, derivatives, 4 * local_estimates.WITNESS_GRID)
+    return point, margin >= 0.0, refined
 
 
 class TestMkBruteforce:
@@ -391,8 +460,7 @@ class TestMkBruteforce:
 
     def test_blocked_max_is_the_one_block_max(self):
         # one ring of the polydisc: a circle of radius 4 around each of 193
-        # base points on the ball, folded in near-equal blocks of at most
-        # _BLOCK points
+        # base points on the ball, folded in blocks of _BLOCK points
         f = random_expansion(6, 30)
         base = np.linspace(*Ball(1.0, 1.3).interval(), 193)
         ring = (base[:, None] + 4.0 * np.exp(2j * math.pi * np.arange(384) / 384)[None, :]).ravel()
@@ -402,22 +470,14 @@ class TestMkBruteforce:
         local_estimates._fold_max(f, best, ring.size, lambda lo, hi: (ring[lo:hi], owner[lo:hi]))
         assert best[0] == whole
 
-    def test_a_lone_point_takes_the_bits_of_a_longer_vector(self, monkeypatch):
-        # _clenshaw_scaled gives a 1-point vector other bits, so a lone point
-        # goes to the kernel twice over
+    def test_a_lone_point_takes_the_bits_of_a_longer_vector(self):
+        # a complex product of flat vectors rounds alike at every length, so
+        # a lone point goes to the kernel alone
         f = random_expansion(3, 20)
         z = np.array([0.3 + 2.1j, -1.2 + 0.4j])
-        sizes, real = [], local_estimates._log_abs_analytic
-
-        def recording(f, z):
-            sizes.append(z.size)
-            return real(f, z)
-
-        monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
         best = np.full(1, -math.inf)
         local_estimates._fold_max(f, best, 1, lambda lo, hi: (z[lo:hi], np.zeros(hi - lo, dtype=np.intp)))
-        assert sizes == [2]
-        assert best[0] == real(f, z)[0]
+        assert best[0] == local_estimates._log_abs_analytic(f, z)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -792,7 +852,7 @@ class TestLocalEstimateCheck:
         # omega covering the ball: base 48, exponent 1, ratio exactly 48
         f = random_expansion(2, 8)
         ball = Ball(0.2, 1.5)
-        rep = local_estimate_check(f, ball, IntervalSensorSet([(-50.0, 50.0)]), 0.0, _mass(f, ball))
+        rep = _local(f, ball, IntervalSensorSet([(-50.0, 50.0)]), 0.0, _mass(f, ball))
         assert rep.applicable and local_holds(rep)
         assert math.isclose(rep.base, 48.0, rel_tol=1e-14)
         assert rep.exponent == 1.0
@@ -805,39 +865,31 @@ class TestLocalEstimateCheck:
             f = basis_function(degree)
             mass = _mass(f, ball)
             brute = mk_bruteforce(f, ball, 1.0, mass)
-            rep = local_estimate_check(f, ball, omega, brute.log_m, mass)
+            rep = _local(f, ball, omega, brute.log_m, mass)
             assert rep.applicable and local_holds(rep)
 
     def test_dishonest_sup_detected(self):
         # claiming M = 1 while omega sits in a tiny window at the zero of h_5
         # must fail: the check has real teeth
         f, ball = basis_function(5), Ball(0.0, 2.0)
-        rep = local_estimate_check(f, ball, IntervalSensorSet([(-5e-7, 5e-7)]), 0.0, _mass(f, ball))
+        rep = _local(f, ball, IntervalSensorSet([(-5e-7, 5e-7)]), 0.0, _mass(f, ball))
         assert rep.applicable and not local_holds(rep)
 
     def test_empty_intersection_inapplicable(self):
         f, ball = basis_function(0), Ball(0.0, 1.0)
-        rep = local_estimate_check(f, ball, IntervalSensorSet([(10.0, 11.0)]), 0.0, _mass(f, ball))
+        rep = _local(f, ball, IntervalSensorSet([(10.0, 11.0)]), 0.0, _mass(f, ball))
         assert not rep.applicable and not local_holds(rep)
 
     def test_negative_log_sup_rejected(self):
         with pytest.raises(ValueError):
-            local_estimate_check(
-                basis_function(0), Ball(0.0, 1.0), IntervalSensorSet([(-1.0, 1.0)]), -0.5, ERF1
-            )
+            _local(basis_function(0), Ball(0.0, 1.0), IntervalSensorSet([(-1.0, 1.0)]), -0.5, ERF1)
 
     def test_two_dimensional_rejected(self):
         # 2D inputs are refused where they are built
         with pytest.raises(ValueError):
             SpectralFunction(np.ones((1, 1)))
         with pytest.raises(ValueError):
-            local_estimate_check(
-                basis_function(0),
-                Ball((0.0, 0.0), 1.0),
-                IntervalSensorSet([(-1.0, 1.0)]),
-                0.0,
-                ERF1,
-            )
+            local_estimate_check(Ball((0.0, 0.0), 1.0), [(-1.0, 1.0)], 0.0, ERF1, ERF1)
 
 
 class TestAnalyticityCheck:

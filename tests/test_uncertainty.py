@@ -234,8 +234,9 @@ def test_batched_sensor_masses_are_each_balls_own(instance):
     omega = IntervalSensorSet([(-cut - 3.0, -cut + 0.25), *strips, (cut - 0.5, cut + 20.0)])
     balls = [Ball(0.0, 5.0), Ball(12.0, 0.5), Ball(-cut, 1.0), Ball(cut, 2.0), Ball(cut + 10.0, 1.0)]
     for sensor, whole in ((omega, zip(omega.starts, omega.ends)), (FullSpaceSensorSet(), [(-cut, cut)])):
-        inter, on_omega = uncertainty._masses_on_sensor(f, sensor, balls)
+        cuts, inter, on_omega = uncertainty._masses_on_sensor(f, sensor, balls)
         pieces = [sensor.intersect_interval(*ball.interval()) for ball in balls]
+        assert cuts == pieces
         assert inter == [_own_pass(f, p) for p in pieces]
         assert inter == [norm_squared_on_intervals(f, p) for p in pieces]
         if sensor is omega:
@@ -342,13 +343,14 @@ class TestPipelineFailures:
             verify_uncertainty(f, bound, profile, FullSpaceSensorSet(), gamma=0.0, eps=0.1)
         assert err.value.step == "admissibility"
 
-    # each per-ball audit: the name the pipeline calls it by, and the field
-    # of its result that marks a failure; the polydisc sups come in one
-    # batch of (ball, rho_k, mass) items per case
+    # each per-ball audit: the name the pipeline calls it by, the field of
+    # its result that marks a failure, and the position of its ball
+    # argument; the polydisc sups come in one batch of (ball, rho_k, mass)
+    # items per case
     BALL_AUDITS = {
-        "witness": ("pointwise_witness", "verified"),
-        "mk-bound": ("polydisc_sups", "converged"),
-        "local-estimate": ("local_estimate_check", "applicable"),
+        "witness": ("pointwise_witness", "verified", 1),
+        "mk-bound": ("polydisc_sups", "converged", None),
+        "local-estimate": ("local_estimate_check", "applicable", 0),
     }
     # which audits fail, on which of the certified good balls (positions in
     # their list), and the step that must report it; unsettled polydisc
@@ -379,13 +381,13 @@ class TestPipelineFailures:
         chosen = {name: sorted(active[i].k for i in where) for name, where in failing.items()}
         k_of = {(a.center, a.radius): a.k for a in report_periodic.ball_audits}
 
-        def fail_on(real, ks, flag):
+        def fail_on(real, ks, flag, at):
             def failed(ball, result):
                 hit = k_of[ball.center, ball.radius] in ks
                 return replace(result, **{flag: False}) if hit else result
 
-            def audit(f, ball, *args, **kwargs):
-                return failed(ball, real(f, ball, *args, **kwargs))
+            def audit(*args):
+                return failed(args[at], real(*args))
 
             def batch(f, items):
                 return [failed(ball, result) for (ball, *_), result in zip(items, real(f, items))]
@@ -393,8 +395,8 @@ class TestPipelineFailures:
             return batch if real is uncertainty.polydisc_sups else audit
 
         for name, ks in chosen.items():
-            attr, flag = self.BALL_AUDITS[name]
-            monkeypatch.setattr(uncertainty, attr, fail_on(getattr(uncertainty, attr), ks, flag))
+            attr, flag, at = self.BALL_AUDITS[name]
+            monkeypatch.setattr(uncertainty, attr, fail_on(getattr(uncertainty, attr), ks, flag, at))
         error = NumericalError if step == "mk-bound" else PipelineError
         with pytest.raises(error) as err:
             verify_uncertainty(f, bound, profile, sensor_periodic(1.0, 0.5), gamma=0.3, eps=0.1)
@@ -630,12 +632,10 @@ class TestSweepSharing:
         assert len(calls["cover"]) == 2
         assert len(calls["ball"]) == per_eps(lambda r: r.covering["n_balls"])
         assert len(set(calls["ball"])) == len(calls["ball"])
-        # each active ball's witness once per eps
-        checked = per_eps(lambda r: sum(a.witness_verified is not None for a in r.ball_audits))
+        # each case's active balls witnessed, and each witnessed ball's
+        # first scan once for the sweep: its two floats serve every eps
+        checked = sum(a.witness_verified is not None for r in reports for a in r.ball_audits)
         assert len(calls["witness"]) == checked > 0
-        assert len(set(calls["witness"])) == len(calls["witness"])
-        # each witnessed ball's first-scan grid once: the cases visit eps 1.0
-        # before 0.5, and a ball of both coverings keeps its grid
         witnessed = {Ball(*key[1:]).interval() for key in calls["witness"]}
         assert sorted(calls["grid"]) == sorted(witnessed)
         # each ball's quadratures, and its polydisc sup at each rho_k, once
@@ -654,27 +654,9 @@ class TestSweepSharing:
         assert sorted(calls["polydisc"], key=repr) == sorted(sampled, key=repr)
         assert len(calls["stack"]) == len(calls["premise"]) == 1
 
-    def test_store_holds_only_the_current_coverings_grids(self, monkeypatch, instance, cases):
-        # after each witness call the store's grids are those of balls of the
-        # case's covering: moving to the other eps drops the others
-        held = []
-        real = uncertainty.pointwise_witness
-
-        def witness(f, ball, cfg, mass_sq, derivatives, grids):
-            result = real(f, ball, cfg, mass_sq, derivatives, grids)
-            held.append((cfg.eps, set(grids)))
-            return result
-
-        monkeypatch.setattr(uncertainty, "pointwise_witness", witness)
-        reports = []
-        self._sweep(instance, cases, reports)
-        balls = {r.eps: {Ball(a.center, a.radius) for a in r.ball_audits} for r in reports}
-        assert balls[1.0] != balls[0.5]
-        assert held and all(grids and grids <= balls[eps] for eps, grids in held)
-
     def test_committed_sweep_shares_witness_grids(self, monkeypatch):
-        # uncertainty.json at its seed: 65 witness calls on 45 balls take 48
-        # grids; a ball leaving the covering and coming back costs one more
+        # uncertainty.json at its seed: 195 witness calls (65 per sensor) on
+        # 45 balls take 45 first scans, one per ball, whatever the eps
         witnessed, grids = [], 0
         real_witness, real_logs = uncertainty.pointwise_witness, local_estimates._log_abs_derivatives_at
 
@@ -690,7 +672,7 @@ class TestSweepSharing:
         monkeypatch.setattr(uncertainty, "pointwise_witness", witness)
         monkeypatch.setattr(local_estimates, "_log_abs_derivatives_at", logs)
         assert run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8"))).passed
-        assert (len(witnessed), len(set(witnessed)), grids) == (65, 45, 48)
+        assert (len(witnessed), len(set(witnessed)), grids) == (195, 45, 45)
 
     def test_committed_sweep_prunes_the_polydisc_samples(self, monkeypatch):
         # uncertainty.json at its seed: the majorant leaves about 11% of the
