@@ -7,21 +7,26 @@ differentiation and coordinate multiplication through the ladder relations
     x h_n(x) = sqrt(n/2) h_{n-1}(x) + sqrt((n+1)/2) h_{n+1}(x),
 
 so a whole-line norm ||(1+x^2)^(k/2) g|| with an integer power k is an
-exact sum of coefficient norms (weighted_norm). Norms on balls and
-fractional-power norms take two composite Gauss-Legendre rules and a
-refinement check (ball_norms_squared); norm_squared_on_interval_lists takes
-one 20-point rule, unchecked. Each Legendre rule is computed once per order.
+exact sum of coefficient norms (weighted_norm). The products h_j h_k
+integrate over intervals in closed form, from the basis at the interval
+ends (interval_gram): the sensor mass matrix and the mass outside a radius
+(norm_squared_outside_radius), which a rounding term makes an upper bound.
+Norms on balls and fractional-power norms take two composite Gauss-Legendre
+rules and a refinement check (ball_norms_squared);
+norm_squared_on_interval_lists takes one 20-point rule, unchecked. Each
+Legendre rule is computed once per order.
 
 Evaluation runs one recurrence per input shape. A single expansion, at
 real or complex points, runs the Clenshaw recurrence over them as one flat
 vector (_clenshaw_scaled), so each value's bits are its point's alone. A
-stack of coefficient rows, such as a derivative stack, and basis_matrix run
-the forward recurrence of the scaled basis h_n(x) exp(x^2/2), once per
-block of points (_stack_scaled); each stack value is then one dot product
-of its row with its point's basis vector, a contraction that runs no BLAS,
-so its bits do not depend on the batch, the block, the other rows or the
-number of BLAS threads. majorant runs the Clenshaw recurrence with positive
-signs: it bounds the polynomial part, and its computed value, on a disc.
+stack of coefficient rows, such as a derivative stack, runs the forward
+recurrence of the scaled basis h_n(x) exp(x^2/2) once per block of points
+(_stack_scaled), as interval_gram does at the ends. Each stack value is
+then one dot product of its row with its point's basis vector, a
+contraction that runs no BLAS, so its bits do not depend on the batch, the
+block, the other rows or the number of BLAS threads. majorant runs the
+Clenshaw recurrence with positive signs: it bounds the polynomial part, and
+its computed value, on a disc.
 
 Every Legendre quadrature runs through one batched kernel, _rule_sums: it
 takes a list of intervals, concatenates their composite-rule nodes,
@@ -56,11 +61,10 @@ __all__ = [
     "QuadratureConvergenceError",
     "SpectralFunction",
     "ball_norms_squared",
-    "basis_function",
-    "basis_matrix",
     "derivative",
     "effective_support_radius",
     "evaluate",
+    "interval_gram",
     "log_factorial",
     "logsumexp",
     "majorant",
@@ -83,6 +87,7 @@ _PI_QUARTER = math.pi ** -0.25
 # enough that a block's temporaries stay in cache
 _BLOCK = 1 << 14
 _STACK_BLOCK = 1 << 10
+_CLIP = 40.0  # interval_gram clips its ends to +-_CLIP
 
 
 class DimensionMismatchError(ValueError):
@@ -135,13 +140,6 @@ class SpectralFunction:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
-
-
-def basis_function(degree: int) -> SpectralFunction:
-    """Pure basis element h_n."""
-    c = np.zeros(int(degree) + 1)
-    c[-1] = 1.0
-    return SpectralFunction(c)
 
 
 @dataclass(frozen=True)
@@ -249,12 +247,6 @@ def majorant(coeffs: np.ndarray, r) -> np.ndarray:
     for k in range(len(coeffs) - 1, -1, -1):
         b1, b2 = abs(coeffs[k]) + math.sqrt(2.0 / (k + 1)) * r * b1 + math.sqrt((k + 1.0) / (k + 2.0)) * b2, b1
     return _PI_QUARTER * b1
-
-
-def basis_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Matrix of h_n(x_j), shape (max_degree + 1, len(x))."""
-    x = np.asarray(x, dtype=float)
-    return _scaled_basis_matrix(max_degree, x) * np.exp(-0.5 * x**2)
 
 
 def evaluate(f: SpectralFunction, x) -> np.ndarray:
@@ -580,11 +572,49 @@ def norm_squared_on_ball(f: SpectralFunction, ball: Ball, atol: float = 0.0) -> 
     return max(value, 0.0)
 
 
+def interval_gram(max_degree: int, pieces) -> np.ndarray:
+    """G[j, k] = sum over the pieces (a, b) of int_a^b h_j h_k, for
+    j, k <= max_degree, in closed form from the basis at the ends.
+
+    From h_n'' = (x^2 - 2n - 1) h_n, the Wronskian gives the off-diagonal
+    entries [h_j' h_k - h_j h_k']_a^b / (2 (k - j)), and with h = h_(n-1)
+    the diagonal runs n I_n = n I_(n-1) + [h h' - x h^2]_a^b / 2 up from
+    I_0 = (erf b - erf a) / 2, taken by erfc on each side of 0. Both take
+    h_n' = g_n - x h_n with g_n = sqrt(2n) h_(n-1), in which the x h terms
+    of the Wronskian cancel exactly; the Gaussian factor takes x^2 split
+    exactly into two floats. The ends are clipped to +-40, where every h_n
+    (n <= 90) and erfc evaluate to 0.0, so infinite and far ends give exact
+    zeros. Each sum over the ends is np.sum's pairwise one, no BLAS call,
+    as a running sum over the 640 ends of a decaying sensor loses 5e-14.
+    G is exactly symmetric.
+    """
+    ab = np.array([(a, b) for a, b in pieces if b > -_CLIP and a < _CLIP], dtype=float).reshape(-1, 2)
+    ab = np.clip(ab, -_CLIP, _CLIP)
+    x, sign = ab.ravel(), np.tile([-1.0, 1.0], len(ab))
+    # x^2 = sq + err exactly, by Dekker's split of x into two 26-bit halves
+    sq, hi = x * x, x * 134217729.0
+    hi -= hi - x
+    err = hi * hi - sq + 2.0 * hi * (x - hi) + (x - hi) ** 2
+    h = _scaled_basis_matrix(max_degree, x) * (np.exp(-0.5 * sq) * (1.0 - 0.5 * err))
+    n = np.arange(max_degree + 1)
+    g = np.sqrt(2.0 * n)[:, None] * h[n - 1]
+    wronskian = np.array([np.sum(row * h, axis=1) for row in g * sign])
+    gram = (wronskian - wronskian.T) / (2.0 * (n - n[:, None]) + np.eye(len(n)))
+    steps = np.sum(h * sign * (g - 2.0 * x * h), axis=1)
+    # erf x = s (1 - erfc |x|) with s the sign of x: the 1s add up exactly
+    s = np.where(x < 0, -1.0, 1.0) * sign
+    i0 = np.sum(s) - np.sum(s * np.array([math.erfc(v) for v in np.abs(x).tolist()]))
+    np.fill_diagonal(gram, np.cumsum(np.concatenate(([i0 / 2.0], steps[:-1] / (2.0 * n[1:])))))
+    return gram
+
+
 def norm_squared_outside_radius(f: SpectralFunction, r: float) -> float:
-    """Mass of f^2 outside [-r, r]."""
+    """Mass of f^2 outside [-r, r], rounded up: c^T G c over the half-lines
+    by interval_gram, plus 4 (N+2) 2^-53 |c|^T |G| |c| for degree N. Below
+    the smallest normal float it is the mass to a few subnormal units."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    cutoff = effective_support_radius(f)
-    if r >= cutoff:
-        return 0.0
-    return norm_squared_on_intervals(f, [(-cutoff, -r), (r, cutoff)])
+    c = f.coeffs
+    gram = interval_gram(f.max_degree, [(-math.inf, -r), (r, math.inf)])
+    slack = 4 * (f.max_degree + 2) * 2.0**-53 * np.einsum("j,jk,k", abs(c), abs(gram), abs(c))
+    return float(np.einsum("j,jk,k", c, gram, c) + slack)

@@ -349,7 +349,6 @@ class WitnessResult:
 
 
 def pointwise_witness(
-    f: SpectralFunction,
     ball: Ball,
     cfg: ClassifierConfig,
     mass_sq: float,

@@ -6,7 +6,8 @@ on span{h_0, ..., h_{N-1}} both sides of the observability inequality
     ||T(T) g||^2 <= C * integral_0^T ||T(t) g||^2_{L^2(omega)} dt
 
 are explicit quadratic forms: the left side is diagonal, and the right side
-is the sensor mass matrix filtered through a closed-form time integral. The
+is the sensor mass matrix, itself in closed form from the basis at the
+interval ends, filtered through a closed-form time integral. The
 smallest valid C is the top eigenvalue of the symmetric-definite pencil.
 As 1_omega <= 1 puts G_omega below G_R in PSD order, a scan checks every
 constant against the closed-form full-line one, and monotonicity in T.
@@ -20,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FullSpaceSensorSet, sensor_id
-from .hermite import (
-    NumericalError,
-    QuadratureConvergenceError,
-    _interval_rules,
-    basis_function,
-    basis_matrix,
-    effective_support_radius,
-)
+from .hermite import NumericalError, interval_gram
 
 __all__ = [
     "GramianError",
@@ -65,40 +59,12 @@ def _rates(n_trunc: int) -> np.ndarray:
 
 
 def mass_matrix(omega, n_trunc: int) -> np.ndarray:
-    """Matrix of sensor-set inner products A[m, n] = int_omega h_m h_n.
-
-    Composite Gauss-Legendre on the sensor intervals clipped to the
-    effective support of the retained modes, with a refinement check:
-    doubling the resolution must move every entry by at most 1e-11 of the
-    largest entry (or of 1, if that is larger).
-    """
+    """Matrix of sensor-set inner products A[m, n] = int_omega h_m h_n, in
+    closed form from the basis at the interval ends (interval_gram)."""
     _check_trunc(n_trunc)
     if isinstance(omega, FullSpaceSensorSet):
         return np.eye(n_trunc)
-
-    cutoff = effective_support_radius(basis_function(n_trunc - 1))
-    pieces = [
-        (max(a, -cutoff), min(b, cutoff))
-        for a, b in zip(omega.starts, omega.ends)
-        if b > -cutoff and a < cutoff
-    ]
-    if not pieces:
-        return np.zeros((n_trunc, n_trunc))
-
-    def assemble(order: int, max_panel: float) -> np.ndarray:
-        x, w, _ = _interval_rules(pieces, order, max_panel)
-        basis = basis_matrix(n_trunc - 1, x)
-        return (basis * w) @ basis.T
-
-    coarse = assemble(24, 0.5)
-    fine = assemble(48, 0.25)
-    scale = max(1.0, float(np.abs(fine).max()))
-    drift = float(np.abs(fine - coarse).max())
-    if drift > 1e-11 * scale:
-        raise QuadratureConvergenceError(
-            f"mass matrix: refinement moved an entry by {drift:.3e}"
-        )
-    return 0.5 * (fine + fine.T)
+    return interval_gram(n_trunc - 1, zip(omega.starts, omega.ends))
 
 
 def observability_gramian(mass: np.ndarray, T: float) -> np.ndarray:

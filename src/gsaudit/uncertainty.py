@@ -422,7 +422,7 @@ def _run_pipeline(
     for audit, cut, inter_sq in zip(active, pieces, inter_masses):
         ball = balls[audit.k]
         gamma_floors.append(float(gamma_floor(abs(ball.center))))
-        wit = pointwise_witness(f, ball, cfg, audit.mass_sq, derivs, scans)
+        wit = pointwise_witness(ball, cfg, audit.mass_sq, derivs, scans)
         audits[audit.k] = replace(
             audit, x_k=wit.x_k, witness_verified=wit.verified, witness_refined=wit.refined
         )

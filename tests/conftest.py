@@ -15,6 +15,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def basis_function(degree: int) -> SpectralFunction:
+    """Pure basis element h_n."""
+    c = np.zeros(int(degree) + 1)
+    c[-1] = 1.0
+    return SpectralFunction(c)
+
+
 def random_expansion(seed: int, degree: int) -> SpectralFunction:
     """Seeded random expansion with unit L2 norm."""
     rng = np.random.default_rng(seed)

@@ -644,6 +644,29 @@ def test_digest_sweep_matrix_names_every_config():
         resolve_config(copy.deepcopy(config))
 
 
+def test_report_diff_compares_two_reports():
+    # scripts/report_diff.py: numbers on a path move by their largest
+    # relative step, list indices folded; a value to or from 0, a changed
+    # type or string and a key one side lacks are listed one by one
+    spec = importlib.util.spec_from_file_location("report_diff", RUN_ALL_PATH.with_name("report_diff.py"))
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+    old = {"c": [1.0, 2.0, 0.0], "log": "-inf", "n": 3, "ok": True, "s": {"id": "a", "v": 4.0}, "x": 1}
+    new = {"c": [1.0, 2.2, 5e-175], "log": -575.0, "n": 3, "ok": 1, "s": {"id": "b", "v": 4.0}, "y": 1}
+    moves, changes = report_diff.diff(old, new)
+    assert moves == {"$.c[]": pytest.approx(0.2 / 2.2, rel=1e-15)}
+    missing = report_diff.MISSING
+    assert changes == [
+        ("$.c[2]", 0.0, 5e-175),
+        ("$.log", "-inf", -575.0),
+        ("$.ok", True, 1),
+        ("$.s.id", "a", "b"),
+        ("$.x", 1, missing),
+        ("$.y", missing, 1),
+    ]
+    assert report_diff.diff(old, old) == ({}, [])
+
+
 # runs gsaudit.cli.main at --threads 2 on each (config, out) pair of argv in
 # one fresh interpreter, then prints the exit codes as the second-to-last line
 # and the scipy, multiprocessing and concurrent.futures modules it loaded as
@@ -685,10 +708,10 @@ def test_committed_configs_run_without_scipy(tmp_path):
     }
     assert digests == {
         "lemma_suite": "13bf5153",
-        "observability": "a1115e6a",
+        "observability": "504cc9d9",
         "smoothing_validate": "739dea98",
-        "uncertainty": "70ecb0f7",
-        "uncertainty_decay": "0430cf5d",
+        "uncertainty": "90347fa4",
+        "uncertainty_decay": "6cfa513c",
     }
     *_, codes, modules = done.stdout.strip().splitlines()
     assert json.loads(codes) == [EXIT_OK] * len(configs), done.stdout

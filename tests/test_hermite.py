@@ -25,8 +25,6 @@ from gsaudit.hermite import (
     DimensionMismatchError,
     SpectralFunction,
     ball_norms_squared,
-    basis_function,
-    basis_matrix,
     derivative,
     evaluate,
     gauss_hermite,
@@ -40,7 +38,7 @@ from gsaudit.hermite import (
     weighted_norm,
 )
 from gsaudit.local_estimates import derivative_family, derivative_stack
-from conftest import random_expansion
+from conftest import basis_function, random_expansion
 
 
 def hermite_fn_mp(n: int, z) -> mpmath.mpf:
@@ -496,15 +494,15 @@ class TestStackKernel:
 
 
 def _basis_reference(max_degree, x):
-    """basis_matrix's forward recurrence, written out as one expression per
-    degree: (sqrt(2/(n+1)) * x) * out[n] - sqrt(n/(n+1)) * out[n-1]."""
+    """_scaled_basis_matrix's forward recurrence, written out as one
+    expression per degree: (sqrt(2/(n+1)) * x) * out[n] - sqrt(n/(n+1)) * out[n-1]."""
     out = np.empty((max_degree + 1,) + x.shape)
     out[0] = hermite._PI_QUARTER
     if max_degree >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
     for n in range(1, max_degree):
         out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out * np.exp(-0.5 * x**2)
+    return out
 
 
 def _linspace_nodes(a, b, order, max_panel):
@@ -735,17 +733,144 @@ class TestRegionNorms:
         assert norm_squared_outside_radius(basis_function(3), 120.0) == 0.0
 
 
+def _monomial_rows(max_degree):
+    """Row n: the monomial coefficients of h_n(x) exp(x^2/2), in mpmath."""
+    rows = [[mpmath.mpf(0)] * (max_degree + 1) for _ in range(max_degree + 1)]
+    rows[0][0] = mpmath.pi ** mpmath.mpf(-0.25)
+    for n in range(max_degree):
+        up, down = mpmath.sqrt(mpmath.mpf(2) / (n + 1)), mpmath.sqrt(mpmath.mpf(n) / (n + 1))
+        for m in range(max_degree + 1):
+            rows[n + 1][m] = (up * rows[n][m - 1] if m else 0) - (down * rows[n - 1][m] if n else 0)
+    return rows
+
+
+def _gaussian_moments(count, a, b):
+    """int_a^b x^m exp(-x^2) dx for m < count, in mpmath: on 0 <= a < b it is
+    (Gamma((m+1)/2, a^2) - Gamma((m+1)/2, b^2)) / 2, the upper incomplete
+    Gamma run up by Gamma(s+1, y) = s Gamma(s, y) + y^s e^-y from
+    Gamma(1/2, y) = sqrt(pi) erfc(sqrt(y)) and Gamma(1, y) = e^-y."""
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    if a < 0 < b:
+        return [u + v for u, v in zip(_gaussian_moments(count, a, 0), _gaussian_moments(count, 0, b))]
+    if b <= 0:
+        return [(-1) ** m * v for m, v in enumerate(_gaussian_moments(count, -b, -a))]
+
+    def upper(y):
+        if y == mpmath.inf:
+            return [mpmath.mpf(0)] * count
+        out = [mpmath.sqrt(mpmath.pi) * mpmath.erfc(mpmath.sqrt(y)), mpmath.exp(-y)]
+        for m in range(2, count):
+            out.append((m - 1) / mpmath.mpf(2) * out[m - 2] + y ** (mpmath.mpf(m - 1) / 2) * mpmath.exp(-y))
+        return out[:count]
+
+    return [(u - v) / 2 for u, v in zip(upper(a * a), upper(b * b))]
+
+
+def _gram_reference(max_degree, pieces):
+    """sum over the pieces of int_a^b h_j h_k, from the monomial rows and the
+    Gaussian moments at 100 digits: the cancellation costs at most 35 of
+    them at degree 48, so the entries carry 50 or more."""
+    with mpmath.workdps(100):
+        rows = _monomial_rows(max_degree)
+        moments = [sum(v) for v in zip(*(_gaussian_moments(2 * max_degree + 1, a, b) for a, b in pieces))]
+        half = [[mpmath.fdot(row, moments[q : q + max_degree + 1]) for q in range(max_degree + 1)] for row in rows]
+        return np.array([[float(mpmath.fdot(h, row)) for row in rows] for h in half])
+
+
+def _tail_reference(coeffs, r):
+    """int_{|x| > r} f^2 at 100 digits: the square of f's polynomial part
+    against the moments of exp(-x^2) outside [-r, r], Gamma((m+1)/2, r^2)
+    for even m and 0 for odd m."""
+    with mpmath.workdps(100):
+        rows = _monomial_rows(len(coeffs) - 1)
+        poly = [mpmath.fsum(mpmath.mpf(float(c)) * row[m] for c, row in zip(coeffs, rows)) for m in range(len(coeffs))]
+        moments = [2 * v for v in _gaussian_moments(2 * len(coeffs) - 1, r, mpmath.inf)]
+        return mpmath.fsum(p * q * moments[i + j] for i, p in enumerate(poly) for j, q in enumerate(poly) if (i + j) % 2 == 0)
+
+
+class TestIntervalGram:
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [(2.0, 2.01)],
+            [(-0.7, 1.3)],
+            [(5.0, 7.5)],
+            [(-7.5, -5.0)],
+            [(-25.0, 25.0)],
+            [(0.5, math.inf)],
+            [(3.0, math.inf)],
+            [(-math.inf, -3.0), (3.0, math.inf)],
+            [(-3.0, -2.5), (-0.2, 0.3), (1.0, 4.0)],
+        ],
+        ids=str,
+    )
+    def test_entries_match_mpmath(self, pieces):
+        got = hermite.interval_gram(48, pieces)
+        want = _gram_reference(48, pieces)
+        assert np.abs(got - want).max() <= 2e-15
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize(
+        "pieces, full",
+        [
+            ([(1e300, math.inf)], False),
+            ([(-math.inf, -1e300)], False),
+            ([(-math.inf, -1e300), (50.0, 1e300)], False),
+            ([(-math.inf, math.inf)], True),
+            ([(-1e300, 1e300)], True),
+            ([], False),
+        ],
+    )
+    def test_far_and_infinite_ends_are_exact(self, pieces, full):
+        # the clip at +-40 turns every far end into exact zeros: no overflow,
+        # no NaN, and the whole line gives the identity bit for bit
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = hermite.interval_gram(48, pieces)
+        assert np.array_equal(got, np.eye(49) if full else np.zeros((49, 49)))
+
+    def test_pieces_add_up(self):
+        pieces = [(-4.0, -1.0), (-1.0, 0.5), (0.5, 6.0)]
+        total = sum(hermite.interval_gram(30, [piece]) for piece in pieces)
+        assert np.abs(hermite.interval_gram(30, pieces) - total).max() <= 1e-15
+
+    def test_outside_radius_is_an_upper_bound(self):
+        # seeded (f, r) pairs, degrees 0-40 and r from 0.3 to past the
+        # support: never below the 100-digit tail, and above it by at most
+        # the rounding term the bound adds plus a relative 1e-12. That term
+        # is 4 (N+2) 2^-53 |c|^T |G| |c|, which an expansion whose terms
+        # cancel outside the radius makes the larger part: degree 40 at
+        # r = 9.88 here, 203 times the tail. Below the smallest normal float
+        # the products carry fewer bits, and the value is the tail to within
+        # a few units of the smallest subnormal.
+        rng = np.random.default_rng(31)
+        normal, tight = 0, 0
+        for _ in range(120):
+            f = random_expansion(int(rng.integers(2**32)), int(rng.integers(0, 41)))
+            r = float(rng.uniform(0.3, 32.0))
+            got, want = norm_squared_outside_radius(f, r), _tail_reference(f.coeffs, r)
+            gram = abs(hermite.interval_gram(f.max_degree, [(-math.inf, -r), (r, math.inf)]))
+            slack = 4 * (f.max_degree + 2) * 2.0**-53 * abs(f.coeffs) @ gram @ abs(f.coeffs)
+            if want >= np.finfo(float).tiny:
+                normal += 1
+                tight += got <= want * (1 + 1e-12)
+                assert want <= got <= want * (1 + 1e-12) + slack, (f.max_degree, r)
+            else:
+                assert abs(got - float(want)) <= 1e-320, (f.max_degree, r)
+        assert normal >= 100 and tight >= 0.9 * normal
+
+
 class TestBasisMatrix:
     def test_bits_match_the_expression(self):
-        # mass_matrix (the observability digest) and the stack kernel read
-        # these bits: any rewrite of the recurrence must keep its order
+        # the stack kernel and interval_gram read these bits: any rewrite of
+        # the recurrence must keep its order
         x = np.concatenate([np.linspace(-30.0, 30.0, 601), np.random.default_rng(3).uniform(-30.0, 30.0, 400)])
         for max_degree in range(hermite.MAX_DEGREE + 24 + 1):
-            assert basis_matrix(max_degree, x).tobytes() == _basis_reference(max_degree, x).tobytes(), max_degree
+            got = hermite._scaled_basis_matrix(max_degree, x)
+            assert got.tobytes() == _basis_reference(max_degree, x).tobytes(), max_degree
 
     def test_orthonormality_under_quadrature(self):
         x, w = gauss_hermite(80)
-        h = basis_matrix(40, x) * np.exp(0.5 * x**2)
+        h = hermite._scaled_basis_matrix(40, x)
         gram = (h * w) @ h.T
         assert np.max(np.abs(gram - np.eye(41))) < 1e-12
 

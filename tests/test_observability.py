@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from gsaudit import observability
-from gsaudit.geometry import FullSpaceSensorSet, IntervalSensorSet, sensor_periodic
-from gsaudit.hermite import NumericalError
+from gsaudit import hermite, observability
+from gsaudit.geometry import (
+    FullSpaceSensorSet,
+    IntervalSensorSet,
+    RadiusProfile,
+    sensor_decaying_density,
+    sensor_periodic,
+)
+from gsaudit.hermite import NumericalError, norm_squared_on_intervals
 from gsaudit.observability import (
     GramianError,
     MAX_TRUNCATION,
@@ -19,6 +25,8 @@ from gsaudit.observability import (
     observability_scan,
 )
 from gsaudit.uncertainty import _jsonable
+
+from conftest import basis_function, random_expansion
 
 # closed-form half-line inner products: int_0^inf h_m h_n
 HALF_A01 = 1.0 / math.sqrt(2.0 * math.pi)  # 0.3989422804014327
@@ -32,7 +40,54 @@ def half_line():
     return IntervalSensorSet([(0.0, 400.0)], "half line")
 
 
+def _quadrature_mass_matrix(omega, n_trunc):
+    """The mass matrix as it was assembled by quadrature: composite
+    Gauss-Legendre on the sensor intervals clipped to the effective support,
+    24 points on panels of at most 0.5 and 48 on panels of at most 0.25,
+    which must agree to 1e-11 of the largest entry; the fine one, symmetrized."""
+    cutoff = hermite.effective_support_radius(basis_function(n_trunc - 1))
+    pieces = [(max(a, -cutoff), min(b, cutoff)) for a, b in zip(omega.starts, omega.ends) if b > -cutoff and a < cutoff]
+
+    def assemble(order, max_panel):
+        x, w, _ = hermite._interval_rules(pieces, order, max_panel)
+        basis = hermite._scaled_basis_matrix(n_trunc - 1, x) * np.exp(-0.5 * x**2)
+        return (basis * w) @ basis.T
+
+    coarse, fine = assemble(24, 0.5), assemble(48, 0.25)
+    assert np.abs(fine - coarse).max() <= 1e-11 * max(1.0, np.abs(fine).max())
+    return 0.5 * (fine + fine.T)
+
+
+SENSORS = {
+    "fill-0.5": sensor_periodic(1.0, 0.5),
+    "fill-0.75": sensor_periodic(1.0, 0.75),
+    "period-0.3": sensor_periodic(0.3, 0.5),
+    "decaying": sensor_decaying_density(0.25, 2.0, RadiusProfile()),
+}
+
+
 class TestMassMatrix:
+    @pytest.mark.parametrize("n_trunc", [13, 40, 48])
+    @pytest.mark.parametrize("sensor", SENSORS)
+    def test_closed_form_matches_the_quadrature(self, sensor, n_trunc):
+        omega = SENSORS[sensor]
+        got = mass_matrix(omega, n_trunc)
+        assert np.abs(got - _quadrature_mass_matrix(omega, n_trunc)).max() <= 1e-14
+
+    @pytest.mark.parametrize("fill", [0.5, 0.75])
+    def test_quadratic_form_is_the_interval_norm(self, fill):
+        # two independent integrators of f^2 on omega: the closed-form mass
+        # matrix and the 20-point rule on each sensor interval
+        omega = sensor_periodic(1.0, fill)
+        mass = mass_matrix(omega, 40)
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            f = random_expansion(int(rng.integers(2**32)), int(rng.integers(0, 40)))
+            c = np.zeros(40)
+            c[: len(f.coeffs)] = f.coeffs
+            want = norm_squared_on_intervals(f, list(zip(omega.starts, omega.ends)))
+            assert c @ mass @ c == pytest.approx(want, rel=1e-12)
+
     def test_full_space_is_identity(self):
         A = mass_matrix(FullSpaceSensorSet(), 8)
         assert np.array_equal(A, np.eye(8))

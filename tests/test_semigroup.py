@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from gsaudit import semigroup
 from gsaudit.experiments import run_experiment
-from gsaudit.hermite import NumericalError, SpectralFunction, basis_function, weighted_norm
+from gsaudit.hermite import NumericalError, SpectralFunction, weighted_norm
 from gsaudit.semigroup import (
     SMOOTHING_T0,
     GSBound,
@@ -37,7 +37,7 @@ from gsaudit.semigroup import (
     validate_smoothing,
 )
 
-from conftest import random_expansion, step_holds
+from conftest import basis_function, random_expansion, step_holds
 
 # quartic oscillator -f'' + x^4 f ground energy, halved for our normalization
 QUARTIC_GROUND_HALF = 0.5301810452420915

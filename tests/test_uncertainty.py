@@ -348,7 +348,7 @@ class TestPipelineFailures:
     # argument; the polydisc sups come in one batch of (ball, rho_k, mass)
     # items per case
     BALL_AUDITS = {
-        "witness": ("pointwise_witness", "verified", 1),
+        "witness": ("pointwise_witness", "verified", 0),
         "mk-bound": ("polydisc_sups", "converged", None),
         "local-estimate": ("local_estimate_check", "applicable", 0),
     }
@@ -587,7 +587,7 @@ class TestSweepSharing:
 
             monkeypatch.setattr(module, fn.__name__, wrapped)
 
-        def ball_key(f, ball, cfg, *args):
+        def ball_key(ball, cfg, *args):
             return [(cfg.eps, ball.center, ball.radius)]
 
         def covering_keys(f, balls, cfg, derivatives):
@@ -660,9 +660,9 @@ class TestSweepSharing:
         witnessed, grids = [], 0
         real_witness, real_logs = uncertainty.pointwise_witness, local_estimates._log_abs_derivatives_at
 
-        def witness(f, ball, *args):
+        def witness(ball, *args):
             witnessed.append(ball)
-            return real_witness(f, ball, *args)
+            return real_witness(ball, *args)
 
         def logs(stack, x):
             nonlocal grids
