@@ -396,7 +396,7 @@ def _run_uncertainty(cfg: dict):
         cases += [{"omega": omega, "eps": eps, **density} for eps in cfg["eps_grid"]]
     reports = []
     rows = k_effective_sweep(f, bound, profile, cases, f_id=f_id, reports_out=reports)
-    payload = {"bound": reports[0].bound, "reports": reports}
+    payload = {"reports": reports}
     if cfg["kind"] == "uncertainty":
         payload["spread"] = k_effective_spread(rows)
     return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], None
@@ -530,14 +530,14 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
         center = float(rng.uniform(-3.0, 3.0))
         ball = Ball(center, float(profile.rho(center)))
         omega = sensors[attempts % len(sensors)]
-        if omega.measure_in_ball(ball) < cfg["min_density"] * ball.volume:
+        pieces = omega.intersect_interval(*ball.interval())
+        if sum(hi - lo for lo, hi in pieces) < cfg["min_density"] * ball.volume:
             continue
         mass = norm_squared_on_ball(f, ball, atol=1e-25 * f.norm_squared())
         if mass <= 1e-16 * f.norm_squared():
             continue
         x_k = _argmax_on_ball(f, ball)
         brute = mk_bruteforce(f, ball, float(profile.rho(x_k)), norm_sq=mass)
-        pieces = omega.intersect_interval(*ball.interval())
         inter = norm_squared_on_intervals(f, pieces)
         check = local_estimate_check(ball, pieces, brute.log_m, mass, inter)
         log_ratio = check.log_lhs - check.log_rhs

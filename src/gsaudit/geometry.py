@@ -196,9 +196,6 @@ class FullSpaceSensorSet:
     def __init__(self, description: str = "full space"):
         self.description = description
 
-    def measure_in_ball(self, ball: Ball) -> float:
-        return ball.volume
-
     def intersect_interval(self, a: float, b: float) -> list:
         return [(a, b)] if b > a else []
 
@@ -220,13 +217,6 @@ class IntervalSensorSet:
         self.description = description
         self._cum = np.concatenate([[0.0], np.cumsum(self.ends - self.starts)])
 
-    def measure_in(self, a: float, b: float) -> float:
-        """Exact measure of the set inside [a, b] (interval arithmetic)."""
-        if b <= a:
-            return 0.0
-        a_arr, b_arr = self._measure_prefix(np.array([a])), self._measure_prefix(np.array([b]))
-        return float(b_arr[0] - a_arr[0])
-
     def measure_in_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._measure_prefix(np.asarray(b, float)) - self._measure_prefix(
             np.asarray(a, float)
@@ -242,10 +232,6 @@ class IntervalSensorSet:
         prev_len = np.where(idx > 0, self.ends[np.maximum(idx - 1, 0)] - self.starts[np.maximum(idx - 1, 0)], 0.0)
         overshoot = np.clip(prev_end - x, 0.0, prev_len)
         return full - overshoot
-
-    def measure_in_ball(self, ball: Ball) -> float:
-        a, b = ball.interval()
-        return self.measure_in(a, b)
 
     def intersect_interval(self, a: float, b: float) -> list:
         """Disjoint interval list of the set clipped to [a, b]."""

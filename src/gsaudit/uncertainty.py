@@ -6,12 +6,12 @@ covering into good and bad balls, then, in one pass over the certified good
 balls, find a pointwise witness, bound the analytic-extension sup and apply
 the local estimate on each, and sum with the covering overlap. Every
 inequality along the way is audited with both its measured sides and the
-closed-form constants; the report records each step and the smallest
-constant that actually works for the instance next to the pipeline's
-provable one. STEPS declares every step once, with the slack of its
-inequality, and a step's verdict is derived from the two log sides it
-records, so it is exactly the margin the report shows. A report's JSON form
-is derived from its fields by _jsonable.
+closed-form constants; the report records each step, the pipeline's
+provable constant in the formal-chain step, and next to them the smallest
+constant that actually works for the instance. STEPS declares every step
+once, with the slack of its inequality, and a step's verdict is derived from
+the two log sides it records, so it is exactly the margin the report shows.
+A report's JSON form is derived from its fields by _jsonable.
 
 verify_uncertainty_decay does the same for sensor sets whose density decays
 polynomially, with per-ball density floors and the squared-log constant.
@@ -171,9 +171,8 @@ class BallAudit:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """One audited instance; its fields are the keys of its JSON form.
-    passed is the literal True, kept for the report's bytes: every failing
-    step raises."""
+    """One audited instance; its fields are the keys of its JSON form. Every
+    value an audited inequality reads sits in its step's sides or detail."""
 
     kind: str  # "uncertainty" or "uncertainty-decay"
     f_id: str
@@ -182,26 +181,9 @@ class UncertaintyReport:
     gamma: tuple  # ("constant", g) or ("decaying", gamma0, a)
     profile: RadiusProfile
     bound: dict
-    tail_radius: float
-    covering: dict
-    n_good: int
-    n_uncertified: int
-    n_bad: int
-    n_degenerate: int
     ball_audits: tuple  # BallAudit per non-degenerate ball, in k order
     steps: tuple
-    total_mass: float
-    omega_mass: float
-    error_term: float  # eps * D1^2
-    good_mass: float
-    bad_mass: float
-    q0_mass_upper: float
-    log_lhs: float  # log ||f||^2
-    log_rhs_formal: float  # log of the explicit-constant right-hand side
-    k_formal: float
     k_effective: float | None
-    error_term_dominated: bool
-    passed: bool
 
 
 def _masses_on_sensor(f: SpectralFunction, omega, balls) -> tuple:
@@ -289,7 +271,7 @@ def _run_pipeline(
         raise PipelineError("admissibility", "gamma must lie in (0, 1]")
     if decaying and (not 0.0 < gamma_spec[1] <= 1.0 or gamma_spec[2] < 0.0):
         raise PipelineError("admissibility", "need gamma0 in (0, 1] and a >= 0")
-    record("admissibility", s=s, tilde_d2=tilde.D2, eps=eps)
+    record("admissibility")
 
     # the declared derivative bounds must actually majorize f; no nonzero
     # expansion meets an exponent below 1/2
@@ -378,13 +360,13 @@ def _run_pipeline(
     # the certified good balls; an uncertified ball's tail condition is
     # unknown beyond the classifier cap, and its mass already sits in the eps budget
     active = [a for a in audits.values() if a.tail_certified]
-    counts = {
-        "n_good": len(active),
-        "n_uncertified": bad_report.n_uncertified,
-        "n_bad": bad_report.n_bad,
-        "n_degenerate": bad_report.n_degenerate,
-    }
-    record("classification", **counts)
+    record(
+        "classification",
+        n_good=len(active),
+        n_uncertified=bad_report.n_uncertified,
+        n_bad=bad_report.n_bad,
+        n_degenerate=bad_report.n_degenerate,
+    )
     record(
         "bad-mass",
         log_lhs=_log(bad_report.total),
@@ -407,6 +389,7 @@ def _run_pipeline(
         log_rhs=_log(covered),
         covered_mass=covered,
         total_mass=total_mass,
+        good_mass=good_mass,
         degenerate_mass=deg_mass,
     )
 
@@ -508,7 +491,11 @@ def _run_pipeline(
     log_chain = max(log_measured_factors, default=-math.inf) + math.log(kappa)
     log_chain_rhs = float(np.logaddexp(log_chain + _log(omega_mass), _log(deg_mass)))
     record(
-        "measured-chain", log_lhs=log_main, log_rhs=log_chain_rhs, error_term_dominated=dominated
+        "measured-chain",
+        log_lhs=log_main,
+        log_rhs=log_chain_rhs,
+        error_term=error_term,
+        error_term_dominated=dominated,
     )
 
     # formal chain with the closed-form constants
@@ -518,16 +505,14 @@ def _run_pipeline(
     gamma_min = min(gamma_floors, default=float(gamma_floor(covering.target_radius)))
     log_formal_factor = exponent_formal * math.log(48.0 / gamma_min) + math.log(kappa)
     log_rhs_formal = float(np.logaddexp(log_formal_factor + _log(omega_mass), _log(error_term)))
-    log_lhs = _log(total_mass)
     d2_power = _exp((4.0 / (1.0 - s)) * math.log(bound.D2))
     bracket = 1.0 + math.log(1.0 / eps) + d2_power
     denom = bracket**2 if decaying else bracket
-    k_formal = log_formal_factor / denom
     record(
         "formal-chain",
-        log_lhs=log_lhs,
+        log_lhs=_log(total_mass),
         log_rhs=log_rhs_formal,
-        k_formal=k_formal,
+        k_formal=log_formal_factor / denom,
         exponent_formal=exponent_formal,
         bracket=bracket,
     )
@@ -545,23 +530,9 @@ def _run_pipeline(
         gamma=gamma_spec,
         profile=profile,
         bound={**asdict(bound), "tilde_D2": tilde.D2, "s": s},
-        tail_radius=tail.r,
-        covering=summary,
-        **counts,
         ball_audits=tuple(audits.values()),
         steps=tuple(steps),
-        total_mass=total_mass,
-        omega_mass=omega_mass,
-        error_term=error_term,
-        good_mass=good_mass,
-        bad_mass=bad_report.bad_mass,
-        q0_mass_upper=bad_report.q0_mass_upper,
-        log_lhs=log_lhs,
-        log_rhs_formal=log_rhs_formal,
-        k_formal=k_formal,
         k_effective=k_effective,
-        error_term_dominated=dominated,
-        passed=True,
     )
 
 
@@ -620,6 +591,7 @@ def verify_uncertainty_decay(
 
 def _sweep_row(report: UncertaintyReport) -> dict:
     k_eff = report.k_effective
+    detail = {step.name: step.detail for step in report.steps}
     if report.kind == "uncertainty":
         norm = 1.0 + math.log(1.0 / report.eps)
         density = {
@@ -634,11 +606,11 @@ def _sweep_row(report: UncertaintyReport) -> dict:
         "eps": report.eps,
         **density,
         "k_effective": k_eff,
-        "k_formal": report.k_formal,
-        "error_term_dominated": report.error_term_dominated,
-        "n_good": report.n_good,
-        "n_bad": report.n_bad,
-        "passed": report.passed,
+        "k_formal": detail["formal-chain"]["k_formal"],
+        "error_term_dominated": detail["measured-chain"]["error_term_dominated"],
+        "n_good": detail["classification"]["n_good"],
+        "n_bad": detail["classification"]["n_bad"],
+        "passed": True,  # every failing step raises
         "x": report.eps,
         "y": k_eff,
     }

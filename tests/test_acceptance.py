@@ -243,7 +243,7 @@ def test_uncertainty_sweep(sweep):
     assert len(rows) >= 10
     assert all(row["passed"] for row in rows)
     for report in reports:
-        assert report.passed
+        assert all(s.passed for s in report.steps)
         assert step_of(report, "measured-chain").passed
         assert step_of(report, "formal-chain").passed
     assert {row["eps"] for row in rows} == set(EPS_GRID)
@@ -259,7 +259,7 @@ def test_uncertainty_decay_instances(instance):
     for gamma0, a, eps in ((0.5, 1.0, 0.1), (0.25, 2.0, 0.1), (0.5, 1.0, 0.5)):
         omega = sensor_decaying_density(gamma0, a, profile)
         report = verify_uncertainty_decay(f, bound, profile, omega, gamma0, a, eps)
-        assert report.passed, (gamma0, a, eps)
+        assert all(s.passed for s in report.steps), (gamma0, a, eps)
         assert step_of(report, "center-norm-bound").passed
 
 

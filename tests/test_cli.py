@@ -644,10 +644,12 @@ def test_digest_sweep_matrix_names_every_config():
         resolve_config(copy.deepcopy(config))
 
 
-def test_report_diff_compares_two_reports():
+def test_report_diff_compares_two_reports(tmp_path):
     # scripts/report_diff.py: numbers on a path move by their largest
     # relative step, list indices folded; a value to or from 0, a changed
-    # type or string and a key one side lacks are listed one by one
+    # type or string and a key one side lacks are listed one by one, then
+    # printed once per folded path with a count; report.json and summary.csv
+    # are judged apart
     spec = importlib.util.spec_from_file_location("report_diff", RUN_ALL_PATH.with_name("report_diff.py"))
     report_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(report_diff)
@@ -665,6 +667,29 @@ def test_report_diff_compares_two_reports():
         ("$.y", missing, 1),
     ]
     assert report_diff.diff(old, old) == ({}, [])
+    dropped = {"r": [{"k": 1, "n": 2}, {"k": 3, "n": 4}], "s": "a"}
+    kept = {"r": [{"k": 1}, {"k": 3}], "s": "b"}
+    assert report_diff.fold(report_diff.diff(dropped, kept)[1]) == [
+        ("$.r[].n", 2, 2, missing),
+        ("$.s", 1, "a", "b"),
+    ]
+    runs = {}
+    for name, report, csv in (("a", dropped, "x\n1\n"), ("b", kept, "x\n1\n"), ("c", kept, "x\n2\n")):
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        (runs[name] / "run.json").write_text(json.dumps({"code": 0, "stderr": ""}))
+        (runs[name] / "report.json").write_text(json.dumps(report))
+        (runs[name] / "summary.csv").write_text(csv)
+    lines, moves, same = report_diff.compare("run", runs["a"], runs["b"])
+    assert lines == [
+        "run exit 0 -> 0: report.json differs, summary.csv same",
+        "  change 2x $.r[].n: 2 -> <missing>",
+        "  change 1x $.s: a -> b",
+    ]
+    assert (moves, same) == ({}, {"report.json": False, "summary.csv": True})
+    lines, _, same = report_diff.compare("run", runs["b"], runs["c"])
+    assert lines == ["run exit 0 -> 0: report.json same, summary.csv differs"]
+    assert same == {"report.json": True, "summary.csv": False}
 
 
 # runs gsaudit.cli.main at --threads 2 on each (config, out) pair of argv in
@@ -710,8 +735,8 @@ def test_committed_configs_run_without_scipy(tmp_path):
         "lemma_suite": "13bf5153",
         "observability": "504cc9d9",
         "smoothing_validate": "739dea98",
-        "uncertainty": "90347fa4",
-        "uncertainty_decay": "6cfa513c",
+        "uncertainty": "3f321af4",
+        "uncertainty_decay": "5103f01a",
     }
     *_, codes, modules = done.stdout.strip().splitlines()
     assert json.loads(codes) == [EXIT_OK] * len(configs), done.stdout

@@ -681,10 +681,10 @@ class TestSeriesBound:
     def test_half_gevrey_oracle(self):
         # independent high-precision partial sum of sum 2^m / sqrt(m!)
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        oracle = mpmath.nsum(
-            lambda m: mpmath.mpf(2) ** m / mpmath.sqrt(mpmath.factorial(m)), [0, mpmath.inf]
-        )
+        with mpmath.workdps(40):
+            oracle = mpmath.nsum(
+                lambda m: mpmath.mpf(2) ** m / mpmath.sqrt(mpmath.factorial(m)), [0, mpmath.inf]
+            )
         res = series_bound(2.0, 0.5)
         assert math.isclose(math.exp(res.log_sum), float(oracle), rel_tol=1e-10)
         # bound = 2 * 4^(3 * 4^2) = 2 * 4^48

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +30,7 @@ from gsaudit.semigroup import GSBound, fit_gs_bound, harmonic_flow
 from gsaudit.uncertainty import (
     STEPS,
     PipelineError,
+    UncertaintyReport,
     _jsonable,
     k_effective_spread,
     k_effective_sweep,
@@ -82,18 +83,19 @@ def assert_ball_audit_layout(report: dict):
     """A report's JSON form holds one record per non-degenerate ball, in k
     order, and the degenerate mass in the decomposition step."""
     records = report["ball_audits"]
+    steps = {step["name"]: step["detail"] for step in report["steps"]}
+    n_balls = steps["covering"]["n_balls"]
+    decomposition, bad = steps["decomposition"], steps["bad-mass"]
     ks = [a["k"] for a in records]
-    assert ks == sorted(set(ks)) and all(0 <= k < report["covering"]["n_balls"] for k in ks)
-    assert len(records) == report["covering"]["n_balls"] - report["n_degenerate"]
-    floor = DEGENERATE_MASS_REL * report["total_mass"]
+    assert ks == sorted(set(ks)) and all(0 <= k < n_balls for k in ks)
+    assert len(records) == n_balls - steps["classification"]["n_degenerate"]
+    floor = DEGENERATE_MASS_REL * decomposition["total_mass"]
     assert all(a["mass_sq"] > floor for a in records)
     assert all(set(a) == BALL_AUDIT_FIELDS for a in records)
-    steps = {step["name"]: step["detail"] for step in report["steps"]}
-    decomposition, bad = steps["decomposition"], steps["bad-mass"]
     bad_total = bad["bad_mass"] + bad["uncertified_good_mass"] + bad["q0_mass_upper"]
-    covered = report["good_mass"] + decomposition["degenerate_mass"] + bad_total
+    covered = decomposition["good_mass"] + decomposition["degenerate_mass"] + bad_total
     assert decomposition["covered_mass"] == covered
-    assert report["good_mass"] == sum(a["mass_sq"] for a in records if a["tail_certified"])
+    assert decomposition["good_mass"] == sum(a["mass_sq"] for a in records if a["tail_certified"])
 
 
 @pytest.fixture(scope="module")
@@ -131,42 +133,48 @@ def report_decay(instance):
 
 class TestFullSpaceSensor:
     def test_passes_with_small_constant(self, report_full):
-        assert report_full.passed
+        assert all(s.passed for s in report_full.steps)
         # omega = R gives ||f||_omega = ||f||, so the empirical constant is
         # essentially zero (slightly negative: the error term helps)
         assert report_full.k_effective is not None
         assert report_full.k_effective <= 0.01
-        assert report_full.k_formal > 0.0
+        assert step_of(report_full, "formal-chain").detail["k_formal"] > 0.0
 
     def test_all_steps_recorded_in_order(self, report_full):
         assert_steps_in_order(report_full, STEP_ORDER)
 
     def test_omega_mass_is_total_mass(self, report_full, instance):
         f, _, _ = instance
-        assert report_full.omega_mass == pytest.approx(f.norm_squared(), rel=1e-12)
+        omega_mass = step_of(report_full, "overlap-sum").detail["omega_mass"]
+        assert omega_mass == pytest.approx(f.norm_squared(), rel=1e-12)
 
     def test_report_roundtrips_through_json(self, report_full):
         data = json.loads(json.dumps(_jsonable(report_full)))
         assert data["kind"] == "uncertainty"
-        assert data["passed"] is True
+        assert all(step["passed"] is True for step in data["steps"])
         assert data["gamma"] == ["constant", 1.0]
         assert len(data["steps"]) == len(STEP_ORDER)
-        assert len(data["ball_audits"]) == data["covering"]["n_balls"] - data["n_degenerate"]
+        steps = {step["name"]: step["detail"] for step in data["steps"]}
+        n_balls = steps["covering"]["n_balls"]
+        assert len(data["ball_audits"]) == n_balls - steps["classification"]["n_degenerate"]
 
 
 class TestPeriodicSensor:
     def test_pipeline_passes(self, report_periodic):
-        assert report_periodic.passed
-        assert report_periodic.n_good >= 1
-        assert report_periodic.n_bad == 0
+        assert all(s.passed for s in report_periodic.steps)
+        counts = step_of(report_periodic, "classification").detail
+        assert counts["n_good"] >= 1
+        assert counts["n_bad"] == 0
 
     def test_empirical_constant_positive(self, report_periodic):
         # omega is a strict subset, so recovering the mass costs a factor > 1
         assert report_periodic.k_effective > 0.0
-        assert report_periodic.omega_mass < report_periodic.total_mass
+        omega_mass = step_of(report_periodic, "overlap-sum").detail["omega_mass"]
+        assert omega_mass < step_of(report_periodic, "decomposition").detail["total_mass"]
 
     def test_formal_dominates_empirical(self, report_periodic):
-        assert report_periodic.k_formal >= report_periodic.k_effective
+        k_formal = step_of(report_periodic, "formal-chain").detail["k_formal"]
+        assert k_formal >= report_periodic.k_effective
 
     def test_chain_inequalities(self, report_periodic):
         for name in ("measured-chain", "formal-chain"):
@@ -199,13 +207,14 @@ class TestPeriodicSensor:
             assert audit.log_mk_bruteforce <= uniform + 1e-9
             assert audit.local_applicable
             assert audit.log_local_lhs >= audit.log_local_rhs - 1e-9
-        assert checked == report_periodic.n_good
+        assert checked == step_of(report_periodic, "classification").detail["n_good"]
 
     def test_decomposition_accounts_for_all_mass(self, report_periodic):
-        r = report_periodic
-        covered = r.good_mass + r.bad_mass + r.q0_mass_upper
-        deg = step_of(r, "decomposition").detail["degenerate_mass"]
-        assert covered + deg >= r.total_mass * (1.0 - 1e-8) - 1e-12
+        decomposition = step_of(report_periodic, "decomposition").detail
+        bad = step_of(report_periodic, "bad-mass").detail
+        covered = decomposition["good_mass"] + bad["bad_mass"] + bad["q0_mass_upper"]
+        deg = decomposition["degenerate_mass"]
+        assert covered + deg >= decomposition["total_mass"] * (1.0 - 1e-8) - 1e-12
 
     def test_ball_audit_layout(self, report_periodic):
         assert_ball_audit_layout(json.loads(json.dumps(_jsonable(report_periodic))))
@@ -248,9 +257,25 @@ def test_batched_sensor_masses_are_each_balls_own(instance):
             assert on_omega == f.norm_squared()
 
 
+def test_report_holds_only_what_no_step_records(report_full, instance):
+    # the instance, the balls and the empirical constant; every value an
+    # audited inequality reads sits in its step, once
+    assert [f.name for f in fields(UncertaintyReport)] == [
+        "kind", "f_id", "omega_id", "eps", "gamma", "profile", "bound", "ball_audits", "steps",
+        "k_effective",
+    ]
+    _, bound, _ = instance
+    assert step_of(report_full, "admissibility").detail == {}
+    error_term = step_of(report_full, "measured-chain").detail["error_term"]
+    assert error_term == report_full.eps * bound.D1**2
+    good = [a.mass_sq for a in report_full.ball_audits if a.tail_certified]
+    assert step_of(report_full, "decomposition").detail["good_mass"] == sum(good)
+
+
 def test_committed_sweep_ball_audit_layout():
     result = run_experiment(json.loads(UNCERTAINTY_JSON.read_text(encoding="utf-8")))
     assert result.passed
+    assert set(result.report["results"]) == {"reports", "spread"}
     reports = result.report["results"]["reports"]
     assert len(reports) == 12
     for report in reports:
@@ -298,10 +323,12 @@ class TestErrorTermDominated:
         rep = verify_uncertainty(
             f, bound, profile, sensor_periodic(1.0, 0.5), gamma=0.3, eps=1.0
         )
-        assert rep.passed
-        assert rep.error_term_dominated
+        assert all(s.passed for s in rep.steps)
+        chain = step_of(rep, "measured-chain").detail
+        assert chain["error_term_dominated"]
         assert rep.k_effective is None
-        assert rep.total_mass <= rep.error_term * (1.0 + 1e-12)
+        total_mass = step_of(rep, "decomposition").detail["total_mass"]
+        assert total_mass <= chain["error_term"] * (1.0 + 1e-12)
 
 
 class TestPipelineFailures:
@@ -446,14 +473,15 @@ class TestOmegaMonotonicity:
         bigger = verify_uncertainty(
             f, bound, profile, sensor_periodic(1.0, 0.75), gamma=0.3, eps=0.1
         )
-        assert bigger.passed
-        assert bigger.omega_mass >= report_periodic.omega_mass
+        assert all(s.passed for s in bigger.steps)
+        omega_mass = [step_of(r, "overlap-sum").detail["omega_mass"] for r in (bigger, report_periodic)]
+        assert omega_mass[0] >= omega_mass[1]
         assert bigger.k_effective <= report_periodic.k_effective + 1e-12
 
 
 class TestDecayVariant:
     def test_pipeline_passes(self, report_decay):
-        assert report_decay.passed
+        assert all(s.passed for s in report_decay.steps)
         assert_steps_in_order(report_decay, DECAY_STEP_ORDER)
         assert report_decay.kind == "uncertainty-decay"
         assert report_decay.gamma == ("decaying", 0.5, 1.0)
@@ -479,7 +507,7 @@ class TestDecayVariant:
         rep = verify_uncertainty_decay(
             f, bound, profile, sensor_periodic(1.0, 0.5), gamma0=0.5, a=0.0, eps=0.1
         )
-        assert rep.passed
+        assert all(s.passed for s in rep.steps)
         # gamma0 / (1 + |x|^0) = gamma0 / 2 everywhere
         assert step_of(rep, "density").detail["min_ratio"] >= 0.25
         step = step_of(rep, "center-norm-bound")
@@ -630,7 +658,7 @@ class TestSweepSharing:
 
         # one covering per eps, and each (eps, ball) classified once
         assert len(calls["cover"]) == 2
-        assert len(calls["ball"]) == per_eps(lambda r: r.covering["n_balls"])
+        assert len(calls["ball"]) == per_eps(lambda r: step_of(r, "covering").detail["n_balls"])
         assert len(set(calls["ball"])) == len(calls["ball"])
         # each case's active balls witnessed, and each witnessed ball's
         # first scan once for the sweep: its two floats serve every eps
