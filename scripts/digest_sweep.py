@@ -2,8 +2,10 @@
 """Run the byte-identity matrix and print one digest line per run.
 
 The matrix is every config in scripts/configs at its committed seed and at
-seeds 0-10, plus five variants of uncertainty.json, each at its committed
-seed and at seeds 1 and 3. Each run goes through gsaudit.cli.main into a
+seeds 0-10, plus five variants of uncertainty.json and three of
+smoothing_validate.json, each at its committed seed and at seeds 1 and 3:
+84 runs. The smoothing variants take the Galerkin flow off its diagonal
+k = m = theta = 1 case. Each run goes through gsaudit.cli.main into a
 temporary directory. A line reads `run exit digest`: the first 16 hex digits
 of the sha256 of report.json and summary.csv, or of the run's stderr when it
 wrote neither (exit 2 and 3). Two trees that print the same lines produce
@@ -25,13 +27,20 @@ from gsaudit.cli import main as cli_main
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 SEEDS = [None, *range(11)]
 VARIANT_SEEDS = [None, 1, 3]
-# uncertainty.json with these fields replaced
+# per config, its variants: the fields replaced, a dict updating its section
 VARIANTS = {
-    "t30": {"function": {"t": 30.0}},
-    "deg40-t0": {"function": {"degree": 40, "t": 0.0}},
-    "R2-r02": {"profile": {"R": 2.0, "r0": 2.0}},
-    "delta05": {"profile": {"delta": 0.5}},
-    "deg24-delta05": {"function": {"degree": 24}, "profile": {"delta": 0.5}},
+    "uncertainty": {
+        "t30": {"function": {"t": 30.0}},
+        "deg40-t0": {"function": {"degree": 40, "t": 0.0}},
+        "R2-r02": {"profile": {"R": 2.0, "r0": 2.0}},
+        "delta05": {"profile": {"delta": 0.5}},
+        "deg24-delta05": {"function": {"degree": 24}, "profile": {"delta": 0.5}},
+    },
+    "smoothing_validate": {
+        "k2m1": {"k": 2, "m": 1},
+        "k1m2": {"k": 1, "m": 2},
+        "theta075": {"theta": 0.75},
+    },
 }
 
 
@@ -41,12 +50,16 @@ def matrix() -> list:
     for path in sorted(CONFIG_DIR.glob("*.json")):
         config = json.loads(path.read_text())
         runs += [(path.stem, config, seed) for seed in SEEDS]
-    base = json.loads((CONFIG_DIR / "uncertainty.json").read_text())
-    for name, changes in VARIANTS.items():
-        config = copy.deepcopy(base)
-        for section, values in changes.items():
-            config[section].update(values)
-        runs += [(f"uncertainty-{name}", config, seed) for seed in VARIANT_SEEDS]
+    for stem, variants in VARIANTS.items():
+        base = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+        for name, changes in variants.items():
+            config = copy.deepcopy(base)
+            for field, value in changes.items():
+                if isinstance(value, dict):
+                    config[field].update(value)
+                else:
+                    config[field] = value
+            runs += [(f"{stem}-{name}", config, seed) for seed in VARIANT_SEEDS]
     return runs
 
 

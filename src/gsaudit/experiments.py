@@ -11,6 +11,7 @@ seed reproduces the report byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -350,8 +351,8 @@ def resolve_config(data) -> dict:
 # ---------------------------------------------------------------------------
 # runners
 #
-# Each runner returns (payload, rows, columns, failed_step): the step a
-# failing run names, None when it passes.
+# Each runner returns (payload, rows, failed_step): the step a failing run
+# names, None when it passes. A row's keys, in order, are the CSV columns.
 
 
 def _random_expansion(rng, degree: int) -> SpectralFunction:
@@ -371,18 +372,6 @@ def _prepare_function(cfg: dict):
     return f, bound, f_id
 
 
-_SWEEP_COLUMNS = {
-    "uncertainty": [
-        "f_id", "omega_id", "eps", "gamma", "k_effective", "k_effective_normalized",
-        "k_formal", "error_term_dominated", "n_good", "n_bad", "passed", "x", "y",
-    ],
-    "uncertainty-decay": [
-        "f_id", "omega_id", "eps", "gamma0", "a", "k_effective", "k_formal",
-        "error_term_dominated", "n_good", "n_bad", "passed", "x", "y",
-    ],
-}
-
-
 def _run_uncertainty(cfg: dict):
     """Both uncertainty kinds: every sensor case at every eps, in one sweep.
     A case's fields other than its sensor are the density the sweep reads.
@@ -399,7 +388,7 @@ def _run_uncertainty(cfg: dict):
     payload = {"reports": reports}
     if cfg["kind"] == "uncertainty":
         payload["spread"] = k_effective_spread(rows)
-    return payload, rows, _SWEEP_COLUMNS[cfg["kind"]], None
+    return payload, rows, None
 
 
 def _run_observability(cfg: dict):
@@ -422,10 +411,8 @@ def _run_observability(cfg: dict):
                     "y": c_obs,
                 }
             )
-    payload = {"reports": reports}
-    columns = ["omega_id", "n_trunc", "T", "c_obs", "conditioning", "passed", "x", "y"]
     step = next(("full-line" if r.monotone else "monotone" for r in reports if not r.passed), None)
-    return payload, rows, columns, step
+    return {"reports": reports}, rows, step
 
 
 def _run_smoothing_validate(cfg: dict):
@@ -434,14 +421,9 @@ def _run_smoothing_validate(cfg: dict):
     rng = default_rng(cfg["seed"])
     ensemble = [_random_expansion(rng, cfg["degree"]) for _ in range(cfg["n_seeds"])]
 
-    def flow(g, t):
-        result = shubin_galerkin_flow(g, t, cfg["k"], cfg["m"], cfg["theta"], cfg["n_trunc"])
-        if result.unstable:
-            raise NonConvergenceError(
-                f"Galerkin flow truncation drift {result.truncation_change:.3e} at t={t}"
-            )
-        return result.function
-
+    flow = functools.partial(
+        shubin_galerkin_flow, k=cfg["k"], m=cfg["m"], theta=cfg["theta"], n_trunc=cfg["n_trunc"]
+    )
     cert = fit_smoothing_certificate(
         flow, ensemble, cfg["fit_times"], nu, mu, grid_cap=cfg["grid_cap"]
     )
@@ -477,8 +459,7 @@ def _run_smoothing_validate(cfg: dict):
             "skipped_times": list(report.skipped_times),
         },
     }
-    columns = ["k", "m", "theta", "t", "worst_ratio", "passed", "x", "y"]
-    return payload, rows, columns, None if report.passed else "validation"
+    return payload, rows, None if report.passed else "validation"
 
 
 def _lemma_series_rows(cfg: dict):
@@ -595,9 +576,7 @@ def _run_lemma_suite(cfg: dict):
         stats = sections.setdefault(row["section"], {"n": 0, "n_passed": 0})
         stats["n"] += 1
         stats["n_passed"] += bool(row["passed"])
-    payload = {"sections": sections}
-    columns = ["section", "case", "x", "y", "passed"]
-    return payload, rows, columns, next((r["section"] for r in rows if not r["passed"]), None)
+    return {"sections": sections}, rows, next((r["section"] for r in rows if not r["passed"]), None)
 
 
 _RUNNERS = {
@@ -630,10 +609,10 @@ def run_experiment(config: dict) -> ExperimentResult:
     resolved = resolve_config(config)
     runner = _RUNNERS[resolved["kind"]]
     try:
-        payload, rows, columns, failure = runner(resolved)
+        payload, rows, failure = runner(resolved)
     except PipelineError as err:
         payload = {"failed_step": err.step, "error": str(err)}
-        rows, columns, failure = [], [], err.step
+        rows, failure = [], err.step
     passed = failure is None
     report = _jsonable(
         {
@@ -652,5 +631,5 @@ def run_experiment(config: dict) -> ExperimentResult:
         exit_code=0 if passed else 1,
         report=report,
         rows=rows,
-        columns=columns,
+        columns=list(rows[0]) if rows else [],
     )

@@ -39,7 +39,6 @@ __all__ = [
     "SMOOTHING_SLACK",
     "SMOOTHING_T0",
     "GSBound",
-    "GalerkinFlowResult",
     "SmoothingCertificate",
     "SmoothingValidationReport",
     "TailMassReport",
@@ -166,13 +165,6 @@ def shubin_operator_matrix(max_degree: int, k: int, m: int) -> np.ndarray:
     return 0.5 * (block + block.T)
 
 
-@dataclass(frozen=True)
-class GalerkinFlowResult:
-    function: SpectralFunction
-    truncation_change: float  # relative change when the degree is halved
-    unstable: bool
-
-
 def shubin_galerkin_flow(
     g: SpectralFunction,
     t: float,
@@ -180,16 +172,15 @@ def shubin_galerkin_flow(
     m: int,
     theta: float = 1.0,
     n_trunc: int = MAX_DEGREE,
-) -> GalerkinFlowResult:
+) -> SpectralFunction:
     """Flow e^(-t A^theta) for the Shubin operator A, via eigendecomposition.
 
     theta must exceed 1/(2m) for the flow to smooth into the
     Gelfand-Shilov scale; smaller values are rejected. The flow is computed
-    in the degree-n_trunc Galerkin space; the result carries a truncation
-    stability indicator, the relative L2 change when the computation is
-    repeated at half the working truncation, flagged unstable above 1e-4.
-    Inputs with mass above degree n_trunc // 2 are projected in the halved
-    run, so for such inputs the indicator is conservative.
+    in the degree-n_trunc Galerkin space and repeated at half the working
+    truncation; a relative L2 change above 1e-4 between the two raises
+    NumericalError. Inputs with mass above degree n_trunc // 2 are projected
+    in the halved run, so for such inputs the check is conservative.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -214,11 +205,9 @@ def shubin_galerkin_flow(
     pad_half[: len(out_half)] = out_half
     denom = max(g.norm(), 1e-300)
     change = float(np.linalg.norm(out_full - pad_half) / denom)
-    return GalerkinFlowResult(
-        function=SpectralFunction(out_full),
-        truncation_change=change,
-        unstable=change > 1e-4,
-    )
+    if change > 1e-4:
+        raise NumericalError(f"Galerkin flow truncation drift {change:.3e} at t={t}")
+    return SpectralFunction(out_full)
 
 
 def shubin_exponents(k: int, m: int, theta) -> tuple:
@@ -244,6 +233,19 @@ def shubin_exponents(k: int, m: int, theta) -> tuple:
 # the (n, b) grid, n and b up to 8, that bounds and certificates are fitted
 # and validated on
 _SMOOTHING_GRID = tuple((n, b) for n in range(9) for b in range(9))
+
+
+def _norm_samples(flow, g_ensemble, t_grid, grid_cap: int):
+    """(g index, t, n, b, W, log ||g||) for every g of the ensemble, every t
+    and every grid (n, b) with n + b <= grid_cap, in that nesting order, where
+    W = ||(1+|x|^2)^(n/2) d^b flow(g, t)||."""
+    for gi, g in enumerate(g_ensemble):
+        log_g = math.log(g.norm())
+        for t in t_grid:
+            f = flow(g, t)
+            for n, b in _SMOOTHING_GRID:
+                if n + b <= grid_cap:
+                    yield gi, t, n, b, weighted_norm(f, n=n, beta=b, weight_delta=1.0), log_g
 
 
 def fit_gs_bound(f: SpectralFunction, nu: float, mu: float) -> GSBound:
@@ -336,24 +338,14 @@ def fit_smoothing_certificate(
     derivative order. The certificate holds for t < t0 = SMOOTHING_T0. A
     slack below -1e-9 raises PipelineError at step certificate-fit.
     """
+    if not all(0 < t < 1 for t in t_grid):
+        raise ValueError("fitting times must lie in (0, 1)")
     rows, rhs = [], []
-    for g in g_ensemble:
-        log_g = math.log(g.norm())
-        for t in t_grid:
-            if not 0 < t < 1:
-                raise ValueError("fitting times must lie in (0, 1)")
-            f = flow(g, t)
-            for n, b in _SMOOTHING_GRID:
-                q = n + b
-                if q > grid_cap:
-                    continue
-                w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
-                if w <= 0:
-                    continue
-                y = math.log(w) - nu * log_factorial(n) - mu * log_factorial(b) - log_g
-                coef = (1.0 + n + q, -math.log(t), -q * math.log(t))
-                rows.append(coef)
-                rhs.append(y)
+    for _, t, n, b, w, log_g in _norm_samples(flow, g_ensemble, t_grid, grid_cap):
+        if w > 0:
+            q = n + b
+            rows.append((1.0 + n + q, -math.log(t), -q * math.log(t)))
+            rhs.append(math.log(w) - nu * log_factorial(n) - mu * log_factorial(b) - log_g)
     if not rows:
         raise ValueError("no data points to fit")
     rows = np.asarray(rows)
@@ -406,22 +398,14 @@ def validate_smoothing(
     skipped = tuple(t for t in t_grid if not 0 < t < cert.t0)
     used = [t for t in t_grid if 0 < t < cert.t0]
     count = 0
-    for gi, g in enumerate(g_ensemble):
-        log_g = math.log(g.norm())
-        for t in used:
-            f = flow(g, t)
-            for n, b in _SMOOTHING_GRID:
-                if n + b > grid_cap:
-                    continue
-                w = weighted_norm(f, n=n, beta=b, weight_delta=1.0)
-                count += 1
-                if w <= 0:
-                    continue
-                log_ratio = math.log(w) - log_g - cert.log_bound(n, b, t)
-                ratio = math.exp(log_ratio)
-                worst_by_time[t] = max(worst_by_time.get(t, 0.0), ratio)
-                if ratio > worst:
-                    worst, worst_case = ratio, (gi, t, n, b)
+    for gi, t, n, b, w, log_g in _norm_samples(flow, g_ensemble, used, grid_cap):
+        count += 1
+        if w <= 0:
+            continue
+        ratio = math.exp(math.log(w) - log_g - cert.log_bound(n, b, t))
+        worst_by_time[t] = max(worst_by_time.get(t, 0.0), ratio)
+        if ratio > worst:
+            worst, worst_case = ratio, (gi, t, n, b)
     if worst_case is None:
         raise ValueError("validation grid is empty")
     return SmoothingValidationReport(

@@ -596,16 +596,16 @@ def _sweep_row(report: UncertaintyReport) -> dict:
         norm = 1.0 + math.log(1.0 / report.eps)
         density = {
             "gamma": report.gamma[1],
+            "k_effective": k_eff,
             "k_effective_normalized": None if k_eff is None else k_eff / norm,
         }
     else:
-        density = {"gamma0": report.gamma[1], "a": report.gamma[2]}
+        density = {"gamma0": report.gamma[1], "a": report.gamma[2], "k_effective": k_eff}
     return {
         "f_id": report.f_id,
         "omega_id": report.omega_id,
         "eps": report.eps,
         **density,
-        "k_effective": k_eff,
         "k_formal": detail["formal-chain"]["k_formal"],
         "error_term_dominated": detail["measured-chain"]["error_term_dominated"],
         "n_good": detail["classification"]["n_good"],

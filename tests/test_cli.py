@@ -415,6 +415,15 @@ class TestMain:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_galerkin_truncation_drift_is_a_numerical_failure(self, tmp_path, capsys):
+        # a degree-32 ensemble has mass the halved degree-16 run cannot hold
+        cfg = config(SMOOTH_BASE, degree=32, n_trunc=32)
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: Galerkin flow truncation drift 4.729e-02 at t=0.1\n"
+        assert not (out / "report.json").exists()
+
     def test_flow_to_zero_is_a_config_error(self, tmp_path, capsys):
         # at t = 745 every mode of the degree-6 flow underflows to zero
         cfg = config(UNC_BASE, function={"degree": 6, "t": 745.0})
@@ -630,14 +639,14 @@ def test_run_all_prints_report_digests(tmp_path, capsys):
 
 def test_digest_sweep_matrix_names_every_config():
     # scripts/digest_sweep.py runs every committed config at its own seed and
-    # at seeds 0-10, and five uncertainty.json variants at three seeds each;
-    # every config of the matrix resolves
+    # at seeds 0-10, and five uncertainty.json and three smoothing_validate.json
+    # variants at three seeds each; every config of the matrix resolves
     spec = importlib.util.spec_from_file_location("digest_sweep", RUN_ALL_PATH.with_name("digest_sweep.py"))
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     runs = sweep.matrix()
     configs = sorted(p.stem for p in (RUN_ALL_PATH.parent / "configs").glob("*.json"))
-    assert len(configs) == 5 and len(runs) == 75
+    assert len(configs) == 5 and len(runs) == 84
     for stem in configs:
         assert [seed for name, _, seed in runs if name == stem] == [None, *range(11)]
     for _, config, _ in runs:
