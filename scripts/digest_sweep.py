@@ -2,10 +2,11 @@
 """Run the byte-identity matrix and print one digest line per run.
 
 The matrix is every config in scripts/configs at its committed seed and at
-seeds 0-10, plus five variants of uncertainty.json and three of
+seeds 0-10, plus five variants of uncertainty.json and four of
 smoothing_validate.json, each at its committed seed and at seeds 1 and 3:
-84 runs. The smoothing variants take the Galerkin flow off its diagonal
-k = m = theta = 1 case. Each run goes through gsaudit.cli.main into a
+87 runs. Three smoothing variants take the Galerkin flow off its diagonal
+k = m = theta = 1 case, and one runs it at the largest degree a config
+allows. Each run goes through gsaudit.cli.main into a
 temporary directory. A line reads `run exit digest`: the first 16 hex digits
 of the sha256 of report.json and summary.csv, or of the run's stderr when it
 wrote neither (exit 2 and 3). Two trees that print the same lines produce
@@ -40,6 +41,7 @@ VARIANTS = {
         "k2m1": {"k": 2, "m": 1},
         "k1m2": {"k": 1, "m": 2},
         "theta075": {"theta": 0.75},
+        "deg32": {"degree": 32},
     },
 }
 

@@ -23,6 +23,7 @@ from .geometry import (
     FullSpaceSensorSet,
     IntervalSensorSet,
     RadiusProfile,
+    _SENSOR_EXTENT,
     sensor_decaying_density,
     sensor_periodic,
 )
@@ -46,6 +47,7 @@ from .observability import MAX_TRUNCATION, observability_scan
 from .semigroup import (
     SMOOTHING_SLACK,
     SMOOTHING_T0,
+    _SMOOTHING_GRID,
     fit_gs_bound,
     fit_smoothing_certificate,
     harmonic_flow,
@@ -65,7 +67,6 @@ __all__ = [
     "ConfigError",
     "EXPERIMENT_KINDS",
     "ExperimentResult",
-    "NonConvergenceError",
     "SCHEMA_VERSION",
     "resolve_config",
     "run_experiment",
@@ -89,10 +90,6 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
-
-
-class NonConvergenceError(NumericalError):
-    """A numerical routine failed to stabilize (exit code 3 at the CLI)."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _sensor(types: dict):
 
 _GAMMA0 = (_number(0.0, 1.0, open_lo=True), REQUIRED)
 _DECAY_A = (_number(lo=0.0), REQUIRED)
-_EXTENT = (_number(lo=1.0), 400.0)
+_EXTENT = (_number(lo=1.0), _SENSOR_EXTENT)
 _SENSORS = {
     "full": {},
     "periodic": {
@@ -275,12 +272,12 @@ _KINDS = {
         "k": (_integer(1, 3), 1),
         "m": (_integer(1, 3), 1),
         "theta": (_number(lo=0.0, open_lo=True), 1.0),
-        "degree": (_integer(0, 32), 8),
+        # the Galerkin flow checks itself in half its space
+        "degree": (_integer(0, MAX_DEGREE // 2), 8),
         "n_seeds": (_integer(1, 16), 3),
         "fit_times": (_numbers(0.0, 1.0, open_lo=True, open_hi=True), [0.1, 0.2]),
         "validate_times": (_numbers(lo=0.0, open_lo=True), [0.15, 0.3]),
-        "n_trunc": (_integer(8, MAX_DEGREE), 64),
-        "grid_cap": (_integer(1, 16), 8),
+        "grid_cap": (_integer(1, max(n + b for n, b in _SMOOTHING_GRID)), 8),
     },
     "uncertainty": {**_SWEEP, "cases": (_list_of(_fields(_CASE)), REQUIRED)},
     "uncertainty-decay": {**_SWEEP, "cases": (_list_of(_fields(_DECAY_CASE)), REQUIRED)},
@@ -327,10 +324,6 @@ def resolve_config(data) -> dict:
     if cfg["kind"] == "smoothing-validate":
         if not cfg["theta"] > 1.0 / (2 * cfg["m"]):
             raise ConfigError("theta", "must exceed 1/(2m)")
-        if cfg["n_trunc"] < cfg["degree"]:
-            raise ConfigError(
-                "n_trunc", f"must be >= degree = {cfg['degree']}, got {cfg['n_trunc']}"
-            )
         if not min(cfg["validate_times"]) < SMOOTHING_T0:
             raise ConfigError(
                 "validate_times", f"needs an entry below the certificate's t0 = {SMOOTHING_T0}"
@@ -421,9 +414,7 @@ def _run_smoothing_validate(cfg: dict):
     rng = default_rng(cfg["seed"])
     ensemble = [_random_expansion(rng, cfg["degree"]) for _ in range(cfg["n_seeds"])]
 
-    flow = functools.partial(
-        shubin_galerkin_flow, k=cfg["k"], m=cfg["m"], theta=cfg["theta"], n_trunc=cfg["n_trunc"]
-    )
+    flow = functools.partial(shubin_galerkin_flow, k=cfg["k"], m=cfg["m"], theta=cfg["theta"])
     cert = fit_smoothing_certificate(
         flow, ensemble, cfg["fit_times"], nu, mu, grid_cap=cfg["grid_cap"]
     )
@@ -514,7 +505,7 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
         pieces = omega.intersect_interval(*ball.interval())
         if sum(hi - lo for lo, hi in pieces) < cfg["min_density"] * ball.volume:
             continue
-        mass = norm_squared_on_ball(f, ball, atol=1e-25 * f.norm_squared())
+        mass = norm_squared_on_ball(f, ball)
         if mass <= 1e-16 * f.norm_squared():
             continue
         x_k = _argmax_on_ball(f, ball)
@@ -533,7 +524,7 @@ def _lemma_local_rows(cfg: dict, profile: RadiusProfile, rng):
             }
         )
     if produced < cfg["n_triples"]:
-        raise NonConvergenceError(
+        raise NumericalError(
             f"local ensemble produced {produced}/{cfg['n_triples']} admissible triples"
         )
     return rows

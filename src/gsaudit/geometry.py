@@ -46,6 +46,9 @@ DENSITY_SLACK = 1e-12
 # Largest candidate grid a covering builds; the committed configs need ~2e4.
 MAX_CANDIDATES = 10**7
 
+# Default half-width of the stretch of line a sensor set is laid out on.
+_SENSOR_EXTENT = 400.0
+
 
 @dataclass(frozen=True)
 class RadiusProfile:
@@ -107,15 +110,11 @@ class Covering:
         return [Ball(c, r) for c, r in zip(self.centers, self.radii)]
 
 
-class CoveringConstructionError(NumericalError):
-    """The candidate grid is too large, or the greedy construction hit its cap."""
-
-
 def _candidate_grid(extent: float, step: float) -> np.ndarray:
     # Strictly interior candidates, the outermost within two steps of the rim.
     half = (extent - step) / step
     if not 2.0 * half + 1.0 <= MAX_CANDIDATES:
-        raise CoveringConstructionError(f"covering grid of {2.0 * half + 1.0:.3e} candidates")
+        raise NumericalError(f"covering grid of {2.0 * half + 1.0:.3e} candidates")
     n = int(math.floor(half))
     return np.arange(-n, n + 1) * step
 
@@ -169,7 +168,7 @@ def besicovitch_cover(profile: RadiusProfile, r: float) -> Covering:
         radii.append(rad)
         covered |= np.abs(candidates - c) <= rad - grid_step
     else:
-        raise CoveringConstructionError("greedy covering did not terminate under its cap")
+        raise NumericalError("greedy covering did not terminate under its cap")
     for rim in (-extent, extent):
         if not any(abs(rim - c) < rad for c, rad in zip(centers, radii)):
             centers.append(rim)
@@ -250,7 +249,7 @@ def sensor_id(omega) -> str:
     return omega.description or ("full" if isinstance(omega, FullSpaceSensorSet) else "intervals")
 
 
-def sensor_periodic(period: float, fill: float, extent: float = 400.0):
+def sensor_periodic(period: float, fill: float, extent: float = _SENSOR_EXTENT):
     """Periodic 1D sensor set: the union of [j p, j p + fill p) over j.
 
     fill = 1 returns the full line; fill = 0 returns the empty set (which
@@ -277,7 +276,7 @@ def sensor_decaying_density(
     gamma0: float,
     a: float,
     profile: RadiusProfile,
-    extent: float = 400.0,
+    extent: float = _SENSOR_EXTENT,
 ) -> IntervalSensorSet:
     """Sensor set with local density at least gamma0 / (1 + |x|^a).
 

@@ -56,9 +56,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "MAX_DEGREE",
     "Ball",
-    "DimensionMismatchError",
     "NumericalError",
-    "QuadratureConvergenceError",
     "SpectralFunction",
     "ball_norms_squared",
     "derivative",
@@ -90,10 +88,6 @@ _STACK_BLOCK = 1 << 10
 _CLIP = 40.0  # interval_gram clips its ends to +-_CLIP
 
 
-class DimensionMismatchError(ValueError):
-    """Evaluation points are not scalars or a vector of points on the line."""
-
-
 class NumericalError(RuntimeError):
     """A numerical routine did not converge; the CLI maps it to exit code 3."""
 
@@ -105,10 +99,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"step '{step}': {message}")
         self.step = step
         self.message = message
-
-
-class QuadratureConvergenceError(NumericalError):
-    """Doubling the quadrature resolution moved the result beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +243,7 @@ def evaluate(f: SpectralFunction, x) -> np.ndarray:
     """Pointwise values of f at real points (scalar or vector)."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim > 1:
-        raise DimensionMismatchError("expansions take scalar or vector points")
+        raise ValueError("expansions take scalar or vector points")
     vals = _clenshaw_scaled(f.coeffs, pts) * np.exp(-0.5 * pts**2)
     return vals if vals.ndim else float(vals)
 
@@ -435,9 +425,7 @@ def _check_refinement(coarse: float, fine: float, what: str, atol: float = 0.0):
     # A NaN on either side fails: every comparison with it is False.
     tol = _REFINEMENT_RTOL * max(abs(fine), abs(coarse)) + atol + 1e-280
     if not abs(fine - coarse) <= tol:
-        raise QuadratureConvergenceError(
-            f"{what}: refinement moved the value from {coarse!r} to {fine!r}"
-        )
+        raise NumericalError(f"{what}: refinement moved the value from {coarse!r} to {fine!r}")
 
 
 def weighted_norm(
@@ -464,8 +452,8 @@ def weighted_norm(
         raise ValueError("weight power n must be nonnegative")
     if not 0.0 <= weight_delta <= 1.0:
         raise ValueError("weight_delta must lie in [0, 1]")
-    if not (np.isscalar(beta) and int(beta) >= 0):
-        raise ValueError("beta must be a nonnegative derivative order")
+    if not (np.isscalar(beta) and float(beta).is_integer() and beta >= 0):
+        raise ValueError("beta must be a nonnegative integer derivative order")
     g = f
     for _ in range(int(beta)):
         g = derivative(g)
@@ -532,7 +520,7 @@ def refined_rows(coarse: list, fine: list, atol, what: str) -> list:
     """The fine values of a (coarse, fine) pair of ball_norms_squared, checked
     row by row in order: the first row that refinement moves by more than a
     relative 1e-8 plus atol[n], or that is NaN on either rule, raises
-    QuadratureConvergenceError, with `what` naming the quantity."""
+    NumericalError, with `what` naming the quantity."""
     for c, v, floor in zip(coarse, fine, atol, strict=True):
         _check_refinement(c, v, what, atol=floor)
     return fine
@@ -565,11 +553,18 @@ def norm_squared_on_interval_lists(f: SpectralFunction, lists) -> list:
     return totals
 
 
-def norm_squared_on_ball(f: SpectralFunction, ball: Ball, atol: float = 0.0) -> float:
-    """Integral of f^2 over a ball, with refinement-convergence check."""
-    ((coarse, fine),) = ball_norms_squared(f.coeffs[None], [ball], 0.0)
-    (value,) = refined_rows(coarse, fine, [atol], "norm_squared_on_ball")
+def _ball_mass(f: SpectralFunction, rules: tuple) -> float:
+    """The mass of f on a ball from its (coarse, fine) pair of
+    ball_norms_squared: the fine value, checked by refined_rows with the floor
+    1e-30 ||f||^2, under which a mass is noise on the scale of f, and
+    clipped at 0."""
+    (value,) = refined_rows(*rules, [1e-30 * f.norm_squared()], "norm_squared_on_ball")
     return max(value, 0.0)
+
+
+def norm_squared_on_ball(f: SpectralFunction, ball: Ball) -> float:
+    """Integral of f^2 over a ball, with the refinement check of _ball_mass."""
+    return _ball_mass(f, ball_norms_squared(f.coeffs[None], [ball], 0.0)[0])
 
 
 def interval_gram(max_degree: int, pieces) -> np.ndarray:

@@ -41,6 +41,7 @@ from .hermite import (
     SpectralFunction,
     _BLOCK,
     _LOG2,
+    _ball_mass,
     _clenshaw_scaled,
     _exp,
     _log,
@@ -118,7 +119,6 @@ class ClassifierConfig:
     tilde_d2: float
     s: float
     delta: float
-    m_cap: int = M_CAP
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -131,16 +131,14 @@ class ClassifierConfig:
             raise ValueError("s must lie in [0, 1)")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if not 0 <= self.m_cap <= M_CAP:
-            raise ValueError(f"m_cap must lie in [0, {M_CAP}]")
 
     def log_q(self, m: int) -> float:
         return 2.0 * m * math.log(self.tilde_d2) + self.s * log_factorial(m)
 
     @cached_property
     def order_terms(self) -> tuple:
-        """(log q_m, log m!) for m <= m_cap, shared by every ball's tests."""
-        return tuple((self.log_q(m), log_factorial(m)) for m in range(self.m_cap + 1))
+        """(log q_m, log m!) for m <= M_CAP, shared by every ball's tests."""
+        return tuple((self.log_q(m), log_factorial(m)) for m in range(M_CAP + 1))
 
 
 def derivative_family(f: SpectralFunction, max_order: int) -> dict:
@@ -182,18 +180,17 @@ def good_ball_test(
     derivative_rules: tuple | None,
 ) -> GoodBallResult:
     """Classify a covering ball from its quadratures, checking the inequality
-    for m <= m_cap.
+    for m <= M_CAP.
 
     mass_rules and derivative_rules are the ball's (coarse, fine) pairs of
-    ball_norms_squared for f and for derivative_stack(f, m_cap), as
+    ball_norms_squared for f and for derivative_stack(f, M_CAP), as
     classify_balls computes them; derivative_rules is None for a degenerate
     ball. The mass refinement is checked first, then the degenerate
     threshold, then the refinement of each order. Quadrature noise guard:
     the derivative masses only matter on the scale of the right-hand side,
     so the check of order m runs with that floor.
     """
-    (mass_sq,) = refined_rows(*mass_rules, [1e-30 * f.norm_squared()], "norm_squared_on_ball")
-    mass_sq = max(mass_sq, 0.0)
+    mass_sq = _ball_mass(f, mass_rules)
     if _degenerate(f, mass_sq):
         return GoodBallResult(True, None, True, mass_sq, ())
     log_mass = math.log(mass_sq)
@@ -223,11 +220,11 @@ def classify_balls(
     rules: dict | None = None,
 ) -> list:
     """good_ball_test on each ball, in order. derivatives is
-    derivative_stack(f, m_cap).
+    derivative_stack(f, M_CAP).
 
     Each quadrature rule runs once: the mass rules over all the balls, by
     the Clenshaw recurrence of f, then the derivative rules over the
-    non-degenerate ones, each node's m_cap + 1 values from its one scaled
+    non-degenerate ones, each node's M_CAP + 1 values from its one scaled
     basis vector (hermite._stack_scaled). Every refinement check runs in
     good_ball_test, ball by ball, so the checks, and the first that fails,
     are those of classifying the balls one at a time.
@@ -252,7 +249,7 @@ def tail_condition_order(cfg: ClassifierConfig, d1: float, mass_sq: float) -> in
 
     For m with 2^(m+1) >= eps D1^2 / (2 kappa mass) the classifier inequality
     follows from ||w^m d^beta f|| <= D1 q_m, so orders beyond the cap are
-    certified whenever this kicks in by m_cap + 1.
+    certified whenever this kicks in by M_CAP + 1.
     """
     if not mass_sq > 0:
         raise ValueError("tail certification needs positive ball mass")
@@ -271,7 +268,7 @@ class BadMassReport:
     n_bad: int
     n_degenerate: int
     n_uncertified: int
-    # per ball tail_condition_order, and whether it is <= m_cap + 1; None if bad or degenerate
+    # per ball tail_condition_order, and whether it is <= M_CAP + 1; None if bad or degenerate
     tail_orders: tuple
     tail_certified: tuple
 
@@ -303,7 +300,7 @@ def bad_mass_bound(f, covering, cfg: ClassifierConfig, bound, results) -> BadMas
             bad += res.mass_sq
         else:
             order = tail_condition_order(cfg, bound.D1, res.mass_sq)
-            cert = order <= cfg.m_cap + 1
+            cert = order <= M_CAP + 1
             if not cert:
                 n_unc += 1
                 unc += res.mass_sq
@@ -361,7 +358,7 @@ def pointwise_witness(
     C^(1/2) ||f||_Q / |Q|^(1/2) with C = q_m^2 sup_Q w^(-2m). A good
     ball must contain such a point; the scan of WITNESS_GRID points is refined
     once, to 4 * WITNESS_GRID, before reporting failure. mass_sq is the
-    ball's mass ||f||^2_Q and derivatives is derivative_stack(f, m_cap).
+    ball's mass ||f||^2_Q and derivatives is derivative_stack(f, M_CAP).
     The log bounds read eps, kappa and the mass only through the constant
     base = 0.5 log(2 kappa/eps) + 0.5 log ||f||^2_Q - 0.5 log |Q|. scans
     holds, by (ball, number of points), a scan's best point and its margin

@@ -24,7 +24,6 @@ from .geometry import FullSpaceSensorSet, sensor_id
 from .hermite import NumericalError, interval_gram
 
 __all__ = [
-    "GramianError",
     "MAX_TRUNCATION",
     "ObservabilityReport",
     "diagonal_constant",
@@ -38,15 +37,6 @@ MAX_TRUNCATION = 48
 
 # Gramian condition numbers beyond this make the pencil solve meaningless
 _COND_LIMIT = 1e13
-
-
-class GramianError(NumericalError):
-    """The observation Gramian is numerically singular.
-
-    Happens when the sensor set is too thin for the requested truncation:
-    some combination of the first N modes is invisible to omega at working
-    precision, so no finite observability constant can be certified.
-    """
 
 
 def _check_trunc(n_trunc: int):
@@ -91,7 +81,7 @@ def _pencil_top(energy_diag: np.ndarray, gramian: np.ndarray) -> tuple:
     norm = float(geigs[-1])
     floor = float(geigs[0])
     if norm <= 0 or floor <= norm / _COND_LIMIT:
-        raise GramianError(
+        raise NumericalError(
             "observation Gramian is numerically singular "
             f"(eigenvalue range [{floor:.3e}, {norm:.3e}]); "
             "the sensor set is too thin for this truncation"
@@ -101,7 +91,7 @@ def _pencil_top(energy_diag: np.ndarray, gramian: np.ndarray) -> tuple:
     try:
         chol = np.linalg.cholesky(gramian)
     except np.linalg.LinAlgError as err:
-        raise GramianError(f"observation Gramian has no Cholesky factor: {err}") from err
+        raise NumericalError(f"observation Gramian has no Cholesky factor: {err}") from err
     half = np.linalg.solve(chol, np.diag(energy_diag))
     reduced = np.linalg.solve(chol, half.T)
     top = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1])

@@ -61,6 +61,7 @@ from .hermite import (
     weighted_norm,
 )
 from .local_estimates import (
+    M_CAP,
     ClassifierConfig,
     bad_mass_bound,
     classify_balls,
@@ -335,7 +336,7 @@ def _run_pipeline(
     # classification; bad balls and the uncovered remainder fit in the
     # error budget
     cfg = ClassifierConfig(eps=eps, kappa=kappa, tilde_d2=tilde.D2, s=s, delta=profile.delta)
-    derivs = once("derivatives", lambda: derivative_stack(f, cfg.m_cap))
+    derivs = once("derivatives", lambda: derivative_stack(f, M_CAP))
     results = once(
         ("classification", eps),
         lambda: classify_balls(f, balls, cfg, derivs, rules=shared.setdefault("ball-rules", {})),

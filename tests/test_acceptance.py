@@ -24,6 +24,7 @@ from gsaudit.geometry import (
     sensor_periodic,
 )
 from gsaudit.local_estimates import (
+    M_CAP,
     ClassifierConfig,
     bad_mass_bound,
     classify_balls,
@@ -177,7 +178,7 @@ def test_good_bad_budget(instance):
                 s=tilde.s,
                 delta=profile.delta,
             )
-            derivs = derivative_stack(func, cfg.m_cap)
+            derivs = derivative_stack(func, M_CAP)
             results = classify_balls(func, covering.balls(), cfg, derivs)
             report = bad_mass_bound(func, covering, cfg, tilde, results)
             assert step_holds("bad-mass", report.total, report.budget)

@@ -20,10 +20,10 @@ from gsaudit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gsaudit.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
-    NonConvergenceError,
     resolve_config,
     run_experiment,
 )
+from gsaudit.hermite import NumericalError
 from gsaudit.local_estimates import SeriesBound
 from gsaudit.semigroup import SmoothingCertificate
 
@@ -56,7 +56,6 @@ SMOOTH_BASE = {
     "theta": 1.0,
     "degree": 6,
     "n_seeds": 1,
-    "n_trunc": 32,
     "grid_cap": 6,
 }
 
@@ -304,7 +303,7 @@ class TestRunExperiment:
             local={"n_triples": 4, "max_degree": 10, "min_density": 0.99},
             analyticity={"n_cases": 0},
         )
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NumericalError, match="local ensemble produced 0/4 admissible triples"):
             run_experiment(cfg)
 
 
@@ -416,13 +415,23 @@ class TestMain:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_galerkin_truncation_drift_is_a_numerical_failure(self, tmp_path, capsys):
-        # a degree-32 ensemble has mass the halved degree-16 run cannot hold
-        cfg = config(SMOOTH_BASE, degree=32, n_trunc=32)
+        # the quartic k = 2 flow of the committed ensemble at seed 1 moves by
+        # more than 1e-4 between the degree-32 and degree-64 Galerkin spaces
+        cfg = json.loads((RUN_ALL_PATH.parent / "configs" / "smoothing_validate.json").read_text())
+        cfg.update(k=2, m=1)
         out = tmp_path / "o"
-        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        argv = ["run", write_config(tmp_path, cfg), "--out", str(out), "--seed", "1"]
+        assert main(argv) == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err == "numerical failure: Galerkin flow truncation drift 4.729e-02 at t=0.1\n"
+        assert err == "numerical failure: Galerkin flow truncation drift 1.111e-04 at t=0.1\n"
         assert not (out / "report.json").exists()
+
+    def test_galerkin_flow_at_the_degree_cap_passes(self, tmp_path, capsys):
+        # the harmonic flow is diagonal, so a degree-32 ensemble, the largest
+        # a config allows, fits the halved space exactly and shows no drift
+        cfg = config(SMOOTH_BASE, degree=32)
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "smoothing-validate: passed" in capsys.readouterr().out
 
     def test_flow_to_zero_is_a_config_error(self, tmp_path, capsys):
         # at t = 745 every mode of the degree-6 flow underflows to zero
@@ -639,14 +648,14 @@ def test_run_all_prints_report_digests(tmp_path, capsys):
 
 def test_digest_sweep_matrix_names_every_config():
     # scripts/digest_sweep.py runs every committed config at its own seed and
-    # at seeds 0-10, and five uncertainty.json and three smoothing_validate.json
+    # at seeds 0-10, and five uncertainty.json and four smoothing_validate.json
     # variants at three seeds each; every config of the matrix resolves
     spec = importlib.util.spec_from_file_location("digest_sweep", RUN_ALL_PATH.with_name("digest_sweep.py"))
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     runs = sweep.matrix()
     configs = sorted(p.stem for p in (RUN_ALL_PATH.parent / "configs").glob("*.json"))
-    assert len(configs) == 5 and len(runs) == 84
+    assert len(configs) == 5 and len(runs) == 87
     for stem in configs:
         assert [seed for name, _, seed in runs if name == stem] == [None, *range(11)]
     for _, config, _ in runs:
@@ -743,7 +752,7 @@ def test_committed_configs_run_without_scipy(tmp_path):
     assert digests == {
         "lemma_suite": "13bf5153",
         "observability": "504cc9d9",
-        "smoothing_validate": "739dea98",
+        "smoothing_validate": "d6c7f1cd",
         "uncertainty": "3f321af4",
         "uncertainty_decay": "5103f01a",
     }

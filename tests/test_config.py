@@ -25,8 +25,7 @@ RESOLVED = {
     "smoothing-validate": {
         "schema_version": 1, "kind": "smoothing-validate", "seed": 0,
         "k": 1, "m": 1, "theta": 1.0, "degree": 8, "n_seeds": 3,
-        "fit_times": [0.1, 0.2], "validate_times": [0.15, 0.3],
-        "n_trunc": 64, "grid_cap": 8,
+        "fit_times": [0.1, 0.2], "validate_times": [0.15, 0.3], "grid_cap": 8,
     },
     "uncertainty": {
         "schema_version": 1, "kind": "uncertainty", "seed": 0,
@@ -125,6 +124,7 @@ SINGLE_FAULTS = [
     (minimal("smoothing-validate", theta=0.0), "theta"),
     (minimal("smoothing-validate", degree=33), "degree"),
     (minimal("smoothing-validate", n_seeds=17), "n_seeds"),
+    # the flow's Galerkin space is a constant, so n_trunc is an unknown field
     (minimal("smoothing-validate", n_trunc=7), "n_trunc"),
     (minimal("smoothing-validate", grid_cap=0), "grid_cap"),
     (minimal("smoothing-validate", fit_times=[1.0]), "fit_times"),
@@ -155,7 +155,7 @@ SINGLE_FAULTS = [
     (minimal("lemma-suite", profile={"delta": -0.1}), "profile.delta"),
     (minimal("lemma-suite", local=[]), "local"),
     # the rules that compare fields with each other
-    (minimal("smoothing-validate", degree=20, n_trunc=10), "n_trunc"),
+    (minimal("smoothing-validate", degree=20, n_trunc=10), "n_trunc"),  # an unknown field
     (minimal("smoothing-validate", validate_times=[0.5, 0.7]), "validate_times"),
 ]
 
@@ -167,6 +167,21 @@ def test_single_fault_names_its_field(cfg, field):
     with pytest.raises(ConfigError) as err:
         resolve_config(cfg)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("degree", 33, "must be <= 32, got 33"), ("n_trunc", 64, "unknown field")],
+    ids=["degree", "n_trunc"],
+)
+def test_galerkin_space_is_no_config_field(tmp_path, capsys, field, value, message):
+    # the flow runs in the degree-64 space and checks itself in the degree-32
+    # one, so the ensemble degree stops at 32 and no truncation is settable
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal("smoothing-validate", **{field: value})), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field '{field}': {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_random_intervals_allowed_under_local_sensors():

@@ -22,7 +22,6 @@ from gsaudit.hermite import (
     _rule_sums,
     _stack_scaled,
     Ball,
-    DimensionMismatchError,
     SpectralFunction,
     ball_norms_squared,
     derivative,
@@ -70,7 +69,7 @@ class TestEvaluation:
         assert evaluate(f, xs) == pytest.approx(direct, rel=1e-11)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="expansions take scalar or vector points"):
             evaluate(basis_function(3), np.array([[0.5, 1.0]]))
 
 
@@ -637,7 +636,7 @@ class TestWeightedNorms:
 
     def test_integer_weight_evaluates_nothing(self, monkeypatch):
         # the ladder sum never evaluates the expansion nor runs a refinement
-        # check, so it cannot raise QuadratureConvergenceError
+        # check, so it cannot raise a refinement NumericalError
         def forbidden(*args, **kwargs):
             raise AssertionError("an integer weight must not run quadrature")
 
@@ -896,3 +895,7 @@ class TestValidation:
             weighted_norm(basis_function(0), n=-1)
         with pytest.raises(ValueError):
             weighted_norm(basis_function(0), n=1, weight_delta=1.5)
+        # a derivative order is an integer: 1.5 is refused, not truncated to 1
+        for beta in (1.5, math.inf):
+            with pytest.raises(ValueError, match="beta must be a nonnegative integer"):
+                weighted_norm(SpectralFunction([1.0, 2.0, 3.0]), beta=beta)

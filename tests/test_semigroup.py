@@ -106,8 +106,7 @@ class TestShubinOperator:
 
 def _halved_run(g: SpectralFunction, t: float, k: int, m: int) -> np.ndarray:
     """The flow in the degree-32 Galerkin space, zero-padded to degree 64:
-    the unchecked run that shubin_galerkin_flow at its default truncation
-    compares its output with."""
+    the unchecked run that shubin_galerkin_flow compares its output with."""
     lam, vec = np.linalg.eigh(shubin_operator_matrix(32, k, m))
     coeff = np.zeros(33)
     coeff[: len(g.coeffs)] = g.coeffs
@@ -149,9 +148,9 @@ class TestGalerkinFlow:
             shubin_galerkin_flow(g, 0.1, 1, 2, theta=0.25)
 
     def test_top_heavy_input_flagged(self):
-        # mass above n_trunc // 2 cannot be represented in the halved run, so
-        # the drift check is conservative there
-        with pytest.raises(NumericalError, match="truncation drift"):
+        # mass above degree 32 cannot be represented in the halved run, so
+        # such an input is refused rather than reported as drift
+        with pytest.raises(ValueError, match="input degree 60 exceeds 32"):
             shubin_galerkin_flow(basis_function(60), 0.01, 1, 1)
 
     def test_input_validation(self):
@@ -159,8 +158,9 @@ class TestGalerkinFlow:
             shubin_galerkin_flow(SpectralFunction(np.eye(2)), 0.1, 1, 1)
         with pytest.raises(ValueError):
             shubin_galerkin_flow(basis_function(0), -1.0, 1, 1)
-        with pytest.raises(ValueError):
-            shubin_galerkin_flow(basis_function(10), 0.1, 1, 1, n_trunc=5)
+        with pytest.raises(ValueError, match="input degree 33 exceeds 32"):
+            shubin_galerkin_flow(basis_function(33), 0.1, 1, 1)
+        shubin_galerkin_flow(basis_function(32), 0.1, 1, 1)  # the largest degree returns
 
 
 class TestShubinExponents:

@@ -197,7 +197,7 @@ class TestPeriodicSensor:
             if not audit.is_good:
                 continue
             if not audit.tail_certified:
-                # unknown beyond m_cap: counted in the eps budget, not audited
+                # unknown beyond M_CAP: counted in the eps budget, not audited
                 assert audit.log_mk_bruteforce is None
                 continue
             checked += 1
@@ -643,7 +643,7 @@ class TestSweepSharing:
             local_estimates.ball_norms_squared,
             lambda stack, balls, delta: [(len(stack), ball) for ball in balls],
         )
-        counting("stack", uncertainty, uncertainty.derivative_stack, lambda f, m_cap: [m_cap])
+        counting("stack", uncertainty, uncertainty.derivative_stack, lambda f, max_order: [max_order])
         counting("premise", uncertainty, uncertainty._premise_check, lambda *args: [None])
         return calls
 
